@@ -310,37 +310,75 @@ func TestGeneratedDocumentAgainstOracle(t *testing.T) {
 }
 
 // TestSortQuick: NEXSORT equals the oracle on random documents across
-// random geometries, thresholds and depth limits.
+// random geometries, thresholds and depth limits, at several parallelism
+// levels set explicitly rather than inherited from GOMAXPROCS.
 func TestSortQuick(t *testing.T) {
+	for _, par := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("P%d", par), func(t *testing.T) {
+			f := func(seed int64, thrRaw, depthRaw uint8) bool {
+				return sortMatchesOracle(par, seed, thrRaw, depthRaw) == nil
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// TestDispatchUnderBudgetPressure replays TestSortQuick inputs whose
+// dispatched subtree sorts met a full budget when the snapshot reader
+// asked for its block. The dispatch must fall back to the inline sort.
+func TestDispatchUnderBudgetPressure(t *testing.T) {
+	cases := []struct {
+		seed             int64
+		thrRaw, depthRaw uint8
+	}{
+		{8126222208245889085, 0x5b, 0xa5},
+		{3313049648758028359, 0xc2, 0xd4},
+	}
+	for _, par := range []int{2, 8} {
+		for _, c := range cases {
+			if err := sortMatchesOracle(par, c.seed, c.thrRaw, c.depthRaw); err != nil {
+				t.Errorf("parallelism %d, seed %d: %v", par, c.seed, err)
+			}
+		}
+	}
+}
+
+// sortMatchesOracle sorts a random document drawn from seed under a random
+// geometry at the given parallelism and compares the output with the
+// in-memory oracle.
+func sortMatchesOracle(parallelism int, seed int64, thrRaw, depthRaw uint8) error {
 	c := &keys.Criterion{Rules: []keys.Rule{{Tag: "", Source: keys.ByAttr("k")}}, KeyCap: 12}
-	f := func(seed int64, thrRaw, depthRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		doc := randomXML(rng, 120)
-		env, err := em.NewEnv(em.Config{BlockSize: 128, MemBlocks: MinMemBlocks + rng.Intn(8)})
-		if err != nil {
-			return false
-		}
-		defer env.Close()
-		opts := Options{
-			Criterion:  c,
-			Threshold:  1 + int(thrRaw)%512,
-			DepthLimit: int(depthRaw) % 5, // 0 = unlimited
-		}
-		var out strings.Builder
-		if _, err := Sort(env, strings.NewReader(doc), &out, opts); err != nil {
-			return false
-		}
-		n, err := xmltree.ParseString(doc)
-		if err != nil {
-			return false
-		}
-		n.ComputeKeys(c)
-		n.SortToDepth(opts.DepthLimit)
-		return out.String() == n.XMLString() && env.Budget.InUse() == 0
+	rng := rand.New(rand.NewSource(seed))
+	doc := randomXML(rng, 120)
+	env, err := em.NewEnv(em.Config{BlockSize: 128, MemBlocks: MinMemBlocks + rng.Intn(8), Parallelism: parallelism})
+	if err != nil {
+		return err
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Error(err)
+	defer env.Close()
+	opts := Options{
+		Criterion:  c,
+		Threshold:  1 + int(thrRaw)%512,
+		DepthLimit: int(depthRaw) % 5, // 0 = unlimited
 	}
+	var out strings.Builder
+	if _, err := Sort(env, strings.NewReader(doc), &out, opts); err != nil {
+		return err
+	}
+	n, err := xmltree.ParseString(doc)
+	if err != nil {
+		return err
+	}
+	n.ComputeKeys(c)
+	n.SortToDepth(opts.DepthLimit)
+	if out.String() != n.XMLString() {
+		return fmt.Errorf("output differs from the oracle")
+	}
+	if used := env.Budget.InUse(); used != 0 {
+		return fmt.Errorf("%d blocks still granted after the sort", used)
+	}
+	return nil
 }
 
 // randomXML builds a random well-formed document with attribute keys.

@@ -283,6 +283,17 @@ func (c *sliceCursor) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+// Window returns the unread rest of the slice (xmltok.WindowReader), so
+// token decoders read it in place.
+func (c *sliceCursor) Window() ([]byte, error) {
+	if c.pos >= len(c.buf) {
+		return nil, io.EOF
+	}
+	return c.buf[c.pos:], nil
+}
+
+func (c *sliceCursor) Advance(n int) { c.pos += n }
+
 // skipCursorString advances past a uvarint-prefixed string without
 // materializing it; a length overrunning the buffer is an error, not an
 // empty string.

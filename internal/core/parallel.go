@@ -116,12 +116,17 @@ func (s *sorter) tryDispatchSubtreeSort(start, size int64, relLimit int) (runsto
 	// The worker's working set: the raw snapshot (blocks), the rebuilt
 	// tree — modelled at the snapshot's footprint, as the sequential
 	// grant in internalSubtreeSort models it — and the run writer's block.
+	// The grant holds one more block for the range reader that takes the
+	// snapshot, returned as soon as the snapshot is taken, so that a full
+	// budget sends the subtree down the inline path instead of failing
+	// the reader's grant.
 	held := 2*blocks + 1
-	if err := s.grantWorker(held); err != nil {
+	if err := s.grantWorker(held + 1); err != nil {
 		pool.Release()
 		return 0, false, nil // budget pressure: sort inline instead
 	}
 	snap, err := s.snapshotRange(start, size)
+	s.releaseWorker(1)
 	if err != nil {
 		s.releaseWorker(held)
 		pool.Release()
@@ -171,11 +176,11 @@ func (s *sorter) tryDispatchSubtreeSort(start, size int64, relLimit int) (runsto
 
 // snapshotRange copies the data-stack range [start, Size()) into a chain of
 // pooled frames on the calling goroutine — the `blocks` share of the
-// worker's grant pins exactly that many frames. The reads are charged
-// exactly as the sequential in-memory sort's ReadRange pass, so dispatching
-// changes no counter.
+// worker's grant pins exactly that many frames, and the reader's block is
+// granted by the caller. The reads are charged exactly as the sequential
+// in-memory sort's ReadRange pass, so dispatching changes no counter.
 func (s *sorter) snapshotRange(start, size int64) (*frameChain, error) {
-	reader, err := s.data.ReadRange(s.env.Budget, start)
+	reader, err := s.data.ReadRange(nil, start)
 	if err != nil {
 		return nil, err
 	}
@@ -207,26 +212,34 @@ type frameChain struct {
 	pos    int64
 }
 
-func (c *frameChain) ReadByte() (byte, error) {
+// Window returns the unread bytes of the frame holding the read position
+// (xmltok.WindowReader).
+func (c *frameChain) Window() ([]byte, error) {
 	if c.pos >= c.size {
-		return 0, io.EOF
-	}
-	b := c.frames[c.pos/c.fsize].Bytes()[c.pos%c.fsize]
-	c.pos++
-	return b, nil
-}
-
-func (c *frameChain) Read(p []byte) (int, error) {
-	if c.pos >= c.size {
-		return 0, io.EOF
+		return nil, io.EOF
 	}
 	frame := c.frames[c.pos/c.fsize].Bytes()
 	off := c.pos % c.fsize
-	chunk := c.fsize - off
-	if rest := c.size - c.pos; rest < chunk {
-		chunk = rest
+	return frame[off:min(c.fsize, off+c.size-c.pos)], nil
+}
+
+func (c *frameChain) Advance(n int) { c.pos += int64(n) }
+
+func (c *frameChain) ReadByte() (byte, error) {
+	w, err := c.Window()
+	if err != nil {
+		return 0, err
 	}
-	n := copy(p, frame[off:off+chunk])
+	c.pos++
+	return w[0], nil
+}
+
+func (c *frameChain) Read(p []byte) (int, error) {
+	w, err := c.Window()
+	if err != nil {
+		return 0, err
+	}
+	n := copy(p, w)
 	c.pos += int64(n)
 	return n, nil
 }

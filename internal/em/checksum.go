@@ -10,12 +10,17 @@ import (
 // Checksummed block format. Each logical device block of blockSize bytes is
 // stored as a physical record of blockSize+checksumTrailerLen bytes:
 //
-//	payload (blockSize) | crc32c(payload) (4) | magic "NXSC" (4)
+//	payload (blockSize) | crc32c(payload, generation) (4) | magic "NXSC" (4)
 //
 // The trailer is written in the same WriteAt as the payload, so a torn
 // write leaves the magic missing (or the CRC stale) and the block fails
 // verification on its next read instead of reading back as plausible
-// garbage. A block that was never written reads back as all zeros from the
+// garbage. The CRC also covers the block's write generation — how many
+// writes were issued to it — which the layer keeps in memory. A rewrite
+// that lands none of its new bytes, as when a torn write keeps only a
+// prefix the old and new contents share, leaves the previous record
+// intact, trailer and all; the generation makes that lost write fail
+// verification instead of serving the previous contents. A block that was never written reads back as all zeros from the
 // sparse backend below; an all-zero record (zero payload, zero trailer) is
 // therefore the "unwritten" state and decodes to a zero block, preserving
 // the Backend contract.
@@ -49,14 +54,15 @@ type ChecksumBackend struct {
 	// the block abstraction and outside the budget's M (DESIGN.md §7).
 	scratch *FramePool
 
-	// written records which logical blocks a write was ever attempted on.
-	// Scratch devices live and die with the process, so this in-memory
-	// set is authoritative; it lets a read distinguish "never written,
-	// zeros are correct" from "a write was issued here but nothing (or
-	// only a zero prefix) landed" — the torn write that would otherwise
-	// read back as plausible zeros.
+	// written counts the writes attempted on each logical block: the
+	// generation its newest record must carry. Scratch devices live and
+	// die with the process, so this in-memory table is authoritative; it
+	// lets a read distinguish "never written, zeros are correct" from "a
+	// write was issued here but nothing (or only a zero prefix) landed" —
+	// the torn write that would otherwise read back as plausible zeros —
+	// and a record from the current write from one left by an earlier.
 	mu      sync.Mutex
-	written map[int64]struct{}
+	written map[int64]uint32
 }
 
 // NewChecksumBackend layers checksum verification over inner for logical
@@ -71,7 +77,7 @@ func NewChecksumBackend(inner Backend, blockSize int, stats *Stats) *ChecksumBac
 		blockSize: blockSize,
 		stats:     stats,
 		scratch:   NewFramePool(blockSize + checksumTrailerLen),
-		written:   make(map[int64]struct{}),
+		written:   make(map[int64]uint32),
 	}
 }
 
@@ -118,9 +124,10 @@ func (b *ChecksumBackend) ReadAtCat(p []byte, off int64, c Category) (int, error
 	magic := binary.LittleEndian.Uint32(buf[b.blockSize+4:])
 
 	block := off / int64(b.blockSize)
+	gen := b.generation(block)
 	switch {
 	case magic == checksumMagic:
-		if got := crc32.Checksum(payload, castagnoli); got != crc {
+		if got := blockCRC(payload, gen); got != crc {
 			b.countFailure(c)
 			return 0, &CorruptBlockError{Block: block,
 				Reason: fmt.Sprintf("crc32c mismatch: stored %08x, computed %08x", crc, got)}
@@ -128,7 +135,7 @@ func (b *ChecksumBackend) ReadAtCat(p []byte, off int64, c Category) (int, error
 		copy(p, payload)
 		return len(p), nil
 	case magic == 0 && crc == 0 && allZero(payload):
-		if b.wasWritten(block) {
+		if gen > 0 {
 			// A write was issued here but no checksummed record landed:
 			// a torn write whose surviving prefix happens to be zeros.
 			b.countFailure(c)
@@ -160,26 +167,35 @@ func (b *ChecksumBackend) WriteAtCat(p []byte, off int64, c Category) (int, erro
 	buf := frame.Bytes()
 
 	copy(buf, p)
-	binary.LittleEndian.PutUint32(buf[b.blockSize:], crc32.Checksum(p, castagnoli))
+	gen := b.markWritten(off / int64(b.blockSize))
+	binary.LittleEndian.PutUint32(buf[b.blockSize:], blockCRC(p, gen))
 	binary.LittleEndian.PutUint32(buf[b.blockSize+4:], checksumMagic)
-	b.markWritten(off / int64(b.blockSize))
 	if _, err := writeAtCat(b.inner, buf, b.physOff(off), c); err != nil {
 		return 0, err
 	}
 	return len(p), nil
 }
 
-func (b *ChecksumBackend) markWritten(block int64) {
+// markWritten records a write attempt on block and returns its generation.
+func (b *ChecksumBackend) markWritten(block int64) uint32 {
 	b.mu.Lock()
-	b.written[block] = struct{}{}
-	b.mu.Unlock()
+	defer b.mu.Unlock()
+	b.written[block]++
+	return b.written[block]
 }
 
-func (b *ChecksumBackend) wasWritten(block int64) bool {
+// generation returns the number of writes attempted on block, 0 if none.
+func (b *ChecksumBackend) generation(block int64) uint32 {
 	b.mu.Lock()
-	_, ok := b.written[block]
-	b.mu.Unlock()
-	return ok
+	defer b.mu.Unlock()
+	return b.written[block]
+}
+
+// blockCRC is the trailer's CRC-32C over the payload and the generation.
+func blockCRC(payload []byte, gen uint32) uint32 {
+	var g [4]byte
+	binary.LittleEndian.PutUint32(g[:], gen)
+	return crc32.Update(crc32.Checksum(payload, castagnoli), castagnoli, g[:])
 }
 
 // Close closes the wrapped backend.

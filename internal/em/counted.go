@@ -85,35 +85,47 @@ func (c *CountingReader) fill() error {
 	return c.err
 }
 
-// Read implements io.Reader.
-func (c *CountingReader) Read(p []byte) (int, error) {
+// Window returns the unconsumed bytes of the buffer, refilling it from the
+// underlying reader when it is empty (xmltok.WindowReader). The bytes are
+// charged when Advance consumes them.
+func (c *CountingReader) Window() ([]byte, error) {
 	if c.closed {
-		return 0, fmt.Errorf("em: read from closed CountingReader")
-	}
-	if len(p) == 0 {
-		return 0, nil
+		return nil, fmt.Errorf("em: read from closed CountingReader")
 	}
 	if err := c.fill(); err != nil {
-		return 0, err
+		return nil, err
 	}
-	n := copy(p, c.buf[c.start:c.end])
+	return c.buf[c.start:c.end], nil
+}
+
+// Advance consumes and charges the first n bytes of the window.
+func (c *CountingReader) Advance(n int) {
 	c.start += n
 	c.charge(n)
+}
+
+// Read implements io.Reader.
+func (c *CountingReader) Read(p []byte) (int, error) {
+	if len(p) == 0 && !c.closed {
+		return 0, nil
+	}
+	w, err := c.Window()
+	if err != nil {
+		return 0, err
+	}
+	n := copy(p, w)
+	c.Advance(n)
 	return n, nil
 }
 
 // ReadByte implements io.ByteReader.
 func (c *CountingReader) ReadByte() (byte, error) {
-	if c.closed {
-		return 0, fmt.Errorf("em: read from closed CountingReader")
-	}
-	if err := c.fill(); err != nil {
+	w, err := c.Window()
+	if err != nil {
 		return 0, err
 	}
-	b := c.buf[c.start]
-	c.start++
-	c.charge(1)
-	return b, nil
+	c.Advance(1)
+	return w[0], nil
 }
 
 // Finish charges the final partial block, if any. Call once at end of scan.

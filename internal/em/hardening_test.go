@@ -118,6 +118,31 @@ func TestChecksumDetectsTornWriteToZeros(t *testing.T) {
 	}
 }
 
+func TestChecksumDetectsLostRewrite(t *testing.T) {
+	// A rewrite that lands none of its new bytes leaves the previous
+	// record intact, trailer included: the checksum alone would serve the
+	// old contents as if the rewrite never happened.
+	inner := NewMemBackend()
+	cb := NewChecksumBackend(inner, hbs, nil)
+	if _, err := cb.WriteAtCat(fillBlock(1), 0, CatScratch); err != nil {
+		t.Fatal(err)
+	}
+	old := make([]byte, hbs+checksumTrailerLen)
+	if _, err := inner.ReadAt(old, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cb.WriteAtCat(fillBlock(2), 0, CatScratch); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inner.WriteAt(old, 0); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, hbs)
+	if _, err := cb.ReadAtCat(got, 0, CatScratch); !errors.Is(err, ErrCorruptBlock) {
+		t.Fatalf("lost rewrite read error = %v, want ErrCorruptBlock", err)
+	}
+}
+
 func TestChecksumRejectsUnalignedAccess(t *testing.T) {
 	cb := NewChecksumBackend(NewMemBackend(), hbs, nil)
 	if _, err := cb.ReadAtCat(make([]byte, hbs), 13, CatScratch); err == nil {

@@ -340,24 +340,36 @@ func (s *Stream) NewRangeReaderCat(budget *Budget, off, end int64, cat Category)
 // Offset returns the byte offset of the next read.
 func (r *StreamReader) Offset() int64 { return r.pos }
 
-// Read implements io.Reader, returning io.EOF at the end of the stream.
-func (r *StreamReader) Read(p []byte) (int, error) {
+// Window returns the unread bytes of the block holding the read position,
+// entering (and charging) that block first if it is not resident
+// (xmltok.WindowReader). It returns io.EOF at the end of the readable range.
+func (r *StreamReader) Window() ([]byte, error) {
 	if r.closed {
-		return 0, fmt.Errorf("em: read from closed StreamReader")
+		return nil, fmt.Errorf("em: read from closed StreamReader")
 	}
 	if r.pos >= r.limit {
-		return 0, io.EOF
+		return nil, io.EOF
 	}
 	bs := int64(len(r.buf))
 	blk := int(r.pos / bs)
 	if blk != r.cur {
 		if err := r.enterBlock(blk); err != nil {
-			return 0, err
+			return nil, err
 		}
 	}
-	inBlock := int(r.pos % bs)
-	avail := int(min64(bs, r.limit-int64(blk)*bs)) - inBlock
-	n := copy(p, r.buf[inBlock:inBlock+avail])
+	return r.buf[r.pos%bs : min64(bs, r.limit-int64(blk)*bs)], nil
+}
+
+// Advance consumes the first n bytes of the window.
+func (r *StreamReader) Advance(n int) { r.pos += int64(n) }
+
+// Read implements io.Reader, returning io.EOF at the end of the stream.
+func (r *StreamReader) Read(p []byte) (int, error) {
+	w, err := r.Window()
+	if err != nil {
+		return 0, err
+	}
+	n := copy(p, w)
 	r.pos += int64(n)
 	return n, nil
 }
@@ -436,15 +448,12 @@ func (r *StreamReader) fillPipeline(from int) {
 
 // ReadByte implements io.ByteReader.
 func (r *StreamReader) ReadByte() (byte, error) {
-	var b [1]byte
-	n, err := r.Read(b[:])
-	if n == 1 {
-		return b[0], nil
+	w, err := r.Window()
+	if err != nil {
+		return 0, err
 	}
-	if err == nil {
-		err = io.EOF
-	}
-	return 0, err
+	r.pos++
+	return w[0], nil
 }
 
 // Close abandons any in-flight prefetches (waiting for the worker to

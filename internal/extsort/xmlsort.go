@@ -25,6 +25,8 @@ type XMLReport struct {
 	RecordBytes int64
 	// InputBytes is the size of the input document.
 	InputBytes int64
+	// OutputBytes is the size of the sorted document written.
+	OutputBytes int64
 	// InitialRuns and MergePasses describe the external sort's shape; the
 	// total number of passes over the data is MergePasses+1.
 	InitialRuns int
@@ -208,6 +210,7 @@ func SortXML(env *em.Env, c *keys.Criterion, in io.Reader, out io.Writer, opts X
 	if err := cw.Flush(); err != nil {
 		return nil, err
 	}
+	report.OutputBytes = cw.BytesWritten()
 
 	st := sorter.Stats()
 	report.Records = st.Records
@@ -241,3 +244,14 @@ func (c *sliceCursor) Read(p []byte) (int, error) {
 	c.pos += n
 	return n, nil
 }
+
+// Window returns the unread rest of the slice (xmltok.WindowReader), so
+// token decoders read it in place.
+func (c *sliceCursor) Window() ([]byte, error) {
+	if c.pos >= len(c.buf) {
+		return nil, io.EOF
+	}
+	return c.buf[c.pos:], nil
+}
+
+func (c *sliceCursor) Advance(n int) { c.pos += n }

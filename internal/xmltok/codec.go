@@ -98,17 +98,122 @@ func EncodedSize(t Token) int {
 
 // Decoder decodes binary tokens, reusing one scratch buffer across calls so
 // the only per-token allocations are the strings that escape into the Token
-// itself. A Decoder is cheap (lazily grown scratch) but not safe for
-// concurrent use; long-lived readers keep one per stream.
+// itself; tag and attribute names are interned. A Decoder is cheap (lazily
+// grown scratch) but not safe for concurrent use; long-lived readers keep
+// one per stream.
 type Decoder struct {
 	scratch []byte
+	names   interner
 }
 
 // ReadToken decodes one token from r. It returns io.EOF cleanly when the
 // stream is exhausted at a token boundary, and io.ErrUnexpectedEOF if the
 // stream ends mid-token. The one-shot helper for callers without a Decoder
 // is the package-level ReadToken.
+//
+// When r is a WindowReader and the whole token lies in its window, the
+// token is decoded from the window in place and r is advanced past it in
+// one step, so r's offset is exact after every token. A token that
+// straddles the window's end, or a corrupt one, is read byte by byte.
 func (d *Decoder) ReadToken(r io.ByteReader) (Token, error) {
+	if w, ok := r.(WindowReader); ok {
+		buf, err := w.Window()
+		if len(buf) == 0 {
+			if err == nil {
+				err = io.ErrNoProgress
+			}
+			return Token{}, err
+		}
+		if t, n, ok := d.decode(buf); ok {
+			w.Advance(n)
+			return t, nil
+		}
+	}
+	return d.readToken(r)
+}
+
+// decode decodes the token at the front of buf and returns its encoded
+// length. ok is false when buf does not hold the whole token or the token
+// is corrupt; the streaming path then reads it and reports any corruption.
+func (d *Decoder) decode(buf []byte) (t Token, n int, ok bool) {
+	c := cursor{b: buf, i: 1}
+	kb := buf[0]
+	t.Kind = Kind(kb & kindMask)
+	switch t.Kind {
+	case KindStart:
+		t.Name = d.names.intern(c.bytes())
+		// Every attribute takes at least two bytes, so a count beyond the
+		// window is either corrupt or straddles it.
+		na := c.uvarint()
+		if c.bad || na > uint64(len(buf)) || na > maxStringLen {
+			return Token{}, 0, false
+		}
+		if na > 0 {
+			t.Attrs = make([]Attr, na)
+			for i := range t.Attrs {
+				t.Attrs[i].Name = d.names.intern(c.bytes())
+				t.Attrs[i].Value = string(c.bytes())
+			}
+		}
+	case KindEnd:
+		t.Name = d.names.intern(c.bytes())
+	case KindText:
+		t.Text = string(c.bytes())
+	case KindRunPtr:
+		t.Run = int64(c.uvarint())
+		t.Name = d.names.intern(c.bytes())
+	default:
+		return Token{}, 0, false
+	}
+	if kb&flagHasKey != 0 {
+		t.HasKey = true
+		t.Key = string(c.bytes())
+	}
+	if kb&flagHasLevel != 0 {
+		level := c.uvarint()
+		if level > maxStringLen {
+			return Token{}, 0, false
+		}
+		t.Level = int(level)
+	}
+	if c.bad {
+		return Token{}, 0, false
+	}
+	return t, c.i, true
+}
+
+// cursor reads the fields of an encoded token from a byte slice. bad is
+// set, and stays set, once a field runs past the slice's end.
+type cursor struct {
+	b   []byte
+	i   int
+	bad bool
+}
+
+func (c *cursor) uvarint() uint64 {
+	v, n := binary.Uvarint(c.b[c.i:])
+	if n <= 0 {
+		c.bad = true
+		return 0
+	}
+	c.i += n
+	return v
+}
+
+// bytes returns the next length-prefixed string, aliasing the slice.
+func (c *cursor) bytes() []byte {
+	n := c.uvarint()
+	if c.bad || n > uint64(len(c.b)-c.i) || n > maxStringLen {
+		c.bad = true
+		return nil
+	}
+	s := c.b[c.i : c.i+int(n)]
+	c.i += int(n)
+	return s
+}
+
+// readToken is ReadToken's streaming path.
+func (d *Decoder) readToken(r io.ByteReader) (Token, error) {
 	kb, err := r.ReadByte()
 	if err != nil {
 		if err == io.EOF {

@@ -1,7 +1,7 @@
 package xmltok
 
 import (
-	"bufio"
+	"bytes"
 	"io"
 	"strconv"
 	"strings"
@@ -30,27 +30,36 @@ func DefaultParserOptions() ParserOptions {
 
 // Parser is a streaming, event-based XML reader. Create one with NewParser
 // and call Next until it returns io.EOF.
+//
+// The parser scans inside its source's window (see WindowReader): a token
+// that lies wholly in the window is found with bytes.IndexByte and copied
+// out once, and the window is advanced past it when Next returns. Only a
+// token that straddles a window boundary, and entity references, take the
+// byte-at-a-time path.
 type Parser struct {
-	r       io.ByteReader
+	src WindowReader
+	// buf is the source's current window and pos the bytes of it the
+	// parser has consumed; nil after every Advance.
+	buf     []byte
+	pos     int
 	opts    ParserOptions
-	peeked  int // -1 if none
 	depth   int
 	started bool // a root element has been seen
 	done    bool // the root element has been closed
-	// pendingEnd holds the synthesized end token of a self-closing tag.
-	pendingEnd *Token
+	// pendingEnd names the self-closing tag whose end tag the next call
+	// returns; empty when there is none.
+	pendingEnd string
 	openNames  []string // only when ValidateNesting
-	textBuf    strings.Builder
+	// scratch accumulates whatever takes the byte-at-a-time path.
+	scratch []byte
+	names   interner
 }
 
-// NewParser reads a document from r with the given options. If r is not an
-// io.ByteReader it is wrapped in a bufio.Reader.
+// NewParser reads a document from r with the given options. A reader that
+// is not a WindowReader is read through a bufio.Reader (r itself when it is
+// one).
 func NewParser(r io.Reader, opts ParserOptions) *Parser {
-	br, ok := r.(io.ByteReader)
-	if !ok {
-		br = bufio.NewReader(r)
-	}
-	return &Parser{r: br, opts: opts, peeked: -1}
+	return &Parser{src: windowOf(r), opts: opts}
 }
 
 // Depth returns the number of currently open elements. Immediately after a
@@ -70,149 +79,204 @@ func truncated(err error, format string, args ...any) error {
 	return malformed(format, args...)
 }
 
+// readByte consumes one byte, moving to the source's next window when the
+// current one is used up.
 func (p *Parser) readByte() (byte, error) {
-	if p.peeked >= 0 {
-		b := byte(p.peeked)
-		p.peeked = -1
+	if p.pos < len(p.buf) {
+		b := p.buf[p.pos]
+		p.pos++
 		return b, nil
 	}
-	return p.r.ReadByte()
+	return p.nextWindow()
 }
 
-func (p *Parser) unread(b byte) { p.peeked = int(b) }
+// unread gives back the byte the last readByte returned. It is always in
+// the current window: a new window starts with the byte that loaded it.
+func (p *Parser) unread() { p.pos-- }
+
+// nextWindow advances the source past the exhausted window, loads the next
+// one and consumes its first byte.
+func (p *Parser) nextWindow() (byte, error) {
+	if p.pos > 0 {
+		p.src.Advance(p.pos)
+	}
+	buf, err := p.src.Window()
+	p.buf, p.pos = buf, 0
+	if len(buf) == 0 {
+		if err == nil {
+			err = io.ErrNoProgress
+		}
+		return 0, err
+	}
+	p.pos = 1
+	return buf[0], nil
+}
+
+// commit advances the source past everything the parser has consumed.
+func (p *Parser) commit() {
+	if p.pos > 0 {
+		p.src.Advance(p.pos)
+	}
+	p.buf, p.pos = nil, 0
+}
 
 // Next returns the next token, or io.EOF when the document is exhausted.
 func (p *Parser) Next() (Token, error) {
-	if p.pendingEnd != nil {
-		tok := *p.pendingEnd
-		p.pendingEnd = nil
-		p.closeElement(tok.Name)
-		return tok, nil
+	if name := p.pendingEnd; name != "" {
+		p.pendingEnd = ""
+		p.closeElement(name)
+		return Token{Kind: KindEnd, Name: name}, nil
 	}
+	var tok Token
+	err := p.next(&tok)
+	p.commit()
+	if err != nil {
+		return Token{}, err
+	}
+	return tok, nil
+}
+
+// next scans the next token into tok. The parse functions below fill in a
+// *Token rather than return one, because copying the struct through every
+// level costs more than scanning a short tag.
+func (p *Parser) next(tok *Token) error {
 	for {
 		b, err := p.readByte()
 		if err == io.EOF {
 			if p.started && !p.done {
-				return Token{}, malformed("unexpected end of input with %d open elements", p.depth)
+				return malformed("unexpected end of input with %d open elements", p.depth)
 			}
-			return Token{}, io.EOF
+			return io.EOF
 		}
 		if err != nil {
-			return Token{}, err
+			return err
 		}
+		var skip bool
 		if b == '<' {
-			tok, skip, err := p.parseMarkup()
-			if err != nil {
-				return Token{}, err
-			}
-			if skip {
-				continue
-			}
-			return tok, nil
-		}
-		// Character data.
-		if p.depth == 0 {
+			skip, err = p.parseMarkup(tok)
+		} else if p.depth == 0 {
 			// Text outside the root must be whitespace.
 			if !isXMLSpace(b) {
-				return Token{}, malformed("character data outside the root element")
+				return malformed("character data outside the root element")
 			}
-			continue
+			skip = true
+		} else {
+			p.unread()
+			skip, err = p.parseText(tok)
 		}
-		tok, err := p.parseText(b)
-		if err != nil {
-			return Token{}, err
+		if err != nil || !skip {
+			return err
 		}
-		if p.opts.SkipWhitespaceText && strings.TrimLeft(tok.Text, " \t\r\n") == "" {
-			continue
-		}
-		return tok, nil
 	}
 }
 
-// parseText accumulates character data starting with byte b, stopping at
-// (and un-reading) the next '<'.
-func (p *Parser) parseText(first byte) (Token, error) {
-	p.textBuf.Reset()
-	b := first
-	for {
-		if b == '&' {
-			s, err := p.parseEntity()
-			if err != nil {
-				return Token{}, err
+// parseText reads character data up to (not including) the next '<'.
+// skip=true means the text is whitespace-only and SkipWhitespaceText drops
+// it.
+func (p *Parser) parseText(tok *Token) (skip bool, err error) {
+	rest := p.buf[p.pos:]
+	if j := bytes.IndexByte(rest, '<'); j >= 0 {
+		if run := rest[:j]; bytes.IndexByte(run, '&') < 0 {
+			p.pos += j
+			if p.opts.SkipWhitespaceText && isSpaceOnly(run) {
+				return true, nil
 			}
-			p.textBuf.WriteString(s)
-		} else {
-			p.textBuf.WriteByte(b)
+			tok.Kind, tok.Text = KindText, string(run)
+			return false, nil
 		}
-		nb, err := p.readByte()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return Token{}, err
-		}
-		if nb == '<' {
-			p.unread('<')
-			break
-		}
-		b = nb
 	}
-	return Token{Kind: KindText, Text: p.textBuf.String()}, nil
+	// The text holds an entity or runs past the window.
+	p.scratch = p.scratch[:0]
+	for {
+		if p.pos == len(p.buf) {
+			if _, err := p.readByte(); err == io.EOF {
+				break
+			} else if err != nil {
+				return false, err
+			}
+			p.unread()
+		}
+		rest := p.buf[p.pos:]
+		k := 0
+		for k < len(rest) && rest[k] != '<' && rest[k] != '&' {
+			k++
+		}
+		p.scratch = append(p.scratch, rest[:k]...)
+		p.pos += k
+		if k == len(rest) {
+			continue
+		}
+		if rest[k] == '<' {
+			break
+		}
+		p.pos++ // the '&'
+		if p.scratch, err = p.appendEntity(p.scratch); err != nil {
+			return false, err
+		}
+	}
+	if p.opts.SkipWhitespaceText && isSpaceOnly(p.scratch) {
+		return true, nil
+	}
+	tok.Kind, tok.Text = KindText, string(p.scratch)
+	return false, nil
 }
 
 // parseMarkup handles everything after a '<'. skip=true means the construct
 // produces no token (comment, PI, doctype) — unless it is a CDATA section,
 // which yields a text token.
-func (p *Parser) parseMarkup() (tok Token, skip bool, err error) {
+func (p *Parser) parseMarkup(tok *Token) (skip bool, err error) {
 	b, err := p.readByte()
 	if err != nil {
-		return Token{}, false, truncated(err, "truncated markup")
+		return false, truncated(err, "truncated markup")
 	}
 	switch {
 	case b == '?':
-		return Token{}, true, p.skipUntil("?>")
+		_, err := p.readUntil("?>", false)
+		return true, err
 	case b == '!':
-		return p.parseBang()
+		return p.parseBang(tok)
 	case b == '/':
-		return p.parseEndTag()
+		return false, p.parseEndTag(tok)
 	default:
-		p.unread(b)
-		return p.parseStartTag()
+		p.unread()
+		return false, p.parseStartTag(tok)
 	}
 }
 
 // parseBang handles <!-- comments, <![CDATA[ sections and <!DOCTYPE.
-func (p *Parser) parseBang() (Token, bool, error) {
+func (p *Parser) parseBang(tok *Token) (skip bool, err error) {
 	b, err := p.readByte()
 	if err != nil {
-		return Token{}, false, truncated(err, "truncated <! construct")
+		return false, truncated(err, "truncated <! construct")
 	}
 	switch b {
 	case '-':
 		if b2, err := p.readByte(); err != nil || b2 != '-' {
-			return Token{}, false, truncated(err, "expected <!--")
+			return false, truncated(err, "expected <!--")
 		}
-		return Token{}, true, p.skipUntil("-->")
+		_, err := p.readUntil("-->", false)
+		return true, err
 	case '[':
 		// <![CDATA[ ... ]]>
 		const open = "CDATA["
 		for i := 0; i < len(open); i++ {
 			c, err := p.readByte()
 			if err != nil || c != open[i] {
-				return Token{}, false, truncated(err, "expected <![CDATA[")
+				return false, truncated(err, "expected <![CDATA[")
 			}
 		}
 		if p.depth == 0 {
-			return Token{}, false, malformed("CDATA outside the root element")
+			return false, malformed("CDATA outside the root element")
 		}
-		text, err := p.readUntil("]]>")
+		text, err := p.readUntil("]]>", true)
 		if err != nil {
-			return Token{}, false, err
+			return false, err
 		}
-		if p.opts.SkipWhitespaceText && strings.TrimLeft(text, " \t\r\n") == "" {
-			return Token{}, true, nil
+		if p.opts.SkipWhitespaceText && isSpaceOnly(text) {
+			return true, nil
 		}
-		return Token{Kind: KindText, Text: text}, false, nil
+		tok.Kind, tok.Text = KindText, string(text)
+		return false, nil
 	default:
 		// <!DOCTYPE ...> possibly with an internal subset in [...].
 		inSubset := false
@@ -223,68 +287,68 @@ func (p *Parser) parseBang() (Token, bool, error) {
 			} else if cur == ']' {
 				inSubset = false
 			} else if cur == '>' && !inSubset {
-				return Token{}, true, nil
+				return true, nil
 			}
 			cur, err = p.readByte()
 			if err != nil {
-				return Token{}, false, truncated(err, "truncated <! declaration")
+				return false, truncated(err, "truncated <! declaration")
 			}
 		}
 	}
 }
 
-func (p *Parser) parseStartTag() (Token, bool, error) {
+func (p *Parser) parseStartTag(tok *Token) error {
 	if p.done {
-		return Token{}, false, malformed("second root element")
+		return malformed("second root element")
 	}
 	name, err := p.readName()
 	if err != nil {
-		return Token{}, false, err
+		return err
 	}
-	tok := Token{Kind: KindStart, Name: name}
+	tok.Kind, tok.Name = KindStart, name
 	for {
 		b, err := p.skipSpace()
 		if err != nil {
-			return Token{}, false, truncated(err, "truncated start tag <%s", name)
+			return truncated(err, "truncated start tag <%s", name)
 		}
 		switch b {
 		case '>':
 			p.openElement(name)
-			return tok, false, nil
+			return nil
 		case '/':
 			if b2, err := p.readByte(); err != nil || b2 != '>' {
-				return Token{}, false, truncated(err, "expected /> in <%s", name)
+				return truncated(err, "expected /> in <%s", name)
 			}
 			p.openElement(name)
-			p.pendingEnd = &Token{Kind: KindEnd, Name: name}
-			return tok, false, nil
+			p.pendingEnd = name
+			return nil
 		default:
-			p.unread(b)
-			attr, err := p.readAttr()
-			if err != nil {
-				return Token{}, false, err
+			p.unread()
+			tok.Attrs = append(tok.Attrs, Attr{})
+			if err := p.readAttr(&tok.Attrs[len(tok.Attrs)-1]); err != nil {
+				return err
 			}
-			tok.Attrs = append(tok.Attrs, attr)
 		}
 	}
 }
 
-func (p *Parser) parseEndTag() (Token, bool, error) {
+func (p *Parser) parseEndTag(tok *Token) error {
 	name, err := p.readName()
 	if err != nil {
-		return Token{}, false, err
+		return err
 	}
 	b, err := p.skipSpace()
 	if err != nil || b != '>' {
-		return Token{}, false, truncated(err, "malformed end tag </%s", name)
+		return truncated(err, "malformed end tag </%s", name)
 	}
 	if p.depth == 0 {
-		return Token{}, false, malformed("end tag </%s> with no open element", name)
+		return malformed("end tag </%s> with no open element", name)
 	}
 	if err := p.closeElement(name); err != nil {
-		return Token{}, false, err
+		return err
 	}
-	return Token{Kind: KindEnd, Name: name}, false, nil
+	tok.Kind, tok.Name = KindEnd, name
+	return nil
 }
 
 func (p *Parser) openElement(name string) {
@@ -312,108 +376,126 @@ func (p *Parser) closeElement(name string) error {
 
 // readName reads an XML name (first byte already positioned at its start).
 func (p *Parser) readName() (string, error) {
-	var sb strings.Builder
 	b, err := p.readByte()
 	if err != nil || !isNameStart(b) {
 		return "", truncated(err, "expected a name")
 	}
-	sb.WriteByte(b)
+	start, i := p.pos-1, p.pos
+	for i < len(p.buf) && isNameByte(p.buf[i]) {
+		i++
+	}
+	p.pos = i
+	if i < len(p.buf) {
+		return p.names.intern(p.buf[start:i]), nil
+	}
+	// The name may run on into the next window.
+	p.scratch = append(p.scratch[:0], p.buf[start:i]...)
 	for {
 		b, err = p.readByte()
 		if err != nil {
 			break
 		}
 		if !isNameByte(b) {
-			p.unread(b)
+			p.unread()
 			break
 		}
-		sb.WriteByte(b)
+		p.scratch = append(p.scratch, b)
 	}
-	return sb.String(), nil
+	return p.names.intern(p.scratch), nil
 }
 
-// readAttr reads name="value" (either quote style), entity-decoding the
-// value.
-func (p *Parser) readAttr() (Attr, error) {
+// readAttr reads name="value" (either quote style) into a, entity-decoding
+// the value.
+func (p *Parser) readAttr(a *Attr) error {
 	name, err := p.readName()
 	if err != nil {
-		return Attr{}, err
+		return err
 	}
 	b, err := p.skipSpace()
 	if err != nil || b != '=' {
-		return Attr{}, truncated(err, "attribute %s missing '='", name)
+		return truncated(err, "attribute %s missing '='", name)
 	}
 	quote, err := p.skipSpace()
 	if err != nil || (quote != '"' && quote != '\'') {
-		return Attr{}, truncated(err, "attribute %s missing quote", name)
+		return truncated(err, "attribute %s missing quote", name)
 	}
-	var sb strings.Builder
+	a.Name = name
+	rest := p.buf[p.pos:]
+	if j := bytes.IndexByte(rest, quote); j >= 0 {
+		if run := rest[:j]; bytes.IndexByte(run, '&') < 0 && bytes.IndexByte(run, '<') < 0 {
+			p.pos += j + 1
+			a.Value = string(run)
+			return nil
+		}
+	}
+	// The value holds an entity or a stray '<', or runs past the window.
+	p.scratch = p.scratch[:0]
 	for {
 		b, err := p.readByte()
 		if err != nil {
-			return Attr{}, truncated(err, "unterminated value for attribute %s", name)
+			return truncated(err, "unterminated value for attribute %s", name)
 		}
 		if b == quote {
 			break
 		}
 		if b == '&' {
-			s, err := p.parseEntity()
-			if err != nil {
-				return Attr{}, err
+			if p.scratch, err = p.appendEntity(p.scratch); err != nil {
+				return err
 			}
-			sb.WriteString(s)
 			continue
 		}
 		if b == '<' {
-			return Attr{}, malformed("raw '<' in value of attribute %s", name)
+			return malformed("raw '<' in value of attribute %s", name)
 		}
-		sb.WriteByte(b)
+		p.scratch = append(p.scratch, b)
 	}
-	return Attr{Name: name, Value: sb.String()}, nil
+	a.Value = string(p.scratch)
+	return nil
 }
 
-// parseEntity decodes an entity reference whose '&' has been consumed.
-func (p *Parser) parseEntity() (string, error) {
-	var sb strings.Builder
+// appendEntity decodes an entity reference whose '&' has been consumed and
+// appends its replacement text to dst.
+func (p *Parser) appendEntity(dst []byte) ([]byte, error) {
+	var nameBuf [16]byte
+	ent := nameBuf[:0]
 	for {
 		b, err := p.readByte()
 		if err != nil {
-			return "", truncated(err, "unterminated entity reference")
+			return dst, truncated(err, "unterminated entity reference")
 		}
 		if b == ';' {
 			break
 		}
-		if sb.Len() > 12 {
-			return "", malformed("entity reference too long: &%s...", sb.String())
+		if len(ent) > 12 {
+			return dst, malformed("entity reference too long: &%s...", ent)
 		}
-		sb.WriteByte(b)
+		ent = append(ent, b)
 	}
-	ent := sb.String()
-	switch ent {
+	switch string(ent) {
 	case "amp":
-		return "&", nil
+		return append(dst, '&'), nil
 	case "lt":
-		return "<", nil
+		return append(dst, '<'), nil
 	case "gt":
-		return ">", nil
+		return append(dst, '>'), nil
 	case "quot":
-		return `"`, nil
+		return append(dst, '"'), nil
 	case "apos":
-		return "'", nil
+		return append(dst, '\''), nil
 	}
-	if strings.HasPrefix(ent, "#") {
-		numeric := ent[1:]
+	if len(ent) > 0 && ent[0] == '#' {
+		numeric := string(ent[1:])
 		base := 10
 		if strings.HasPrefix(numeric, "x") || strings.HasPrefix(numeric, "X") {
 			numeric, base = numeric[1:], 16
 		}
 		n, err := strconv.ParseUint(numeric, base, 32)
 		if err != nil || !utf8.ValidRune(rune(n)) {
-			return "", malformed("bad character reference &%s;", ent)
+			return dst, malformed("bad character reference &%s;", ent)
 		}
-		return string(rune(n)), nil
+		return utf8.AppendRune(dst, rune(n)), nil
 	}
-	return "", malformed("unknown entity &%s;", ent)
+	return dst, malformed("unknown entity &%s;", ent)
 }
 
 // skipSpace consumes XML whitespace and returns the first non-space byte.
@@ -429,50 +511,103 @@ func (p *Parser) skipSpace() (byte, error) {
 	}
 }
 
-// skipUntil consumes input through the first occurrence of the marker.
-func (p *Parser) skipUntil(marker string) error {
-	_, err := p.readUntil(marker)
-	return err
-}
-
-// readUntil returns input up to (excluding) the first occurrence of the
-// marker, consuming the marker too.
-func (p *Parser) readUntil(marker string) (string, error) {
-	var sb strings.Builder
-	matched := 0
+// readUntil consumes input through the first occurrence of the marker and,
+// when keep is set, returns what came before it; otherwise it returns nil.
+// The result aliases the window or the scratch buffer, so it is valid only
+// until the next read.
+func (p *Parser) readUntil(marker string, keep bool) ([]byte, error) {
+	rest := p.buf[p.pos:]
+	if j := bytes.Index(rest, []byte(marker)); j >= 0 {
+		p.pos += j + len(marker)
+		if !keep {
+			return nil, nil
+		}
+		return rest[:j], nil
+	}
+	// The construct runs past the window: scan byte by byte, holding the
+	// last len(marker)-1 bytes when the body is not kept.
+	p.scratch = p.scratch[:0]
 	for {
 		b, err := p.readByte()
 		if err != nil {
-			return "", truncated(err, "missing %q terminator", marker)
+			return nil, truncated(err, "missing %q terminator", marker)
 		}
-		if b == marker[matched] {
-			matched++
-			if matched == len(marker) {
-				return sb.String(), nil
+		p.scratch = append(p.scratch, b)
+		if n := len(p.scratch); n >= len(marker) && string(p.scratch[n-len(marker):]) == marker {
+			if !keep {
+				return nil, nil
 			}
-			continue
+			return p.scratch[:n-len(marker)], nil
 		}
-		if matched > 0 {
-			sb.WriteString(marker[:matched])
-			matched = 0
-			if b == marker[0] {
-				matched = 1
-				continue
-			}
+		if !keep && len(p.scratch) >= 64 {
+			tail := len(marker) - 1
+			p.scratch = append(p.scratch[:0], p.scratch[len(p.scratch)-tail:]...)
 		}
-		sb.WriteByte(b)
 	}
+}
+
+// interner hands out one string per distinct tag or attribute name, since
+// names repeat throughout a document. It is a direct-mapped cache: a slot
+// chosen by the name's length and end bytes holds the last name seen there,
+// so it is bounded at internSlots names of at most maxInternedLen bytes,
+// and a lookup costs one comparison instead of a hash.
+type interner struct {
+	slots *[internSlots]string
+}
+
+const (
+	internSlots    = 256
+	maxInternedLen = 64
+)
+
+func (in *interner) intern(b []byte) string {
+	n := len(b)
+	if n == 0 || n > maxInternedLen {
+		return string(b)
+	}
+	if in.slots == nil {
+		in.slots = new([internSlots]string)
+	}
+	slot := &in.slots[(n*37+int(b[0])*7+int(b[n-1]))%internSlots]
+	if *slot != string(b) {
+		*slot = string(b)
+	}
+	return *slot
+}
+
+func isSpaceOnly(b []byte) bool {
+	for _, c := range b {
+		if !isXMLSpace(c) {
+			return false
+		}
+	}
+	return true
 }
 
 func isXMLSpace(b byte) bool {
 	return b == ' ' || b == '\t' || b == '\r' || b == '\n'
 }
 
-func isNameStart(b byte) bool {
-	return b == '_' || b == ':' ||
-		('a' <= b && b <= 'z') || ('A' <= b && b <= 'Z') || b >= 0x80
-}
+func isNameStart(b byte) bool { return nameBytes[b]&nameStart != 0 }
 
-func isNameByte(b byte) bool {
-	return isNameStart(b) || b == '-' || b == '.' || ('0' <= b && b <= '9')
-}
+func isNameByte(b byte) bool { return nameBytes[b] != 0 }
+
+// nameBytes classifies the bytes that may start an XML name (nameStart) or
+// continue one (nameMore, or nameStart). Every byte of a multi-byte UTF-8
+// sequence counts as a name byte.
+var nameBytes = func() (t [256]uint8) {
+	for b := 0; b < 256; b++ {
+		switch {
+		case b == '_' || b == ':' || 'a' <= b && b <= 'z' || 'A' <= b && b <= 'Z' || b >= 0x80:
+			t[b] = nameStart
+		case b == '-' || b == '.' || '0' <= b && b <= '9':
+			t[b] = nameMore
+		}
+	}
+	return t
+}()
+
+const (
+	nameStart uint8 = 1 << iota
+	nameMore
+)

@@ -178,34 +178,72 @@ func TestParserAgainstEncodingXML(t *testing.T) {
 	}
 	for _, doc := range docs {
 		mine := parseAll(t, doc, ParserOptions{SkipWhitespaceText: false, ValidateNesting: true})
-		var std []Token
-		dec := xml.NewDecoder(strings.NewReader(doc))
-		for {
-			tok, err := dec.Token()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatalf("encoding/xml on %q: %v", doc, err)
-			}
-			switch v := tok.(type) {
-			case xml.StartElement:
-				st := Token{Kind: KindStart, Name: v.Name.Local}
-				for _, a := range v.Attr {
-					st.Attrs = append(st.Attrs, Attr{a.Name.Local, a.Value})
-				}
-				std = append(std, st)
-			case xml.EndElement:
-				std = append(std, Token{Kind: KindEnd, Name: v.Name.Local})
-			case xml.CharData:
-				std = append(std, Token{Kind: KindText, Text: string(v)})
-			}
+		std, err := encodingXMLTokens(doc)
+		if err != nil {
+			t.Fatalf("encoding/xml on %q: %v", doc, err)
 		}
-		// encoding/xml may split adjacent CharData; coalesce both sides.
-		if !reflect.DeepEqual(coalesce(mine), coalesce(std)) {
+		if !sameTokensAsEncodingXML(mine, std) {
 			t.Errorf("doc %q:\n mine %v\n  std %v", doc, coalesce(mine), coalesce(std))
 		}
 	}
+}
+
+// encodingXMLTokens tokenizes doc with encoding/xml. Names keep their
+// prefixes, and character data outside the root element is dropped, as
+// this parser reports them.
+func encodingXMLTokens(doc string) ([]Token, error) {
+	var std []Token
+	depth := 0
+	dec := xml.NewDecoder(strings.NewReader(doc))
+	for {
+		tok, err := dec.RawToken()
+		if err == io.EOF {
+			return std, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		switch v := tok.(type) {
+		case xml.StartElement:
+			st := Token{Kind: KindStart, Name: fullName(v.Name)}
+			for _, a := range v.Attr {
+				st.Attrs = append(st.Attrs, Attr{fullName(a.Name), a.Value})
+			}
+			std = append(std, st)
+			depth++
+		case xml.EndElement:
+			std = append(std, Token{Kind: KindEnd, Name: fullName(v.Name)})
+			depth--
+		case xml.CharData:
+			if depth > 0 {
+				std = append(std, Token{Kind: KindText, Text: string(v)})
+			}
+		}
+	}
+}
+
+func fullName(n xml.Name) string {
+	if n.Space == "" {
+		return n.Local
+	}
+	return n.Space + ":" + n.Local
+}
+
+// sameTokensAsEncodingXML compares token streams; encoding/xml may split
+// adjacent character data, so text is coalesced on both sides and empty
+// text dropped.
+func sameTokensAsEncodingXML(mine, std []Token) bool {
+	return reflect.DeepEqual(dropEmptyText(coalesce(mine)), dropEmptyText(coalesce(std)))
+}
+
+func dropEmptyText(toks []Token) []Token {
+	out := toks[:0:0]
+	for _, tok := range toks {
+		if tok.Kind != KindText || tok.Text != "" {
+			out = append(out, tok)
+		}
+	}
+	return out
 }
 
 func coalesce(toks []Token) []Token {

@@ -3,12 +3,13 @@ package xmltok
 import (
 	"fmt"
 	"io"
-	"strings"
 )
 
 // Writer serializes a token stream back into a textual XML document. It
 // tracks nesting so that optional indentation is correct, and escapes text
-// and attribute values so that Parse(Write(tokens)) round-trips.
+// and attribute values so that Parse(Write(tokens)) round-trips. Each token
+// is built in one reusable buffer and handed to the underlying writer in a
+// single Write.
 type Writer struct {
 	w      io.Writer
 	indent string // per-level indentation; empty means compact output
@@ -18,6 +19,7 @@ type Writer struct {
 	lastKind  Kind
 	wroteAny  bool
 	textInRow bool
+	buf       []byte
 	err       error
 }
 
@@ -29,21 +31,26 @@ func NewIndentWriter(w io.Writer, indent string) *Writer {
 	return &Writer{w: w, indent: indent, lastKind: KindEnd}
 }
 
-func (w *Writer) print(s string) {
-	if w.err != nil {
-		return
+// flush writes the bytes of one token and keeps the buffer for the next.
+// Callers return early once w.err is set, so it holds the first failure.
+func (w *Writer) flush(b []byte) {
+	w.buf = b[:0]
+	if len(b) > 0 {
+		_, w.err = w.w.Write(b)
 	}
-	_, w.err = io.WriteString(w.w, s)
 }
 
-func (w *Writer) newlineIndent(depth int) {
+func (w *Writer) appendNewlineIndent(b []byte, depth int) []byte {
 	if w.indent == "" {
-		return
+		return b
 	}
 	if w.wroteAny {
-		w.print("\n")
+		b = append(b, '\n')
 	}
-	w.print(strings.Repeat(w.indent, depth))
+	for i := 0; i < depth; i++ {
+		b = append(b, w.indent...)
+	}
+	return b
 }
 
 // WriteToken appends one token to the document. Run-pointer tokens are
@@ -53,19 +60,20 @@ func (w *Writer) WriteToken(t Token) error {
 	if w.err != nil {
 		return w.err
 	}
+	b := w.buf[:0]
 	switch t.Kind {
 	case KindStart:
-		w.newlineIndent(w.depth)
-		w.print("<")
-		w.print(t.Name)
+		b = w.appendNewlineIndent(b, w.depth)
+		b = append(b, '<')
+		b = append(b, t.Name...)
 		for _, a := range t.Attrs {
-			w.print(" ")
-			w.print(a.Name)
-			w.print(`="`)
-			w.print(escapeAttr(a.Value))
-			w.print(`"`)
+			b = append(b, ' ')
+			b = append(b, a.Name...)
+			b = append(b, '=', '"')
+			b = appendEscaped(b, a.Value, true)
+			b = append(b, '"')
 		}
-		w.print(">")
+		b = append(b, '>')
 		w.depth++
 	case KindEnd:
 		w.depth--
@@ -74,19 +82,18 @@ func (w *Writer) WriteToken(t Token) error {
 		}
 		// Keep </a> on the same line when the element contained only
 		// text (or nothing).
-		if w.lastKind == KindStart || w.textInRow {
-			// inline close
-		} else {
-			w.newlineIndent(w.depth)
+		if w.lastKind != KindStart && !w.textInRow {
+			b = w.appendNewlineIndent(b, w.depth)
 		}
-		w.print("</")
-		w.print(t.Name)
-		w.print(">")
+		b = append(b, '<', '/')
+		b = append(b, t.Name...)
+		b = append(b, '>')
 	case KindText:
-		w.print(escapeText(t.Text))
+		b = appendEscaped(b, t.Text, false)
 	default:
 		return fmt.Errorf("xmltok: cannot serialize %v token", t.Kind)
 	}
+	w.flush(b)
 	w.textInRow = t.Kind == KindText
 	w.lastKind = t.Kind
 	w.wroteAny = true
@@ -106,15 +113,45 @@ func (w *Writer) Close() error {
 		return fmt.Errorf("xmltok: document closed with %d open elements", w.depth)
 	}
 	if w.indent != "" && w.wroteAny {
-		w.print("\n")
+		w.flush(append(w.buf[:0], '\n'))
 	}
 	return w.err
 }
 
-var (
-	textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", `"`, "&quot;")
-)
+// appendEscaped appends s to dst with the markup characters replaced by
+// entity references: &, < and > in text; &, < and " in attribute values.
+// Runs between them are copied whole.
+func appendEscaped(dst []byte, s string, attr bool) []byte {
+	mask := escText
+	if attr {
+		mask = escAttr
+	}
+	last := 0
+	for i := 0; i < len(s); i++ {
+		if escapes[s[i]]&mask == 0 {
+			continue
+		}
+		dst = append(dst, s[last:i]...)
+		switch s[i] {
+		case '&':
+			dst = append(dst, "&amp;"...)
+		case '<':
+			dst = append(dst, "&lt;"...)
+		case '>':
+			dst = append(dst, "&gt;"...)
+		case '"':
+			dst = append(dst, "&quot;"...)
+		}
+		last = i + 1
+	}
+	return append(dst, s[last:]...)
+}
 
-func escapeText(s string) string { return textEscaper.Replace(s) }
-func escapeAttr(s string) string { return attrEscaper.Replace(s) }
+// escapes marks the bytes appendEscaped replaces in text and in attribute
+// values.
+var escapes = [256]uint8{'&': escText | escAttr, '<': escText | escAttr, '>': escText, '"': escAttr}
+
+const (
+	escText uint8 = 1 << iota
+	escAttr
+)

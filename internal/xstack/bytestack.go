@@ -112,8 +112,8 @@ func (s *ByteStack) Resident() int { return s.p.resident }
 // Close releases the resident-window grant. The stack is unusable after.
 func (s *ByteStack) Close() { s.p.close() }
 
-// RangeReader streams a suffix of a ByteStack. It implements io.Reader and
-// io.ByteReader.
+// RangeReader streams a suffix of a ByteStack. It implements io.Reader,
+// io.ByteReader and xmltok.WindowReader.
 type RangeReader struct {
 	s      *ByteStack
 	budget *em.Budget
@@ -125,40 +125,49 @@ type RangeReader struct {
 	closed bool
 }
 
-// Read implements io.Reader.
-func (r *RangeReader) Read(p []byte) (int, error) {
+// Window returns the unread bytes of the stack block holding the read
+// position, paging that block in first if it is not the one in the buffer.
+// It returns io.EOF at the end of the range.
+func (r *RangeReader) Window() ([]byte, error) {
 	if r.closed {
-		return 0, fmt.Errorf("xstack: read from closed RangeReader")
+		return nil, fmt.Errorf("xstack: read from closed RangeReader")
 	}
 	if r.pos >= r.end {
-		return 0, io.EOF
+		return nil, io.EOF
 	}
 	bs := int64(len(r.buf))
 	b := int(r.pos / bs)
 	if b != r.cur {
 		if err := r.s.p.readInto(b, r.buf); err != nil {
-			return 0, err
+			return nil, err
 		}
 		r.cur = b
 	}
-	inBlock := int(r.pos % bs)
-	avail := int(min64(bs, r.end-int64(b)*bs)) - inBlock
-	n := copy(p, r.buf[inBlock:inBlock+avail])
+	return r.buf[r.pos%bs : min64(bs, r.end-int64(b)*bs)], nil
+}
+
+// Advance consumes the first n bytes of the window.
+func (r *RangeReader) Advance(n int) { r.pos += int64(n) }
+
+// Read implements io.Reader.
+func (r *RangeReader) Read(p []byte) (int, error) {
+	w, err := r.Window()
+	if err != nil {
+		return 0, err
+	}
+	n := copy(p, w)
 	r.pos += int64(n)
 	return n, nil
 }
 
 // ReadByte implements io.ByteReader.
 func (r *RangeReader) ReadByte() (byte, error) {
-	var b [1]byte
-	n, err := r.Read(b[:])
-	if n == 1 {
-		return b[0], nil
+	w, err := r.Window()
+	if err != nil {
+		return 0, err
 	}
-	if err == nil {
-		err = io.EOF
-	}
-	return 0, err
+	r.pos++
+	return w[0], nil
 }
 
 // Close recycles the reader's buffer frame and releases its grant.

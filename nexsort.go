@@ -463,6 +463,7 @@ func sortInEnv(env *em.Env, in io.Reader, out io.Writer, opts Options) (*Result,
 		res.MergeSort = rep
 		res.Elements = rep.Elements
 		res.InputBytes = rep.InputBytes
+		res.OutputBytes = rep.OutputBytes
 
 	case InMemory:
 		rep, err := sortInMemory(env, in, out, opts)

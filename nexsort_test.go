@@ -7,8 +7,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"nexsort/internal/em"
 )
 
 const apiDoc = `<company>
@@ -45,6 +48,63 @@ func TestSortAllAlgorithmsAgree(t *testing.T) {
 		}
 		if res.TotalIOs <= 0 || res.SimulatedSeconds <= 0 {
 			t.Errorf("%v: missing accounting: ios=%d sim=%g", algo, res.TotalIOs, res.SimulatedSeconds)
+		}
+	}
+}
+
+// TestResultFields checks every field of Result for each algorithm. A field
+// added to Result fails the test until it is checked here too.
+func TestResultFields(t *testing.T) {
+	checked := []string{"Algorithm", "Elements", "InputBytes", "OutputBytes", "IOs", "TotalIOs",
+		"SimulatedSeconds", "WallSeconds", "NEXSORT", "MergeSort"}
+	var fields []string
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Result{})) {
+		fields = append(fields, f.Name)
+	}
+	if !reflect.DeepEqual(fields, checked) {
+		t.Fatalf("Result has fields %v, the test checks %v", fields, checked)
+	}
+
+	cfg := Config{BlockSize: 256, MemoryBytes: 256 * 20}
+	for _, algo := range []Algorithm{NEXSORT, MergeSort, InMemory} {
+		var out strings.Builder
+		res, err := Sort(strings.NewReader(apiDoc), &out, cfg, Options{Criterion: apiCriterion(), Algorithm: algo})
+		if err != nil {
+			t.Fatalf("%v: %v", algo, err)
+		}
+		if res.Algorithm != algo {
+			t.Errorf("%v: Algorithm = %v", algo, res.Algorithm)
+		}
+		if res.Elements != 8 {
+			t.Errorf("%v: Elements = %d, want 8", algo, res.Elements)
+		}
+		if res.InputBytes != int64(len(apiDoc)) {
+			t.Errorf("%v: InputBytes = %d, want %d", algo, res.InputBytes, len(apiDoc))
+		}
+		if res.OutputBytes != int64(out.Len()) {
+			t.Errorf("%v: OutputBytes = %d, want %d", algo, res.OutputBytes, out.Len())
+		}
+		var sum int64
+		for _, c := range res.IOs {
+			sum += c.Reads + c.Writes
+		}
+		if res.TotalIOs <= 0 || sum != res.TotalIOs {
+			t.Errorf("%v: TotalIOs = %d, the categories sum to %d", algo, res.TotalIOs, sum)
+		}
+		if want := em.DefaultCostModel().Seconds(res.TotalIOs, 256); res.SimulatedSeconds != want {
+			t.Errorf("%v: SimulatedSeconds = %g, want %g", algo, res.SimulatedSeconds, want)
+		}
+		if res.WallSeconds <= 0 {
+			t.Errorf("%v: WallSeconds = %g", algo, res.WallSeconds)
+		}
+		if (res.NEXSORT != nil) != (algo == NEXSORT) || (res.MergeSort != nil) != (algo == MergeSort) {
+			t.Errorf("%v: detail reports NEXSORT=%v MergeSort=%v", algo, res.NEXSORT != nil, res.MergeSort != nil)
+		}
+		if res.NEXSORT != nil && (res.NEXSORT.InputBytes != res.InputBytes || res.NEXSORT.OutputBytes != res.OutputBytes) {
+			t.Errorf("NEXSORT report sizes %d/%d differ from the result's", res.NEXSORT.InputBytes, res.NEXSORT.OutputBytes)
+		}
+		if res.MergeSort != nil && (res.MergeSort.InputBytes != res.InputBytes || res.MergeSort.OutputBytes != res.OutputBytes) {
+			t.Errorf("MergeSort report sizes %d/%d differ from the result's", res.MergeSort.InputBytes, res.MergeSort.OutputBytes)
 		}
 	}
 }
