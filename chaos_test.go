@@ -3,6 +3,7 @@ package nexsort_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"testing"
 
@@ -19,19 +20,39 @@ import (
 
 // chaosEnv is the trial environment shape: blocks small enough that a
 // few-hundred-element document spills heavily, memory at NEXSORT's
-// documented floor plus slack, full hardening on, and the worker pool
-// switched on (explicitly, so the soak exercises the concurrent paths even
-// on a single-CPU host). Faults must land identically either way: the
-// invariant "byte-identical output or a clean typed error, never a panic or
-// a leaked budget block" is parallelism-independent.
-func chaosEnv() em.Config {
+// documented floor plus slack, full hardening on, and an explicit worker
+// pool size, so the soak exercises the sequential and the concurrent paths
+// whatever the host's CPU count. The invariant "byte-identical output or a
+// clean typed error, never a panic or a leaked budget block" is
+// parallelism-independent, and so is the fault-free output.
+func chaosEnv(parallelism int) em.Config {
 	return em.Config{
 		BlockSize:       512,
 		MemBlocks:       16,
 		VerifyChecksums: true,
 		Retry:           em.RetryPolicy{MaxRetries: 6, RetryCorruptReads: true},
-		Parallelism:     4,
+		Parallelism:     parallelism,
 	}
+}
+
+// chaosLeg is one algorithm at one worker-pool size. Every group runs each
+// of its seeds on every leg: both algorithms at P ∈ {1, 2, 8}, the sweep
+// the cancel soak and paralleldiff use.
+type chaosLeg struct {
+	algo chaostest.Algorithm
+	p    int
+}
+
+func (l chaosLeg) String() string { return fmt.Sprintf("%v/p%d", l.algo, l.p) }
+
+func chaosLegs() []chaosLeg {
+	var legs []chaosLeg
+	for _, algo := range chaostest.Algorithms {
+		for _, p := range []int{1, 2, 8} {
+			legs = append(legs, chaosLeg{algo, p})
+		}
+	}
+	return legs
 }
 
 // cleanlyTyped reports whether a trial error is one of the failure model's
@@ -48,20 +69,20 @@ func chaosTrial(t *testing.T, doc []byte, crit *keys.Criterion, tr chaostest.Tri
 	t.Helper()
 	o := chaostest.Run(doc, crit, tr)
 	if o.PanicValue != nil {
-		t.Fatalf("%v seed=%d: sort panicked: %v\ninjected: %v",
-			tr.Algorithm, tr.Chaos.Seed, o.PanicValue, o.Injected)
+		t.Fatalf("%v/p%d seed=%d: sort panicked: %v\ninjected: %v",
+			tr.Algorithm, tr.Env.Parallelism, tr.Chaos.Seed, o.PanicValue, o.Injected)
 	}
 	if o.BudgetInUse != 0 {
-		t.Errorf("%v seed=%d: %d budget blocks leaked (err=%v, injected=%v)",
-			tr.Algorithm, tr.Chaos.Seed, o.BudgetInUse, o.Err, o.Injected)
+		t.Errorf("%v/p%d seed=%d: %d budget blocks leaked (err=%v, injected=%v)",
+			tr.Algorithm, tr.Env.Parallelism, tr.Chaos.Seed, o.BudgetInUse, o.Err, o.Injected)
 	}
 	if o.FramesLive != 0 {
-		t.Errorf("%v seed=%d: %d pooled frames leaked (err=%v, injected=%v)",
-			tr.Algorithm, tr.Chaos.Seed, o.FramesLive, o.Err, o.Injected)
+		t.Errorf("%v/p%d seed=%d: %d pooled frames leaked (err=%v, injected=%v)",
+			tr.Algorithm, tr.Env.Parallelism, tr.Chaos.Seed, o.FramesLive, o.Err, o.Injected)
 	}
 	if o.CodecFramesLive != 0 {
-		t.Errorf("%v seed=%d: %d codec scratch frames leaked (err=%v, injected=%v)",
-			tr.Algorithm, tr.Chaos.Seed, o.CodecFramesLive, o.Err, o.Injected)
+		t.Errorf("%v/p%d seed=%d: %d codec scratch frames leaked (err=%v, injected=%v)",
+			tr.Algorithm, tr.Env.Parallelism, tr.Chaos.Seed, o.CodecFramesLive, o.Err, o.Injected)
 	}
 	return o
 }
@@ -76,7 +97,13 @@ func TestChaosSoak(t *testing.T) {
 
 	want := map[chaostest.Algorithm][]byte{}
 	for _, algo := range chaostest.Algorithms {
-		want[algo] = chaostest.Baseline(doc, crit, algo, chaosEnv())
+		want[algo] = chaostest.Baseline(doc, crit, algo, chaosEnv(1))
+	}
+	legs := chaosLegs()
+	for _, leg := range legs {
+		if !bytes.Equal(chaostest.Baseline(doc, crit, leg.algo, chaosEnv(leg.p)), want[leg.algo]) {
+			t.Fatalf("%v: fault-free output differs from the P=1 run", leg)
+		}
 	}
 	if !bytes.Equal(want[chaostest.Nexsort], want[chaostest.MergeSort]) {
 		t.Fatal("fault-free baselines disagree between algorithms")
@@ -100,8 +127,8 @@ func TestChaosSoak(t *testing.T) {
 		groupsRun++
 		var faulted, retried int
 		for seed := int64(1); seed <= 15; seed++ {
-			for _, algo := range chaostest.Algorithms {
-				tr := chaostest.Trial{Algorithm: algo, Env: chaosEnv(), Chaos: em.ChaosConfig{
+			for _, leg := range legs {
+				tr := chaostest.Trial{Algorithm: leg.algo, Env: chaosEnv(leg.p), Chaos: em.ChaosConfig{
 					Seed:               seed,
 					ReadTransientProb:  0.02,
 					WriteTransientProb: 0.02,
@@ -112,16 +139,16 @@ func TestChaosSoak(t *testing.T) {
 				note(o)
 				if o.Err != nil {
 					t.Fatalf("%v seed=%d: transient-only trial failed: %v (injected %v)",
-						algo, seed, o.Err, o.Injected)
+						leg, seed, o.Err, o.Injected)
 				}
-				if !bytes.Equal(o.Output, want[algo]) {
+				if !bytes.Equal(o.Output, want[leg.algo]) {
 					t.Fatalf("%v seed=%d: output differs from fault-free run (injected %v)",
-						algo, seed, o.Injected)
+						leg, seed, o.Injected)
 				}
 				if o.Faulted() {
 					faulted++
 					if o.Stats.TotalRetries() == 0 {
-						t.Errorf("%v seed=%d: faults injected but no retries counted", algo, seed)
+						t.Errorf("%v seed=%d: faults injected but no retries counted", leg, seed)
 					} else {
 						retried++
 					}
@@ -131,7 +158,7 @@ func TestChaosSoak(t *testing.T) {
 		if faulted == 0 {
 			t.Error("no transient trial injected a fault; probabilities too low to test anything")
 		}
-		t.Logf("transient: %d/30 trials faulted, %d surfaced retries in stats", faulted, retried)
+		t.Logf("transient: %d/%d trials faulted, %d surfaced retries in stats", faulted, 15*len(legs), retried)
 	})
 
 	// Group 2 — at-rest corruption: bit flips written to the device and
@@ -144,8 +171,8 @@ func TestChaosSoak(t *testing.T) {
 		groupsRun++
 		var detected int
 		for seed := int64(1); seed <= 15; seed++ {
-			for _, algo := range chaostest.Algorithms {
-				tr := chaostest.Trial{Algorithm: algo, Env: chaosEnv(), Chaos: em.ChaosConfig{
+			for _, leg := range legs {
+				tr := chaostest.Trial{Algorithm: leg.algo, Env: chaosEnv(leg.p), Chaos: em.ChaosConfig{
 					Seed:             seed,
 					WriteBitFlipProb: 0.01,
 					TornWriteProb:    0.01,
@@ -154,24 +181,24 @@ func TestChaosSoak(t *testing.T) {
 				note(o)
 				switch {
 				case o.Err == nil:
-					if !bytes.Equal(o.Output, want[algo]) {
+					if !bytes.Equal(o.Output, want[leg.algo]) {
 						t.Fatalf("%v seed=%d: SILENT CORRUPTION: clean run, wrong bytes (injected %v)",
-							algo, seed, o.Injected)
+							leg, seed, o.Injected)
 					}
 				case em.IsCorrupt(o.Err):
 					detected++
 					if o.Stats.TotalChecksumFailures() == 0 {
-						t.Errorf("%v seed=%d: corrupt error but no checksum failures counted", algo, seed)
+						t.Errorf("%v seed=%d: corrupt error but no checksum failures counted", leg, seed)
 					}
 				default:
-					t.Fatalf("%v seed=%d: untyped error %v (injected %v)", algo, seed, o.Err, o.Injected)
+					t.Fatalf("%v seed=%d: untyped error %v (injected %v)", leg, seed, o.Err, o.Injected)
 				}
 			}
 		}
 		if detected == 0 {
 			t.Error("no at-rest trial surfaced a corruption error; injector never hit a reread block")
 		}
-		t.Logf("at-rest: %d/30 trials detected corruption via checksums", detected)
+		t.Logf("at-rest: %d/%d trials detected corruption via checksums", detected, 15*len(legs))
 	})
 
 	// Group 3 — in-transit read corruption. A reread returns clean bytes,
@@ -182,8 +209,8 @@ func TestChaosSoak(t *testing.T) {
 		groupsRun++
 		var healed int
 		for seed := int64(1); seed <= 10; seed++ {
-			for _, algo := range chaostest.Algorithms {
-				tr := chaostest.Trial{Algorithm: algo, Env: chaosEnv(), Chaos: em.ChaosConfig{
+			for _, leg := range legs {
+				tr := chaostest.Trial{Algorithm: leg.algo, Env: chaosEnv(leg.p), Chaos: em.ChaosConfig{
 					Seed:            seed,
 					ReadBitFlipProb: 0.03,
 					MaxConsecutive:  4,
@@ -192,16 +219,16 @@ func TestChaosSoak(t *testing.T) {
 				note(o)
 				if o.Err != nil {
 					t.Fatalf("%v seed=%d: in-transit trial failed: %v (injected %v)",
-						algo, seed, o.Err, o.Injected)
+						leg, seed, o.Err, o.Injected)
 				}
-				if !bytes.Equal(o.Output, want[algo]) {
+				if !bytes.Equal(o.Output, want[leg.algo]) {
 					t.Fatalf("%v seed=%d: output differs after in-transit corruption (injected %v)",
-						algo, seed, o.Injected)
+						leg, seed, o.Injected)
 				}
 				if o.Injected["read-bitflip"] > 0 {
 					healed++
 					if o.Stats.TotalChecksumFailures() == 0 {
-						t.Errorf("%v seed=%d: bit flips injected but no checksum failures counted", algo, seed)
+						t.Errorf("%v seed=%d: bit flips injected but no checksum failures counted", leg, seed)
 					}
 				}
 			}
@@ -209,7 +236,7 @@ func TestChaosSoak(t *testing.T) {
 		if healed == 0 {
 			t.Error("no in-transit trial injected a read bit flip")
 		}
-		t.Logf("in-transit: %d/20 trials healed read corruption", healed)
+		t.Logf("in-transit: %d/%d trials healed read corruption", healed, 10*len(legs))
 	})
 
 	// Group 4 — the full mix, including unretryable permanent errors.
@@ -219,8 +246,8 @@ func TestChaosSoak(t *testing.T) {
 		groupsRun++
 		var failed int
 		for seed := int64(1); seed <= 10; seed++ {
-			for _, algo := range chaostest.Algorithms {
-				tr := chaostest.Trial{Algorithm: algo, Env: chaosEnv(), Chaos: em.ChaosConfig{
+			for _, leg := range legs {
+				tr := chaostest.Trial{Algorithm: leg.algo, Env: chaosEnv(leg.p), Chaos: em.ChaosConfig{
 					Seed:               seed,
 					ReadPermanentProb:  0.002,
 					WritePermanentProb: 0.002,
@@ -236,18 +263,18 @@ func TestChaosSoak(t *testing.T) {
 				note(o)
 				switch {
 				case o.Err == nil:
-					if !bytes.Equal(o.Output, want[algo]) {
+					if !bytes.Equal(o.Output, want[leg.algo]) {
 						t.Fatalf("%v seed=%d: SILENT CORRUPTION under mixed faults (injected %v)",
-							algo, seed, o.Injected)
+							leg, seed, o.Injected)
 					}
 				case cleanlyTyped(o.Err):
 					failed++
 				default:
-					t.Fatalf("%v seed=%d: untyped error %v (injected %v)", algo, seed, o.Err, o.Injected)
+					t.Fatalf("%v seed=%d: untyped error %v (injected %v)", leg, seed, o.Err, o.Injected)
 				}
 			}
 		}
-		t.Logf("mixed: %d/20 trials failed with a typed error", failed)
+		t.Logf("mixed: %d/%d trials failed with a typed error", failed, 10*len(legs))
 	})
 
 	// Group 5 — corruption underneath the spill codec. With CompressSpill
@@ -259,19 +286,19 @@ func TestChaosSoak(t *testing.T) {
 	// ends (chaosTrial asserts CodecFramesLive == 0 on every path).
 	t.Run("compressed-at-rest", func(t *testing.T) {
 		groupsRun++
-		envC := chaosEnv()
-		envC.CompressSpill = true
-		for _, algo := range chaostest.Algorithms {
-			if !bytes.Equal(chaostest.Baseline(doc, crit, algo, envC), want[algo]) {
-				t.Fatalf("%v: compressed fault-free baseline differs from the plain baseline", algo)
+		for _, leg := range legs {
+			envC := chaosEnv(leg.p)
+			envC.CompressSpill = true
+			if !bytes.Equal(chaostest.Baseline(doc, crit, leg.algo, envC), want[leg.algo]) {
+				t.Fatalf("%v: compressed fault-free baseline differs from the plain baseline", leg)
 			}
 		}
 		var detected int
 		for seed := int64(1); seed <= 15; seed++ {
-			for _, algo := range chaostest.Algorithms {
-				env := chaosEnv()
+			for _, leg := range legs {
+				env := chaosEnv(leg.p)
 				env.CompressSpill = true
-				tr := chaostest.Trial{Algorithm: algo, Env: env, Chaos: em.ChaosConfig{
+				tr := chaostest.Trial{Algorithm: leg.algo, Env: env, Chaos: em.ChaosConfig{
 					Seed:             seed,
 					WriteBitFlipProb: 0.01,
 					TornWriteProb:    0.01,
@@ -280,24 +307,24 @@ func TestChaosSoak(t *testing.T) {
 				note(o)
 				switch {
 				case o.Err == nil:
-					if !bytes.Equal(o.Output, want[algo]) {
+					if !bytes.Equal(o.Output, want[leg.algo]) {
 						t.Fatalf("%v seed=%d: SILENT CORRUPTION through the spill codec (injected %v)",
-							algo, seed, o.Injected)
+							leg, seed, o.Injected)
 					}
 				case em.IsCorrupt(o.Err):
 					detected++
 					if o.Stats.TotalChecksumFailures() == 0 {
-						t.Errorf("%v seed=%d: corrupt error but no verification failures counted", algo, seed)
+						t.Errorf("%v seed=%d: corrupt error but no verification failures counted", leg, seed)
 					}
 				default:
-					t.Fatalf("%v seed=%d: untyped error %v (injected %v)", algo, seed, o.Err, o.Injected)
+					t.Fatalf("%v seed=%d: untyped error %v (injected %v)", leg, seed, o.Err, o.Injected)
 				}
 			}
 		}
 		if detected == 0 {
 			t.Error("no compressed trial surfaced a corruption error; injector never hit a reread slot")
 		}
-		t.Logf("compressed-at-rest: %d/30 trials detected corruption through the codec", detected)
+		t.Logf("compressed-at-rest: %d/%d trials detected corruption through the codec", detected, 15*len(legs))
 	})
 
 	// Group 6 — the full fault mix underneath the spill codec: transient,
@@ -308,10 +335,10 @@ func TestChaosSoak(t *testing.T) {
 		groupsRun++
 		var failed int
 		for seed := int64(1); seed <= 10; seed++ {
-			for _, algo := range chaostest.Algorithms {
-				env := chaosEnv()
+			for _, leg := range legs {
+				env := chaosEnv(leg.p)
 				env.CompressSpill = true
-				tr := chaostest.Trial{Algorithm: algo, Env: env, Chaos: em.ChaosConfig{
+				tr := chaostest.Trial{Algorithm: leg.algo, Env: env, Chaos: em.ChaosConfig{
 					Seed:               seed,
 					ReadPermanentProb:  0.002,
 					WritePermanentProb: 0.002,
@@ -327,18 +354,18 @@ func TestChaosSoak(t *testing.T) {
 				note(o)
 				switch {
 				case o.Err == nil:
-					if !bytes.Equal(o.Output, want[algo]) {
+					if !bytes.Equal(o.Output, want[leg.algo]) {
 						t.Fatalf("%v seed=%d: SILENT CORRUPTION under compressed mixed faults (injected %v)",
-							algo, seed, o.Injected)
+							leg, seed, o.Injected)
 					}
 				case cleanlyTyped(o.Err):
 					failed++
 				default:
-					t.Fatalf("%v seed=%d: untyped error %v (injected %v)", algo, seed, o.Err, o.Injected)
+					t.Fatalf("%v seed=%d: untyped error %v (injected %v)", leg, seed, o.Err, o.Injected)
 				}
 			}
 		}
-		t.Logf("compressed-mix: %d/20 trials failed with a typed error", failed)
+		t.Logf("compressed-mix: %d/%d trials failed with a typed error", failed, 10*len(legs))
 	})
 
 	// Group 7 — file-backed trials under the full mix: whatever happens
@@ -348,11 +375,11 @@ func TestChaosSoak(t *testing.T) {
 		groupsRun++
 		dir := t.TempDir()
 		for seed := int64(1); seed <= 5; seed++ {
-			for _, algo := range chaostest.Algorithms {
+			for _, leg := range legs {
 				before := dirEntries(t, dir)
-				env := chaosEnv()
+				env := chaosEnv(leg.p)
 				env.ScratchDir = dir
-				tr := chaostest.Trial{Algorithm: algo, Env: env, Chaos: em.ChaosConfig{
+				tr := chaostest.Trial{Algorithm: leg.algo, Env: env, Chaos: em.ChaosConfig{
 					Seed:               seed,
 					ReadPermanentProb:  0.002,
 					WritePermanentProb: 0.002,
@@ -366,17 +393,17 @@ func TestChaosSoak(t *testing.T) {
 				note(o)
 				switch {
 				case o.Err == nil:
-					if !bytes.Equal(o.Output, want[algo]) {
+					if !bytes.Equal(o.Output, want[leg.algo]) {
 						t.Fatalf("%v seed=%d: SILENT CORRUPTION on file backend (injected %v)",
-							algo, seed, o.Injected)
+							leg, seed, o.Injected)
 					}
 				case !cleanlyTyped(o.Err):
-					t.Fatalf("%v seed=%d: untyped error %v (injected %v)", algo, seed, o.Err, o.Injected)
+					t.Fatalf("%v seed=%d: untyped error %v (injected %v)", leg, seed, o.Err, o.Injected)
 				}
 				after := dirEntries(t, dir)
 				if after != before {
 					t.Fatalf("%v seed=%d: scratch leak: %d dir entries before trial, %d after (err=%v)",
-						algo, seed, before, after, o.Err)
+						leg, seed, before, after, o.Err)
 				}
 			}
 		}
@@ -392,10 +419,10 @@ func TestChaosSoak(t *testing.T) {
 		groupsRun++
 		var failed int
 		for seed := int64(1); seed <= 10; seed++ {
-			for _, algo := range chaostest.Algorithms {
-				env := chaosEnv()
+			for _, leg := range legs {
+				env := chaosEnv(leg.p)
 				env.ReadAhead, env.WriteBehind = 3, 3
-				tr := chaostest.Trial{Algorithm: algo, Env: env, Chaos: em.ChaosConfig{
+				tr := chaostest.Trial{Algorithm: leg.algo, Env: env, Chaos: em.ChaosConfig{
 					Seed:               seed + 900,
 					ReadPermanentProb:  0.002,
 					WritePermanentProb: 0.002,
@@ -409,18 +436,18 @@ func TestChaosSoak(t *testing.T) {
 				note(o)
 				switch {
 				case o.Err == nil:
-					if !bytes.Equal(o.Output, want[algo]) {
+					if !bytes.Equal(o.Output, want[leg.algo]) {
 						t.Fatalf("%v seed=%d: SILENT CORRUPTION through the async pipelines (injected %v)",
-							algo, seed, o.Injected)
+							leg, seed, o.Injected)
 					}
 				case cleanlyTyped(o.Err):
 					failed++
 				default:
-					t.Fatalf("%v seed=%d: untyped error %v (injected %v)", algo, seed, o.Err, o.Injected)
+					t.Fatalf("%v seed=%d: untyped error %v (injected %v)", leg, seed, o.Err, o.Injected)
 				}
 			}
 		}
-		t.Logf("async-pipeline: %d/20 trials failed with a typed error", failed)
+		t.Logf("async-pipeline: %d/%d trials failed with a typed error", failed, 10*len(legs))
 	})
 
 	t.Logf("chaos soak: %d trials across %d groups, injected faults: %v", trials, groupsRun, injected)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -317,13 +318,15 @@ func Table1() ([]keypath.Row, error) {
 		if err != nil {
 			return err
 		}
-		rec, ok, err := extract.OnToken(atok)
+		buf, ok, err := extract.Append(nil, atok)
+		if err != nil || !ok {
+			return err
+		}
+		rec, err := keypath.ReadRecord(bytes.NewReader(buf))
 		if err != nil {
 			return err
 		}
-		if ok {
-			recs = append(recs, rec)
-		}
+		recs = append(recs, rec)
 		return nil
 	})
 	if err != nil {

@@ -44,14 +44,13 @@ func keyPathSortTokens(env *em.Env, src xmltree.TokenSource, relLimit int, w *ru
 				return fmt.Errorf("core: external subtree sort saw a keyless start tag <%s>", tok.Name)
 			}
 		}
-		rec, ok, err := extract.OnToken(tok)
-		if err != nil {
+		var ok bool
+		if encBuf, ok, err = extract.Append(encBuf[:0], tok); err != nil {
 			return err
 		}
 		if !ok {
 			continue
 		}
-		encBuf = keypath.AppendRecord(encBuf[:0], rec)
 		if err := sorter.Add(encBuf); err != nil {
 			return err
 		}
@@ -63,7 +62,6 @@ func keyPathSortTokens(env *em.Env, src xmltree.TokenSource, relLimit int, w *ru
 	}
 	defer it.Close()
 	builder := keypath.NewBuilder(w.WriteToken)
-	var recDec keypath.Decoder
 	for {
 		raw, err := it.Next()
 		if err == io.EOF {
@@ -72,11 +70,7 @@ func keyPathSortTokens(env *em.Env, src xmltree.TokenSource, relLimit int, w *ru
 		if err != nil {
 			return err
 		}
-		rec, err := recDec.ReadRecord(&sliceCursor{buf: raw})
-		if err != nil {
-			return err
-		}
-		if err := builder.OnRecord(rec); err != nil {
+		if err := builder.Add(raw); err != nil {
 			return err
 		}
 	}

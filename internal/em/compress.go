@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"nexsort/internal/sortkey"
 )
 
 // Compressed spill-block format. Each logical record of unit bytes handed
@@ -77,19 +79,6 @@ func putSpillHeader(dst []byte, codec byte, uncLen, compLen int) {
 	binary.LittleEndian.PutUint32(dst[12:], uint32(compLen))
 }
 
-// commonPrefixLen returns the length of the longest common prefix of a and b.
-func commonPrefixLen(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	i := 0
-	for i < n && a[i] == b[i] {
-		i++
-	}
-	return i
-}
-
 // frontCode front-codes payload into dst, returning the encoded length.
 // It reports false — and the caller falls back to raw flate — as soon as
 // the encoding stops being strictly smaller than the payload, which also
@@ -109,7 +98,7 @@ func frontCode(dst, payload []byte) (int, bool) {
 		}
 		seg := payload[pos:end]
 		pos = end
-		shared := commonPrefixLen(prev, seg)
+		shared := sortkey.CommonPrefix(prev, seg)
 		suffix := seg[shared:]
 		if out+2*binary.MaxVarintLen32+len(suffix) > budget {
 			return 0, false

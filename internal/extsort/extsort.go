@@ -38,10 +38,18 @@ type Compare func(a, b []byte) int
 // keyPrefixLen is the inline normalized-key prefix kept next to every
 // buffered record and merge cursor. Comparisons hit this fixed-size,
 // zero-padded array first — one memcmp, no pointer chase — and fall back
-// to the full comparator only on a prefix tie. 16 bytes covers the first
-// two-or-so path components of a key-path record; the zero padding keeps
-// the truncated comparison decisive (a differing padded prefix always
-// agrees with the full key order, see internal/sortkey).
+// to the full comparator only on a prefix tie; the zero padding keeps the
+// truncated comparison decisive (a differing padded prefix always agrees
+// with the full key order, see internal/sortkey).
+//
+// The prefix decides comparisons on shallow keys, such as the
+// two-component paths of a flat document, where about 16% of run
+// formation's comparisons tie. Deep key paths tie far more often, because
+// records that meet in a sort share their leading components and any
+// prefix that starts at byte 0 holds only those: 97% of merge sort's
+// run-formation comparisons tie on the benchmark's hier document, 89% on
+// its site document, and 36% of NEXSORT's on site. Those ties are the
+// comparator's job, which starts at the first differing byte.
 const keyPrefixLen = 16
 
 // entry is one buffered record: the normalized-key prefix inline, then

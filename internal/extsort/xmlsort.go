@@ -145,14 +145,13 @@ func SortXML(env *em.Env, c *keys.Criterion, in io.Reader, out io.Writer, opts X
 		if enc != nil {
 			tok = enc.Encode(tok)
 		}
-		rec, ok, err := extract.OnToken(tok)
-		if err != nil {
+		var ok bool
+		if encBuf, ok, err = extract.Append(encBuf[:0], tok); err != nil {
 			return nil, err
 		}
 		if !ok {
 			continue
 		}
-		encBuf = keypath.AppendRecord(encBuf[:0], rec)
 		if err := sorter.Add(encBuf); err != nil {
 			return nil, err
 		}
@@ -174,7 +173,6 @@ func SortXML(env *em.Env, c *keys.Criterion, in io.Reader, out io.Writer, opts X
 	} else {
 		w = xmltok.NewWriter(cw)
 	}
-	var recDec keypath.Decoder
 	builder := keypath.NewBuilder(func(tok xmltok.Token) error {
 		if dec != nil {
 			var err error
@@ -193,12 +191,8 @@ func SortXML(env *em.Env, c *keys.Criterion, in io.Reader, out io.Writer, opts X
 		if err != nil {
 			return nil, err
 		}
-		rec, err := recDec.ReadRecord(&sliceCursor{buf: raw})
-		if err != nil {
-			return nil, fmt.Errorf("extsort: decoding sorted record: %w", err)
-		}
-		if err := builder.OnRecord(rec); err != nil {
-			return nil, err
+		if err := builder.Add(raw); err != nil {
+			return nil, fmt.Errorf("extsort: rebuilding sorted record: %w", err)
 		}
 	}
 	if err := builder.Finish(); err != nil {

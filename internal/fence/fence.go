@@ -21,6 +21,7 @@ import (
 	"fmt"
 
 	"nexsort/internal/em"
+	"nexsort/internal/sortkey"
 )
 
 // Version is the current fence-index format version byte.
@@ -56,7 +57,7 @@ func Encode(dst []byte, entries []Entry) []byte {
 	var prevKey []byte
 	for _, e := range entries {
 		dst = binary.AppendUvarint(dst, uint64(e.Offset-prevOff))
-		share := sharedPrefix(prevKey, e.Key)
+		share := sortkey.CommonPrefix(prevKey, e.Key)
 		dst = binary.AppendUvarint(dst, uint64(share))
 		dst = binary.AppendUvarint(dst, uint64(len(e.Key)-share))
 		dst = append(dst, e.Key[share:]...)
@@ -144,16 +145,4 @@ func Decode(data []byte) ([]Entry, error) {
 // block's.
 func corrupt(reason string) error {
 	return &em.CorruptBlockError{Block: -1, Reason: "fence index: " + reason}
-}
-
-func sharedPrefix(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	i := 0
-	for i < n && a[i] == b[i] {
-		i++
-	}
-	return i
 }

@@ -1,22 +1,27 @@
 package keypath
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
+	"nexsort/internal/sortkey"
 	"nexsort/internal/xmltok"
 )
 
 // Extractor turns an annotated token stream (keys present on start tags, as
-// the Annotator produces for start-resolvable criteria) into key-path
-// records, one per element, text node and run pointer.
+// the Annotator produces for start-resolvable criteria) into encoded
+// key-path records, one per element, text node and run pointer.
 //
 // The extractor keeps the current root-to-element path and one child
 // counter per open element in memory. This mirrors the paper's baseline:
 // the key-path generator inherently carries the full current path — the
 // very space overhead on tall documents that Section 1 criticizes the
-// baseline for, reproduced here faithfully.
+// baseline for, reproduced here faithfully. The path is kept encoded, so a
+// record copies its ancestors' bytes once instead of re-encoding each one.
 type Extractor struct {
-	path     []Component
+	path     []byte  // encoded components of the open elements
+	starts   []int   // offset in path of each open element's component
 	childSeq []int64 // next child sequence number per open element; [0] is a virtual super-root
 }
 
@@ -26,46 +31,47 @@ func NewExtractor() *Extractor {
 }
 
 // Depth returns the number of currently open elements.
-func (e *Extractor) Depth() int { return len(e.path) }
+func (e *Extractor) Depth() int { return len(e.starts) }
 
-// OnToken consumes one token. For start tags, text and run pointers it
-// returns the node's record and ok=true; end tags return ok=false.
-func (e *Extractor) OnToken(tok xmltok.Token) (rec Record, ok bool, err error) {
+// Append consumes one token. For start tags, text and run pointers it
+// appends the node's encoded record — the bytes AppendRecord writes for
+// it — to dst and returns ok = true; end tags return dst as it is and
+// ok = false.
+func (e *Extractor) Append(dst []byte, tok xmltok.Token) (out []byte, ok bool, err error) {
 	switch tok.Kind {
 	case xmltok.KindStart:
 		if !tok.HasKey {
-			return Record{}, false, fmt.Errorf("%w: start tag <%s> has no key", ErrKeyNotResolvable, tok.Name)
+			return dst, false, fmt.Errorf("%w: start tag <%s> has no key", ErrKeyNotResolvable, tok.Name)
 		}
-		seq := e.nextSeq()
-		e.path = append(e.path, Component{Key: tok.Key, Seq: seq})
+		e.starts = append(e.starts, len(e.path))
+		e.path = appendComponent(e.path, tok.Key, e.nextSeq())
 		e.childSeq = append(e.childSeq, 0)
-		return e.record(tok), true, nil
+		dst = binary.AppendUvarint(dst, uint64(len(e.starts)))
+		dst = append(dst, e.path...)
 
-	case xmltok.KindText:
-		seq := e.nextSeq()
-		e.path = append(e.path, Component{Key: "", Seq: seq})
-		rec := e.record(tok)
-		e.path = e.path[:len(e.path)-1]
-		return rec, true, nil
-
-	case xmltok.KindRunPtr:
-		seq := e.nextSeq()
-		e.path = append(e.path, Component{Key: tok.Key, Seq: seq})
-		rec := e.record(tok)
-		e.path = e.path[:len(e.path)-1]
-		return rec, true, nil
+	case xmltok.KindText, xmltok.KindRunPtr:
+		key := tok.Key
+		if tok.Kind == xmltok.KindText {
+			key = ""
+		}
+		dst = binary.AppendUvarint(dst, uint64(len(e.starts)+1))
+		dst = append(dst, e.path...)
+		dst = appendComponent(dst, key, e.nextSeq())
 
 	case xmltok.KindEnd:
-		if len(e.path) == 0 {
-			return Record{}, false, fmt.Errorf("keypath: end tag </%s> with no open element", tok.Name)
+		top := len(e.starts) - 1
+		if top < 0 {
+			return dst, false, fmt.Errorf("keypath: end tag </%s> with no open element", tok.Name)
 		}
-		e.path = e.path[:len(e.path)-1]
+		e.path = e.path[:e.starts[top]]
+		e.starts = e.starts[:top]
 		e.childSeq = e.childSeq[:len(e.childSeq)-1]
-		return Record{}, false, nil
+		return dst, false, nil
 
 	default:
-		return Record{}, false, fmt.Errorf("keypath: unsupported token kind %v", tok.Kind)
+		return dst, false, fmt.Errorf("keypath: unsupported token kind %v", tok.Kind)
 	}
+	return xmltok.AppendToken(dst, tok), true, nil
 }
 
 func (e *Extractor) nextSeq() int64 {
@@ -75,21 +81,18 @@ func (e *Extractor) nextSeq() int64 {
 	return seq
 }
 
-func (e *Extractor) record(tok xmltok.Token) Record {
-	path := make([]Component, len(e.path))
-	copy(path, e.path)
-	return Record{Path: path, Tok: tok}
-}
-
-// Builder reconstructs a token stream from records arriving in sorted
-// order: the depth-first traversal of the sorted document. It emits start
-// tags as paths extend, and end tags as paths retreat — including the
-// final end tags on Finish. Like the extractor, it holds the current open
-// path in memory.
+// Builder reconstructs a token stream from encoded records arriving in
+// sorted order: the depth-first traversal of the sorted document. It emits
+// start tags as paths extend, and end tags as paths retreat — including the
+// final end tags on Finish. Like the extractor, it holds the open path in
+// memory, encoded: a record's ancestors are matched against it byte for
+// byte and never decoded, and only the node's own token is.
 type Builder struct {
-	openComps []Component
-	openNames []string
-	emit      func(xmltok.Token) error
+	open  []byte   // encoded components of the open chain
+	ends  []int    // end offset in open of each open component
+	names []string // element name of each open component
+	dec   xmltok.Decoder
+	emit  func(xmltok.Token) error
 }
 
 // NewBuilder creates a builder that sends reconstructed tokens to emit.
@@ -97,52 +100,105 @@ func NewBuilder(emit func(xmltok.Token) error) *Builder {
 	return &Builder{emit: emit}
 }
 
-// OnRecord consumes the next record of a sorted stream.
-func (b *Builder) OnRecord(rec Record) error {
-	if len(rec.Path) == 0 {
+// Add consumes the next encoded record of a sorted stream.
+//
+// The record's shared ancestors are the open components that end at or
+// before the first byte where its path differs from the open chain; the
+// rest are closed. Components are written with minimal varints, so they
+// are equal exactly when their bytes are; a non-minimal varint can only
+// come from corruption, and it fails here as a parent that is not open.
+// Every component is validated as ReadRecord validates it: the shared
+// ones were, when they were opened, and the node's own one is now.
+func (b *Builder) Add(rec []byte) error {
+	n, pos := binary.Uvarint(rec)
+	switch {
+	case pos <= 0:
+		return fmt.Errorf("keypath: corrupt record: path length header")
+	case n == 0:
 		return fmt.Errorf("keypath: record with empty path")
+	case n > maxPathLen:
+		return fmt.Errorf("keypath: corrupt record: path length %d", n)
 	}
-	parent := rec.Path[:len(rec.Path)-1]
-	// Find how much of the open chain this record's parent path shares.
-	common := 0
-	for common < len(b.openComps) && common < len(parent) &&
-		b.openComps[common] == parent[common] {
-		common++
+	diff := sortkey.CommonPrefix(rec[pos:], b.open)
+	keep := len(b.ends)
+	for keep > 0 && b.ends[keep-1] > diff {
+		keep--
 	}
-	// Close elements beyond the common prefix.
-	for len(b.openComps) > common {
+	keep = int(min(uint64(keep), n-1)) // the node's own component is never shared
+	if uint64(keep) != n-1 {
+		return fmt.Errorf("keypath: record at depth %d arrived with parent not open (records out of order?)", n)
+	}
+	own := pos
+	if keep > 0 {
+		own += b.ends[keep-1]
+	}
+	end, err := checkComponent(rec, own)
+	if err != nil {
+		return err
+	}
+	tok, err := b.dec.DecodeToken(rec[end:])
+	if err != nil {
+		return fmt.Errorf("keypath: corrupt record: %w", err)
+	}
+	for len(b.ends) > keep {
 		if err := b.closeTop(); err != nil {
 			return err
 		}
 	}
-	if len(b.openComps) != len(parent) {
-		return fmt.Errorf("keypath: record %v arrived with parent not open (records out of order?)", rec.PathString())
-	}
-	switch rec.Tok.Kind {
+	switch tok.Kind {
 	case xmltok.KindStart:
-		if err := b.emit(rec.Tok); err != nil {
+		if err := b.emit(tok); err != nil {
 			return err
 		}
-		b.openComps = append(b.openComps, rec.Path[len(rec.Path)-1])
-		b.openNames = append(b.openNames, rec.Tok.Name)
+		b.open = append(b.open, rec[own:end]...)
+		b.ends = append(b.ends, len(b.open))
+		b.names = append(b.names, tok.Name)
 		return nil
 	case xmltok.KindText, xmltok.KindRunPtr:
-		return b.emit(rec.Tok)
+		return b.emit(tok)
 	default:
-		return fmt.Errorf("keypath: record holds unsupported token kind %v", rec.Tok.Kind)
+		return fmt.Errorf("keypath: record holds unsupported token kind %v", tok.Kind)
 	}
 }
 
+// checkComponent validates the component at pos as ReadRecord does and
+// returns the offset just past it.
+func checkComponent(rec []byte, pos int) (int, error) {
+	keyLen, k := binary.Uvarint(rec[pos:])
+	if k <= 0 {
+		return 0, fmt.Errorf("keypath: corrupt record: key length")
+	}
+	pos += k
+	if keyLen > maxPathLen || keyLen > uint64(len(rec)-pos) {
+		return 0, fmt.Errorf("keypath: corrupt record: key length %d", keyLen)
+	}
+	pos += int(keyLen)
+	seq, k := binary.Uvarint(rec[pos:])
+	if k <= 0 {
+		return 0, fmt.Errorf("keypath: corrupt record: seq")
+	}
+	if seq > math.MaxInt64 {
+		return 0, fmt.Errorf("keypath: corrupt record: seq %d overflows", seq)
+	}
+	return pos + k, nil
+}
+
 func (b *Builder) closeTop() error {
-	name := b.openNames[len(b.openNames)-1]
-	b.openComps = b.openComps[:len(b.openComps)-1]
-	b.openNames = b.openNames[:len(b.openNames)-1]
+	top := len(b.ends) - 1
+	name := b.names[top]
+	b.ends = b.ends[:top]
+	b.names = b.names[:top]
+	start := 0
+	if top > 0 {
+		start = b.ends[top-1]
+	}
+	b.open = b.open[:start]
 	return b.emit(xmltok.Token{Kind: xmltok.KindEnd, Name: name})
 }
 
 // Finish closes all remaining open elements.
 func (b *Builder) Finish() error {
-	for len(b.openComps) > 0 {
+	for len(b.ends) > 0 {
 		if err := b.closeTop(); err != nil {
 			return err
 		}

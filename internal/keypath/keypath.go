@@ -112,39 +112,38 @@ func (r Record) PathString() string {
 func AppendRecord(dst []byte, rec Record) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(rec.Path)))
 	for _, c := range rec.Path {
-		dst = binary.AppendUvarint(dst, uint64(len(c.Key)))
-		dst = append(dst, c.Key...)
-		dst = binary.AppendUvarint(dst, uint64(c.Seq))
+		dst = appendComponent(dst, c.Key, c.Seq)
 	}
 	return xmltok.AppendToken(dst, rec.Tok)
 }
 
-// maxPathLen bounds decoded path lengths against corrupt input.
-const maxPathLen = 1 << 20
-
-// Decoder decodes records, reusing a scratch buffer for path keys and a
-// token decoder across calls — the record-decode path runs once per node in
-// the output phase of the merge-sort baseline, so the per-key allocation it
-// avoids is one of the hottest in that sorter. Not safe for concurrent use.
-type Decoder struct {
-	scratch []byte
-	tok     xmltok.Decoder
+// appendComponent appends one encoded path component. Its varints are
+// minimal, so two components are equal exactly when their bytes are.
+func appendComponent(dst []byte, key string, seq int64) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(key)))
+	dst = append(dst, key...)
+	return binary.AppendUvarint(dst, uint64(seq))
 }
 
+// maxPathLen bounds decoded path lengths and key lengths against corrupt
+// input.
+const maxPathLen = 1 << 20
+
 // ReadRecord decodes one record from r, returning io.EOF at a clean end.
-func (d *Decoder) ReadRecord(r io.ByteReader) (Record, error) {
+// It is the decoded reference that the encoded extractor, comparator and
+// builder are tested against. The path and each key grow as their bytes
+// arrive, so a corrupt count cannot size an allocation.
+func ReadRecord(r io.ByteReader) (Record, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
-		if err == io.EOF {
-			return Record{}, io.EOF
-		}
 		return Record{}, err
 	}
 	if n > maxPathLen {
 		return Record{}, fmt.Errorf("keypath: corrupt record: path length %d", n)
 	}
-	rec := Record{Path: make([]Component, n)}
-	for i := range rec.Path {
+	var rec Record
+	var key []byte
+	for i := uint64(0); i < n; i++ {
 		keyLen, err := binary.ReadUvarint(r)
 		if err != nil {
 			return Record{}, unexpected(err)
@@ -152,22 +151,13 @@ func (d *Decoder) ReadRecord(r io.ByteReader) (Record, error) {
 		if keyLen > maxPathLen {
 			return Record{}, fmt.Errorf("keypath: corrupt record: key length %d", keyLen)
 		}
-		if cap(d.scratch) < int(keyLen) {
-			d.scratch = make([]byte, keyLen)
-		}
-		key := d.scratch[:keyLen]
-		if rr, ok := r.(io.Reader); ok {
-			if _, err := io.ReadFull(rr, key); err != nil {
+		key = key[:0]
+		for j := uint64(0); j < keyLen; j++ {
+			b, err := r.ReadByte()
+			if err != nil {
 				return Record{}, unexpected(err)
 			}
-		} else {
-			for j := range key {
-				b, err := r.ReadByte()
-				if err != nil {
-					return Record{}, unexpected(err)
-				}
-				key[j] = b
-			}
+			key = append(key, b)
 		}
 		seq, err := binary.ReadUvarint(r)
 		if err != nil {
@@ -178,21 +168,14 @@ func (d *Decoder) ReadRecord(r io.ByteReader) (Record, error) {
 			// agreement with the encoded comparator (uint64 order).
 			return Record{}, fmt.Errorf("keypath: corrupt record: seq %d overflows", seq)
 		}
-		rec.Path[i] = Component{Key: string(key), Seq: int64(seq)}
+		rec.Path = append(rec.Path, Component{Key: string(key), Seq: int64(seq)})
 	}
-	tok, err := d.tok.ReadToken(r)
+	tok, err := xmltok.ReadToken(r)
 	if err != nil {
 		return Record{}, unexpected(err)
 	}
 	rec.Tok = tok
 	return rec, nil
-}
-
-// ReadRecord decodes one record from r with a throwaway Decoder. Streaming
-// callers should hold a Decoder and call its ReadRecord instead.
-func ReadRecord(r io.ByteReader) (Record, error) {
-	var d Decoder
-	return d.ReadRecord(r)
 }
 
 // CompareEncoded orders two encoded records without decoding their tokens.

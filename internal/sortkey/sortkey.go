@@ -12,8 +12,9 @@
 // output record of merging degenerate to raw memcmp over short inline
 // prefixes — no decoding, no per-component string allocation, no pointer
 // chasing. The comparators here are the fallback for records whose
-// normalized prefixes tie; they walk the encoded bytes in place and never
-// allocate.
+// normalized prefixes tie; they walk the encoded bytes in place — the
+// key-path one from the first byte where the two records differ — and
+// never allocate.
 //
 // # Encoding
 //
@@ -57,7 +58,12 @@
 // remains the job of the decoding read path.
 package sortkey
 
-import "bytes"
+import (
+	"bytes"
+	"cmp"
+	"encoding/binary"
+	"math/bits"
+)
 
 // Normalized-key byte markers. Their relative order is load-bearing; see
 // the package comment.
@@ -245,6 +251,14 @@ func compareCorruptHeader(x, y []byte, py int, ny uint64) int {
 // and without allocating. Malformed records take the total order described
 // in the package comment. It agrees byte-for-byte with
 // bytes.Compare(AppendKeyPathKey(nil, a, 0), AppendKeyPathKey(nil, b, 0)).
+//
+// Records that meet in a sort are mostly neighbours in path order, which
+// share their leading components. So the comparison starts at the first
+// byte where the component bytes differ. Every component of a that ends
+// before that byte is byte-identical in b, and the encoding is
+// self-delimiting, so those components are equal and are skipped without
+// parsing b. The headers are not part of that scan: they differ whenever
+// the depths do.
 func CompareKeyPath(a, b []byte) int {
 	na, pa, oka := uvarint(a, 0)
 	nb, pb, okb := uvarint(b, 0)
@@ -258,7 +272,40 @@ func CompareKeyPath(a, b []byte) int {
 			return -compareCorruptHeader(b, a, pa, na)
 		}
 	}
-	for i := uint64(0); ; i++ {
+	diff := pa + CommonPrefix(a[pa:], b[pb:])
+	i := uint64(0)
+	for ; i < na && i < nb; i++ {
+		_, next := shortComponent(a, pa)
+		if next == 0 {
+			next = componentEnd(a, pa)
+		}
+		if next == 0 || next > diff {
+			break
+		}
+		pb += next - pa
+		pa = next
+	}
+	if i == na || i == nb {
+		// One path ends here and the other does not (a strict prefix
+		// sorts first), or both end with every component equal.
+		return cmp.Compare(na, nb)
+	}
+	// The difference lies in this component. When both sides hold a
+	// one-byte key length, it decides the order as (key, seq) without a
+	// general parse.
+	if sa, ea := shortComponent(a, pa); ea > 0 {
+		if sb, eb := shortComponent(b, pb); eb > 0 {
+			if c := bytes.Compare(a[pa+1:sa], b[pb+1:sb]); c != 0 {
+				return c
+			}
+			x, _, _ := uvarint(a, sa)
+			y, _, _ := uvarint(b, sb)
+			if x != y {
+				return cmp.Compare(x, y)
+			}
+		}
+	}
+	for ; ; i++ {
 		ca := parseComponent(a, pa, i, na)
 		cb := parseComponent(b, pb, i, nb)
 		if ca.state != cb.state {
@@ -294,6 +341,52 @@ func CompareKeyPath(a, b []byte) int {
 		}
 		pa, pb = ca.next, cb.next
 	}
+}
+
+// shortComponent locates the component at pos when its key length is one
+// byte, its seq at most nine (so it cannot overflow), and all of it is in
+// buf: the key is buf[pos+1 : seq] and the component ends at end. end is 0
+// otherwise.
+func shortComponent(buf []byte, pos int) (seq, end int) {
+	if pos < len(buf) && buf[pos] < 0x80 {
+		seq = pos + 1 + int(buf[pos])
+		for i := seq; i < len(buf) && i < seq+9; i++ {
+			if buf[i] < 0x80 {
+				return seq, i + 1
+			}
+		}
+	}
+	return 0, 0
+}
+
+// componentEnd returns the offset just past the component at pos, or 0
+// when the component does not parse whole.
+func componentEnd(buf []byte, pos int) int {
+	keyLen, p, ok := uvarint(buf, pos)
+	if !ok || keyLen > uint64(len(buf)-p) {
+		return 0
+	}
+	if _, p, ok = uvarint(buf, p+int(keyLen)); !ok {
+		return 0
+	}
+	return p
+}
+
+// CommonPrefix returns the length of the longest common prefix of a and
+// b, comparing eight bytes at a time.
+func CommonPrefix(a, b []byte) int {
+	n := min(len(a), len(b))
+	a, b = a[:n], b[:n]
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		if x := binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:]); x != 0 {
+			return i + bits.TrailingZeros64(x)/8
+		}
+	}
+	for i < n && a[i] == b[i] {
+		i++
+	}
+	return i
 }
 
 // AppendKeyPathKey appends the normalized key of a keypath-encoded record.

@@ -132,6 +132,21 @@ func (d *Decoder) ReadToken(r io.ByteReader) (Token, error) {
 	return d.readToken(r)
 }
 
+// DecodeToken decodes buf, which must hold exactly one encoded token, in
+// place. It never reads past buf, so no field length can size a buffer
+// beyond the bytes that are there: a corrupt or truncated token, or bytes
+// after it, is an error.
+func (d *Decoder) DecodeToken(buf []byte) (Token, error) {
+	if len(buf) == 0 {
+		return Token{}, io.ErrUnexpectedEOF
+	}
+	t, n, ok := d.decode(buf)
+	if !ok || n != len(buf) {
+		return Token{}, fmt.Errorf("xmltok: corrupt token of %d bytes", len(buf))
+	}
+	return t, nil
+}
+
 // decode decodes the token at the front of buf and returns its encoded
 // length. ok is false when buf does not hold the whole token or the token
 // is corrupt; the streaming path then reads it and reports any corruption.
