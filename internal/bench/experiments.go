@@ -318,7 +318,9 @@ func Table1() ([]keypath.Row, error) {
 		if err != nil {
 			return err
 		}
-		buf, ok, err := extract.Append(nil, atok)
+		var view xmltok.Encoded
+		view.Scan(xmltok.AppendToken(nil, atok))
+		buf, ok, err := extract.Append(nil, &view)
 		if err != nil || !ok {
 			return err
 		}

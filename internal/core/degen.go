@@ -2,11 +2,9 @@ package core
 
 import (
 	"encoding/binary"
-	"sort"
+	"fmt"
 
 	"nexsort/internal/em"
-	"nexsort/internal/keys"
-	"nexsort/internal/xmltree"
 )
 
 // Graceful degeneration into external merge sort (Section 3.2).
@@ -58,33 +56,31 @@ func (s *sorter) cutIncompleteRun(rec pathRec) error {
 	if err != nil {
 		return err
 	}
-	src := &tokenSource{r: reader}
-	var nodes []*xmltree.Node
-	for {
-		node, last, err := nextChildNode(src)
-		if err != nil {
-			reader.Close()
-			return err
-		}
-		if last {
-			break
-		}
-		if listSorted {
-			sortChildInterior(node, relLimitAt(d, ds))
-		} else {
-			// Below the depth limit nothing reorders: force document
-			// order via the empty key.
-			node.Key = ""
-		}
-		node.Seq = rec.childBase + int64(len(nodes))
-		nodes = append(nodes, node)
-	}
+	t := s.takeTree()
+	defer s.returnTree(t)
+	err = t.load(reader, s.data.Size()-rec.cutMark)
 	reader.Close()
-
-	sort.SliceStable(nodes, func(i, j int) bool {
-		a, b := nodes[i], nodes[j]
-		return keys.Compare(a.Key, a.Seq, b.Key, b.Seq) < 0
-	})
+	if err != nil {
+		return err
+	}
+	// The children sit at level 2 of the element's frame. Below the depth
+	// limit nothing reorders: no interior is sorted, and the empty key
+	// forces document order.
+	maxLevel := 0
+	if listSorted {
+		maxLevel = sortLevels(relLimitAt(d, ds))
+	}
+	if err := t.index(2, maxLevel); err != nil {
+		return fmt.Errorf("core: sorting subtree: %w", err)
+	}
+	nodes := t.children(0)
+	for i, c := range nodes {
+		t.nodes[c].seq = int32(i)
+		if !listSorted {
+			t.nodes[c].key = nil
+		}
+	}
+	t.sortKids(0)
 
 	run := em.NewStream(s.env.Dev, em.CatSubtreeSort)
 	w, err := run.NewWriter(s.env.Budget)
@@ -92,8 +88,8 @@ func (s *sorter) cutIncompleteRun(rec pathRec) error {
 		return err
 	}
 	var lenBuf [binary.MaxVarintLen64]byte
-	for _, node := range nodes {
-		s.recBuf, err = encodeChildRecord(s.recBuf[:0], node, node.Seq)
+	for _, c := range nodes {
+		s.recBuf, err = appendChildRecord(s.recBuf[:0], t, c, rec.childBase+int64(t.nodes[c].seq))
 		if err != nil {
 			w.Close()
 			return err

@@ -11,16 +11,16 @@ import (
 	"nexsort/internal/runstore"
 	"nexsort/internal/sortkey"
 	"nexsort/internal/xmltok"
-	"nexsort/internal/xmltree"
 )
 
 // keyPathSortTokens runs a depth-aware key-path external merge sort over an
-// annotated token stream describing one subtree, writing the sorted token
-// stream into a run. Start tokens must carry keys (directly for
-// start-resolvable criteria, via keyedSource otherwise). relLimit > 0
-// bounds sorting to the top relLimit levels: deeper elements degrade to the
-// empty key, so the (key, seq) order reduces to document order there.
-func keyPathSortTokens(env *em.Env, src xmltree.TokenSource, relLimit int, w *runstore.Writer) error {
+// annotated token stream describing one subtree, read as views from r,
+// writing the sorted token stream into a run. Start tags must carry keys:
+// directly for start-resolvable criteria, or from the key sidecar, which
+// re-keys every start tag in preorder. relLimit > 0 bounds sorting to the
+// top relLimit levels: deeper elements degrade to the empty key, so the
+// (key, seq) order reduces to document order there.
+func keyPathSortTokens(env *em.Env, r io.ByteReader, sidecar *keySidecar, relLimit int, w *runstore.Writer) error {
 	sorter, err := extsort.NewKernel(env, em.CatSubtreeSort, sortkey.KeyPath(), env.Budget.Free())
 	if err != nil {
 		return err
@@ -28,20 +28,35 @@ func keyPathSortTokens(env *em.Env, src xmltree.TokenSource, relLimit int, w *ru
 	defer sorter.Close()
 
 	extract := keypath.NewExtractor()
-	var encBuf []byte
-	for {
-		tok, err := src.Next()
+	var dec xmltok.Decoder
+	var rekeyed xmltok.Encoded
+	var encBuf, tokBuf []byte
+	for pre := int64(0); ; {
+		tok, err := dec.ReadEncoded(r)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return err
 		}
-		if tok.Kind == xmltok.KindStart {
+		if tok.Kind() == xmltok.KindStart {
+			key, rekey := tok.Key(), false
+			if sidecar != nil {
+				if key, err = sidecar.next(pre); err != nil {
+					return err
+				}
+				pre++
+				rekey = true
+			}
 			if relLimit > 0 && extract.Depth()+1 > relLimit+1 {
-				tok = tok.WithKey("")
-			} else if !tok.HasKey {
-				return fmt.Errorf("core: external subtree sort saw a keyless start tag <%s>", tok.Name)
+				key, rekey = nil, true
+			}
+			if rekey {
+				tokBuf = tok.AppendWithKey(tokBuf[:0], key)
+				rekeyed.Scan(tokBuf)
+				tok = &rekeyed
+			} else if !tok.HasKey() {
+				return fmt.Errorf("core: external subtree sort saw a keyless start tag <%s>", tok.Name())
 			}
 		}
 		var ok bool
@@ -61,7 +76,7 @@ func keyPathSortTokens(env *em.Env, src xmltree.TokenSource, relLimit int, w *ru
 		return err
 	}
 	defer it.Close()
-	builder := keypath.NewBuilder(w.WriteToken)
+	builder := keypath.NewBuilder(func(tok *xmltok.Encoded) error { return w.Append(tok.Bytes()) })
 	for {
 		raw, err := it.Next()
 		if err == io.EOF {
@@ -103,7 +118,7 @@ func (s *sorter) buildKeySidecar(start int64) (*keySidecar, error) {
 	var rec []byte
 	var dec xmltok.Decoder
 	for {
-		tok, err := dec.ReadToken(reader)
+		tok, err := dec.ReadEncoded(reader)
 		if err == io.EOF {
 			break
 		}
@@ -112,7 +127,7 @@ func (s *sorter) buildKeySidecar(start int64) (*keySidecar, error) {
 			sorter.Close()
 			return nil, err
 		}
-		switch tok.Kind {
+		switch tok.Kind() {
 		case xmltok.KindStart:
 			openPre = append(openPre, pre)
 			pre++
@@ -121,7 +136,7 @@ func (s *sorter) buildKeySidecar(start int64) (*keySidecar, error) {
 			openPre = openPre[:len(openPre)-1]
 			rec = rec[:0]
 			rec = binary.BigEndian.AppendUint64(rec, uint64(idx))
-			rec = append(rec, tok.Key...)
+			rec = append(rec, tok.Key()...)
 			if err := sorter.Add(rec); err != nil {
 				reader.Close()
 				sorter.Close()
@@ -144,15 +159,20 @@ type keySidecar struct {
 	it     *extsort.Iterator
 }
 
-func (k *keySidecar) next() (idx int64, key string, err error) {
+// next returns the key of the element with preorder index pre, which must
+// be the next record's. The key is valid until the next call.
+func (k *keySidecar) next(pre int64) ([]byte, error) {
 	raw, err := k.it.Next()
 	if err != nil {
-		return 0, "", err
+		return nil, fmt.Errorf("core: key sidecar exhausted early: %w", err)
 	}
 	if len(raw) < 8 {
-		return 0, "", fmt.Errorf("core: corrupt sidecar record")
+		return nil, fmt.Errorf("core: corrupt sidecar record")
 	}
-	return int64(binary.BigEndian.Uint64(raw[:8])), string(raw[8:]), nil
+	if idx := int64(binary.BigEndian.Uint64(raw[:8])); idx != pre {
+		return nil, fmt.Errorf("core: key sidecar out of sync: got %d, want %d", idx, pre)
+	}
+	return raw[8:], nil
 }
 
 func (k *keySidecar) Close() {
@@ -160,51 +180,21 @@ func (k *keySidecar) Close() {
 	k.sorter.Close()
 }
 
-// keyedSource zips sidecar keys onto the start tags of a second subtree
-// scan, so key-path extraction sees a start-resolvable stream.
-type keyedSource struct {
-	inner   *tokenSource
-	sidecar *keySidecar
-	pre     int64
-}
-
-func (k *keyedSource) Next() (xmltok.Token, error) {
-	tok, err := k.inner.Next()
-	if err != nil {
-		return tok, err
-	}
-	if tok.Kind == xmltok.KindStart {
-		idx, key, err := k.sidecar.next()
-		if err != nil {
-			return tok, fmt.Errorf("core: key sidecar exhausted early: %w", err)
-		}
-		if idx != k.pre {
-			return tok, fmt.Errorf("core: key sidecar out of sync: got %d, want %d", idx, k.pre)
-		}
-		k.pre++
-		tok = tok.WithKey(key)
-	}
-	return tok, nil
-}
-
 // Child records (graceful degeneration): one complete, interior-sorted
 // child subtree of the element being degenerated, tagged with its ordering
 // key and original sibling sequence number so batches merge by (key, seq).
 //
 //	keyLen uvarint | key | seq uvarint | encoded subtree tokens
-func encodeChildRecord(dst []byte, node *xmltree.Node, seq int64) ([]byte, error) {
-	dst = binary.AppendUvarint(dst, uint64(len(node.Key)))
-	dst = append(dst, node.Key...)
+//
+// appendChildRecord appends the record of node i of t.
+func appendChildRecord(dst []byte, t *tokenTree, i int32, seq int64) ([]byte, error) {
+	key := t.nodes[i].key
+	dst = binary.AppendUvarint(dst, uint64(len(key)))
+	dst = append(dst, key...)
 	dst = binary.AppendUvarint(dst, uint64(seq))
-	var err error
-	emit := func(tok xmltok.Token) error {
-		dst = xmltok.AppendToken(dst, tok)
-		return nil
-	}
-	if err = node.EmitTokens(emit); err != nil {
-		return nil, err
-	}
-	return dst, nil
+	sink := recordSink{b: dst}
+	err := t.emit(i, &sink)
+	return sink.b, err
 }
 
 // newChildRecordSorter builds the merger for graceful degeneration using
@@ -215,14 +205,15 @@ func newChildRecordSorter(env *em.Env) (*extsort.Sorter, error) {
 }
 
 // drainChildRecords streams sorted child records into a run, stripping the
-// (key, seq) header and appending each child's tokens.
+// (key, seq) header and copying each child's tokens. Every token is
+// scanned, so a corrupt record fails here as the decoder would fail it.
 func drainChildRecords(sorter *extsort.Sorter, w *runstore.Writer) error {
 	it, err := sorter.Sort()
 	if err != nil {
 		return err
 	}
 	defer it.Close()
-	var dec xmltok.Decoder
+	var tok xmltok.Encoded
 	for {
 		raw, err := it.Next()
 		if err == io.EOF {
@@ -231,74 +222,33 @@ func drainChildRecords(sorter *extsort.Sorter, w *runstore.Writer) error {
 		if err != nil {
 			return err
 		}
-		cur := &sliceCursor{buf: raw}
-		if err := skipCursorString(cur); err != nil { // key
+		pos, err := skipRecordHeader(raw)
+		if err != nil {
 			return fmt.Errorf("core: corrupt child record: %w", err)
 		}
-		if _, err := binary.ReadUvarint(cur); err != nil {
-			return fmt.Errorf("core: corrupt child record: %w", err)
-		}
-		for {
-			tok, err := dec.ReadToken(cur)
-			if err == io.EOF {
-				break
+		for pos < len(raw) {
+			n, ok := tok.Scan(raw[pos:])
+			if !ok {
+				return fmt.Errorf("core: corrupt child record: token at byte %d", pos)
 			}
-			if err != nil {
+			if err := w.Append(raw[pos : pos+n]); err != nil {
 				return err
 			}
-			if err := w.WriteToken(tok); err != nil {
-				return err
-			}
+			pos += n
 		}
 	}
 }
 
-// sliceCursor is an io.ByteReader and io.Reader over a byte slice.
-type sliceCursor struct {
-	buf []byte
-	pos int
-}
-
-func (c *sliceCursor) ReadByte() (byte, error) {
-	if c.pos >= len(c.buf) {
-		return 0, io.EOF
+// skipRecordHeader returns the offset past a child record's (key, seq)
+// header; a length overrunning the record is an error, not an empty key.
+func skipRecordHeader(rec []byte) (int, error) {
+	keyLen, n := binary.Uvarint(rec)
+	if n <= 0 || keyLen > uint64(len(rec)-n) {
+		return 0, io.ErrUnexpectedEOF
 	}
-	b := c.buf[c.pos]
-	c.pos++
-	return b, nil
-}
-
-func (c *sliceCursor) Read(p []byte) (int, error) {
-	if c.pos >= len(c.buf) {
-		return 0, io.EOF
+	pos := n + int(keyLen)
+	if _, n = binary.Uvarint(rec[pos:]); n <= 0 {
+		return 0, io.ErrUnexpectedEOF
 	}
-	n := copy(p, c.buf[c.pos:])
-	c.pos += n
-	return n, nil
-}
-
-// Window returns the unread rest of the slice (xmltok.WindowReader), so
-// token decoders read it in place.
-func (c *sliceCursor) Window() ([]byte, error) {
-	if c.pos >= len(c.buf) {
-		return nil, io.EOF
-	}
-	return c.buf[c.pos:], nil
-}
-
-func (c *sliceCursor) Advance(n int) { c.pos += n }
-
-// skipCursorString advances past a uvarint-prefixed string without
-// materializing it; a length overrunning the buffer is an error, not an
-// empty string.
-func skipCursorString(c *sliceCursor) error {
-	n, err := binary.ReadUvarint(c)
-	if err != nil {
-		return err
-	}
-	if n > uint64(len(c.buf)-c.pos) {
-		return io.ErrUnexpectedEOF
-	}
-	c.pos += int(n)
-	return nil
+	return pos + n, nil
 }

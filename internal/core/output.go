@@ -43,7 +43,11 @@ func (s *sorter) outputPhase(root runstore.RunID, out io.Writer) error {
 		xw = xmltok.NewWriter(cw)
 	}
 
+	// With compaction, each token is decoded — through one token decoder
+	// for the whole phase, whose name interning carries across tokens —
+	// and its names restored before it is written.
 	var dec *compact.Decoder
+	var tokDec xmltok.Decoder
 	if s.dict != nil {
 		dec = compact.NewDecoder(s.dict)
 	}
@@ -55,7 +59,7 @@ func (s *sorter) outputPhase(root runstore.RunID, out io.Writer) error {
 	}
 	loc := make([]byte, outLocSize)
 	for {
-		tok, err := cur.ReadToken()
+		tok, err := cur.Next()
 		if err == io.EOF {
 			cur.Close()
 			if oStack.Len() == 0 {
@@ -75,7 +79,7 @@ func (s *sorter) outputPhase(root runstore.RunID, out io.Writer) error {
 			cur.Close()
 			return err
 		}
-		if tok.Kind == xmltok.KindRunPtr {
+		if tok.Kind() == xmltok.KindRunPtr {
 			// Line 19-20: remember where to resume this run, then jump
 			// into the child run at its beginning.
 			binary.LittleEndian.PutUint64(loc[0:], uint64(curID))
@@ -85,20 +89,18 @@ func (s *sorter) outputPhase(root runstore.RunID, out io.Writer) error {
 				return err
 			}
 			cur.Close()
-			curID = runstore.RunID(tok.Run)
+			curID = runstore.RunID(tok.Run())
 			if cur, err = s.store.OpenCat(curID, budget, 0, em.CatRunRead); err != nil {
 				return err
 			}
 			continue
 		}
 		if dec != nil {
-			if tok, err = dec.Decode(tok); err != nil {
-				cur.Close()
-				return err
-			}
+			err = writeCompacted(xw, &tokDec, dec, tok)
+		} else {
+			err = xw.WriteEncoded(tok)
 		}
-		tok.HasKey, tok.Key = false, ""
-		if err := xw.WriteToken(tok); err != nil {
+		if err != nil {
 			cur.Close()
 			return err
 		}
@@ -111,4 +113,14 @@ func (s *sorter) outputPhase(root runstore.RunID, out io.Writer) error {
 	}
 	s.report.OutputBytes = cw.BytesWritten()
 	return nil
+}
+
+// writeCompacted writes one token of a compacted run: decoded, its names
+// restored by dec, and serialized without its key.
+func writeCompacted(xw *xmltok.Writer, tokDec *xmltok.Decoder, dec *compact.Decoder, tok *xmltok.Encoded) error {
+	t, err := dec.Decode(tokDec.Decode(tok))
+	if err != nil {
+		return err
+	}
+	return xw.WriteToken(t)
 }

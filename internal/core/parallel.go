@@ -1,13 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"io"
 	"sync"
 
 	"nexsort/internal/em"
 	"nexsort/internal/runstore"
-	"nexsort/internal/xmltree"
 )
 
 // Parallel subtree sorting. Sibling subtrees share no stack state: once a
@@ -43,6 +41,7 @@ type parState struct {
 	inflight int // budget blocks held by in-flight workers
 	firstErr error
 	panicVal any
+	trees    []*tokenTree // token trees no sort is using, kept for reuse
 }
 
 // effectiveFree returns the free-block count a sequential execution would
@@ -72,6 +71,28 @@ func (s *sorter) releaseWorker(n int) {
 	s.par.mu.Lock()
 	s.env.Budget.Release(n)
 	s.par.inflight -= n
+	s.par.mu.Unlock()
+}
+
+// takeTree returns a token tree for one in-memory sort, reusing one an
+// earlier sort returned, so that the tree's buffers are allocated once per
+// concurrent sort rather than once per subtree.
+func (s *sorter) takeTree() *tokenTree {
+	s.par.mu.Lock()
+	defer s.par.mu.Unlock()
+	n := len(s.par.trees)
+	if n == 0 {
+		return new(tokenTree)
+	}
+	t := s.par.trees[n-1]
+	s.par.trees = s.par.trees[:n-1]
+	return t
+}
+
+// returnTree makes t available to the next sort.
+func (s *sorter) returnTree(t *tokenTree) {
+	s.par.mu.Lock()
+	s.par.trees = append(s.par.trees, t)
 	s.par.mu.Unlock()
 }
 
@@ -113,9 +134,10 @@ func (s *sorter) tryDispatchSubtreeSort(start, size int64, relLimit int) (runsto
 	}
 	bs := int64(s.env.Conf.BlockSize)
 	blocks := int((size + bs - 1) / bs)
-	// The worker's working set: the raw snapshot (blocks), the rebuilt
-	// tree — modelled at the snapshot's footprint, as the sequential
-	// grant in internalSubtreeSort models it — and the run writer's block.
+	// The worker's working set: the raw snapshot (blocks), the token
+	// tree's copy and index — modelled at the snapshot's footprint, as the
+	// sequential grant in internalSubtreeSort models it — and the run
+	// writer's block.
 	// The grant holds one more block for the range reader that takes the
 	// snapshot, returned as soon as the snapshot is taken, so that a full
 	// budget sends the subtree down the inline path instead of failing
@@ -159,7 +181,9 @@ func (s *sorter) tryDispatchSubtreeSort(start, size int64, relLimit int) (runsto
 				s.par.mu.Unlock()
 			}
 		}()
-		err := sortSnapshot(snap, relLimit, w)
+		t := s.takeTree()
+		defer s.returnTree(t)
+		err := t.sortSubtree(snap, snap.size, relLimit, w)
 		if cerr := w.Close(); err == nil {
 			err = cerr
 		}
@@ -204,7 +228,7 @@ func (s *sorter) snapshotRange(start, size int64) (*frameChain, error) {
 
 // frameChain is a worker's private subtree snapshot: the encoded bytes
 // pinned across budget-backed frames instead of one variable-sized heap
-// slab, read back like a sliceCursor spanning the chain.
+// slab, read back as one stream spanning the chain.
 type frameChain struct {
 	frames []em.Frame
 	size   int64
@@ -249,17 +273,4 @@ func (c *frameChain) release(pool *em.FramePool) {
 		pool.Release(f)
 	}
 	c.frames = nil
-}
-
-// sortSnapshot is the worker body: rebuild the subtree from its encoded
-// snapshot, sort it recursively, and stream it into the run. It is the
-// exact computation of internalSubtreeSort with the stack read replaced by
-// the in-memory snapshot.
-func sortSnapshot(snap *frameChain, relLimit int, w *runstore.Writer) error {
-	tree, err := xmltree.FromTokens(&tokenSource{r: snap})
-	if err != nil {
-		return fmt.Errorf("core: rebuilding subtree: %w", err)
-	}
-	tree.SortToDepth(relLimit) // 0 sorts head to toe
-	return tree.EmitTokens(w.WriteToken)
 }

@@ -298,12 +298,3 @@ func (o *orderStamper) stamp(tok xmltok.Token) xmltok.Token {
 	}
 	return tok
 }
-
-// tokenSource adapts a byte reader of encoded tokens to xmltree.TokenSource,
-// holding one decoder so the decode scratch is reused across the stream.
-type tokenSource struct {
-	r   io.ByteReader
-	dec xmltok.Decoder
-}
-
-func (t *tokenSource) Next() (xmltok.Token, error) { return t.dec.ReadToken(t.r) }

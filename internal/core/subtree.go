@@ -7,7 +7,6 @@ import (
 	"nexsort/internal/em"
 	"nexsort/internal/runstore"
 	"nexsort/internal/xmltok"
-	"nexsort/internal/xmltree"
 )
 
 // sortSubtree is lines 10-12 of Figure 4: pop the complete subtree starting
@@ -148,24 +147,24 @@ func (s *sorter) copySubtree(start int64, w *runstore.Writer) error {
 	defer reader.Close()
 	var dec xmltok.Decoder
 	for {
-		tok, err := dec.ReadToken(reader)
+		tok, err := dec.ReadEncoded(reader)
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
 			return err
 		}
-		if err := w.WriteToken(tok); err != nil {
+		if err := w.Append(tok.Bytes()); err != nil {
 			return err
 		}
 	}
 }
 
-// internalSubtreeSort is Line 11's common case: build the subtree in
-// memory, recursively sort it, and stream it into the run. The tree's
-// memory is drawn from the budget at the subtree's encoded size; size 0
-// skips the grant (degeneration mode, where the bytes are already resident
-// in the data stack's window and the sort is modelled as in-place).
+// internalSubtreeSort is Line 11's common case: copy the subtree's tokens
+// into a token tree, sort it, and stream it into the run. The tree's memory
+// is drawn from the budget at the subtree's encoded size; size 0 skips the
+// grant (degeneration mode, where the bytes are already resident in the
+// data stack's window and the sort is modelled as in-place).
 func (s *sorter) internalSubtreeSort(start, size int64, relLimit int, w *runstore.Writer) error {
 	bs := int64(s.env.Conf.BlockSize)
 	blocks := int((size + bs - 1) / bs)
@@ -180,12 +179,9 @@ func (s *sorter) internalSubtreeSort(start, size int64, relLimit int, w *runstor
 	}
 	defer reader.Close()
 
-	tree, err := xmltree.FromTokens(&tokenSource{r: reader})
-	if err != nil {
-		return fmt.Errorf("core: rebuilding subtree: %w", err)
-	}
-	tree.SortToDepth(relLimit) // 0 sorts head to toe
-	return tree.EmitTokens(w.WriteToken)
+	t := s.takeTree()
+	defer s.returnTree(t)
+	return t.sortSubtree(reader, s.data.Size()-start, relLimit, w)
 }
 
 // externalSubtreeSort is Line 11's fallback for subtrees larger than the
@@ -204,27 +200,20 @@ func (s *sorter) externalSubtreeSort(start int64, relLimit int, w *runstore.Writ
 		}
 	}
 
-	if allSimple {
-		reader, err := s.data.ReadRange(s.env.Budget, start)
-		if err != nil {
+	var sidecar *keySidecar
+	if !allSimple {
+		var err error
+		if sidecar, err = s.buildKeySidecar(start); err != nil {
 			return err
 		}
-		defer reader.Close()
-		return keyPathSortTokens(s.env, &tokenSource{r: reader}, relLimit, w)
+		defer sidecar.Close()
 	}
-
-	sidecar, err := s.buildKeySidecar(start)
-	if err != nil {
-		return err
-	}
-	defer sidecar.Close()
 	reader, err := s.data.ReadRange(s.env.Budget, start)
 	if err != nil {
 		return err
 	}
 	defer reader.Close()
-	keyed := &keyedSource{inner: &tokenSource{r: reader}, sidecar: sidecar}
-	return keyPathSortTokens(s.env, keyed, relLimit, w)
+	return keyPathSortTokens(s.env, reader, sidecar, relLimit, w)
 }
 
 // mergedSubtreeSort completes a subtree whose earlier children were cut
@@ -255,21 +244,19 @@ func (s *sorter) mergedSubtreeSort(rec pathRec, endTok xmltok.Token, incRuns []*
 	if err != nil {
 		return err
 	}
-	src := &tokenSource{r: reader}
-
-	startTok, err := src.Next()
+	defer reader.Close()
+	var dec xmltok.Decoder
+	startTok, err := dec.ReadEncoded(reader)
 	if err != nil {
-		reader.Close()
 		return err
 	}
-	if startTok.Kind != xmltok.KindStart {
-		reader.Close()
+	if startTok.Kind() != xmltok.KindStart {
 		return fmt.Errorf("core: merged subtree does not begin with a start tag")
 	}
+	s.encBuf = append(s.encBuf[:0], startTok.Bytes()...)
 
 	sorter, err := newChildRecordSorter(s.env)
 	if err != nil {
-		reader.Close()
 		return err
 	}
 	defer sorter.Close()
@@ -277,79 +264,49 @@ func (s *sorter) mergedSubtreeSort(rec pathRec, endTok xmltok.Token, incRuns []*
 		sorter.AddPresortedRun(run)
 	}
 
-	// Parse, interior-sort and enqueue the uncut tail of the child list.
-	// The region is below the cut capacity by construction, so this is an
-	// in-memory step (its budget was effectively reserved by the trigger).
-	childSeq := rec.childBase
-	for {
-		node, last, err := nextChildNode(src)
+	// Load, interior-sort and enqueue the uncut tail of the child list one
+	// child at a time. The region is below the cut capacity by
+	// construction, so this is an in-memory step (its budget was
+	// effectively reserved by the trigger). The children sit at level 2
+	// of the element's frame; below the depth limit they keep document
+	// order, so the empty key makes (key, seq) reduce to the sequence
+	// number.
+	maxLevel := 0
+	if !noSort {
+		maxLevel = sortLevels(relLimit)
+	}
+	t := s.takeTree()
+	defer s.returnTree(t)
+	for childSeq := rec.childBase; ; childSeq++ {
+		last, err := t.loadChild(&dec, reader)
 		if err != nil {
-			reader.Close()
 			return err
 		}
 		if last {
 			break
 		}
-		if noSort {
-			// The element sits below the depth limit: its children keep
-			// document order, so the empty key makes (key, seq) reduce
-			// to the sequence number.
-			node.Key = ""
-		} else {
-			sortChildInterior(node, relLimit)
+		if err := t.index(2, maxLevel); err != nil {
+			return fmt.Errorf("core: sorting subtree: %w", err)
 		}
-		s.recBuf, err = encodeChildRecord(s.recBuf[:0], node, childSeq)
-		if err != nil {
-			reader.Close()
+		child := t.children(0)[0]
+		if noSort {
+			t.nodes[child].key = nil
+		}
+		if s.recBuf, err = appendChildRecord(s.recBuf[:0], t, child, childSeq); err != nil {
 			return err
 		}
 		if err := sorter.Add(s.recBuf); err != nil {
-			reader.Close()
 			return err
 		}
-		childSeq++
 	}
 	reader.Close()
 
-	if err := w.WriteToken(startTok); err != nil {
+	if err := w.Append(s.encBuf); err != nil {
 		return err
 	}
 	if err := drainChildRecords(sorter, w); err != nil {
 		return err
 	}
-	return w.WriteToken(xmltok.Token{Kind: xmltok.KindEnd, Name: endTok.Name, Key: endTok.Key, HasKey: endTok.HasKey})
-}
-
-// sortChildInterior recursively sorts a direct child of an element being
-// sorted at subtree-relative limit relLimit: the child sits one level
-// deeper, so its own frame shifts by one. relLimit 0 means head to toe;
-// relLimit 1 means only the parent's child list is ordered, so the child's
-// interior must stay untouched.
-func sortChildInterior(node *xmltree.Node, relLimit int) {
-	switch {
-	case relLimit == 0:
-		node.SortRecursive()
-	case relLimit > 1:
-		node.SortToDepth(relLimit - 1)
-	}
-}
-
-// nextChildNode reads the next complete child subtree from a sibling-level
-// token stream. last=true signals the parent's end tag (or stream end).
-func nextChildNode(src *tokenSource) (node *xmltree.Node, last bool, err error) {
-	tok, err := src.Next()
-	if err == io.EOF {
-		return nil, true, nil
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	if tok.Kind == xmltok.KindEnd {
-		return nil, true, nil
-	}
-	n, err := xmltree.FromFirst(src, tok)
-	if err != nil {
-		return nil, false, err
-	}
-	return n, false, nil
+	s.encBuf = xmltok.AppendToken(s.encBuf[:0], xmltok.Token{Kind: xmltok.KindEnd, Name: endTok.Name, Key: endTok.Key, HasKey: endTok.HasKey})
+	return w.Append(s.encBuf)
 }

@@ -1,0 +1,269 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"math"
+	"slices"
+
+	"nexsort/internal/xmltok"
+)
+
+// tokenTree is NEXSORT's in-memory subtree sort (Figure 4, Line 11) over
+// encoded tokens. It copies a subtree's token bytes once into its buffer
+// and indexes them: per node, where its token is, its ordering key, and for
+// an element its child list as one contiguous segment of kids. Sorting
+// reorders those segments; emission writes the tokens back out in the new
+// order. No token is decoded and no string is made.
+//
+// The emitted bytes are exactly what the reference — xmltree.FromTokens,
+// SortToDepth, EmitTokens, then xmltok.AppendToken — writes for the same
+// stream, so the runs, and with them the I/O ledger, do not depend on which
+// of the two sorted:
+//
+//   - an element's key comes from its end tag when that has one, else from
+//     its start tag (xmltree.FromFirst); a run pointer keeps its own key;
+//     text has the empty key;
+//   - child lists are sorted stably by key in byte order (keys.Compare on
+//     (key, position)), down to the depth limit;
+//   - each start tag is re-keyed with its element's key and its level
+//     dropped, and its end tag is the key-less end tag built from the start
+//     tag's name; text is copied, and each run pointer is re-keyed with its
+//     own key.
+//
+// The buffer and the index stand where the xmltree's grant stood: the
+// budget models them at the subtree's encoded size. A tree is reused across
+// sorts, so its buffers are allocated once per size reached.
+type tokenTree struct {
+	buf   []byte
+	nodes []treeNode // nodes[0] is a virtual root holding the top-level nodes
+	kids  []int32
+
+	open    []openElem // elements open while indexing, the virtual root first
+	pending []int32    // children of open elements, not yet closed into kids
+	scratch []byte     // one re-encoded token being emitted
+}
+
+// treeNode is one indexed node. tok and key alias the tree's buffer.
+type treeNode struct {
+	tok   []byte // the token; for an element, its start tag
+	key   []byte
+	kind  xmltok.Kind
+	seq   int32 // position among its siblings, set for top-level nodes
+	first int32 // an element's child list is kids[first : first+n]
+	n     int32
+}
+
+type openElem struct {
+	node    int32
+	name    []byte
+	pending int // len(pending) when the element opened
+	level   int
+}
+
+// sortLevels is the deepest level, counting the subtree's root as level 1,
+// whose child lists a depth limit relLimit sorts; relLimit 0 means no limit.
+func sortLevels(relLimit int) int {
+	if relLimit == 0 {
+		return math.MaxInt
+	}
+	return relLimit
+}
+
+// load copies size bytes of tokens from r into the buffer. Nodes are
+// indexed by int32, which no subtree under 2 GiB can overflow.
+func (t *tokenTree) load(r io.Reader, size int64) error {
+	if size > math.MaxInt32 {
+		return fmt.Errorf("core: in-memory subtree sort of %d bytes", size)
+	}
+	t.buf = slices.Grow(t.buf[:0], int(size))[:size]
+	_, err := io.ReadFull(r, t.buf)
+	return err
+}
+
+// loadChild copies the next complete child subtree from a sibling-level
+// token stream into the buffer: one text token, one run pointer, or an
+// element through its end tag. last is true at an end tag closing the
+// sibling list, or at the end of the stream.
+func (t *tokenTree) loadChild(dec *xmltok.Decoder, r io.ByteReader) (last bool, err error) {
+	t.buf = t.buf[:0]
+	depth := 0
+	for {
+		tok, err := dec.ReadEncoded(r)
+		if err == io.EOF {
+			if depth == 0 {
+				return true, nil
+			}
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return false, err
+		}
+		switch tok.Kind() {
+		case xmltok.KindStart:
+			depth++
+		case xmltok.KindEnd:
+			if depth == 0 {
+				return true, nil
+			}
+			depth--
+		}
+		t.buf = append(t.buf, tok.Bytes()...)
+		if depth == 0 {
+			return false, nil
+		}
+	}
+}
+
+// index scans the buffer as a sequence of complete sibling subtrees, the
+// top-level nodes, which sit at level base and become the virtual root's
+// children in stream order. The child lists of elements at levels up to
+// maxLevel are sorted as they close; the top-level list is left to the
+// caller. It checks the stream as xmltree.FromTokens does: each end tag
+// matches its start tag by name (a name elided by compaction matches any)
+// and every element is closed.
+func (t *tokenTree) index(base, maxLevel int) error {
+	t.nodes = append(t.nodes[:0], treeNode{kind: xmltok.KindStart})
+	t.kids = t.kids[:0]
+	t.pending = t.pending[:0]
+	t.open = append(t.open[:0], openElem{level: base - 1})
+	var v xmltok.Encoded
+	for p := 0; p < len(t.buf); {
+		n, ok := v.Scan(t.buf[p:])
+		if !ok {
+			return fmt.Errorf("core: corrupt token at byte %d of a subtree", p)
+		}
+		tok := t.buf[p : p+n : p+n]
+		p += n
+		idx := int32(len(t.nodes))
+		switch v.Kind() {
+		case xmltok.KindStart:
+			t.nodes = append(t.nodes, treeNode{tok: tok, key: v.Key(), kind: xmltok.KindStart})
+			t.pending = append(t.pending, idx)
+			level := t.open[len(t.open)-1].level + 1
+			t.open = append(t.open, openElem{node: idx, name: v.Name(), pending: len(t.pending), level: level})
+		case xmltok.KindText:
+			t.nodes = append(t.nodes, treeNode{tok: tok, kind: xmltok.KindText})
+			t.pending = append(t.pending, idx)
+		case xmltok.KindRunPtr:
+			t.nodes = append(t.nodes, treeNode{tok: tok, key: v.Key(), kind: xmltok.KindRunPtr})
+			t.pending = append(t.pending, idx)
+		case xmltok.KindEnd:
+			if len(t.open) == 1 {
+				return fmt.Errorf("core: end tag </%s> with no open element", v.Name())
+			}
+			el := t.open[len(t.open)-1]
+			if name := v.Name(); len(name) > 0 && !bytes.Equal(name, el.name) {
+				return fmt.Errorf("core: end tag </%s> does not match <%s>", name, el.name)
+			}
+			if v.HasKey() {
+				t.nodes[el.node].key = v.Key()
+			}
+			t.close(el)
+			if el.level <= maxLevel {
+				t.sortKids(el.node)
+			}
+			t.open = t.open[:len(t.open)-1]
+		}
+	}
+	if len(t.open) != 1 {
+		return io.ErrUnexpectedEOF
+	}
+	t.close(t.open[0])
+	return nil
+}
+
+// close moves an element's children from pending into one segment of kids.
+func (t *tokenTree) close(el openElem) {
+	nd := &t.nodes[el.node]
+	nd.first = int32(len(t.kids))
+	nd.n = int32(len(t.pending) - el.pending)
+	t.kids = append(t.kids, t.pending[el.pending:]...)
+	t.pending = t.pending[:el.pending]
+}
+
+// children returns node i's child list.
+func (t *tokenTree) children(i int32) []int32 {
+	nd := &t.nodes[i]
+	return t.kids[nd.first : nd.first+nd.n]
+}
+
+// sortKids sorts node i's child list stably by key, which is (key,
+// position) order.
+func (t *tokenTree) sortKids(i int32) {
+	if kids := t.children(i); len(kids) > 1 {
+		slices.SortStableFunc(kids, func(a, b int32) int {
+			return bytes.Compare(t.nodes[a].key, t.nodes[b].key)
+		})
+	}
+}
+
+// indexSubtree indexes the buffer as one subtree rooted at level 1 and
+// returns its root.
+func (t *tokenTree) indexSubtree(maxLevel int) (int32, error) {
+	if err := t.index(1, maxLevel); err != nil {
+		return 0, err
+	}
+	top := t.children(0)
+	switch {
+	case len(top) == 0:
+		return 0, io.ErrUnexpectedEOF
+	case t.nodes[top[0]].kind != xmltok.KindStart:
+		return 0, fmt.Errorf("core: subtree begins with a %v token", t.nodes[top[0]].kind)
+	case len(top) > 1:
+		return 0, fmt.Errorf("core: tokens after the end of a subtree")
+	}
+	return top[0], nil
+}
+
+// sortSubtree is the whole in-memory sort: it loads the size bytes of one
+// subtree from r, sorts its child lists to the depth limit relLimit (0
+// sorts head to toe) and writes the sorted subtree to w.
+func (t *tokenTree) sortSubtree(r io.Reader, size int64, relLimit int, w tokenSink) error {
+	if err := t.load(r, size); err != nil {
+		return err
+	}
+	root, err := t.indexSubtree(sortLevels(relLimit))
+	if err != nil {
+		return fmt.Errorf("core: sorting subtree: %w", err)
+	}
+	return t.emit(root, w)
+}
+
+// tokenSink receives emitted tokens, one encoded token per call; the bytes
+// are valid only for the call.
+type tokenSink interface {
+	Append(tok []byte) error
+}
+
+// emit writes node i's subtree to w in its sorted order.
+func (t *tokenTree) emit(i int32, w tokenSink) error {
+	nd := &t.nodes[i]
+	if nd.kind == xmltok.KindText {
+		// Text enters the data stack with neither key nor level, so its
+		// bytes are already AppendToken's.
+		return w.Append(nd.tok)
+	}
+	var v xmltok.Encoded
+	v.Scan(nd.tok)
+	t.scratch = v.AppendWithKey(t.scratch[:0], nd.key)
+	if err := w.Append(t.scratch); err != nil || nd.kind == xmltok.KindRunPtr {
+		return err
+	}
+	for _, c := range t.children(i) {
+		if err := t.emit(c, w); err != nil {
+			return err
+		}
+	}
+	t.scratch = v.AppendEnd(t.scratch[:0])
+	return w.Append(t.scratch)
+}
+
+// recordSink appends emitted tokens to a byte slice.
+type recordSink struct{ b []byte }
+
+func (r *recordSink) Append(tok []byte) error {
+	r.b = append(r.b, tok...)
+	return nil
+}

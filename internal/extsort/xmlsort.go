@@ -111,7 +111,8 @@ func SortXML(env *em.Env, c *keys.Criterion, in io.Reader, out io.Writer, opts X
 	}
 	var openTags []string // XSort parent tracking (in-memory, like the path)
 
-	var encBuf []byte
+	var encBuf, tokBuf []byte
+	var view xmltok.Encoded
 	for {
 		tok, err := parser.Next()
 		if err == io.EOF {
@@ -145,8 +146,12 @@ func SortXML(env *em.Env, c *keys.Criterion, in io.Reader, out io.Writer, opts X
 		if enc != nil {
 			tok = enc.Encode(tok)
 		}
+		tokBuf = xmltok.AppendToken(tokBuf[:0], tok)
+		if _, ok := view.Scan(tokBuf); !ok {
+			return nil, fmt.Errorf("extsort: %v token too large to encode", tok.Kind)
+		}
 		var ok bool
-		if encBuf, ok, err = extract.Append(encBuf[:0], tok); err != nil {
+		if encBuf, ok, err = extract.Append(encBuf[:0], &view); err != nil {
 			return nil, err
 		}
 		if !ok {
@@ -173,16 +178,20 @@ func SortXML(env *em.Env, c *keys.Criterion, in io.Reader, out io.Writer, opts X
 	} else {
 		w = xmltok.NewWriter(cw)
 	}
-	builder := keypath.NewBuilder(func(tok xmltok.Token) error {
-		if dec != nil {
-			var err error
-			if tok, err = dec.Decode(tok); err != nil {
+	emit := w.WriteEncoded
+	if dec != nil {
+		// Compaction: restore the names through one token decoder for
+		// the whole output.
+		var tokDec xmltok.Decoder
+		emit = func(v *xmltok.Encoded) error {
+			tok, err := dec.Decode(tokDec.Decode(v))
+			if err != nil {
 				return err
 			}
+			return w.WriteToken(tok)
 		}
-		tok.HasKey, tok.Key = false, ""
-		return w.WriteToken(tok)
-	})
+	}
+	builder := keypath.NewBuilder(emit)
 	for {
 		raw, err := it.Next()
 		if err == io.EOF {

@@ -35,24 +35,24 @@ func (e *Extractor) Depth() int { return len(e.starts) }
 
 // Append consumes one token. For start tags, text and run pointers it
 // appends the node's encoded record — the bytes AppendRecord writes for
-// it — to dst and returns ok = true; end tags return dst as it is and
-// ok = false.
-func (e *Extractor) Append(dst []byte, tok xmltok.Token) (out []byte, ok bool, err error) {
-	switch tok.Kind {
+// it, with the token's own bytes as the record's token — to dst and
+// returns ok = true; end tags return dst as it is and ok = false.
+func (e *Extractor) Append(dst []byte, tok *xmltok.Encoded) (out []byte, ok bool, err error) {
+	switch tok.Kind() {
 	case xmltok.KindStart:
-		if !tok.HasKey {
-			return dst, false, fmt.Errorf("%w: start tag <%s> has no key", ErrKeyNotResolvable, tok.Name)
+		if !tok.HasKey() {
+			return dst, false, fmt.Errorf("%w: start tag <%s> has no key", ErrKeyNotResolvable, tok.Name())
 		}
 		e.starts = append(e.starts, len(e.path))
-		e.path = appendComponent(e.path, tok.Key, e.nextSeq())
+		e.path = appendComponent(e.path, tok.Key(), e.nextSeq())
 		e.childSeq = append(e.childSeq, 0)
 		dst = binary.AppendUvarint(dst, uint64(len(e.starts)))
 		dst = append(dst, e.path...)
 
 	case xmltok.KindText, xmltok.KindRunPtr:
-		key := tok.Key
-		if tok.Kind == xmltok.KindText {
-			key = ""
+		var key []byte
+		if tok.Kind() == xmltok.KindRunPtr {
+			key = tok.Key()
 		}
 		dst = binary.AppendUvarint(dst, uint64(len(e.starts)+1))
 		dst = append(dst, e.path...)
@@ -61,7 +61,7 @@ func (e *Extractor) Append(dst []byte, tok xmltok.Token) (out []byte, ok bool, e
 	case xmltok.KindEnd:
 		top := len(e.starts) - 1
 		if top < 0 {
-			return dst, false, fmt.Errorf("keypath: end tag </%s> with no open element", tok.Name)
+			return dst, false, fmt.Errorf("keypath: end tag </%s> with no open element", tok.Name())
 		}
 		e.path = e.path[:e.starts[top]]
 		e.starts = e.starts[:top]
@@ -69,9 +69,9 @@ func (e *Extractor) Append(dst []byte, tok xmltok.Token) (out []byte, ok bool, e
 		return dst, false, nil
 
 	default:
-		return dst, false, fmt.Errorf("keypath: unsupported token kind %v", tok.Kind)
+		return dst, false, fmt.Errorf("keypath: unsupported token kind %v", tok.Kind())
 	}
-	return xmltok.AppendToken(dst, tok), true, nil
+	return append(dst, tok.Bytes()...), true, nil
 }
 
 func (e *Extractor) nextSeq() int64 {
@@ -86,17 +86,22 @@ func (e *Extractor) nextSeq() int64 {
 // start tags as paths extend, and end tags as paths retreat — including the
 // final end tags on Finish. Like the extractor, it holds the open path in
 // memory, encoded: a record's ancestors are matched against it byte for
-// byte and never decoded, and only the node's own token is.
+// byte and never decoded. Tokens are emitted as views: start tags, text and
+// run pointers are the record's token bytes exactly as stored, and each end
+// tag is built from its open start tag's name.
 type Builder struct {
-	open  []byte   // encoded components of the open chain
-	ends  []int    // end offset in open of each open component
-	names []string // element name of each open component
-	dec   xmltok.Decoder
-	emit  func(xmltok.Token) error
+	open    []byte         // encoded components of the open chain
+	ends    []int          // end offset in open of each open component
+	endTags []byte         // the end tag of each open element, encoded
+	endOffs []int          // start offset in endTags of each open element's end tag
+	tok     xmltok.Encoded // the record's token
+	end     xmltok.Encoded // an end tag being emitted
+	emit    func(*xmltok.Encoded) error
 }
 
 // NewBuilder creates a builder that sends reconstructed tokens to emit.
-func NewBuilder(emit func(xmltok.Token) error) *Builder {
+// Each view is valid only for the call.
+func NewBuilder(emit func(*xmltok.Encoded) error) *Builder {
 	return &Builder{emit: emit}
 }
 
@@ -108,7 +113,8 @@ func NewBuilder(emit func(xmltok.Token) error) *Builder {
 // are equal exactly when their bytes are; a non-minimal varint can only
 // come from corruption, and it fails here as a parent that is not open.
 // Every component is validated as ReadRecord validates it: the shared
-// ones were, when they were opened, and the node's own one is now.
+// ones were, when they were opened, and the node's own one is now; the
+// node's token is scanned as the decoder would check it.
 func (b *Builder) Add(rec []byte) error {
 	n, pos := binary.Uvarint(rec)
 	switch {
@@ -136,29 +142,29 @@ func (b *Builder) Add(rec []byte) error {
 	if err != nil {
 		return err
 	}
-	tok, err := b.dec.DecodeToken(rec[end:])
-	if err != nil {
-		return fmt.Errorf("keypath: corrupt record: %w", err)
+	if k, ok := b.tok.Scan(rec[end:]); !ok || k != len(rec)-end {
+		return fmt.Errorf("keypath: corrupt record: token of %d bytes", len(rec)-end)
+	}
+	switch b.tok.Kind() {
+	case xmltok.KindStart, xmltok.KindText, xmltok.KindRunPtr:
+	default:
+		return fmt.Errorf("keypath: record holds unsupported token kind %v", b.tok.Kind())
 	}
 	for len(b.ends) > keep {
 		if err := b.closeTop(); err != nil {
 			return err
 		}
 	}
-	switch tok.Kind {
-	case xmltok.KindStart:
-		if err := b.emit(tok); err != nil {
-			return err
-		}
+	if err := b.emit(&b.tok); err != nil {
+		return err
+	}
+	if b.tok.Kind() == xmltok.KindStart {
 		b.open = append(b.open, rec[own:end]...)
 		b.ends = append(b.ends, len(b.open))
-		b.names = append(b.names, tok.Name)
-		return nil
-	case xmltok.KindText, xmltok.KindRunPtr:
-		return b.emit(tok)
-	default:
-		return fmt.Errorf("keypath: record holds unsupported token kind %v", tok.Kind)
+		b.endOffs = append(b.endOffs, len(b.endTags))
+		b.endTags = b.tok.AppendEnd(b.endTags)
 	}
+	return nil
 }
 
 // checkComponent validates the component at pos as ReadRecord does and
@@ -185,15 +191,18 @@ func checkComponent(rec []byte, pos int) (int, error) {
 
 func (b *Builder) closeTop() error {
 	top := len(b.ends) - 1
-	name := b.names[top]
 	b.ends = b.ends[:top]
-	b.names = b.names[:top]
 	start := 0
 	if top > 0 {
 		start = b.ends[top-1]
 	}
 	b.open = b.open[:start]
-	return b.emit(xmltok.Token{Kind: xmltok.KindEnd, Name: name})
+	off := b.endOffs[top]
+	b.endOffs = b.endOffs[:top]
+	b.end.Scan(b.endTags[off:])
+	err := b.emit(&b.end)
+	b.endTags = b.endTags[:off]
+	return err
 }
 
 // Finish closes all remaining open elements.

@@ -62,18 +62,18 @@ func FuzzBuilderEncoded(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var open []string
-		b := NewBuilder(func(tok xmltok.Token) error {
-			switch tok.Kind {
+		b := NewBuilder(func(tok *xmltok.Encoded) error {
+			switch tok.Kind() {
 			case xmltok.KindStart:
-				open = append(open, tok.Name)
+				open = append(open, string(tok.Name()))
 			case xmltok.KindEnd:
-				if len(open) == 0 || open[len(open)-1] != tok.Name {
-					t.Fatalf("end tag </%s> does not close the open chain %v", tok.Name, open)
+				if len(open) == 0 || open[len(open)-1] != string(tok.Name()) {
+					t.Fatalf("end tag </%s> does not close the open chain %v", tok.Name(), open)
 				}
 				open = open[:len(open)-1]
 			case xmltok.KindText, xmltok.KindRunPtr:
 			default:
-				t.Fatalf("builder emitted token kind %v", tok.Kind)
+				t.Fatalf("builder emitted token kind %v", tok.Kind())
 			}
 			return nil
 		})

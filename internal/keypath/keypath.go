@@ -119,7 +119,7 @@ func AppendRecord(dst []byte, rec Record) []byte {
 
 // appendComponent appends one encoded path component. Its varints are
 // minimal, so two components are equal exactly when their bytes are.
-func appendComponent(dst []byte, key string, seq int64) []byte {
+func appendComponent[K string | []byte](dst []byte, key K, seq int64) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(key)))
 	dst = append(dst, key...)
 	return binary.AppendUvarint(dst, uint64(seq))

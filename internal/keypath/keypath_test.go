@@ -82,7 +82,7 @@ func extractEncoded(tb testing.TB, doc string, c *keys.Criterion) [][]byte {
 		case xmltok.KindEnd:
 			path, seqs = path[:len(path)-1], seqs[:len(seqs)-1]
 		}
-		rec, ok, err := e.Append(nil, tok)
+		rec, ok, err := e.Append(nil, view(tok))
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -97,6 +97,13 @@ func extractEncoded(tb testing.TB, doc string, c *keys.Criterion) [][]byte {
 		tb.Fatalf("extractor left %d elements open", e.Depth())
 	}
 	return recs
+}
+
+// view returns a view of tok's encoding.
+func view(tok xmltok.Token) *xmltok.Encoded {
+	var e xmltok.Encoded
+	e.Scan(xmltok.AppendToken(nil, tok))
+	return &e
 }
 
 // extractDoc is extractEncoded with every record decoded.
@@ -225,11 +232,11 @@ func sign(v int) int {
 
 func TestExtractorRequiresStartKeys(t *testing.T) {
 	e := NewExtractor()
-	_, _, err := e.Append(nil, xmltok.Token{Kind: xmltok.KindStart, Name: "a"})
+	_, _, err := e.Append(nil, view(xmltok.Token{Kind: xmltok.KindStart, Name: "a"}))
 	if err == nil || !strings.Contains(err.Error(), "no key") {
 		t.Errorf("keyless start: %v", err)
 	}
-	if _, _, err := e.Append(nil, xmltok.Token{Kind: xmltok.KindEnd, Name: "x"}); err == nil {
+	if _, _, err := e.Append(nil, view(xmltok.Token{Kind: xmltok.KindEnd, Name: "x"})); err == nil {
 		t.Error("end without open element should fail")
 	}
 }
@@ -239,10 +246,7 @@ func TestExtractorRequiresStartKeys(t *testing.T) {
 func buildString(recs [][]byte) (string, error) {
 	var sb strings.Builder
 	w := xmltok.NewWriter(&sb)
-	b := NewBuilder(func(tok xmltok.Token) error {
-		tok.HasKey, tok.Key = false, ""
-		return w.WriteToken(tok)
-	})
+	b := NewBuilder(w.WriteEncoded)
 	for _, r := range recs {
 		if err := b.Add(r); err != nil {
 			return "", err
@@ -279,7 +283,7 @@ func TestBuilderOutOfOrder(t *testing.T) {
 	root := AppendRecord(nil, Record{Path: []Component{{"", 0}}, Tok: start("root")})
 	child := AppendRecord(nil, Record{Path: []Component{{"", 0}, {"x", 0}}, Tok: start("child")})
 	grandchild := AppendRecord(nil, Record{Path: []Component{{"", 0}, {"x", 0}, {"y", 0}}, Tok: start("g")})
-	noop := func(xmltok.Token) error { return nil }
+	noop := func(*xmltok.Encoded) error { return nil }
 
 	// A child record arriving before its parent is open must fail.
 	if err := NewBuilder(noop).Add(child); err == nil {
@@ -331,7 +335,7 @@ func TestBuilderRejectsCorruptComponents(t *testing.T) {
 		"token has excess": append(append([]byte{1, 0, 0}, text...), 0),
 	}
 	for name, rec := range cases {
-		if err := NewBuilder(func(xmltok.Token) error { return nil }).Add(rec); err == nil {
+		if err := NewBuilder(func(*xmltok.Encoded) error { return nil }).Add(rec); err == nil {
 			t.Errorf("%s: %x accepted", name, rec)
 		}
 	}
@@ -349,7 +353,7 @@ func TestCorruptCountsDoNotAllocate(t *testing.T) {
 		return err
 	}
 	build := func(in []byte) error {
-		return NewBuilder(func(xmltok.Token) error { return nil }).Add(in)
+		return NewBuilder(func(*xmltok.Encoded) error { return nil }).Add(in)
 	}
 	cases := []struct {
 		name string

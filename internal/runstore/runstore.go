@@ -1,9 +1,10 @@
 // Package runstore manages NEXSORT's sorted runs: the on-device streams
 // that hold sorted subtrees, connected into a tree by run-pointer tokens
-// (Figure 3 of the paper). Each subtree sort writes one run through a
-// token-level Writer; the output phase walks the tree through token-level
-// Readers that can start at any byte offset, which is how the output
-// location stack resumes a parent run after a detour into a child run.
+// (Figure 3 of the paper). Each subtree sort writes one run of encoded
+// tokens through a Writer; the output phase walks the tree through Readers
+// that return views of the tokens and can start at any byte offset, which
+// is how the output location stack resumes a parent run after a detour
+// into a child run.
 package runstore
 
 import (
@@ -84,7 +85,7 @@ func (s *Store) Create(cat em.Category, budget *em.Budget) (RunID, *Writer, erro
 	return id, &Writer{w: w}, nil
 }
 
-// Open opens run id for token-level reading starting at byte offset off,
+// Open opens run id for reading tokens starting at byte offset off,
 // charging reads to the run's write category.
 func (s *Store) Open(id RunID, budget *em.Budget, off int64) (*Reader, error) {
 	run, err := s.run(id)
@@ -113,17 +114,15 @@ func (s *Store) OpenCat(id RunID, budget *em.Budget, off int64, cat em.Category)
 	return &Reader{sr: sr}, nil
 }
 
-// Writer appends tokens to a run.
+// Writer appends encoded tokens to a run.
 type Writer struct {
 	w      *em.StreamWriter
-	encBuf []byte
 	tokens int64
 }
 
-// WriteToken appends one encoded token.
-func (w *Writer) WriteToken(tok xmltok.Token) error {
-	w.encBuf = xmltok.AppendToken(w.encBuf[:0], tok)
-	if _, err := w.w.Write(w.encBuf); err != nil {
+// Append appends one token; tok holds exactly its encoding.
+func (w *Writer) Append(tok []byte) error {
+	if _, err := w.w.Write(tok); err != nil {
 		return err
 	}
 	w.tokens++
@@ -136,15 +135,16 @@ func (w *Writer) Tokens() int64 { return w.tokens }
 // Close seals the run and releases the buffer grant.
 func (w *Writer) Close() error { return w.w.Close() }
 
-// Reader streams tokens out of a run, holding one token decoder so the
-// decode scratch is reused across the whole run.
+// Reader streams tokens out of a run as views, holding one token decoder
+// for the whole run.
 type Reader struct {
 	sr  *em.StreamReader
 	dec xmltok.Decoder
 }
 
-// ReadToken returns the next token, io.EOF at the end of the run.
-func (r *Reader) ReadToken() (xmltok.Token, error) { return r.dec.ReadToken(r.sr) }
+// Next returns a view of the next token, io.EOF at the end of the run. The
+// view is valid until the next call.
+func (r *Reader) Next() (*xmltok.Encoded, error) { return r.dec.ReadEncoded(r.sr) }
 
 // Offset returns the byte offset of the next token — the resume location
 // pushed onto the output location stack when a run pointer is followed.
@@ -177,16 +177,17 @@ func (s *Store) InspectTree(root RunID) (*Tree, error) {
 		}
 		defer r.Close()
 		for {
-			tok, err := r.ReadToken()
+			tok, err := r.Next()
 			if err == io.EOF {
 				return nil
 			}
 			if err != nil {
 				return err
 			}
-			if tok.Kind == xmltok.KindRunPtr {
-				t.Children[id] = append(t.Children[id], RunID(tok.Run))
-				if err := walk(RunID(tok.Run)); err != nil {
+			if tok.Kind() == xmltok.KindRunPtr {
+				child := RunID(tok.Run())
+				t.Children[id] = append(t.Children[id], child)
+				if err := walk(child); err != nil {
 					return err
 				}
 			}

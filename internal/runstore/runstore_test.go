@@ -29,7 +29,7 @@ func TestWriteReadRun(t *testing.T) {
 		{Kind: xmltok.KindEnd, Name: "a"},
 	}
 	for _, tok := range toks {
-		if err := w.WriteToken(tok); err != nil {
+		if err := writeToken(w, tok); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -46,7 +46,7 @@ func TestWriteReadRun(t *testing.T) {
 	defer r.Close()
 	var got []xmltok.Token
 	for {
-		tok, err := r.ReadToken()
+		tok, err := readToken(r)
 		if err == io.EOF {
 			break
 		}
@@ -63,12 +63,12 @@ func TestWriteReadRun(t *testing.T) {
 func TestReaderResumeAtOffset(t *testing.T) {
 	s, _ := newStore(t)
 	id, w, _ := s.Create(em.CatSubtreeSort, nil)
-	w.WriteToken(xmltok.Token{Kind: xmltok.KindStart, Name: "first"})
-	w.WriteToken(xmltok.Token{Kind: xmltok.KindEnd, Name: "first"})
+	writeToken(w, xmltok.Token{Kind: xmltok.KindStart, Name: "first"})
+	writeToken(w, xmltok.Token{Kind: xmltok.KindEnd, Name: "first"})
 	w.Close()
 
 	r, _ := s.Open(id, nil, 0)
-	if _, err := r.ReadToken(); err != nil {
+	if _, err := readToken(r); err != nil {
 		t.Fatal(err)
 	}
 	resume := r.Offset()
@@ -81,7 +81,7 @@ func TestReaderResumeAtOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r2.Close()
-	tok, err := r2.ReadToken()
+	tok, err := readToken(r2)
 	if err != nil || tok.Kind != xmltok.KindEnd || tok.Name != "first" {
 		t.Errorf("resumed token = %+v, %v", tok, err)
 	}
@@ -115,7 +115,7 @@ func TestStoreThroughCompressedSpill(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tok := range toks {
-		if err := w.WriteToken(tok); err != nil {
+		if err := writeToken(w, tok); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -129,7 +129,7 @@ func TestStoreThroughCompressedSpill(t *testing.T) {
 	defer r.Close()
 	var got []xmltok.Token
 	for {
-		tok, err := r.ReadToken()
+		tok, err := readToken(r)
 		if err == io.EOF {
 			break
 		}
@@ -175,7 +175,7 @@ func TestStoreAccounting(t *testing.T) {
 	s, stats := newStore(t)
 	id, w, _ := s.Create(em.CatSubtreeSort, nil)
 	for i := 0; i < 50; i++ {
-		w.WriteToken(xmltok.Token{Kind: xmltok.KindText, Text: "0123456789"})
+		writeToken(w, xmltok.Token{Kind: xmltok.KindText, Text: "0123456789"})
 	}
 	w.Close()
 	if s.Len() != 1 {
@@ -199,26 +199,26 @@ func TestInspectTree(t *testing.T) {
 	s, _ := newStore(t)
 
 	grandID, gw, _ := s.Create(em.CatSubtreeSort, nil)
-	gw.WriteToken(xmltok.Token{Kind: xmltok.KindStart, Name: "g"})
-	gw.WriteToken(xmltok.Token{Kind: xmltok.KindEnd, Name: "g"})
+	writeToken(gw, xmltok.Token{Kind: xmltok.KindStart, Name: "g"})
+	writeToken(gw, xmltok.Token{Kind: xmltok.KindEnd, Name: "g"})
 	gw.Close()
 
 	child1ID, c1, _ := s.Create(em.CatSubtreeSort, nil)
-	c1.WriteToken(xmltok.Token{Kind: xmltok.KindStart, Name: "c1"})
-	c1.WriteToken(xmltok.Token{Kind: xmltok.KindRunPtr, Run: int64(grandID), Name: "g"})
-	c1.WriteToken(xmltok.Token{Kind: xmltok.KindEnd, Name: "c1"})
+	writeToken(c1, xmltok.Token{Kind: xmltok.KindStart, Name: "c1"})
+	writeToken(c1, xmltok.Token{Kind: xmltok.KindRunPtr, Run: int64(grandID), Name: "g"})
+	writeToken(c1, xmltok.Token{Kind: xmltok.KindEnd, Name: "c1"})
 	c1.Close()
 
 	child2ID, c2, _ := s.Create(em.CatSubtreeSort, nil)
-	c2.WriteToken(xmltok.Token{Kind: xmltok.KindStart, Name: "c2"})
-	c2.WriteToken(xmltok.Token{Kind: xmltok.KindEnd, Name: "c2"})
+	writeToken(c2, xmltok.Token{Kind: xmltok.KindStart, Name: "c2"})
+	writeToken(c2, xmltok.Token{Kind: xmltok.KindEnd, Name: "c2"})
 	c2.Close()
 
 	rootID, rw, _ := s.Create(em.CatSubtreeSort, nil)
-	rw.WriteToken(xmltok.Token{Kind: xmltok.KindStart, Name: "root"})
-	rw.WriteToken(xmltok.Token{Kind: xmltok.KindRunPtr, Run: int64(child1ID), Name: "c1"})
-	rw.WriteToken(xmltok.Token{Kind: xmltok.KindRunPtr, Run: int64(child2ID), Name: "c2"})
-	rw.WriteToken(xmltok.Token{Kind: xmltok.KindEnd, Name: "root"})
+	writeToken(rw, xmltok.Token{Kind: xmltok.KindStart, Name: "root"})
+	writeToken(rw, xmltok.Token{Kind: xmltok.KindRunPtr, Run: int64(child1ID), Name: "c1"})
+	writeToken(rw, xmltok.Token{Kind: xmltok.KindRunPtr, Run: int64(child2ID), Name: "c2"})
+	writeToken(rw, xmltok.Token{Kind: xmltok.KindEnd, Name: "root"})
 	rw.Close()
 
 	tree, err := s.InspectTree(rootID)
@@ -242,7 +242,7 @@ func TestInspectTree(t *testing.T) {
 func TestInspectTreeCycleDetection(t *testing.T) {
 	s, _ := newStore(t)
 	id, w, _ := s.Create(em.CatSubtreeSort, nil)
-	w.WriteToken(xmltok.Token{Kind: xmltok.KindRunPtr, Run: 0, Name: "self"})
+	writeToken(w, xmltok.Token{Kind: xmltok.KindRunPtr, Run: 0, Name: "self"})
 	w.Close()
 	if _, err := s.InspectTree(id); err == nil {
 		t.Error("self-referential run tree should fail inspection")
@@ -259,7 +259,7 @@ func TestBudgetedReadersWriters(t *testing.T) {
 	if budget.InUse() != 1 {
 		t.Errorf("writer grant = %d", budget.InUse())
 	}
-	w.WriteToken(xmltok.Token{Kind: xmltok.KindText, Text: "x"})
+	writeToken(w, xmltok.Token{Kind: xmltok.KindText, Text: "x"})
 	w.Close()
 	r, err := s.Open(id, budget, 0)
 	if err != nil {
@@ -272,4 +272,19 @@ func TestBudgetedReadersWriters(t *testing.T) {
 	if budget.InUse() != 0 {
 		t.Errorf("leaked %d blocks", budget.InUse())
 	}
+}
+
+// writeToken appends tok's encoding to w.
+func writeToken(w *Writer, tok xmltok.Token) error {
+	return w.Append(xmltok.AppendToken(nil, tok))
+}
+
+// readToken decodes the view of the next token of r.
+func readToken(r *Reader) (xmltok.Token, error) {
+	v, err := r.Next()
+	if err != nil {
+		return xmltok.Token{}, err
+	}
+	var d xmltok.Decoder
+	return d.DecodeToken(v.Bytes())
 }

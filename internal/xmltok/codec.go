@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Binary token codec.
@@ -104,6 +105,8 @@ func EncodedSize(t Token) int {
 type Decoder struct {
 	scratch []byte
 	names   interner
+	view    Encoded // the view ReadEncoded returns
+	enc     []byte  // a straddling token, re-encoded for the view
 }
 
 // ReadToken decodes one token from r. It returns io.EOF cleanly when the
@@ -124,9 +127,10 @@ func (d *Decoder) ReadToken(r io.ByteReader) (Token, error) {
 			}
 			return Token{}, err
 		}
-		if t, n, ok := d.decode(buf); ok {
+		var e Encoded
+		if n, ok := e.Scan(buf); ok {
 			w.Advance(n)
-			return t, nil
+			return d.Decode(&e), nil
 		}
 	}
 	return d.readToken(r)
@@ -137,75 +141,32 @@ func (d *Decoder) ReadToken(r io.ByteReader) (Token, error) {
 // beyond the bytes that are there: a corrupt or truncated token, or bytes
 // after it, is an error.
 func (d *Decoder) DecodeToken(buf []byte) (Token, error) {
-	if len(buf) == 0 {
-		return Token{}, io.ErrUnexpectedEOF
-	}
-	t, n, ok := d.decode(buf)
-	if !ok || n != len(buf) {
+	var e Encoded
+	if n, ok := e.Scan(buf); !ok || n != len(buf) {
+		if len(buf) == 0 {
+			return Token{}, io.ErrUnexpectedEOF
+		}
 		return Token{}, fmt.Errorf("xmltok: corrupt token of %d bytes", len(buf))
 	}
-	return t, nil
-}
-
-// decode decodes the token at the front of buf and returns its encoded
-// length. ok is false when buf does not hold the whole token or the token
-// is corrupt; the streaming path then reads it and reports any corruption.
-func (d *Decoder) decode(buf []byte) (t Token, n int, ok bool) {
-	c := cursor{b: buf, i: 1}
-	kb := buf[0]
-	t.Kind = Kind(kb & kindMask)
-	switch t.Kind {
-	case KindStart:
-		t.Name = d.names.intern(c.bytes())
-		// Every attribute takes at least two bytes, so a count beyond the
-		// window is either corrupt or straddles it.
-		na := c.uvarint()
-		if c.bad || na > uint64(len(buf)) || na > maxStringLen {
-			return Token{}, 0, false
-		}
-		if na > 0 {
-			t.Attrs = make([]Attr, na)
-			for i := range t.Attrs {
-				t.Attrs[i].Name = d.names.intern(c.bytes())
-				t.Attrs[i].Value = string(c.bytes())
-			}
-		}
-	case KindEnd:
-		t.Name = d.names.intern(c.bytes())
-	case KindText:
-		t.Text = string(c.bytes())
-	case KindRunPtr:
-		t.Run = int64(c.uvarint())
-		t.Name = d.names.intern(c.bytes())
-	default:
-		return Token{}, 0, false
-	}
-	if kb&flagHasKey != 0 {
-		t.HasKey = true
-		t.Key = string(c.bytes())
-	}
-	if kb&flagHasLevel != 0 {
-		level := c.uvarint()
-		if level > maxStringLen {
-			return Token{}, 0, false
-		}
-		t.Level = int(level)
-	}
-	if c.bad {
-		return Token{}, 0, false
-	}
-	return t, c.i, true
+	return d.Decode(&e), nil
 }
 
 // cursor reads the fields of an encoded token from a byte slice. bad is
-// set, and stays set, once a field runs past the slice's end.
+// set, and stays set, once a field runs past the slice's end or a string
+// is longer than limit.
 type cursor struct {
-	b   []byte
-	i   int
-	bad bool
+	b     []byte
+	i     int
+	bad   bool
+	limit uint64
 }
 
 func (c *cursor) uvarint() uint64 {
+	// Lengths and counts are mostly under 128: one byte.
+	if c.i < len(c.b) && c.b[c.i] < 0x80 {
+		c.i++
+		return uint64(c.b[c.i-1])
+	}
 	v, n := binary.Uvarint(c.b[c.i:])
 	if n <= 0 {
 		c.bad = true
@@ -215,16 +176,22 @@ func (c *cursor) uvarint() uint64 {
 	return v
 }
 
-// bytes returns the next length-prefixed string, aliasing the slice.
-func (c *cursor) bytes() []byte {
+// span returns the position of the next length-prefixed string.
+func (c *cursor) span() span {
 	n := c.uvarint()
-	if c.bad || n > uint64(len(c.b)-c.i) || n > maxStringLen {
+	if c.bad || n > uint64(len(c.b)-c.i) || n > c.limit {
 		c.bad = true
-		return nil
+		return span{c.i, c.i}
 	}
-	s := c.b[c.i : c.i+int(n)]
+	s := span{c.i, c.i + int(n)}
 	c.i += int(n)
 	return s
+}
+
+// bytes returns the next length-prefixed string, aliasing the slice.
+func (c *cursor) bytes() []byte {
+	s := c.span()
+	return c.b[s.off:s.end]
 }
 
 // readToken is ReadToken's streaming path.
@@ -249,16 +216,17 @@ func (d *Decoder) readToken(r io.ByteReader) (Token, error) {
 		if n > maxStringLen {
 			return Token{}, fmt.Errorf("xmltok: corrupt stream: %d attributes", n)
 		}
-		if n > 0 {
-			t.Attrs = make([]Attr, n)
-			for i := range t.Attrs {
-				if t.Attrs[i].Name, err = d.readString(r); err != nil {
-					return Token{}, mid(err)
-				}
-				if t.Attrs[i].Value, err = d.readString(r); err != nil {
-					return Token{}, mid(err)
-				}
+		// The attributes grow as they arrive: the count is not checked
+		// against the bytes present, so it must not size a buffer.
+		for i := uint64(0); i < n; i++ {
+			var a Attr
+			if a.Name, err = d.readString(r); err != nil {
+				return Token{}, mid(err)
 			}
+			if a.Value, err = d.readString(r); err != nil {
+				return Token{}, mid(err)
+			}
+			t.Attrs = append(t.Attrs, a)
 		}
 	case KindEnd:
 		if t.Name, err = d.readString(r); err != nil {
@@ -336,9 +304,12 @@ func uvarintSize(v uint64) int {
 const maxStringLen = 1 << 26 // 64 MiB
 
 // readString decodes one length-prefixed string into the decoder's scratch
-// buffer (grown on demand, reused across calls); only the final string
-// conversion allocates. Readers that implement io.Reader are filled with
-// one ReadFull instead of a byte-at-a-time loop.
+// buffer (reused across calls); only the final string conversion
+// allocates. The length is not checked against the bytes present, so the
+// scratch grows as they arrive — at most doubling, from stringChunk — and
+// a corrupt length fails at the end of the stream having allocated in
+// proportion to what was there. Readers that implement io.Reader are
+// filled a chunk at a time instead of a byte at a time.
 func (d *Decoder) readString(r io.ByteReader) (string, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
@@ -350,22 +321,32 @@ func (d *Decoder) readString(r io.ByteReader) (string, error) {
 	if n > maxStringLen {
 		return "", fmt.Errorf("xmltok: corrupt stream: string length %d", n)
 	}
-	if cap(d.scratch) < int(n) {
-		d.scratch = make([]byte, n)
-	}
-	buf := d.scratch[:n]
-	if rr, ok := r.(io.Reader); ok {
-		if _, err := io.ReadFull(rr, buf); err != nil {
-			return "", err
+	buf := d.scratch[:0]
+	rr, isReader := r.(io.Reader)
+	for uint64(len(buf)) < n {
+		if len(buf) == cap(buf) {
+			grow := min(n-uint64(len(buf)), uint64(max(len(buf), stringChunk)))
+			buf = slices.Grow(buf, int(grow))
 		}
-	} else {
-		for i := range buf {
-			b, err := r.ReadByte()
-			if err != nil {
+		chunk := buf[len(buf):min(uint64(cap(buf)), n)]
+		if isReader {
+			if _, err := io.ReadFull(rr, chunk); err != nil {
 				return "", err
 			}
-			buf[i] = b
+		} else {
+			for i := range chunk {
+				b, err := r.ReadByte()
+				if err != nil {
+					return "", err
+				}
+				chunk[i] = b
+			}
 		}
+		buf = buf[:len(buf)+len(chunk)]
 	}
+	d.scratch = buf[:0]
 	return string(buf), nil
 }
+
+// stringChunk is the first size readString's scratch grows to.
+const stringChunk = 512

@@ -1,0 +1,208 @@
+package xmltok
+
+import (
+	"encoding/binary"
+	"io"
+)
+
+// Encoded is a view of one binary token in place: its bytes, and where its
+// fields lie in them. After the parser, NEXSORT moves tokens in this form
+// only — the subtree sorts, the key-path records and the output phase read
+// names, keys and run IDs out of the bytes instead of decoding a Token with
+// new strings.
+//
+// A view aliases the bytes it was scanned from. It is valid only as long as
+// they are, and a caller that keeps anything copies the bytes.
+type Encoded struct {
+	b      []byte
+	kind   Kind
+	flags  byte
+	str    span // the name of a start tag, end tag or run pointer; the text of a text token
+	attrs  span // a start tag's attribute pairs, after their count
+	nAttrs int
+	run    int64
+	fields int  // end of the kind-specific fields, where [key] begins
+	key    span // the key's bytes; empty without one
+}
+
+// span is a field's byte range within a token.
+type span struct{ off, end int }
+
+// Scan records the token at the front of buf as the view and returns its
+// encoded length. ok is false when buf does not hold the whole token or the
+// token is corrupt: an unknown kind, a length past the token's end, or an
+// attribute count, string length or level over the decoder's limit —
+// exactly the tokens the decoder rejects given the same bytes. Scan
+// allocates nothing.
+func (e *Encoded) Scan(buf []byte) (n int, ok bool) {
+	return e.scan(buf, maxStringLen)
+}
+
+// scan is Scan with the length limit as a parameter: the writer scans
+// tokens it has just encoded, whose strings the parser does not bound.
+func (e *Encoded) scan(buf []byte, limit uint64) (n int, ok bool) {
+	if len(buf) == 0 {
+		return 0, false
+	}
+	c := cursor{b: buf, i: 1, limit: limit}
+	e.kind = Kind(buf[0] & kindMask)
+	e.flags = buf[0] &^ kindMask
+	e.nAttrs, e.run = 0, 0
+	e.attrs = span{}
+	switch e.kind {
+	case KindStart:
+		e.str = c.span()
+		na := c.uvarint()
+		if c.bad || na > limit {
+			return 0, false
+		}
+		e.attrs.off = c.i
+		for i := uint64(0); i < na && !c.bad; i++ {
+			c.span()
+			c.span()
+		}
+		e.attrs.end = c.i
+		e.nAttrs = int(na)
+	case KindEnd:
+		e.str = c.span()
+	case KindText:
+		e.str = c.span()
+	case KindRunPtr:
+		e.run = int64(c.uvarint())
+		e.str = c.span()
+	default:
+		return 0, false
+	}
+	e.fields = c.i
+	e.key = span{c.i, c.i}
+	if e.flags&flagHasKey != 0 {
+		e.key = c.span()
+	}
+	if e.flags&flagHasLevel != 0 {
+		if level := c.uvarint(); level > limit {
+			return 0, false
+		}
+	}
+	if c.bad {
+		return 0, false
+	}
+	e.b = buf[:c.i]
+	return c.i, true
+}
+
+// Bytes returns the token's encoding.
+func (e *Encoded) Bytes() []byte { return e.b }
+
+// Kind returns the token's kind.
+func (e *Encoded) Kind() Kind { return e.kind }
+
+// Name returns the tag name of a start tag, end tag or run pointer.
+func (e *Encoded) Name() []byte {
+	if e.kind == KindText {
+		return nil
+	}
+	return e.b[e.str.off:e.str.end]
+}
+
+// Text returns a text token's character data.
+func (e *Encoded) Text() []byte {
+	if e.kind != KindText {
+		return nil
+	}
+	return e.b[e.str.off:e.str.end]
+}
+
+// Run returns a run pointer's run ID.
+func (e *Encoded) Run() int64 { return e.run }
+
+// HasKey reports whether the token carries an ordering key.
+func (e *Encoded) HasKey() bool { return e.flags&flagHasKey != 0 }
+
+// Key returns the token's ordering key, empty when it has none.
+func (e *Encoded) Key() []byte { return e.b[e.key.off:e.key.end] }
+
+// AppendWithKey appends the token re-keyed: key replaces any key it has,
+// and any nesting level is dropped. For a token AppendToken wrote, the
+// bytes are AppendToken's for the token with Key = key, HasKey set and
+// Level 0.
+func (e *Encoded) AppendWithKey(dst, key []byte) []byte {
+	dst = append(dst, byte(e.kind)|flagHasKey)
+	dst = append(dst, e.b[1:e.fields]...)
+	dst = binary.AppendUvarint(dst, uint64(len(key)))
+	return append(dst, key...)
+}
+
+// AppendEnd appends the key-less end tag that closes a start tag: the bytes
+// AppendToken writes for Token{Kind: KindEnd, Name: name}.
+func (e *Encoded) AppendEnd(dst []byte) []byte {
+	name := e.Name()
+	dst = append(dst, byte(KindEnd))
+	dst = binary.AppendUvarint(dst, uint64(len(name)))
+	return append(dst, name...)
+}
+
+// Decode materializes a view as a Token, interning names.
+func (d *Decoder) Decode(e *Encoded) Token {
+	t := Token{Kind: e.kind}
+	switch e.kind {
+	case KindStart:
+		t.Name = d.names.intern(e.Name())
+		if e.nAttrs > 0 {
+			c := cursor{b: e.b[:e.attrs.end], i: e.attrs.off, limit: maxStringLen}
+			t.Attrs = make([]Attr, e.nAttrs)
+			for i := range t.Attrs {
+				t.Attrs[i].Name = d.names.intern(c.bytes())
+				t.Attrs[i].Value = string(c.bytes())
+			}
+		}
+	case KindEnd:
+		t.Name = d.names.intern(e.Name())
+	case KindText:
+		t.Text = string(e.Text())
+	case KindRunPtr:
+		t.Run = e.run
+		t.Name = d.names.intern(e.Name())
+	}
+	if e.HasKey() {
+		t.HasKey = true
+		t.Key = string(e.Key())
+	}
+	if e.flags&flagHasLevel != 0 {
+		c := cursor{b: e.b, i: e.key.end, limit: maxStringLen}
+		t.Level = int(c.uvarint())
+	}
+	return t
+}
+
+// ReadEncoded returns a view of the next token of r, io.EOF at a clean end
+// of the stream and io.ErrUnexpectedEOF inside a token. The view is valid
+// until the next call.
+//
+// When r is a WindowReader and the whole token lies in its window, the
+// token is scanned there and r is advanced past it in one step. A token
+// that straddles the window's end, a corrupt one, or one from any other
+// reader goes through ReadToken's streaming path: it reports the same
+// errors, and the view is the token re-encoded, which for a token
+// AppendToken wrote is the same bytes.
+func (d *Decoder) ReadEncoded(r io.ByteReader) (*Encoded, error) {
+	if w, ok := r.(WindowReader); ok {
+		buf, err := w.Window()
+		if len(buf) == 0 {
+			if err == nil {
+				err = io.ErrNoProgress
+			}
+			return nil, err
+		}
+		if n, ok := d.view.Scan(buf); ok {
+			w.Advance(n)
+			return &d.view, nil
+		}
+	}
+	t, err := d.readToken(r)
+	if err != nil {
+		return nil, err
+	}
+	d.enc = AppendToken(d.enc[:0], t)
+	d.view.Scan(d.enc)
+	return &d.view, nil
+}

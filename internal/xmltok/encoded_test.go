@@ -1,0 +1,225 @@
+package xmltok
+
+import (
+	"bytes"
+	"encoding/binary"
+	"io"
+	"reflect"
+	"runtime"
+	"testing"
+)
+
+// corruptCounts are encoded tokens whose counts claim far more bytes than
+// follow them: an attribute count of 2^26-1, a text length of 2^26-1, and
+// an attribute count of 20,000 at the head of a 64 KiB window whose first
+// attribute name claims 2^28-1 bytes.
+func corruptCounts() map[string][]byte {
+	window := []byte{byte(KindStart), 1, 'a'}
+	window = binary.AppendUvarint(window, 20000)
+	window = append(window, 0xff, 0xff, 0xff, 0x7f)
+	window = append(window, make([]byte, 64<<10-len(window))...)
+	return map[string][]byte{
+		"attribute count": {byte(KindStart), 1, 'a', 0xff, 0xff, 0xff, 0x1f},
+		"text length":     {byte(KindText), 0xff, 0xff, 0xff, 0x1f},
+		"window attrs":    window,
+	}
+}
+
+// TestCorruptTokenCountsDoNotAllocate: a corrupt count must fail after
+// allocating in proportion to the bytes present, not to the count it
+// claims — through a plain reader, one-byte windows and a whole-buffer
+// window, and through both ReadToken and ReadEncoded.
+func TestCorruptTokenCountsDoNotAllocate(t *testing.T) {
+	readers := map[string]func([]byte) io.ByteReader{
+		"plain reader":        func(in []byte) io.ByteReader { return bytes.NewReader(in) },
+		"one-byte windows":    func(in []byte) io.ByteReader { return &chunkWindow{data: in, k: 1} },
+		"whole-buffer window": func(in []byte) io.ByteReader { return &chunkWindow{data: in, k: len(in) + 1} },
+	}
+	// The bytes are averaged over several calls, so that an allocation
+	// elsewhere in the process while they run cannot fail the test.
+	const limit, calls = 64 << 10, 20
+	for input, in := range corruptCounts() {
+		for reader, open := range readers {
+			entries := map[string]func(io.ByteReader) error{
+				"ReadToken": func(r io.ByteReader) error {
+					var d Decoder
+					_, err := d.ReadToken(r)
+					return err
+				},
+				"ReadEncoded": func(r io.ByteReader) error {
+					var d Decoder
+					_, err := d.ReadEncoded(r)
+					return err
+				},
+			}
+			for entry, call := range entries {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				var err error
+				for i := 0; i < calls; i++ {
+					err = call(open(in))
+				}
+				runtime.ReadMemStats(&after)
+				if err == nil {
+					t.Errorf("%s, %s, %s: accepted a corrupt token", input, reader, entry)
+				}
+				if n := (after.TotalAlloc - before.TotalAlloc) / calls; n > limit {
+					t.Errorf("%s, %s, %s: allocated %d bytes per call, want at most %d", input, reader, entry, n, limit)
+				}
+			}
+		}
+	}
+}
+
+// TestReadEncodedMatchesDecoder reads a token stream as views through
+// windows of every width, so that each token both lies inside a window and
+// straddles its edge somewhere: every view must be the token's own bytes,
+// and the run must end where the decoder's does.
+func TestReadEncodedMatchesDecoder(t *testing.T) {
+	var stream []byte
+	var want [][]byte
+	for _, tok := range encodedSeedTokens() {
+		enc := AppendToken(nil, tok)
+		want = append(want, enc)
+		stream = append(stream, enc...)
+	}
+	for k := 1; k <= len(stream)+1; k++ {
+		r := &chunkWindow{data: stream, k: k}
+		var d Decoder
+		for i := 0; ; i++ {
+			v, err := d.ReadEncoded(r)
+			if err == io.EOF {
+				if i != len(want) {
+					t.Fatalf("k=%d: %d tokens, want %d", k, i, len(want))
+				}
+				break
+			}
+			if err != nil {
+				t.Fatalf("k=%d token %d: %v", k, i, err)
+			}
+			if !bytes.Equal(v.Bytes(), want[i]) {
+				t.Fatalf("k=%d token %d: view %x, want %x", k, i, v.Bytes(), want[i])
+			}
+		}
+	}
+	// A truncated stream fails as the decoder fails it.
+	cut := stream[:len(stream)-1]
+	var d Decoder
+	_, wantErr := decodeAll(bytes.NewReader(cut))
+	r := &chunkWindow{data: cut, k: 3}
+	var err error
+	for err == nil {
+		_, err = d.ReadEncoded(r)
+	}
+	if errString(err) != errString(wantErr) {
+		t.Errorf("truncated stream: %v, decoder gives %v", err, wantErr)
+	}
+}
+
+// encodedSeedTokens are tokens that exercise every field of the view: a
+// level, a key on an end tag, a run pointer, and text and attribute values
+// that need escaping.
+func encodedSeedTokens() []Token {
+	return []Token{
+		{Kind: KindStart, Name: "a", Attrs: []Attr{{"x", `1&2<3>4"5`}, {"y", ""}}, Key: "k", HasKey: true},
+		{Kind: KindText, Text: `a & b < c > d "e"`},
+		{Kind: KindStart, Name: "b", Level: 3},
+		{Kind: KindRunPtr, Run: 7, Name: "r", Key: "rk", HasKey: true},
+		{Kind: KindEnd, Name: "b", Key: "end-key", HasKey: true},
+		{Kind: KindEnd, Name: "a"},
+	}
+}
+
+// FuzzEncoded checks the token view against the decoder on arbitrary
+// bytes, token by token: Scan must give the decoder's verdict and token
+// length; an accepted view must have the decoded kind, key and run ID; the
+// writer must serialize it exactly as it serializes the decoded token with
+// the key dropped, compact and indented; and the view's two re-encodings
+// must be AppendToken's for the correspondingly edited token. Non-minimal
+// varints are accepted by both the decoder and the view and are copied by
+// the re-encodings, so for a token AppendToken would not write byte for
+// byte, the re-encodings must decode to the edited token instead.
+func FuzzEncoded(f *testing.F) {
+	var stream []byte
+	for _, tok := range encodedSeedTokens() {
+		enc := AppendToken(nil, tok)
+		f.Add(enc)
+		stream = append(stream, enc...)
+	}
+	f.Add(stream)
+	corrupt := corruptCounts()
+	f.Add(corrupt["attribute count"])
+	f.Add(corrupt["text length"])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var compact, indented, wantCompact, wantIndented bytes.Buffer
+		writers := []struct{ got, want *Writer }{
+			{NewWriter(&compact), NewWriter(&wantCompact)},
+			{NewIndentWriter(&indented, "  "), NewIndentWriter(&wantIndented, "  ")},
+		}
+		var d Decoder
+		for off := 0; off < len(data); {
+			var v Encoded
+			n, ok := v.Scan(data[off:])
+			r := bytes.NewReader(data[off:])
+			tok, err := d.ReadToken(r)
+			if ok != (err == nil) {
+				t.Fatalf("at byte %d: Scan ok=%v, decoder %v", off, ok, err)
+			}
+			if !ok {
+				break
+			}
+			if consumed := len(data) - off - r.Len(); n != consumed {
+				t.Fatalf("at byte %d: Scan length %d, decoder read %d", off, n, consumed)
+			}
+			if v.Kind() != tok.Kind || v.HasKey() != tok.HasKey || string(v.Key()) != tok.Key || v.Run() != tok.Run {
+				t.Fatalf("at byte %d: view kind %v key %v %q run %d, decoded %+v",
+					off, v.Kind(), v.HasKey(), v.Key(), v.Run(), tok)
+			}
+			bare := tok
+			bare.HasKey, bare.Key = false, ""
+			for _, w := range writers {
+				errGot, errWant := w.got.WriteEncoded(&v), w.want.WriteToken(bare)
+				if errString(errGot) != errString(errWant) {
+					t.Fatalf("at byte %d: WriteEncoded %v, WriteToken %v", off, errGot, errWant)
+				}
+			}
+
+			canonical := bytes.Equal(AppendToken(nil, tok), v.Bytes())
+			rekeyed := tok
+			rekeyed.Key, rekeyed.HasKey, rekeyed.Level = "new&key", true, 0
+			checkReencoding(t, "AppendWithKey", v.AppendWithKey(nil, []byte(rekeyed.Key)), rekeyed, canonical)
+			if tok.Kind == KindStart {
+				end := Token{Kind: KindEnd, Name: tok.Name}
+				checkReencoding(t, "AppendEnd", v.AppendEnd(nil), end, true)
+			}
+			off += n
+		}
+		for _, w := range writers {
+			if errString(w.got.Close()) != errString(w.want.Close()) {
+				t.Fatal("Close verdicts differ")
+			}
+		}
+		if compact.String() != wantCompact.String() || indented.String() != wantIndented.String() {
+			t.Fatalf("WriteEncoded wrote %q / %q, WriteToken %q / %q",
+				compact.String(), indented.String(), wantCompact.String(), wantIndented.String())
+		}
+	})
+}
+
+// checkReencoding compares a view's re-encoding with AppendToken of the
+// edited token: byte for byte when the view's own bytes were canonical,
+// and after decoding otherwise.
+func checkReencoding(t *testing.T, name string, got []byte, want Token, canonical bool) {
+	t.Helper()
+	if canonical {
+		if w := AppendToken(nil, want); !bytes.Equal(got, w) {
+			t.Fatalf("%s wrote %x, AppendToken %x", name, got, w)
+		}
+		return
+	}
+	var d Decoder
+	back, err := d.DecodeToken(got)
+	if err != nil || !reflect.DeepEqual(back, want) {
+		t.Fatalf("%s wrote %x, decoding to %+v (%v), want %+v", name, got, back, err, want)
+	}
+}

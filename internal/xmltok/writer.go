@@ -21,6 +21,10 @@ type Writer struct {
 	textInRow bool
 	buf       []byte
 	err       error
+
+	// enc and view hold a token WriteToken encodes for WriteEncoded.
+	enc  []byte
+	view Encoded
 }
 
 // NewWriter writes compact XML (no added whitespace) to w.
@@ -55,22 +59,42 @@ func (w *Writer) appendNewlineIndent(b []byte, depth int) []byte {
 
 // WriteToken appends one token to the document. Run-pointer tokens are
 // rejected — they are internal to the binary codec and must be resolved
-// before serialization.
+// before serialization. The token is encoded into the writer's scratch and
+// written by WriteEncoded, so both entry points share one serializer.
 func (w *Writer) WriteToken(t Token) error {
 	if w.err != nil {
 		return w.err
 	}
-	b := w.buf[:0]
 	switch t.Kind {
+	case KindStart, KindEnd, KindText:
+	default:
+		return fmt.Errorf("xmltok: cannot serialize %v token", t.Kind)
+	}
+	t.HasKey, t.Key, t.Level = false, "", 0
+	w.enc = AppendToken(w.enc[:0], t)
+	w.view.scan(w.enc, ^uint64(0))
+	return w.WriteEncoded(&w.view)
+}
+
+// WriteEncoded appends one encoded token to the document, taking names,
+// attribute values and text straight from its bytes; ordering keys are
+// ignored. Run pointers are rejected, as by WriteToken.
+func (w *Writer) WriteEncoded(e *Encoded) error {
+	if w.err != nil {
+		return w.err
+	}
+	b := w.buf[:0]
+	switch e.Kind() {
 	case KindStart:
 		b = w.appendNewlineIndent(b, w.depth)
 		b = append(b, '<')
-		b = append(b, t.Name...)
-		for _, a := range t.Attrs {
+		b = append(b, e.Name()...)
+		c := cursor{b: e.b[:e.attrs.end], i: e.attrs.off, limit: ^uint64(0)}
+		for range e.nAttrs {
 			b = append(b, ' ')
-			b = append(b, a.Name...)
+			b = append(b, c.bytes()...)
 			b = append(b, '=', '"')
-			b = appendEscaped(b, a.Value, true)
+			b = appendEscaped(b, c.bytes(), true)
 			b = append(b, '"')
 		}
 		b = append(b, '>')
@@ -78,7 +102,7 @@ func (w *Writer) WriteToken(t Token) error {
 	case KindEnd:
 		w.depth--
 		if w.depth < 0 {
-			return fmt.Errorf("xmltok: end tag </%s> with no open element", t.Name)
+			return fmt.Errorf("xmltok: end tag </%s> with no open element", e.Name())
 		}
 		// Keep </a> on the same line when the element contained only
 		// text (or nothing).
@@ -86,16 +110,16 @@ func (w *Writer) WriteToken(t Token) error {
 			b = w.appendNewlineIndent(b, w.depth)
 		}
 		b = append(b, '<', '/')
-		b = append(b, t.Name...)
+		b = append(b, e.Name()...)
 		b = append(b, '>')
 	case KindText:
-		b = appendEscaped(b, t.Text, false)
+		b = appendEscaped(b, e.Text(), false)
 	default:
-		return fmt.Errorf("xmltok: cannot serialize %v token", t.Kind)
+		return fmt.Errorf("xmltok: cannot serialize %v token", e.Kind())
 	}
 	w.flush(b)
-	w.textInRow = t.Kind == KindText
-	w.lastKind = t.Kind
+	w.textInRow = e.Kind() == KindText
+	w.lastKind = e.Kind()
 	w.wroteAny = true
 	return w.err
 }
@@ -121,7 +145,7 @@ func (w *Writer) Close() error {
 // appendEscaped appends s to dst with the markup characters replaced by
 // entity references: &, < and > in text; &, < and " in attribute values.
 // Runs between them are copied whole.
-func appendEscaped(dst []byte, s string, attr bool) []byte {
+func appendEscaped(dst []byte, s []byte, attr bool) []byte {
 	mask := escText
 	if attr {
 		mask = escAttr

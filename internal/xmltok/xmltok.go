@@ -3,7 +3,10 @@
 // Line 2 "loop ... can be implemented using a simple event-based XML parser"
 // calls for), a serializer that turns the event stream back into a textual
 // document, and a compact binary codec used to spool events through
-// external-memory structures (the data stack and sorted runs).
+// external-memory structures (the data stack and sorted runs). After the
+// parser, tokens move as their encoding: Encoded is a view of one encoded
+// token in place, which the sorters index, re-key and copy, and which the
+// writer serializes, without decoding it into a Token.
 //
 // The parser handles the XML subset relevant to data-centric documents:
 // elements, attributes with single- or double-quoted values, character data,

@@ -2,8 +2,9 @@
 //
 //   - as the paper's "internal-memory recursive sort" (Section 1): build a
 //     DOM-like tree, recursively sort every element's child list, and emit —
-//     both the correctness oracle for the external algorithms and the
-//     subtree sorter NEXSORT's Line 11 uses when a subtree fits in memory;
+//     the correctness oracle for the external algorithms, the in-memory
+//     algorithm, and the reference that NEXSORT's own Line 11 sorter (the
+//     encoded-token sorter in internal/core) must match byte for byte;
 //
 //   - as a test utility: deep equality, canonical serialization, and shape
 //     statistics (element count, height, maximum fan-out k) that the
