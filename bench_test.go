@@ -218,33 +218,6 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 	}
 }
 
-// BenchmarkOverlapPipeline regenerates the asynchronous-I/O experiment on a
-// file-backed scratch device with simulated device latency. The custom
-// metrics carry the experiment's finding — the best wall-clock speedup over
-// the synchronous baseline per algorithm; the logical-ledger invariance is
-// hard-checked inside bench.Overlap itself, which fails the benchmark if
-// any pipeline depth moves the counted block transfers.
-func BenchmarkOverlapPipeline(b *testing.B) {
-	dir := b.TempDir()
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Overlap(bench.OverlapConfig{Scale: benchScale, ScratchDir: dir})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var bestNex, bestMerge float64 = 1, 1
-		for _, r := range rows {
-			switch {
-			case r.Algo == bench.AlgoNEXSORT.String() && r.Speedup > bestNex:
-				bestNex = r.Speedup
-			case r.Algo == bench.AlgoMergeSort.String() && r.Speedup > bestMerge:
-				bestMerge = r.Speedup
-			}
-		}
-		b.ReportMetric(bestNex, "nexsort-speedup")
-		b.ReportMetric(bestMerge, "mergesort-speedup")
-	}
-}
-
 // BenchmarkPartitionedMerge drives the range-partitioned final merge sweep
 // (DESIGN.md §17) under simulated device latency. The experiment
 // hard-fails if any partition count changes the output bytes or moves the

@@ -71,12 +71,7 @@ func TestCancelAnywhereSoak(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/p%d", algo, p), func(t *testing.T) {
 				// The p=2 leg runs the whole sweep with the spill codec in
 				// the stack, so cancellation is proven under compression as
-				// well as over the plain backend. The p>1 legs additionally
-				// run with the async engine's pipelines on (the p=1 leg pins
-				// the synchronous paths): triggers then land inside queued
-				// write-behind flushes and in-flight prefetches, and the
-				// drain — at most two extra engine-side operations — must
-				// stay inside the same promptness bound. The p>1 legs also
+				// well as over the plain backend. The p>1 legs also
 				// range-partition every final merge, so triggers land inside
 				// fence-index spills and reads, the planner's cut scans, and
 				// concurrent partition workers — all of which must unwind
@@ -84,7 +79,6 @@ func TestCancelAnywhereSoak(t *testing.T) {
 				// workers are ordinary pool workers, so K is unchanged).
 				env := cancelEnv(p, p == 2)
 				if p > 1 {
-					env.ReadAhead, env.WriteBehind = p/2, p/2
 					env.MergeParallel = p
 				}
 				clean := chaostest.RunCancel(doc, crit, chaostest.CancelTrial{
@@ -131,33 +125,21 @@ func TestCancelAnywhereSoak(t *testing.T) {
 								trigger, o.BudgetInUse, o.FramesLive, o.CodecFramesLive, o.Err)
 						}
 						if !o.Fired {
-							// With the pipelines on, a handful of tail
-							// backend reads are timing-dependent — a wasted
-							// prefetch may or may not reach the backend — so
-							// a trigger aimed at the clean run's very last
-							// ops can land beyond this trial's count. The
-							// only acceptable outcome is then a clean,
-							// byte-identical completion; on a synchronous
-							// env a missed trigger is a real miscount.
-							async := env.ReadAhead+env.WriteBehind > 0
-							if !async || o.Err != nil || !bytes.Equal(o.Output, clean.Output) {
-								t.Fatalf("N=%d <= total=%d but the trigger never fired (err=%v)",
-									trigger, total, o.Err)
-							}
-						} else {
-							if o.Err == nil {
-								t.Fatalf("N=%d: sort claims success after its context was canceled", trigger)
-							}
-							if !errors.Is(o.Err, context.Canceled) {
-								t.Fatalf("N=%d: error does not match context.Canceled: %v", trigger, o.Err)
-							}
-							if after := o.OpsAfterTrigger(chaostest.CancelTrial{TriggerOp: trigger}); after > k {
-								t.Fatalf("N=%d: %d device ops at or after the trigger, bound is %d",
-									trigger, after, k)
-							}
-							canceled++
-							totalCanceled += o.Stats.TotalCanceled()
+							t.Fatalf("N=%d <= total=%d but the trigger never fired (err=%v)",
+								trigger, total, o.Err)
 						}
+						if o.Err == nil {
+							t.Fatalf("N=%d: sort claims success after its context was canceled", trigger)
+						}
+						if !errors.Is(o.Err, context.Canceled) {
+							t.Fatalf("N=%d: error does not match context.Canceled: %v", trigger, o.Err)
+						}
+						if after := o.OpsAfterTrigger(chaostest.CancelTrial{TriggerOp: trigger}); after > k {
+							t.Fatalf("N=%d: %d device ops at or after the trigger, bound is %d",
+								trigger, after, k)
+						}
+						canceled++
+						totalCanceled += o.Stats.TotalCanceled()
 						if trigger == total {
 							break // the edge case is the same for every n
 						}
@@ -179,28 +161,10 @@ func TestCancelAnywhereSoak(t *testing.T) {
 				if !bytes.Equal(rerun.Output, clean.Output) {
 					t.Fatal("re-run output differs from the pre-soak clean run")
 				}
-				// With the pipelines on, the backend-op total and a few
-				// counters are the pipeline's own timing-dependent traffic
-				// (wasted prefetches may or may not reach the backend, and
-				// flush stalls depend on queue timing); the logical ledger
-				// — the paper's accounting — must still match exactly.
-				async := env.ReadAhead+env.WriteBehind > 0
-				if !async && rerun.TotalOps != total {
+				if rerun.TotalOps != total {
 					t.Fatalf("re-run performed %d device ops, clean run %d", rerun.TotalOps, total)
 				}
-				settle := func(m map[string]em.IOCount) map[string]em.IOCount {
-					if !async {
-						return m
-					}
-					out := make(map[string]em.IOCount, len(m))
-					for cat, c := range m {
-						c.PrefetchHits, c.PrefetchWasted, c.FlushStalls = 0, 0, 0
-						c.PhysReads, c.PhysReadBytes = 0, 0
-						out[cat] = c
-					}
-					return out
-				}
-				if !reflect.DeepEqual(settle(rerun.Stats.Snapshot()), settle(clean.Stats.Snapshot())) {
+				if !reflect.DeepEqual(rerun.Stats.Snapshot(), clean.Stats.Snapshot()) {
 					t.Fatalf("re-run I/O accounting differs:\nclean: %v\nrerun: %v",
 						clean.Stats.Snapshot(), rerun.Stats.Snapshot())
 				}
@@ -218,7 +182,7 @@ func TestCancelAnywhereSoak(t *testing.T) {
 // operation: every later write fails with ENOSPC-like exhaustion. The
 // sort must either fail with the typed ErrScratchExhausted (leak-free) or
 // — when the trigger lands after its last scratch write — complete with
-// byte-identical output.
+// byte-identical output, the same operation count and the same ledger.
 func TestExhaustAnywhereSoak(t *testing.T) {
 	doc, _, err := chaostest.Doc(400, 5, 7)
 	if err != nil {
@@ -230,16 +194,13 @@ func TestExhaustAnywhereSoak(t *testing.T) {
 		for _, p := range []int{1, 8} {
 			t.Run(fmt.Sprintf("%v/p%d", algo, p), func(t *testing.T) {
 				// The p=8 leg exhausts the device underneath the spill
-				// codec, with the async pipelines on and the final merges
-				// range-partitioned: a compressed write-behind flush hitting
-				// ENOSPC must surface the same typed error at the
-				// submitter's next touch point, with no codec scratch
-				// pinned and no engine frame leaked — and exhaustion inside
+				// codec, with the final merges range-partitioned: a
+				// compressed write hitting ENOSPC must surface the typed
+				// error with no codec scratch pinned — and exhaustion inside
 				// a fence-index spill, a preallocated output segment, or a
 				// concurrent partition worker must unwind exactly as clean.
 				env := cancelEnv(p, p == 8)
 				if p == 8 {
-					env.ReadAhead, env.WriteBehind = 3, 3
 					env.MergeParallel = p
 				}
 				clean := chaostest.RunCancel(doc, crit, chaostest.CancelTrial{Algorithm: algo, Env: env})
@@ -247,6 +208,7 @@ func TestExhaustAnywhereSoak(t *testing.T) {
 					t.Fatalf("clean run failed: %v", clean.Err)
 				}
 				total := clean.TotalOps
+				wantIOs := clean.Stats.Snapshot()
 
 				stride := total / 20
 				if stride < 1 {
@@ -260,6 +222,9 @@ func TestExhaustAnywhereSoak(t *testing.T) {
 					if o.PanicValue != nil {
 						t.Fatalf("N=%d: sort panicked: %v", n, o.PanicValue)
 					}
+					if !o.Fired {
+						t.Fatalf("N=%d <= total=%d but the trigger never fired (err=%v)", n, total, o.Err)
+					}
 					if o.BudgetInUse != 0 || o.FramesLive != 0 || o.CodecFramesLive != 0 {
 						t.Fatalf("N=%d: leak after unwind: %d budget blocks, %d frames, %d codec frames (err=%v)",
 							n, o.BudgetInUse, o.FramesLive, o.CodecFramesLive, o.Err)
@@ -269,6 +234,12 @@ func TestExhaustAnywhereSoak(t *testing.T) {
 						completed++
 						if !bytes.Equal(o.Output, clean.Output) {
 							t.Fatalf("N=%d: exhaustion trial completed with wrong bytes", n)
+						}
+						if o.TotalOps != total {
+							t.Fatalf("N=%d: completed trial performed %d device ops, clean run %d", n, o.TotalOps, total)
+						}
+						if got := o.Stats.Snapshot(); !reflect.DeepEqual(got, wantIOs) {
+							t.Fatalf("N=%d: completed trial's I/O accounting differs:\nclean: %v\ntrial: %v", n, wantIOs, got)
 						}
 					case em.IsExhausted(o.Err):
 						failed++
@@ -287,6 +258,17 @@ func TestExhaustAnywhereSoak(t *testing.T) {
 				}
 				if exhaustCounted == 0 {
 					t.Error("no failed trial counted an exhausted write in its stats")
+				}
+
+				rerun := chaostest.RunCancel(doc, crit, chaostest.CancelTrial{Algorithm: algo, Env: env})
+				if rerun.Err != nil || !bytes.Equal(rerun.Output, clean.Output) {
+					t.Fatalf("re-run after the sweep failed or differs: err=%v", rerun.Err)
+				}
+				if rerun.TotalOps != total {
+					t.Fatalf("re-run performed %d device ops, clean run %d", rerun.TotalOps, total)
+				}
+				if got := rerun.Stats.Snapshot(); !reflect.DeepEqual(got, wantIOs) {
+					t.Fatalf("re-run I/O accounting differs:\nclean: %v\nrerun: %v", wantIOs, got)
 				}
 				t.Logf("p=%d: %d exhausted with typed error, %d completed past their last write",
 					p, failed, completed)
@@ -307,13 +289,11 @@ func TestCancelScratchClean(t *testing.T) {
 	dir := t.TempDir()
 
 	for _, algo := range chaostest.Algorithms {
-		// Compressed, with the async pipelines on and partitioned final
-		// merges: the scratch file's cleanup must be just as oblivious to
-		// the spill representation, the pipeline depth and the merge
-		// partitioning (fence-index streams included) as to the trigger
-		// point.
+		// Compressed, with partitioned final merges: the scratch file's
+		// cleanup must be just as oblivious to the spill representation and
+		// the merge partitioning (fence-index streams included) as to the
+		// trigger point.
 		env := cancelEnv(2, true)
-		env.ReadAhead, env.WriteBehind = 2, 2
 		env.MergeParallel = 2
 		env.ScratchDir = dir
 		clean := chaostest.RunCancel(doc, crit, chaostest.CancelTrial{Algorithm: algo, Env: env})
@@ -396,9 +376,7 @@ func TestDeadlinePropagation(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; ; i++ {
-			deadlineEnv := cancelEnv(2, true)
-			deadlineEnv.ReadAhead, deadlineEnv.WriteBehind = 2, 2
-			env, err := em.NewEnvContext(ctx, deadlineEnv)
+			env, err := em.NewEnvContext(ctx, cancelEnv(2, true))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -410,9 +388,7 @@ func TestDeadlinePropagation(t *testing.T) {
 			if live := env.SpillCodecFramesLive(); live != 0 {
 				t.Fatalf("iteration %d: %d codec scratch frames live after sort (err=%v)", i, live, sortErr)
 			}
-			// The engine's pipeline grant lives until Close by design; the
-			// algorithm's own residency is what must be zero here.
-			if inUse := env.Budget.InUse() - env.InfraGrantBlocks(); inUse != 0 {
+			if inUse := env.Budget.InUse(); inUse != 0 {
 				t.Fatalf("iteration %d: %d budget blocks in use after sort (err=%v)", i, inUse, sortErr)
 			}
 			env.Close()

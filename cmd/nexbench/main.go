@@ -36,7 +36,7 @@ var jsonOut bool
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment: table1|table2|fig5|fig6|fig7|threshold|bounds|ablation|parallel|alloc|cmp|spill|overlap|pmerge|all")
+		exp       = flag.String("exp", "all", "experiment: table1|table2|fig5|fig6|fig7|threshold|bounds|ablation|parallel|alloc|cmp|spill|pmerge|all")
 		scale     = flag.Float64("scale", 1.0, "input size multiplier (1.0 ≈ seconds per experiment)")
 		scratch   = flag.String("scratch", "", "scratch directory for workloads and spill (default: memory-backed spill, temp-dir workloads)")
 		seed      = flag.Int64("seed", 1, "workload seed")
@@ -48,10 +48,7 @@ func main() {
 		cmpOut    = flag.String("cmp-out", "BENCH_cmp.json", "output path for the cmp experiment's machine-readable rows")
 		compress  = flag.Bool("spill-compress", false, "front-code and deflate spill blocks in every experiment environment; logical block transfers are unchanged")
 		spillOut  = flag.String("spill-out", "BENCH_spill.json", "output path for the spill experiment's machine-readable rows")
-		overlapO  = flag.String("overlap-out", "BENCH_overlap.json", "output path for the overlap experiment's machine-readable rows")
 		pmergeO   = flag.String("pmerge-out", "BENCH_pmerge.json", "output path for the pmerge experiment's machine-readable rows")
-		readAhead = flag.Int("read-ahead", 0, "read-ahead depth for every experiment environment (0 = synchronous); counted block transfers are unaffected")
-		writeBeh  = flag.Int("write-behind", 0, "write-behind depth for every experiment environment (0 = synchronous); counted block transfers are unaffected")
 		mergePar  = flag.Int("merge-parallel", 0, "final-merge partition count for every experiment environment (0 = serial); output bytes are unaffected and counted block transfers gain only the fence-index side stream")
 	)
 	flag.Parse()
@@ -65,8 +62,6 @@ func main() {
 	}
 	bench.Hardening.CompressSpill = *compress
 	bench.DefaultParallelism = *parallel
-	bench.DefaultReadAhead = *readAhead
-	bench.DefaultWriteBehind = *writeBeh
 	bench.DefaultMergeParallel = *mergePar
 
 	dir := *scratch
@@ -241,34 +236,6 @@ func main() {
 			}
 			if !jsonOut {
 				fmt.Printf("(spill-format rows written to %s)\n", *spillOut)
-			}
-			return nil
-		})
-	}
-
-	if want("overlap") {
-		ran = true
-		run("Asynchronous I/O engine (wall clock vs pipeline depth)", func() error {
-			rows, err := bench.Overlap(bench.OverlapConfig{Scale: s, ScratchDir: dir, Seed: *seed})
-			if err != nil {
-				return err
-			}
-			printTable(bench.OverlapTable(rows))
-			f, err := os.Create(*overlapO)
-			if err != nil {
-				return err
-			}
-			enc := json.NewEncoder(f)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(rows); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			if !jsonOut {
-				fmt.Printf("(overlap rows written to %s)\n", *overlapO)
 			}
 			return nil
 		})

@@ -44,11 +44,8 @@ func main() {
 		retryMax  = flag.Duration("retry-max-delay", 0, "cap on the retry backoff (0 = uncapped)")
 		quota     = flag.Int64("scratch-quota", 0, "fail with a scratch-exhausted error once spill storage exceeds this many blocks (0 = unlimited)")
 		compress  = flag.Bool("spill-compress", false, "front-code and deflate spill blocks on the scratch device; counted logical I/Os are unchanged, physical scratch bytes shrink")
-		readAhead = flag.Int("read-ahead", 0, "prefetch up to this many upcoming blocks per stream on a background worker (0 = synchronous reads); the counted logical I/Os are identical at every depth")
-		writeBeh  = flag.Int("write-behind", 0, "hand full blocks to a background flusher and keep computing, up to this queue depth (0 = synchronous writes); the counted logical I/Os are identical at every depth")
 		parallel  = flag.Int("parallel", 0, "worker parallelism: sorting overlaps with the input scan on up to this many goroutines (0 = GOMAXPROCS, 1 = sequential); output and I/O counts are identical at every setting")
-		mergePar  = flag.Int("merge-parallel", 0, "range-partition the final merge into up to this many key ranges merged concurrently (implies -fence-index); output bytes are identical at every setting and logical I/Os differ from serial only by the fence-index side stream")
-		fenceIdx  = flag.Bool("fence-index", false, "emit a fence-key sparse index beside every spilled run (one key per run block, as a tiny side stream)")
+		mergePar  = flag.Int("merge-parallel", 0, "range-partition the final merge into up to this many key ranges merged concurrently, partitioning with a fence-key index spilled beside every run; output bytes are identical at every setting and logical I/Os differ from serial only by the fence-index side stream")
 	)
 	flag.Parse()
 
@@ -110,10 +107,7 @@ func main() {
 		Parallelism:        *parallel,
 		ScratchQuotaBlocks: *quota,
 		CompressSpill:      *compress,
-		ReadAhead:          *readAhead,
-		WriteBehind:        *writeBeh,
 		MergeParallel:      *mergePar,
-		FenceIndex:         *fenceIdx,
 	}
 	opts := nexsort.Options{
 		Criterion:   crit,

@@ -72,66 +72,3 @@ func TestFrameConformanceSorters(t *testing.T) {
 		})
 	}
 }
-
-// TestCacheKeepsOutputAndConservesReads gives the cached run the cache's
-// blocks *on top* of the baseline's M, so the sort itself sees an identical
-// free budget and makes identical decisions. Then the cache can only
-// reclassify logical reads — every ReadBlock is either a charged transfer
-// or a hit — so reads(base) == reads(cached) + hits(cached), the output is
-// byte-identical, and on this workload the cache genuinely absorbs
-// transfers (hits > 0).
-func TestCacheKeepsOutputAndConservesReads(t *testing.T) {
-	doc, _, err := chaostest.Doc(1500, 5, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A text-sourced key resolves at end tags, so oversized subtrees take
-	// the sidecar path: two ReadRange scans over the same spilled region —
-	// the repeat-read pattern a clean-block cache exists for.
-	crit := &keys.Criterion{
-		Rules:  []keys.Rule{{Tag: "", Source: keys.ByText()}},
-		KeyCap: 16,
-	}
-
-	type outcome struct {
-		output      []byte
-		reads, hits int64
-	}
-	run := func(memBlocks, cacheBlocks int) outcome {
-		t.Helper()
-		env, err := em.NewEnv(em.Config{
-			BlockSize: 512, MemBlocks: memBlocks, CacheBlocks: cacheBlocks,
-			InMemory: true, Parallelism: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer env.Close()
-		var out bytes.Buffer
-		if _, err := core.Sort(env, bytes.NewReader(doc), &out, core.Options{Criterion: crit}); err != nil {
-			t.Fatal(err)
-		}
-		o := outcome{output: out.Bytes(), hits: env.Stats.TotalCacheHits()}
-		for _, c := range env.Stats.Snapshot() {
-			o.reads += c.Reads
-		}
-		return o
-	}
-
-	base := run(16, 0)
-	cached := run(16+48, 48)
-
-	if !bytes.Equal(base.output, cached.output) {
-		t.Error("cached run produced different output bytes")
-	}
-	if cached.hits == 0 {
-		t.Error("cache never hit on a repeat-read workload")
-	}
-	if cached.reads+cached.hits != base.reads {
-		t.Errorf("read conservation broken: %d cached reads + %d hits != %d baseline reads",
-			cached.reads, cached.hits, base.reads)
-	}
-	if base.hits != 0 {
-		t.Errorf("baseline (CacheBlocks=0) reported %d cache hits", base.hits)
-	}
-}

@@ -20,14 +20,14 @@ import (
 //     inverts ownership) and no close of a literal nil channel;
 //   - bounded capacity for the device layer's data queues: an unbuffered
 //     `make(chan T)` under internal/em needs a baseline justification,
-//     because an unbounded handoff in the write-behind/read-ahead paths
-//     turns the engine's memory bound into a rendezvous stall. Signal
+//     because an unbounded handoff between device-layer goroutines turns
+//     a memory bound counted in blocks into a rendezvous stall. Signal
 //     channels (`chan struct{}`, closed once, never carrying data) are
 //     exempt.
 //
-// Cross-function send/close ordering (e.g. em.asyncEngine guarding sends
-// with writeMu + writeClosed) is runtime protocol, deliberately out of
-// scope: the analyzer proves the intra-function discipline and leaves the
+// Cross-function send/close ordering (e.g. a queue guarding its sends
+// with a mutex and a closed flag) is runtime protocol, deliberately out
+// of scope: the analyzer proves the intra-function discipline and leaves the
 // cross-function race to the lock-guard analyzer and `-race` soaks.
 var ChanDisc = &Analyzer{
 	Name: "chandisc",
@@ -321,8 +321,8 @@ func mergePosSet(dst, src map[string]token.Pos) {
 }
 
 // checkUnboundedQueues flags unbuffered data channels in the em tree:
-// the async engine's queues must be bounded so the depth grant stays the
-// memory bound. chan struct{} signal channels are exempt — they carry no
+// a data queue in the device layer must be bounded so that its depth,
+// granted in blocks, stays the memory bound. chan struct{} signal channels are exempt — they carry no
 // data and are closed, not drained.
 func checkUnboundedQueues(pass *Pass) {
 	for _, file := range pass.Files {

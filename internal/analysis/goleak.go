@@ -17,13 +17,13 @@ import (
 //     launch, and some function in the package `Wait`s on it (the
 //     extsort/core worker-dispatch idiom);
 //   - close-drains-the-worker — the body's main loop is `for ... range ch`
-//     over a channel the package closes somewhere (em.asyncEngine's
-//     flushLoop/prefetchLoop idiom);
+//     over a channel the package closes somewhere (a queue worker that
+//     exits once its queue is closed);
 //   - done-channel receive — the body receives from a channel the package
-//     closes (merge.blockReadAhead's quit idiom);
+//     closes (the quit-channel idiom);
 //   - producer close — the body closes a channel that code outside the
 //     body ranges over or receives from, so the consumer observes
-//     termination (merge's `defer close(ra.full)` + draining stop);
+//     termination (a producer's `defer close(out)` plus a draining stop);
 //   - pool ownership — the body releases an em.Pool slot, tying its
 //     lifetime to the pool's bounded admission (always paired with a
 //     WaitGroup in this tree, but recognized on its own).

@@ -15,10 +15,10 @@ import (
 // generalizes: a field accessed at least lockGuardThreshold times while a
 // sibling mutex of the same struct is held — in the struct's defining
 // package — is considered guarded by that mutex, and every other access
-// must hold it too. That automatically covers em.asyncEngine's
-// pending-write mirror (pendMu), its read-ahead token count (frameMu),
-// the worker pools' in-flight tallies, and whatever job tables nexsortd
-// adds later, with no per-struct configuration.
+// must hold it too. That automatically covers the device's allocation
+// state (Device.mu), the streams' extent tables (Stream.mu), the worker
+// pools' in-flight tallies, and whatever job tables nexsortd adds later,
+// with no per-struct configuration.
 //
 // The walk recognizes the repo's locking idioms:
 //

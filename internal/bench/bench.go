@@ -111,12 +111,6 @@ type Params struct {
 	// counted logical block transfers — every paper curve — are invariant
 	// under this knob; only the physical byte ledger and WallSeconds move.
 	CompressSpill bool
-	// ReadAhead and WriteBehind set the run's overlapped-I/O pipeline
-	// depths (0 = DefaultReadAhead/DefaultWriteBehind, which default to
-	// synchronous). Like Parallelism, the counted logical block transfers
-	// are invariant under these knobs — only WallSeconds moves.
-	ReadAhead   int
-	WriteBehind int
 	// MergeParallel range-partitions every external sort's final merge
 	// into up to this many concurrent key ranges (0 = serial). The output
 	// and the counted logical block transfers are invariant under this
@@ -157,24 +151,10 @@ var Hardening struct {
 	CompressSpill   bool
 }
 
-// WrapBackend, when non-nil, wraps every experiment environment's raw
-// backend beneath the hardening layers, exactly like em.Config.WrapBackend.
-// The overlap experiment uses it to inject simulated device latency
-// (em.LatencyBackend); it is nil in normal runs.
-var WrapBackend func(em.Backend) em.Backend
-
 // DefaultParallelism is the process-wide worker bound applied to runs whose
 // Params leave Parallelism zero; cmd/nexbench sets it from -parallel. Zero
 // defers to the environment default (GOMAXPROCS).
 var DefaultParallelism int
-
-// DefaultReadAhead and DefaultWriteBehind are the process-wide overlapped-I/O
-// pipeline depths applied to runs whose Params leave them zero; cmd/nexbench
-// sets them from -read-ahead/-write-behind. Zero keeps the device synchronous.
-var (
-	DefaultReadAhead   int
-	DefaultWriteBehind int
-)
 
 // DefaultMergeParallel is the process-wide final-merge partition count
 // applied to runs whose Params leave MergeParallel zero; cmd/nexbench sets
@@ -187,14 +167,6 @@ func Run(w *Workload, p Params) (*Result, error) {
 	parallelism := p.Parallelism
 	if parallelism == 0 {
 		parallelism = DefaultParallelism
-	}
-	readAhead := p.ReadAhead
-	if readAhead == 0 {
-		readAhead = DefaultReadAhead
-	}
-	writeBehind := p.WriteBehind
-	if writeBehind == 0 {
-		writeBehind = DefaultWriteBehind
 	}
 	mergeParallel := p.MergeParallel
 	if mergeParallel == 0 {
@@ -209,11 +181,7 @@ func Run(w *Workload, p Params) (*Result, error) {
 		Retry:           Hardening.Retry,
 		Parallelism:     parallelism,
 		CompressSpill:   Hardening.CompressSpill || p.CompressSpill,
-		ReadAhead:       readAhead,
-		WriteBehind:     writeBehind,
 		MergeParallel:   mergeParallel,
-		FenceIndex:      mergeParallel > 0,
-		WrapBackend:     WrapBackend,
 	}
 	env, err := em.NewEnv(cfg)
 	if err != nil {

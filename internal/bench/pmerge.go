@@ -30,8 +30,8 @@ type PMergeConfig struct {
 	// exists for).
 	BlockSize int
 	// Latency is the simulated per-operation device service time, layered
-	// beneath the hardening stack with em.LatencyBackend (default 300µs,
-	// matching the overlap experiment). Zero keeps the raw file backend.
+	// beneath the hardening stack with em.LatencyBackend (default 300µs).
+	// Zero keeps the raw file backend.
 	Latency time.Duration
 }
 
@@ -109,7 +109,6 @@ func PMerge(cfg PMergeConfig) ([]PMergeRow, error) {
 			// a single CPU.
 			Parallelism:   len(pmergeParallel) + pmergeParallel[len(pmergeParallel)-1],
 			MergeParallel: p,
-			FenceIndex:    p > 0,
 		}
 		if latency > 0 {
 			emCfg.WrapBackend = func(b em.Backend) em.Backend {
@@ -251,4 +250,40 @@ func PMergeTable(rows []PMergeRow) *Table {
 		})
 	}
 	return t
+}
+
+// logicalIO is the logical projection of one category's ledger: the
+// counted block transfers and their bytes, exactly the fields the paper's
+// accounting is made of. Physical counters are deliberately absent.
+type logicalIO struct {
+	Reads, Writes         int64
+	ReadBytes, WriteBytes int64
+}
+
+// logicalLedger projects the per-category I/O map onto its logical fields.
+func logicalLedger(ios map[string]em.IOCount) map[string]logicalIO {
+	out := make(map[string]logicalIO, len(ios))
+	for cat, c := range ios {
+		out[cat] = logicalIO{
+			Reads: c.Reads, Writes: c.Writes,
+			ReadBytes: c.ReadBytes, WriteBytes: c.WriteBytes,
+		}
+	}
+	return out
+}
+
+// sameLedger reports the first category whose logical ledger differs from
+// the reference run's.
+func sameLedger(want, got map[string]logicalIO) error {
+	for cat, w := range want {
+		if g := got[cat]; g != w {
+			return fmt.Errorf("category %s: %+v in the reference run, %+v here", cat, w, g)
+		}
+	}
+	for cat := range got {
+		if _, ok := want[cat]; !ok && got[cat] != (logicalIO{}) {
+			return fmt.Errorf("category %s: absent in the reference run, %+v here", cat, got[cat])
+		}
+	}
+	return nil
 }

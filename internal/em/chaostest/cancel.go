@@ -131,10 +131,8 @@ func RunCancel(doc []byte, crit *keys.Criterion, t CancelTrial) *CancelOutcome {
 	if out.Err == nil && out.PanicValue == nil {
 		out.Output = buf.Bytes()
 	}
-	// Infrastructure grants (cache, async engine) are held until env.Close
-	// by design; what must be zero here is the algorithm's residency.
-	out.BudgetInUse = env.Budget.InUse() - env.InfraGrantBlocks()
-	out.FramesLive = env.Dev.Frames().Live() - env.Dev.CacheFrames()
+	out.BudgetInUse = env.Budget.InUse()
+	out.FramesLive = env.Dev.Frames().Live()
 	out.CodecFramesLive = env.SpillCodecFramesLive()
 	out.TotalOps = trig.Ops()
 	out.Fired = trig.Fired()

@@ -37,14 +37,8 @@ type Device struct {
 
 	mu        sync.Mutex
 	backend   Backend
-	cache     *blockCache
 	nextBlock int64
 	closed    bool
-
-	// async is the overlapped-I/O engine (write-behind + read-ahead), nil
-	// until EnableAsync. Like life it is installed before the device is
-	// shared and never replaced, so reads of the pointer need no lock.
-	async *asyncEngine
 }
 
 // NewDevice returns a Device with the given block size over backend,
@@ -130,60 +124,6 @@ func (d *Device) Stats() *Stats { return d.stats }
 // block buffers for every component operating on this device.
 func (d *Device) Frames() *FramePool { return d.frames }
 
-// EnableCache installs a clean-frame LRU cache of the given capacity (in
-// blocks) in front of the backend; see blockCache. The caller is
-// responsible for the cache's memory accounting (NewEnv grants
-// Config.CacheBlocks from the budget). blocks <= 0 is a no-op.
-func (d *Device) EnableCache(blocks int) {
-	if blocks <= 0 {
-		return
-	}
-	d.mu.Lock()
-	d.cache = newBlockCache(blocks, d.frames)
-	d.mu.Unlock()
-}
-
-// EnableAsync installs the overlapped-I/O engine: a write-behind queue of
-// writeBehind blocks and a read-ahead pipeline of readAhead blocks (either
-// may be zero to disable that side; both zero is a no-op and leaves the
-// device fully synchronous). The caller owns the memory accounting — NewEnv
-// grants readAhead+writeBehind blocks from the budget, mirroring the cache
-// grant. Call before the device is shared.
-func (d *Device) EnableAsync(readAhead, writeBehind int) {
-	if readAhead <= 0 && writeBehind <= 0 {
-		return
-	}
-	if readAhead < 0 {
-		readAhead = 0
-	}
-	if writeBehind < 0 {
-		writeBehind = 0
-	}
-	d.async = newAsyncEngine(d, readAhead, writeBehind)
-}
-
-// AsyncDepths reports the installed read-ahead and write-behind depths in
-// blocks (0, 0 on a synchronous device).
-func (d *Device) AsyncDepths() (readAhead, writeBehind int) {
-	if d.async == nil {
-		return 0, 0
-	}
-	return d.async.readAhead, d.async.writeBehind
-}
-
-// CacheFrames returns how many frames the cache holds live right now (0
-// without a cache). Tests use it to separate cache residency from
-// algorithm buffers.
-func (d *Device) CacheFrames() int {
-	d.mu.Lock()
-	c := d.cache
-	d.mu.Unlock()
-	if c == nil {
-		return 0
-	}
-	return c.frames()
-}
-
 // AllocBlock reserves a fresh block and returns its ID. Allocation is pure
 // bookkeeping and costs no I/O; the block is materialized on first write.
 func (d *Device) AllocBlock() int64 {
@@ -222,101 +162,19 @@ func (d *Device) ReadBlock(c Category, id int64, p []byte) error {
 		return fmt.Errorf("em: ReadBlock of unallocated block %d", id)
 	}
 	backend := d.backend
-	cache := d.cache
 	d.mu.Unlock()
 
-	if cache != nil && cache.get(id, p) {
-		// Served from a clean cached frame: no block transfer happened, so
-		// no read is charged — the hit is surfaced in its own counter.
-		d.stats.AddCacheHits(c, 1)
-		return nil
-	}
-	if d.async.lookupPending(id, p) {
-		// The block has an in-flight write-behind: its newest bytes live in
-		// the pending mirror, not (yet) on the backend. Serving them here
-		// replaces the backend read the synchronous device would have done,
-		// so it is charged identically — the physical ledger alone records
-		// that no device transfer happened.
-		d.stats.AddReads(c, 1)
-		d.stats.AddReadBytes(c, int64(d.blockSize))
-		if cache != nil {
-			d.stats.AddCacheMisses(c, 1)
-			cache.put(id, p)
-		}
-		return nil
-	}
 	if _, err := readAtCat(backend, p, id*int64(d.blockSize), c); err != nil {
 		return fmt.Errorf("em: read block %d: %w", id, err)
 	}
 	d.stats.AddReads(c, 1)
 	d.stats.AddReadBytes(c, int64(d.blockSize))
-	if cache != nil {
-		d.stats.AddCacheMisses(c, 1)
-		cache.put(id, p)
-	}
 	return nil
-}
-
-// readBlockPrefetch is the read-ahead worker's view of ReadBlock: the same
-// lifecycle gate, bounds checks, cache/pending/backend lookup order and
-// error taxonomy, but no logical stats — those are charged at the moment a
-// reader consumes the block, which is what keeps the logical ledger
-// identical at every pipeline depth. The returned source tells the
-// consumption path which charge to apply.
-func (d *Device) readBlockPrefetch(c Category, id int64, p []byte) (prefetchSource, error) {
-	if err := d.life.Interrupted(); err != nil {
-		d.stats.AddCanceled(c, 1)
-		return srcBackend, fmt.Errorf("em: read block %d refused: %w", id, err)
-	}
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return srcBackend, ErrClosed
-	}
-	if id < 0 || id >= d.nextBlock {
-		d.mu.Unlock()
-		return srcBackend, fmt.Errorf("em: ReadBlock of unallocated block %d", id)
-	}
-	backend := d.backend
-	cache := d.cache
-	d.mu.Unlock()
-
-	if cache != nil && cache.get(id, p) {
-		return srcCache, nil
-	}
-	if d.async.lookupPending(id, p) {
-		if cache != nil {
-			cache.put(id, p)
-		}
-		return srcPending, nil
-	}
-	if _, err := readAtCat(backend, p, id*int64(d.blockSize), c); err != nil {
-		return srcBackend, fmt.Errorf("em: read block %d: %w", id, err)
-	}
-	if cache != nil {
-		cache.put(id, p)
-	}
-	return srcBackend, nil
-}
-
-func (d *Device) cacheEnabled() bool {
-	d.mu.Lock()
-	on := d.cache != nil
-	d.mu.Unlock()
-	return on
 }
 
 // WriteBlock stores p (exactly one block) into the given block, charging one
 // write to category c.
 func (d *Device) WriteBlock(c Category, id int64, p []byte) error {
-	return d.writeBlockSync(c, id, p, true)
-}
-
-// writeBlockSync is WriteBlock's body. The flusher goroutine calls it with
-// updateCache false: the cache was already brought coherent at submission
-// time, and re-touching it here could clobber a newer submission for the
-// same block with these older bytes.
-func (d *Device) writeBlockSync(c Category, id int64, p []byte, updateCache bool) error {
 	if len(p) != d.blockSize {
 		return fmt.Errorf("em: WriteBlock buffer is %d bytes, want %d", len(p), d.blockSize)
 	}
@@ -334,15 +192,8 @@ func (d *Device) writeBlockSync(c Category, id int64, p []byte, updateCache bool
 		return fmt.Errorf("em: WriteBlock of unallocated block %d", id)
 	}
 	backend := d.backend
-	cache := d.cache
 	d.mu.Unlock()
 
-	if cache != nil && updateCache {
-		// Keep an already-cached copy coherent. Writes never insert new
-		// entries: the cache holds clean frames for repeat reads, and the
-		// write itself still costs its full block transfer below.
-		cache.update(id, p)
-	}
 	if _, err := writeAtCat(backend, p, id*int64(d.blockSize), c); err != nil {
 		if IsExhausted(err) {
 			d.stats.AddExhausted(c, 1)
@@ -354,42 +205,7 @@ func (d *Device) writeBlockSync(c Category, id int64, p []byte, updateCache bool
 	return nil
 }
 
-// WriteBlockBehind queues frame's contents (exactly one block) to be
-// written to the given block by the flusher, transferring frame ownership
-// to the engine. The logical write is charged by the flusher when it
-// executes — exactly once per submission, preserving the synchronous
-// ledger. done fires exactly once with the flush's error; the submitter
-// must surface it at its next touch point on the same stream or pager. The
-// cache (if any) is brought coherent immediately, and until the flush
-// lands, reads of the block are served the submitted bytes from the
-// pending mirror. Returns false without side effects when write-behind is
-// unavailable; callers then use WriteBlock.
-func (d *Device) WriteBlockBehind(c Category, id int64, frame Frame, done func(error)) bool {
-	if d.async == nil || d.async.writeBehind == 0 {
-		return false
-	}
-	p := frame.Bytes()
-	if len(p) != d.blockSize {
-		return false
-	}
-	d.mu.Lock()
-	if d.closed || id < 0 || id >= d.nextBlock {
-		d.mu.Unlock()
-		return false
-	}
-	cache := d.cache
-	d.mu.Unlock()
-	if cache != nil {
-		cache.update(id, p)
-	}
-	return d.async.submitWrite(c, id, frame, done)
-}
-
-// Close drains the async engine, releases the backend and drops the cache's
-// frames. Further operations return ErrClosed. The closed flag is raised
-// before the engine drains, so writes still queued at close time are
-// refused at the device gate — their done callbacks fire with ErrClosed —
-// rather than racing the backend's release.
+// Close releases the backend. Further operations return ErrClosed.
 func (d *Device) Close() error {
 	d.mu.Lock()
 	if d.closed {
@@ -397,14 +213,7 @@ func (d *Device) Close() error {
 		return nil
 	}
 	d.closed = true
-	cache := d.cache
-	d.cache = nil
 	backend := d.backend
 	d.mu.Unlock()
-
-	d.async.shutdown()
-	if cache != nil {
-		cache.drop()
-	}
 	return backend.Close()
 }

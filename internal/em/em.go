@@ -67,8 +67,7 @@ const (
 	CatScratch
 	// CatFenceIndex is the per-run fence-key sparse index: a tiny side
 	// stream (the first normalized key of every run block) emitted during
-	// run formation when Config.FenceIndex or Config.MergeParallel is set,
-	// and read back by the partitioned final merge to select splitters and
+	// run formation when Config.MergeParallel is set, and read back by the partitioned final merge to select splitters and
 	// locate partition boundaries. Index blocks travel through the same
 	// hardened backend stack as the runs themselves, so checksums and
 	// compression apply; keeping them in their own category keeps every

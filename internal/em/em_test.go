@@ -3,9 +3,11 @@ package em
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -266,6 +268,60 @@ func TestStreamReadFromOffset(t *testing.T) {
 	}
 	if _, err := s.NewReader(nil, -1); err == nil {
 		t.Error("negative offset should fail")
+	}
+}
+
+// TestConcurrentReadersOneStream opens eight readers on one sealed stream
+// at different offsets and drains them concurrently, as the partitioned
+// merge's range readers do: each must see exactly the stream's bytes from
+// its offset on, and every frame must be back in the pool afterwards.
+func TestConcurrentReadersOneStream(t *testing.T) {
+	const bs = 96
+	payload := make([]byte, 40*bs+11)
+	for i := range payload {
+		payload[i] = byte(5 + i*7)
+	}
+	dev := NewDevice(NewMemBackend(), bs, nil)
+	defer dev.Close()
+
+	s := NewStream(dev, CatMergeRun)
+	w, _ := s.NewWriter(nil)
+	w.Write(payload)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	const readers = 8
+	errs := make(chan error, readers)
+	var wg sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			off := int64(i) * int64(len(payload)) / readers
+			r, err := s.NewReader(nil, off)
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer r.Close()
+			got, err := io.ReadAll(r)
+			if err != nil {
+				errs <- fmt.Errorf("reader %d: %w", i, err)
+				return
+			}
+			if !bytes.Equal(got, payload[off:]) {
+				errs <- fmt.Errorf("reader %d: bytes diverge from offset %d", i, off)
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if live := dev.Frames().Live(); live != 0 {
+		t.Fatalf("%d frames live after all readers closed", live)
 	}
 }
 

@@ -30,62 +30,23 @@ type Config struct {
 	// every setting (see the concurrency model in DESIGN.md).
 	Parallelism int
 
-	// CacheBlocks, when positive, carves that many blocks out of MemBlocks
-	// for a clean-frame LRU cache on the scratch device: repeat ReadBlocks
-	// of recently touched blocks are served from memory and surfaced as
-	// cache hits in Stats instead of costing block transfers. The cache is
-	// opt-in and defaults to 0 because it changes the read counts away from
-	// the paper's model; the sorters see a budget shrunk by CacheBlocks, so
-	// total memory stays within M (see DESIGN.md §10).
-	CacheBlocks int
-
-	// ReadAhead, when positive, reserves that many pipeline blocks for the
-	// device's read-ahead worker: sequential readers (StreamReader, and
-	// everything built on it — extsort merge legs, runstore) prefetch
-	// upcoming blocks of their extent tables into those frames while the
-	// consumer computes. 0 (the default) keeps the device fully
-	// synchronous — the previous behavior. The pipeline frames are real
-	// budget grants, but they ride on top of MemBlocks (the budget's
-	// capacity is MemBlocks + ReadAhead + WriteBehind, with the depth
-	// granted to the engine up front): the sorters' share of M is
-	// untouched, which is exactly what keeps the output bytes and the
-	// logical I/O ledger byte-identical at every depth — a prefetched
-	// block charges its read only when consumed, and an unconsumed
-	// prefetch is surfaced as PrefetchWasted, never as a Read
-	// (DESIGN.md §15). Size MemBlocks down by the depth if the process's
-	// total residency must stay fixed.
-	ReadAhead int
-	// WriteBehind, when positive, reserves that many pipeline blocks for
-	// the device's write-behind queue: stream writers and the stack pager
-	// hand full frames to a flusher goroutine and keep computing instead
-	// of blocking on the device. 0 (the default) keeps writes synchronous.
-	// Like ReadAhead, the frames ride on top of MemBlocks, and each queued
-	// write is charged exactly once when it flushes, so the logical ledger
-	// is invariant under this knob too; flush errors surface at the
-	// submitter's next touch point with the usual typed taxonomy.
-	WriteBehind int
-
 	// MergeParallel, when positive, runs the external merge sort's final
 	// merge as up to that many independent loser trees over disjoint key
 	// ranges, dispatched on the worker pool, each writing its own segment
-	// of the output stream (DESIGN.md §17). Partition boundaries come from
-	// the per-run fence-key indexes (see FenceIndex), and splitters are
-	// chosen so that all records with equal keys land in one partition —
-	// which preserves the serial loser tree's run-index tie-break and makes
-	// the concatenated output byte-identical to the serial merge. The
-	// logical I/O ledger is invariant in this knob: every run block is
-	// still read exactly once and every output block written exactly once,
-	// at every partition count. 0 (the default) keeps the final merge on a
-	// single loser tree. Setting this implies FenceIndex.
+	// of the output stream (DESIGN.md §17). Setting it also makes run
+	// formation emit a fence-key sparse index per run — the first
+	// normalized key of every run block, spilled as a tiny side stream
+	// (CatFenceIndex) through the same hardened backend stack as the runs
+	// — which is what lets the merge partition runs by key range without
+	// scanning them. Splitters are chosen so that all records with equal
+	// keys land in one partition, which preserves the serial loser tree's
+	// run-index tie-break and makes the concatenated output byte-identical
+	// to the serial merge. Every run block is still read exactly once and
+	// every output block written exactly once, at every partition count;
+	// index I/O is charged to its own category, so the run categories and
+	// the paper-model counts are unchanged. 0 (the default) keeps the
+	// final merge on a single loser tree and emits no index.
 	MergeParallel int
-	// FenceIndex, when true, makes run formation emit a fence-key sparse
-	// index per run — the first normalized key of every run block, spilled
-	// as a tiny side stream (CatFenceIndex) through the same hardened
-	// backend stack as the runs. The index is what lets a merge partition
-	// runs by key range without scanning them; MergeParallel turns it on
-	// implicitly. Index I/O is charged to its own category and never to
-	// the run categories, so the paper-model counts are unchanged.
-	FenceIndex bool
 
 	// ScratchQuotaBlocks, when positive, caps the scratch device at that
 	// many blocks: a CapacityBackend under the hardening layers refuses
@@ -138,24 +99,11 @@ func (c Config) Validate() error {
 	if c.Parallelism < 0 {
 		return fmt.Errorf("em: negative parallelism %d", c.Parallelism)
 	}
-	if c.CacheBlocks < 0 {
-		return fmt.Errorf("em: negative cache size %d blocks", c.CacheBlocks)
-	}
 	if c.ScratchQuotaBlocks < 0 {
 		return fmt.Errorf("em: negative scratch quota %d blocks", c.ScratchQuotaBlocks)
 	}
-	if c.ReadAhead < 0 {
-		return fmt.Errorf("em: negative read-ahead %d blocks", c.ReadAhead)
-	}
-	if c.WriteBehind < 0 {
-		return fmt.Errorf("em: negative write-behind %d blocks", c.WriteBehind)
-	}
 	if c.MergeParallel < 0 {
 		return fmt.Errorf("em: negative merge parallelism %d", c.MergeParallel)
-	}
-	if c.CacheBlocks > 0 && c.MemBlocks-c.CacheBlocks < 5 {
-		return fmt.Errorf("em: cache %d blocks leaves %d of %d for sorting (min 5)",
-			c.CacheBlocks, c.MemBlocks-c.CacheBlocks, c.MemBlocks)
 	}
 	return nil
 }
@@ -181,15 +129,6 @@ type Env struct {
 	// therefore run sequentially.
 	pool *Pool
 
-	// cacheGrant is the budget reservation backing the device's block
-	// cache (Conf.CacheBlocks), released on Close.
-	cacheGrant int
-
-	// asyncGrant is the budget reservation backing the async engine's
-	// frames (Conf.ReadAhead + Conf.WriteBehind), released on Close after
-	// the engine has drained and returned them to the pool.
-	asyncGrant int
-
 	// spill is the compression layer in the backend stack, nil when
 	// Conf.CompressSpill is off; kept so leak checks can see its scratch
 	// pool.
@@ -206,14 +145,6 @@ func (e *Env) SpillCodecFramesLive() int {
 	}
 	return e.spill.ScratchFramesLive()
 }
-
-// InfraGrantBlocks returns the budget blocks held by the environment's own
-// infrastructure — the block cache and the async engine — rather than by
-// the algorithm. These grants are taken at construction and live until
-// Close, so leak checks that run after an algorithm unwinds (but before
-// Close) subtract them: algorithm residency must be zero while the
-// environment's is by design.
-func (e *Env) InfraGrantBlocks() int { return e.cacheGrant + e.asyncGrant }
 
 // Parallelism returns the resolved parallelism level: Conf.Parallelism, or
 // GOMAXPROCS when that is zero.
@@ -283,54 +214,18 @@ func newEnv(cfg Config, life *Lifecycle) (*Env, error) {
 	dev := NewDevice(backend, cfg.BlockSize, stats)
 	dev.BindLifecycle(life)
 	dev.SetCapacityHint(cfg.ScratchQuotaBlocks)
-	// The async engine's pipeline frames ride on top of M: capacity is
-	// expanded by the depth and the engine's grant is taken up front, so
-	// containment (live frames ≤ granted blocks) holds with the pipelines
-	// running while the sorters' share of M — and therefore their run
-	// geometry, output bytes and logical ledger — is identical at every
-	// depth (DESIGN.md §15).
-	asyncDepth := cfg.ReadAhead + cfg.WriteBehind
-	budget := NewBudget(cfg.MemBlocks + asyncDepth)
+	budget := NewBudget(cfg.MemBlocks)
 	// The device's frame pool is the memory behind the budget's blocks:
 	// one substrate under every buffer, so grants and buffers can't drift.
 	budget.AttachFrames(dev.Frames())
-	env := &Env{
+	return &Env{
 		Dev:    dev,
 		Stats:  stats,
 		Budget: budget,
 		Conf:   cfg,
 		pool:   NewPool(cfg.parallelism() - 1),
 		spill:  spill,
-	}
-	if cfg.CacheBlocks > 0 {
-		// The cache's residency comes out of M like any other buffer. Its
-		// frames are acquired lazily by the cache itself as blocks are
-		// inserted, but the grant is taken up front so the sorters' view of
-		// free memory is correct from the start.
-		budget.MustGrant(cfg.CacheBlocks)
-		env.cacheGrant = cfg.CacheBlocks
-		dev.EnableCache(cfg.CacheBlocks)
-	}
-	if asyncDepth > 0 {
-		budget.MustGrant(asyncDepth)
-		env.asyncGrant = asyncDepth
-		dev.EnableAsync(cfg.ReadAhead, cfg.WriteBehind)
-	}
-	return env, nil
-}
-
-// HardenBackend applies cfg's hardening layers (checksums, then retry) to
-// backend. It is exposed so tests can build custom stacks over hand-made
-// backends.
-func HardenBackend(backend Backend, cfg Config, stats *Stats) Backend {
-	return HardenBackendLifecycle(backend, cfg, stats, nil)
-}
-
-// HardenBackendLifecycle is HardenBackend with the retry layer bound to a
-// run lifecycle, so backoff sleeps abort on cancellation.
-func HardenBackendLifecycle(backend Backend, cfg Config, stats *Stats, life *Lifecycle) Backend {
-	b, _ := hardenStack(backend, cfg, stats, life)
-	return b
+	}, nil
 }
 
 // hardenStack assembles the hardening layers bottom-up and returns the top
@@ -365,21 +260,8 @@ func hardenStack(backend Backend, cfg Config, stats *Stats, life *Lifecycle) (Ba
 	return backend, spill
 }
 
-// Close releases the scratch device (draining the async engine, dropping
-// any cached frames) and returns the cache's and the engine's budget
-// grants.
-func (e *Env) Close() error {
-	err := e.Dev.Close()
-	if e.cacheGrant > 0 {
-		e.Budget.Release(e.cacheGrant)
-		e.cacheGrant = 0
-	}
-	if e.asyncGrant > 0 {
-		e.Budget.Release(e.asyncGrant)
-		e.asyncGrant = 0
-	}
-	return err
-}
+// Close releases the scratch device.
+func (e *Env) Close() error { return e.Dev.Close() }
 
 // CostModel converts counted block I/Os into simulated seconds, so the
 // harness can plot "sort time" curves with the same shape as the paper's

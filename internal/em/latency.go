@@ -6,16 +6,15 @@ import "time"
 // positional operation, on the calling goroutine, before delegating. It
 // stands in for the seek-plus-transfer cost the external-memory model
 // bills each block transfer with: on modern container storage a block op
-// completes in microseconds, which hides exactly the overlap the
-// read-ahead/write-behind engine exists to create. The overlap benchmark
-// layers this under the device (via Config.WrapBackend) so the pipelines'
-// wall-clock effect is measurable and reproducible.
+// completes in microseconds, which hides any overlap between concurrent
+// I/O streams. The partitioned-merge benchmark (nexbench -exp pmerge)
+// layers this under the device (via Config.WrapBackend) so the effect of
+// merging partitions concurrently is measurable and reproducible.
 //
-// Sleeping on the calling goroutine is the point: synchronous callers
-// stall for the service time like a blocking disk read would, while the
-// engine's flusher and prefetch worker absorb it off the compute path.
-// The wrapper adds no state, so it is as concurrency-safe as the backend
-// it wraps.
+// Sleeping on the calling goroutine is the point: each caller stalls for
+// the service time like a blocking disk read would, so concurrent callers
+// overlap their waits and a single caller does not. The wrapper adds no
+// state, so it is as concurrency-safe as the backend it wraps.
 type LatencyBackend struct {
 	inner      Backend
 	readDelay  time.Duration

@@ -41,18 +41,8 @@ type Stats struct {
 	physWB   [numCategories]atomic.Int64
 	retries  [numCategories]atomic.Int64
 	ckFails  [numCategories]atomic.Int64
-	cacheHit [numCategories]atomic.Int64
-	cacheMis [numCategories]atomic.Int64
 	canceled [numCategories]atomic.Int64
 	exhaust  [numCategories]atomic.Int64
-	// Overlap-pipeline counters (DESIGN.md §15). These describe the async
-	// engine's behavior — how well read-ahead predicted the access pattern
-	// and how often write-behind back-pressured — and are never folded into
-	// the logical Reads/Writes ledger: a prefetched block charges its
-	// logical read only when the reader actually consumes it.
-	prefHit   [numCategories]atomic.Int64
-	prefWaste [numCategories]atomic.Int64
-	flushStal [numCategories]atomic.Int64
 	// Partitioned-merge counters (DESIGN.md §17). They describe the
 	// range-partitioned final merge — how many merges took the partitioned
 	// path and how many fence-key samples fed splitter selection — and are
@@ -105,17 +95,6 @@ func (s *Stats) AddRetries(c Category, n int64) { s.retries[c].Add(n) }
 // under category c.
 func (s *Stats) AddChecksumFailures(c Category, n int64) { s.ckFails[c].Add(n) }
 
-// AddCacheHits records n ReadBlocks served from the clean-frame cache under
-// category c. A hit costs no block transfer, so it is deliberately NOT
-// counted in Reads — the reads counters keep their paper meaning of actual
-// block transfers.
-func (s *Stats) AddCacheHits(c Category, n int64) { s.cacheHit[c].Add(n) }
-
-// AddCacheMisses records n ReadBlocks that went to the backend despite the
-// cache being enabled, under category c. Hits+misses equals the ReadBlock
-// call count on a cached device.
-func (s *Stats) AddCacheMisses(c Category, n int64) { s.cacheMis[c].Add(n) }
-
 // AddCanceled records n block operations the Device refused because the
 // run's lifecycle had ended (cancellation or deadline), under category c.
 // A refused operation performs no transfer, so it is never also counted in
@@ -125,24 +104,6 @@ func (s *Stats) AddCanceled(c Category, n int64) { s.canceled[c].Add(n) }
 // AddExhausted records n block writes that failed because the scratch
 // device was out of space (quota or real ENOSPC), under category c.
 func (s *Stats) AddExhausted(c Category, n int64) { s.exhaust[c].Add(n) }
-
-// AddPrefetchHits records n blocks that a reader consumed out of its
-// read-ahead pipeline under category c. The logical read for such a block
-// is charged at consumption exactly as a synchronous read would be, so this
-// counter measures overlap, never block transfers.
-func (s *Stats) AddPrefetchHits(c Category, n int64) { s.prefHit[c].Add(n) }
-
-// AddPrefetchWasted records n blocks that read-ahead fetched but no reader
-// ever consumed (the reader closed early or jumped), under category c. A
-// wasted prefetch appears in the physical ledger — bytes really crossed the
-// device — but never in the logical Reads.
-func (s *Stats) AddPrefetchWasted(c Category, n int64) { s.prefWaste[c].Add(n) }
-
-// AddFlushStalls records n write-behind submissions that found the flush
-// queue full and had to wait, under category c. Stalls measure where the
-// pipeline depth was the bottleneck; the write itself is charged once, by
-// the flusher, when it executes.
-func (s *Stats) AddFlushStalls(c Category, n int64) { s.flushStal[c].Add(n) }
 
 // AddPartitionedMerges records n merges that ran as range-partitioned
 // loser-tree fans under category c. Charged once per merge, never per
@@ -291,47 +252,6 @@ func (s *Stats) TotalExhausted() int64 {
 	return t
 }
 
-// PrefetchHits returns the consumed read-ahead blocks recorded under
-// category c.
-func (s *Stats) PrefetchHits(c Category) int64 { return s.prefHit[c].Load() }
-
-// PrefetchWasted returns the unconsumed read-ahead blocks recorded under
-// category c.
-func (s *Stats) PrefetchWasted(c Category) int64 { return s.prefWaste[c].Load() }
-
-// FlushStalls returns the write-behind queue stalls recorded under
-// category c.
-func (s *Stats) FlushStalls(c Category) int64 { return s.flushStal[c].Load() }
-
-// TotalPrefetchHits returns consumed read-ahead blocks across all
-// categories.
-func (s *Stats) TotalPrefetchHits() int64 {
-	var t int64
-	for i := range s.prefHit {
-		t += s.prefHit[i].Load()
-	}
-	return t
-}
-
-// TotalPrefetchWasted returns unconsumed read-ahead blocks across all
-// categories.
-func (s *Stats) TotalPrefetchWasted() int64 {
-	var t int64
-	for i := range s.prefWaste {
-		t += s.prefWaste[i].Load()
-	}
-	return t
-}
-
-// TotalFlushStalls returns write-behind stalls across all categories.
-func (s *Stats) TotalFlushStalls() int64 {
-	var t int64
-	for i := range s.flushStal {
-		t += s.flushStal[i].Load()
-	}
-	return t
-}
-
 // PartitionedMerges returns the range-partitioned merges recorded under
 // category c.
 func (s *Stats) PartitionedMerges(c Category) int64 { return s.pmerges[c].Load() }
@@ -360,30 +280,6 @@ func (s *Stats) TotalSplitterSamples() int64 {
 	return t
 }
 
-// CacheHits returns the cache hits recorded under category c.
-func (s *Stats) CacheHits(c Category) int64 { return s.cacheHit[c].Load() }
-
-// CacheMisses returns the cache misses recorded under category c.
-func (s *Stats) CacheMisses(c Category) int64 { return s.cacheMis[c].Load() }
-
-// TotalCacheHits returns cache hits across all categories.
-func (s *Stats) TotalCacheHits() int64 {
-	var t int64
-	for i := range s.cacheHit {
-		t += s.cacheHit[i].Load()
-	}
-	return t
-}
-
-// TotalCacheMisses returns cache misses across all categories.
-func (s *Stats) TotalCacheMisses() int64 {
-	var t int64
-	for i := range s.cacheMis {
-		t += s.cacheMis[i].Load()
-	}
-	return t
-}
-
 // Reset zeroes every counter. Not for concurrent use with in-flight I/O.
 func (s *Stats) Reset() {
 	for i := 0; i < int(numCategories); i++ {
@@ -397,13 +293,8 @@ func (s *Stats) Reset() {
 		s.physWB[i].Store(0)
 		s.retries[i].Store(0)
 		s.ckFails[i].Store(0)
-		s.cacheHit[i].Store(0)
-		s.cacheMis[i].Store(0)
 		s.canceled[i].Store(0)
 		s.exhaust[i].Store(0)
-		s.prefHit[i].Store(0)
-		s.prefWaste[i].Store(0)
-		s.flushStal[i].Store(0)
 		s.pmerges[i].Store(0)
 		s.splitSamp[i].Store(0)
 	}
@@ -425,13 +316,8 @@ func (s *Stats) Snapshot() map[string]IOCount {
 			PhysWriteBytes:    s.physWB[i].Load(),
 			Retries:           s.retries[i].Load(),
 			ChecksumFailures:  s.ckFails[i].Load(),
-			CacheHits:         s.cacheHit[i].Load(),
-			CacheMisses:       s.cacheMis[i].Load(),
 			Canceled:          s.canceled[i].Load(),
 			Exhausted:         s.exhaust[i].Load(),
-			PrefetchHits:      s.prefHit[i].Load(),
-			PrefetchWasted:    s.prefWaste[i].Load(),
-			FlushStalls:       s.flushStal[i].Load(),
 			PartitionedMerges: s.pmerges[i].Load(),
 			SplitterSamples:   s.splitSamp[i].Load(),
 		}
@@ -469,29 +355,12 @@ type IOCount struct {
 	// ChecksumFailures counts blocks whose stored checksum did not match
 	// on read; zero unless the device corrupted data.
 	ChecksumFailures int64
-	// CacheHits counts ReadBlocks served from the clean-frame cache (no
-	// block transfer); zero unless Config.CacheBlocks > 0.
-	CacheHits int64
-	// CacheMisses counts ReadBlocks that reached the backend with the
-	// cache enabled; zero unless Config.CacheBlocks > 0.
-	CacheMisses int64
 	// Canceled counts block operations the Device refused after the run's
 	// lifecycle ended; zero on an uncanceled run.
 	Canceled int64
 	// Exhausted counts block writes that failed for lack of scratch space;
 	// zero unless the device filled up (quota or ENOSPC).
 	Exhausted int64
-	// PrefetchHits counts blocks a reader consumed out of its read-ahead
-	// pipeline; the block's logical read is charged at consumption, so this
-	// never inflates Reads. Zero unless Config.ReadAhead > 0.
-	PrefetchHits int64
-	// PrefetchWasted counts read-ahead blocks fetched but never consumed:
-	// physical traffic with no logical charge. Zero unless
-	// Config.ReadAhead > 0.
-	PrefetchWasted int64
-	// FlushStalls counts write-behind submissions that waited on a full
-	// flush queue. Zero unless Config.WriteBehind > 0.
-	FlushStalls int64
 	// PartitionedMerges counts merges that ran as range-partitioned
 	// loser-tree fans (one per merge, not per partition); never a block
 	// transfer. Zero unless Config.MergeParallel > 0.
@@ -529,15 +398,6 @@ func (s *Stats) String() string {
 		}
 		if c.ChecksumFailures > 0 {
 			fmt.Fprintf(&b, " ckfail=%d", c.ChecksumFailures)
-		}
-		if c.CacheHits > 0 || c.CacheMisses > 0 {
-			fmt.Fprintf(&b, " hit=%d miss=%d", c.CacheHits, c.CacheMisses)
-		}
-		if c.PrefetchHits > 0 || c.PrefetchWasted > 0 {
-			fmt.Fprintf(&b, " pref=%d waste=%d", c.PrefetchHits, c.PrefetchWasted)
-		}
-		if c.FlushStalls > 0 {
-			fmt.Fprintf(&b, " stall=%d", c.FlushStalls)
 		}
 		if c.PartitionedMerges > 0 || c.SplitterSamples > 0 {
 			fmt.Fprintf(&b, " pmerge=%d samp=%d", c.PartitionedMerges, c.SplitterSamples)

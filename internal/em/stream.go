@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Stream is an append-only byte sequence stored in device blocks, the
@@ -67,12 +66,6 @@ func (s *Stream) blockID(i int) (int64, error) {
 // StreamWriter appends bytes to a Stream through a single block-sized
 // buffer. Construct with Stream.NewWriter; the buffer is granted from the
 // supplied Budget and released on Close.
-//
-// On a device with write-behind enabled, a full buffer is handed to the
-// flusher goroutine and the writer acquires a fresh frame instead of
-// blocking on the device; flush errors (including ErrExhausted) surface at
-// the next Write or at Close, and Close drains every outstanding flush
-// before sealing the stream.
 type StreamWriter struct {
 	s      *Stream
 	budget *Budget
@@ -80,15 +73,6 @@ type StreamWriter struct {
 	buf    []byte
 	used   int
 	closed bool
-
-	// Write-behind state. wg tracks outstanding flushes; the first flush
-	// error is latched under errMu and delivered at the next touch point
-	// (errSet makes the common no-error check lock-free).
-	async    bool
-	wg       sync.WaitGroup
-	errMu    sync.Mutex
-	flushErr error
-	errSet   atomic.Bool
 }
 
 // NewWriter opens the stream for appending. One block of main memory is
@@ -107,55 +91,14 @@ func (s *Stream) NewWriter(budget *Budget) (*StreamWriter, error) {
 		}
 	}
 	frame := s.dev.Frames().Acquire()
-	_, wb := s.dev.AsyncDepths()
-	return &StreamWriter{s: s, budget: budget, frame: frame, buf: frame.Bytes(), async: wb > 0}, nil
+	return &StreamWriter{s: s, budget: budget, frame: frame, buf: frame.Bytes()}, nil
 }
 
-// onFlush is the write-behind completion callback; it runs on the flusher
-// goroutine.
-func (w *StreamWriter) onFlush(err error) {
-	if err != nil {
-		w.errMu.Lock()
-		if w.flushErr == nil {
-			w.flushErr = err
-			w.errSet.Store(true)
-		}
-		w.errMu.Unlock()
-	}
-	w.wg.Done()
-}
-
-// flushError reports the latched write-behind error, if any.
-func (w *StreamWriter) flushError() error {
-	if !w.errSet.Load() {
-		return nil
-	}
-	w.errMu.Lock()
-	defer w.errMu.Unlock()
-	return w.flushErr
-}
-
-// flushBlock ships the writer's (full) buffer to a freshly allocated
-// device block — through the write-behind queue when available, falling
-// back to a synchronous write — and appends the block to the extent table.
-// IDs are allocated and appended in stream order on both paths; on the
-// async path the append happens at submission, which is safe because a
-// stream whose flush failed is never sealed and so can never be read.
+// flushBlock writes the writer's (full) buffer to a freshly allocated
+// device block and appends the block to the extent table.
 func (w *StreamWriter) flushBlock() error {
 	s := w.s
 	id := s.dev.AllocBlock()
-	if w.async {
-		w.wg.Add(1)
-		if s.dev.WriteBlockBehind(s.cat, id, w.frame, w.onFlush) {
-			s.mu.Lock()
-			s.blocks = append(s.blocks, id)
-			s.mu.Unlock()
-			w.frame = s.dev.Frames().Acquire()
-			w.buf = w.frame.Bytes()
-			return nil
-		}
-		w.wg.Done() // engine unavailable (shutting down): go synchronous
-	}
 	if err := s.dev.WriteBlock(s.cat, id, w.buf); err != nil {
 		return err
 	}
@@ -170,9 +113,6 @@ func (w *StreamWriter) flushBlock() error {
 func (w *StreamWriter) Write(p []byte) (int, error) {
 	if w.closed {
 		return 0, fmt.Errorf("em: write to closed StreamWriter")
-	}
-	if err := w.flushError(); err != nil {
-		return 0, err
 	}
 	total := 0
 	for len(p) > 0 {
@@ -194,10 +134,8 @@ func (w *StreamWriter) Write(p []byte) (int, error) {
 }
 
 // Close flushes any partial final block (zero-padded on disk, excluded
-// from Size), drains every outstanding write-behind flush, seals the
-// stream for reading, and releases the buffer grant. A stream whose
-// flushes did not all succeed is not sealed; the first flush error is
-// returned here if it was not already delivered to a Write.
+// from Size), seals the stream for reading, and releases the buffer grant.
+// A stream whose final flush failed is not sealed.
 func (w *StreamWriter) Close() error {
 	if w.closed {
 		return nil
@@ -210,7 +148,6 @@ func (w *StreamWriter) Close() error {
 			w.budget.Release(1)
 		}
 	}()
-	var firstErr error
 	if w.used > 0 {
 		for i := w.used; i < len(w.buf); i++ {
 			w.buf[i] = 0
@@ -218,21 +155,11 @@ func (w *StreamWriter) Close() error {
 		used := w.used
 		w.used = 0
 		if err := w.flushBlock(); err != nil {
-			firstErr = err
-		} else {
-			w.s.mu.Lock()
-			w.s.size += int64(used)
-			w.s.mu.Unlock()
+			return err
 		}
-	}
-	// Drain: every submitted flush has completed (and charged its logical
-	// write) before the stream becomes readable.
-	w.wg.Wait()
-	if err := w.flushError(); firstErr == nil && err != nil {
-		firstErr = err
-	}
-	if firstErr != nil {
-		return firstErr
+		w.s.mu.Lock()
+		w.s.size += int64(used)
+		w.s.mu.Unlock()
 	}
 	w.s.mu.Lock()
 	w.s.sealed = true
@@ -244,14 +171,6 @@ func (w *StreamWriter) Close() error {
 // holding one block of the stream in memory at a time. Re-opening a reader
 // mid-stream re-reads the containing block, which is exactly the 1+p(b)
 // block-access pattern accounted for in Lemma 4.12.
-//
-// On a device with read-ahead enabled, the reader keeps up to the
-// configured depth of upcoming extent-table blocks in flight on the
-// prefetch worker, swapping its buffer frame against completed slots as it
-// advances. Tokens are shared device-wide and acquired without blocking,
-// so any number of concurrent readers degrade to synchronous reads rather
-// than contend; the logical read for each block is charged when the reader
-// enters it, prefetched or not.
 type StreamReader struct {
 	s      *Stream
 	cat    Category
@@ -262,19 +181,6 @@ type StreamReader struct {
 	pos    int64
 	limit  int64 // first byte past the readable range (stream size, or the range end)
 	closed bool
-
-	// Read-ahead pipeline: slots holds scheduled fetches for consecutive
-	// block indexes; nextFetch is the next index to schedule.
-	ra        int
-	slots     []readerSlot
-	nextFetch int
-}
-
-// readerSlot pairs a scheduled prefetch with the extent-table index it
-// will satisfy.
-type readerSlot struct {
-	blk  int
-	slot *prefetchSlot
 }
 
 // NewReader opens the stream for reading starting at byte offset off,
@@ -305,8 +211,7 @@ func (s *Stream) NewReaderCat(budget *Budget, off int64, cat Category) (*StreamR
 		}
 	}
 	frame := s.dev.Frames().Acquire()
-	ra, _ := s.dev.AsyncDepths()
-	return &StreamReader{s: s, cat: cat, budget: budget, frame: frame, buf: frame.Bytes(), cur: -1, pos: off, limit: size, ra: ra}, nil
+	return &StreamReader{s: s, cat: cat, budget: budget, frame: frame, buf: frame.Bytes(), cur: -1, pos: off, limit: size}, nil
 }
 
 // NewRangeReader opens a reader over the byte range [off, end) of the
@@ -320,8 +225,7 @@ func (s *Stream) NewRangeReader(budget *Budget, off, end int64) (*StreamReader, 
 // [off, end) of the sealed stream and then reports io.EOF, charging reads
 // to category cat. This is the block-addressable re-open the partitioned
 // merge uses to start mid-run at a fence boundary: the reader touches only
-// the blocks overlapping the range — read-ahead included, so a bounded
-// reader never prefetches into blocks another partition's reader owns.
+// the blocks overlapping the range.
 func (s *Stream) NewRangeReaderCat(budget *Budget, off, end int64, cat Category) (*StreamReader, error) {
 	s.mu.Lock()
 	size := s.size
@@ -374,33 +278,8 @@ func (r *StreamReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// enterBlock makes blk the resident block: from the read-ahead pipeline
-// when its head slot matches, synchronously otherwise, then tops the
-// pipeline back up behind the new position.
+// enterBlock reads blk into the buffer and makes it the resident block.
 func (r *StreamReader) enterBlock(blk int) error {
-	if r.ra > 0 {
-		// Drop slots the position has moved past (a failed consume that was
-		// later satisfied synchronously leaves one behind).
-		for len(r.slots) > 0 && r.slots[0].blk < blk {
-			r.s.dev.async.abandon(r.slots[0].slot)
-			r.slots = r.slots[1:]
-		}
-		r.fillPipeline(blk)
-		if len(r.slots) > 0 && r.slots[0].blk == blk {
-			head := r.slots[0]
-			frame, err := r.s.dev.async.consume(head.slot, r.frame)
-			r.frame = frame
-			r.buf = frame.Bytes()
-			if err != nil {
-				r.slots = r.slots[1:]
-				return err
-			}
-			r.slots = r.slots[1:]
-			r.cur = blk
-			r.fillPipeline(blk + 1)
-			return nil
-		}
-	}
 	id, err := r.s.blockID(blk)
 	if err != nil {
 		return err
@@ -409,41 +288,7 @@ func (r *StreamReader) enterBlock(blk int) error {
 		return err
 	}
 	r.cur = blk
-	if r.ra > 0 {
-		r.fillPipeline(blk + 1)
-	}
 	return nil
-}
-
-// fillPipeline schedules prefetches for consecutive blocks starting no
-// earlier than from, up to the read-ahead depth, stopping early when the
-// device has no free tokens (concurrent readers share them; whoever is
-// short simply reads synchronously).
-func (r *StreamReader) fillPipeline(from int) {
-	nblocks := r.s.Blocks()
-	// A range reader prefetches no further than its own range: blocks past
-	// the limit belong to other readers (other merge partitions), and
-	// fetching them would only surface as PrefetchWasted.
-	if bs := int64(len(r.buf)); bs > 0 {
-		if lastBlk := int((r.limit + bs - 1) / bs); lastBlk < nblocks {
-			nblocks = lastBlk
-		}
-	}
-	if r.nextFetch < from {
-		r.nextFetch = from
-	}
-	for len(r.slots) < r.ra && r.nextFetch < nblocks {
-		id, err := r.s.blockID(r.nextFetch)
-		if err != nil {
-			return
-		}
-		s := r.s.dev.async.tryPrefetch(r.cat, id)
-		if s == nil {
-			return
-		}
-		r.slots = append(r.slots, readerSlot{blk: r.nextFetch, slot: s})
-		r.nextFetch++
-	}
 }
 
 // ReadByte implements io.ByteReader.
@@ -456,18 +301,12 @@ func (r *StreamReader) ReadByte() (byte, error) {
 	return w[0], nil
 }
 
-// Close abandons any in-flight prefetches (waiting for the worker to
-// finish with their frames), recycles the buffer frame and releases its
-// grant.
+// Close recycles the buffer frame and releases its grant.
 func (r *StreamReader) Close() error {
 	if r.closed {
 		return nil
 	}
 	r.closed = true
-	for _, rs := range r.slots {
-		r.s.dev.async.abandon(rs.slot)
-	}
-	r.slots = nil
 	r.s.dev.Frames().Release(r.frame)
 	r.buf = nil
 	if r.budget != nil {

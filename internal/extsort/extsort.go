@@ -87,8 +87,8 @@ type Sorter struct {
 	memBlocks int
 	bufLimit  int // record bytes buffered before a run is cut
 
-	// fenceOn mirrors Config.FenceIndex/MergeParallel, forced off without
-	// a keyer (no normalized keys means no byte-comparable fences);
+	// fenceOn is set when Config.MergeParallel is, forced off without a
+	// keyer (no normalized keys means no byte-comparable fences);
 	// mergeParallel mirrors Config.MergeParallel.
 	fenceOn       bool
 	mergeParallel int
@@ -161,7 +161,7 @@ func NewKernel(env *em.Env, cat em.Category, k sortkey.Kernel, memBlocks int) (*
 		memBlocks:     memBlocks,
 		bufLimit:      (memBlocks - 1) * env.Conf.BlockSize,
 		arena:         newRecArena(env.Dev.Frames(), memBlocks-1),
-		fenceOn:       (env.Conf.FenceIndex || env.Conf.MergeParallel > 0) && k.AppendKey != nil,
+		fenceOn:       env.Conf.MergeParallel > 0 && k.AppendKey != nil,
 		mergeParallel: env.Conf.MergeParallel,
 		fences:        make(map[*em.Stream]*em.Stream),
 	}, nil

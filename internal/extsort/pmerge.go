@@ -168,7 +168,7 @@ func (s *Sorter) finalMerge(runs []*em.Stream) (*em.Stream, error) {
 	if len(runs) == 1 {
 		return runs[0], nil
 	}
-	if s.mergeParallel > 0 && s.fenceOn {
+	if s.fenceOn {
 		idxs := make([]*em.Stream, len(runs))
 		ok := true
 		s.mu.Lock()

@@ -156,12 +156,12 @@ func TestPartitionedMergePresortedFallback(t *testing.T) {
 	}
 }
 
-// TestFenceIndexSpilled pins the side-stream mechanics: with FenceIndex on
-// (and no MergeParallel), every spilled run gets a CatFenceIndex stream
+// TestFenceIndexSpilled pins the side-stream mechanics: with MergeParallel
+// set, every spilled run gets a CatFenceIndex stream
 // whose decoded entries are valid fences into the run — first fence at
 // offset 0, offsets strictly increasing, at most one per run block.
 func TestFenceIndexSpilled(t *testing.T) {
-	env, err := em.NewEnv(em.Config{BlockSize: 512, MemBlocks: 24, FenceIndex: true})
+	env, err := em.NewEnv(em.Config{BlockSize: 512, MemBlocks: 24, MergeParallel: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

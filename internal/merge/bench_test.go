@@ -10,15 +10,16 @@ import (
 	"nexsort/internal/keys"
 )
 
-// benchDocs builds two pre-sorted documents sharing about half their keys.
-func benchDocs() (string, string, *keys.Criterion) {
+// catalogDocs builds two pre-sorted documents of items elements each,
+// sharing about half their keys.
+func catalogDocs(items int) (string, string, *keys.Criterion) {
 	c := &keys.Criterion{Rules: []keys.Rule{{Tag: "item", Source: keys.ByAttr("id")}}}
 	build := func(seed int64) string {
 		rng := rand.New(rand.NewSource(seed))
 		var sb strings.Builder
 		sb.WriteString("<catalog>")
 		id := 0
-		for i := 0; i < 5000; i++ {
+		for i := 0; i < items; i++ {
 			id += 1 + rng.Intn(3) // sorted, with gaps so halves overlap
 			fmt.Fprintf(&sb, `<item id="%08d" v="%d"><d>payload %d</d></item>`, id, rng.Intn(100), i)
 		}
@@ -30,7 +31,7 @@ func benchDocs() (string, string, *keys.Criterion) {
 
 // BenchmarkStreamingMerge measures the single-pass structural merge.
 func BenchmarkStreamingMerge(b *testing.B) {
-	left, right, c := benchDocs()
+	left, right, c := catalogDocs(5000)
 	b.SetBytes(int64(len(left) + len(right)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -12,16 +12,15 @@ import (
 // with no em.Device underneath to enforce a lifecycle — so cancellation
 // is enforced at the stream boundary instead: guarded readers and a
 // guarded writer refuse further bytes once the context ends. The merge
-// consumes input and produces output continuously (the parser pipelines
-// buffer at most a bounded token window), so a cancellation is observed
+// consumes input and produces output continuously (each parser buffers
+// one read, the writer one output buffer), so a cancellation is observed
 // within one buffered read or write.
 
 // DocumentsContext is Documents bounded by ctx: when ctx is canceled or
 // its deadline passes, the merge stops at the next stream operation and
 // returns an error matching errors.Is against context.Canceled /
-// context.DeadlineExceeded. The pipelined parser goroutines are stopped
-// on every return path (Documents defers their teardown), so nothing
-// leaks.
+// context.DeadlineExceeded. The merge runs on the calling goroutine, so
+// nothing is left running.
 func DocumentsContext(ctx context.Context, left, right io.Reader, c *keys.Criterion, out io.Writer, opts Options) (*Report, error) {
 	rep, err := Documents(&ctxReader{ctx: ctx, r: left}, &ctxReader{ctx: ctx, r: right},
 		c, &ctxWriter{ctx: ctx, w: out}, opts)

@@ -23,9 +23,9 @@
 package merge
 
 import (
+	"bufio"
 	"fmt"
 	"io"
-	"runtime"
 
 	"nexsort/internal/keys"
 	"nexsort/internal/sortkey"
@@ -41,22 +41,12 @@ type Options struct {
 	PreferRight bool
 	// Indent pretty-prints the output; empty writes compact XML.
 	Indent string
-	// Parallelism bounds the merge's goroutines. Above one, each input's
-	// raw bytes are read ahead block by block on a producer goroutine,
-	// overlapping the two inputs' I/O with the parse+merge consumer; the
-	// byte stream each parser sees is unchanged, so the output is
-	// byte-identical to the sequential merge. 0 defaults to GOMAXPROCS;
-	// 1 forces sequential execution.
-	Parallelism int
 }
 
-// parallelism resolves the knob: 0 defaults to GOMAXPROCS.
-func (o Options) parallelism() int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// outputBufferBytes sizes the buffer between the token writer and the
+// caller's out: the writer emits one Write per token, which on a file
+// would be one system call per token.
+const outputBufferBytes = 64 << 10
 
 // Report summarizes a merge.
 type Report struct {
@@ -75,7 +65,8 @@ type Report struct {
 // are made at start tags. The roots must match — the paper's setting has
 // both documents describing the same top-level entity (<company>) — and
 // mismatched roots are reported as an error. Roots match by tag name and
-// equal (possibly empty) key.
+// equal (possibly empty) key. Output reaches out through a buffer of
+// outputBufferBytes, which is flushed only when the merge succeeds.
 func Documents(left, right io.Reader, c *keys.Criterion, out io.Writer, opts Options) (*Report, error) {
 	for _, r := range c.Rules {
 		if !r.Source.StartResolvable() {
@@ -83,16 +74,14 @@ func Documents(left, right io.Reader, c *keys.Criterion, out io.Writer, opts Opt
 		}
 	}
 	rep := &Report{}
-	pipelined := opts.parallelism() > 1
-	ls := newParserStream(left, c, &rep.ElementsLeft, pipelined)
-	defer ls.stop()
-	rs := newParserStream(right, c, &rep.ElementsRight, pipelined)
-	defer rs.stop()
+	ls := newParserStream(left, c, &rep.ElementsLeft)
+	rs := newParserStream(right, c, &rep.ElementsRight)
+	bw := bufio.NewWriterSize(out, outputBufferBytes)
 	var w *xmltok.Writer
 	if opts.Indent != "" {
-		w = xmltok.NewIndentWriter(out, opts.Indent)
+		w = xmltok.NewIndentWriter(bw, opts.Indent)
 	} else {
-		w = xmltok.NewWriter(out)
+		w = xmltok.NewWriter(bw)
 	}
 
 	m := &merger{w: w, opts: opts, rep: rep}
@@ -113,6 +102,9 @@ func Documents(left, right io.Reader, c *keys.Criterion, out io.Writer, opts Opt
 		return nil, err
 	}
 	if err := w.Close(); err != nil {
+		return nil, err
+	}
+	if err := bw.Flush(); err != nil {
 		return nil, err
 	}
 	return rep, nil
@@ -412,36 +404,14 @@ func unionAttrs(a, b []xmltok.Attr, preferRight bool) []xmltok.Attr {
 	return out
 }
 
-// parserStream is a live annotated token stream with lookahead. With
-// pipelining, the raw input bytes are read ahead block by block on a
-// producer goroutine (blockReadAhead below); parse+annotate runs on the
-// consumer over the identical byte stream, so everything the merger sees
-// is the same either way.
+// parserStream is a live annotated token stream with lookahead.
 type parserStream struct {
 	fetch   func() (xmltok.Token, error)
-	stopFn  func()
 	peeked  *xmltok.Token
 	peekErr error
 }
 
-// Block read-ahead geometry for pipelined inputs. The merge is deviceless
-// — its inputs are plain io.Readers, not em streams — so the depth is a
-// package constant rather than em.Config.ReadAhead, but the shape is the
-// same as the device engine's (DESIGN.md §15): a bounded ring of
-// block-sized buffers filled ahead of the consumer, recycled as they
-// drain. Lookahead is block-granular, mirroring how em.StreamReader
-// prefetches the next depth blocks of its extent table.
-const (
-	readAheadBlockBytes = 16 << 10
-	readAheadBlocks     = 4
-)
-
-func newParserStream(r io.Reader, c *keys.Criterion, elements *int64, pipelined bool) *parserStream {
-	stopFn := func() {}
-	if pipelined {
-		ra := newBlockReadAhead(r)
-		r, stopFn = ra, ra.stop
-	}
+func newParserStream(r io.Reader, c *keys.Criterion, elements *int64) *parserStream {
 	p := xmltok.NewParser(r, xmltok.DefaultParserOptions())
 	a := keys.NewAnnotator(c, nil)
 	fetch := func() (xmltok.Token, error) {
@@ -457,104 +427,7 @@ func newParserStream(r io.Reader, c *keys.Criterion, elements *int64, pipelined 
 		}
 		return tok, nil
 	}
-	return &parserStream{fetch: fetch, stopFn: stopFn}
-}
-
-// stop shuts the read-ahead goroutine down (and waits for it), so an
-// early merge error neither leaks the goroutine nor leaves it blocked on
-// a half-consumed input. A no-op for sequential streams and after the
-// stream is exhausted.
-func (s *parserStream) stop() { s.stopFn() }
-
-// raBlock is one produced read-ahead block: the filled prefix of a ring
-// buffer, plus the stream's terminal error once there is one.
-type raBlock struct {
-	buf  []byte // the ring buffer, for recycling
-	data []byte // buf[:n], the bytes actually read
-	err  error
-}
-
-// blockReadAhead is an io.Reader that keeps up to readAheadBlocks blocks
-// of the underlying reader in flight on a producer goroutine. Buffers
-// recycle through the free ring, so the steady-state footprint is
-// readAheadBlocks+1 blocks regardless of input size. The consumer sees
-// the byte stream unchanged; only the timing of the underlying reads
-// moves.
-type blockReadAhead struct {
-	full chan raBlock
-	free chan []byte
-	quit chan struct{}
-
-	cur     raBlock // block being drained; err delivered after its bytes
-	stopped bool
-}
-
-func newBlockReadAhead(r io.Reader) *blockReadAhead {
-	ra := &blockReadAhead{
-		full: make(chan raBlock, readAheadBlocks),
-		free: make(chan []byte, readAheadBlocks+1),
-		quit: make(chan struct{}),
-	}
-	for i := 0; i < readAheadBlocks+1; i++ {
-		ra.free <- make([]byte, readAheadBlockBytes)
-	}
-	go ra.produce(r)
-	return ra
-}
-
-func (ra *blockReadAhead) produce(r io.Reader) {
-	defer close(ra.full)
-	for {
-		var buf []byte
-		select {
-		case buf = <-ra.free:
-		case <-ra.quit:
-			return
-		}
-		n, err := io.ReadFull(r, buf)
-		if err == io.ErrUnexpectedEOF {
-			err = io.EOF // a short final block, delivered before the EOF
-		}
-		select {
-		case ra.full <- raBlock{buf: buf, data: buf[:n], err: err}:
-			if err != nil {
-				return
-			}
-		case <-ra.quit:
-			return
-		}
-	}
-}
-
-func (ra *blockReadAhead) Read(p []byte) (int, error) {
-	for len(ra.cur.data) == 0 {
-		if ra.cur.err != nil {
-			return 0, ra.cur.err
-		}
-		if ra.cur.buf != nil {
-			ra.free <- ra.cur.buf
-			ra.cur = raBlock{}
-		}
-		blk, ok := <-ra.full
-		if !ok {
-			return 0, io.EOF
-		}
-		ra.cur = blk
-	}
-	n := copy(p, ra.cur.data)
-	ra.cur.data = ra.cur.data[n:]
-	return n, nil
-}
-
-// stop halts the producer and waits for it to exit. Idempotent.
-func (ra *blockReadAhead) stop() {
-	if ra.stopped {
-		return
-	}
-	ra.stopped = true
-	close(ra.quit)
-	for range ra.full { // wait for the producer's deferred close
-	}
+	return &parserStream{fetch: fetch}
 }
 
 func (s *parserStream) peek() (xmltok.Token, error) {

@@ -1,6 +1,7 @@
 package merge
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -327,5 +328,53 @@ func TestMergeRejectsUnsortedInput(t *testing.T) {
 	out.Reset()
 	if _, err := Documents(strings.NewReader(sorted), strings.NewReader(sorted), c, &out, Options{}); err != nil {
 		t.Errorf("sorted inputs rejected: %v", err)
+	}
+}
+
+// countingWriter records the bytes written to it and how many Write calls
+// delivered them.
+type countingWriter struct {
+	buf   bytes.Buffer
+	calls int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.calls++
+	return w.buf.Write(p)
+}
+
+// TestMergeBuffersOutput pins that the merge hands its output to the
+// caller in buffer-sized writes, not one Write per token: on a file each
+// Write is a system call. Buffering must not change a byte, so the output
+// is also checked against the nested-loop oracle, which serializes its
+// in-memory tree without going through Documents.
+func TestMergeBuffersOutput(t *testing.T) {
+	left, right, c := catalogDocs(2500)
+	var out countingWriter
+	if _, err := Documents(strings.NewReader(left), strings.NewReader(right), c, &out, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if n := out.buf.Len(); n < 100<<10 {
+		t.Fatalf("merged output is %d bytes; the test needs at least 100 KiB", n)
+	}
+	if limit := out.buf.Len()/outputBufferBytes + 2; out.calls > limit {
+		t.Errorf("%d bytes reached the writer in %d Write calls; want at most %d", out.buf.Len(), out.calls, limit)
+	}
+
+	t1, err := xmltree.ParseString(left)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t2, err := xmltree.ParseString(right)
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive, err := NestedLoop(t1, t2, c, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive.SortRecursive()
+	if out.buf.String() != naive.XMLString() {
+		t.Error("buffered merge output differs from the nested-loop oracle")
 	}
 }

@@ -27,8 +27,6 @@ package xstack
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"nexsort/internal/em"
 )
@@ -51,18 +49,6 @@ type pager struct {
 	dirty  []bool
 	wStart int // stack block index of bufs[0]
 	closed bool
-
-	// Write-behind state: dirty evictions are handed to the device's
-	// flusher when write-behind is on (em.Config.WriteBehind), and the
-	// pager keeps pushing while they drain. The first flush error is
-	// latched and returned at the pager's next device-touching operation;
-	// close drains all outstanding flushes. Paging a block back in while
-	// its flush is still in flight is coherent by construction — the
-	// device serves the submitted bytes from its pending mirror.
-	flushWG  sync.WaitGroup
-	errMu    sync.Mutex
-	flushErr error
-	errSet   atomic.Bool
 }
 
 func newPager(dev *em.Device, cat em.Category, budget *em.Budget, resident int) (*pager, error) {
@@ -119,46 +105,11 @@ func (p *pager) grow() error {
 	return nil
 }
 
-// onFlush is the write-behind completion callback; it runs on the flusher
-// goroutine.
-func (p *pager) onFlush(err error) {
-	if err != nil {
-		p.errMu.Lock()
-		if p.flushErr == nil {
-			p.flushErr = err
-			p.errSet.Store(true)
-		}
-		p.errMu.Unlock()
-	}
-	p.flushWG.Done()
-}
-
-// flushError reports the latched write-behind error, if any.
-func (p *pager) flushError() error {
-	if !p.errSet.Load() {
-		return nil
-	}
-	p.errMu.Lock()
-	defer p.errMu.Unlock()
-	return p.flushErr
-}
-
+// evictOldest drops the oldest resident block from the window, writing it
+// to the device first if it is dirty.
 func (p *pager) evictOldest() error {
-	if err := p.flushError(); err != nil {
-		return err
-	}
 	if p.dirty[0] {
-		id := p.deviceID(p.wStart)
-		p.flushWG.Add(1)
-		if p.dev.WriteBlockBehind(p.cat, id, p.bufs[0], p.onFlush) {
-			// Frame ownership moved to the flusher; the window just shrinks.
-			p.bufs = p.bufs[1:]
-			p.dirty = p.dirty[1:]
-			p.wStart++
-			return nil
-		}
-		p.flushWG.Done() // write-behind unavailable: evict synchronously
-		if err := p.dev.WriteBlock(p.cat, id, p.bufs[0].Bytes()); err != nil {
+		if err := p.dev.WriteBlock(p.cat, p.deviceID(p.wStart), p.bufs[0].Bytes()); err != nil {
 			return err
 		}
 	}
@@ -184,9 +135,6 @@ func (p *pager) shrinkTo(b int) error {
 	}
 	// Page fault: the new top lives below the window. The oldest resident
 	// frame is reused for the paged-in block; the rest are recycled.
-	if err := p.flushError(); err != nil {
-		return err
-	}
 	if p.ids == nil || b >= len(p.ids) || p.ids[b] < 0 {
 		return fmt.Errorf("xstack: internal error: block %d was never evicted", b)
 	}
@@ -258,9 +206,6 @@ func (p *pager) readInto(b int, dst []byte) error {
 		copy(dst, p.buf(b))
 		return nil
 	}
-	if err := p.flushError(); err != nil {
-		return err
-	}
 	if p.ids == nil || b >= len(p.ids) || p.ids[b] < 0 {
 		return fmt.Errorf("xstack: internal error: reading block %d that was never evicted", b)
 	}
@@ -272,9 +217,6 @@ func (p *pager) close() {
 		return
 	}
 	p.closed = true
-	// Drain outstanding evictions: their frames are settled back into the
-	// pool before the stack's owner runs its leak checks.
-	p.flushWG.Wait()
 	for _, f := range p.bufs {
 		p.frames.Release(f)
 	}

@@ -445,159 +445,3 @@ func TestByteStackSetResident(t *testing.T) {
 		t.Error("zero residency should fail")
 	}
 }
-
-// TestByteStackWriteBehind drives an eviction-heavy push/truncate/read
-// workload through a device with a write-behind pipeline and checks it
-// against the identical workload on a synchronous device: same final
-// bytes, same logical ledger (write-behind charges the write at
-// submission, so eviction counts must not move), and no live frames
-// after the stack and device unwind.
-func TestByteStackWriteBehind(t *testing.T) {
-	run := func(ra, wb int) ([]byte, map[string]em.IOCount) {
-		t.Helper()
-		stats := em.NewStats()
-		dev := em.NewDevice(em.NewMemBackend(), 32, stats)
-		if ra > 0 || wb > 0 {
-			dev.EnableAsync(ra, wb)
-		}
-		s, err := NewByteStack(dev, em.CatDataStack, nil, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		rng := rand.New(rand.NewSource(77))
-		var ref []byte
-		for i := 0; i < 300; i++ {
-			chunk := make([]byte, 1+rng.Intn(50))
-			for j := range chunk {
-				chunk[j] = byte('a' + (i+j)%26)
-			}
-			if err := s.Push(chunk); err != nil {
-				t.Fatal(err)
-			}
-			ref = append(ref, chunk...)
-			switch {
-			case i%23 == 11:
-				// Truncating into an evicted region pages blocks back in
-				// while earlier flushes may still be in flight.
-				cut := int64(len(ref)) * 3 / 4
-				if err := s.Truncate(cut); err != nil {
-					t.Fatal(err)
-				}
-				ref = ref[:cut]
-			case i%37 == 5:
-				// Read the full contents mid-stream: every evicted block is
-				// paged back through the pending-flush coherence path.
-				r, err := s.ReadRange(nil, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := io.ReadAll(r)
-				if err != nil {
-					t.Fatal(err)
-				}
-				r.Close()
-				if !bytes.Equal(got, ref) {
-					t.Fatalf("ra=%d wb=%d: mid-stream contents diverged at i=%d", ra, wb, i)
-				}
-			}
-		}
-
-		r, err := s.ReadRange(nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := io.ReadAll(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Close()
-		s.Close()
-		if err := dev.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if live := dev.Frames().Live(); live != 0 {
-			t.Fatalf("ra=%d wb=%d: %d frames live after close", ra, wb, live)
-		}
-		return got, stats.Snapshot()
-	}
-
-	wantBytes, wantLedger := run(0, 0)
-	for _, d := range [][2]int{{0, 1}, {0, 3}, {2, 2}} {
-		got, ledger := run(d[0], d[1])
-		if !bytes.Equal(got, wantBytes) {
-			t.Errorf("ra=%d wb=%d: final contents differ from synchronous run", d[0], d[1])
-		}
-		w, g := wantLedger["data-stack"], ledger["data-stack"]
-		g.PrefetchHits, g.PrefetchWasted, g.FlushStalls = 0, 0, 0
-		g.PhysReadBytes, g.PhysWriteBytes = w.PhysReadBytes, w.PhysWriteBytes
-		if g != w {
-			t.Errorf("ra=%d wb=%d: logical ledger moved: sync %+v, async %+v", d[0], d[1], w, g)
-		}
-	}
-}
-
-// TestRecordStackWriteBehind exercises the record-stack fringe (push, pop,
-// peek, replace) over a write-behind device: pops page evicted blocks back
-// in while their eviction flushes may still be pending.
-func TestRecordStackWriteBehind(t *testing.T) {
-	const recSize = 8
-	run := func(wb int) ([]byte, int64) {
-		t.Helper()
-		stats := em.NewStats()
-		dev := em.NewDevice(em.NewMemBackend(), 32, stats)
-		if wb > 0 {
-			dev.EnableAsync(0, wb)
-		}
-		s, err := NewRecordStack(dev, em.CatPathStack, nil, 2, recSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		var popped []byte
-		rec := make([]byte, recSize)
-		for i := 0; i < 400; i++ {
-			binary.LittleEndian.PutUint64(rec, uint64(i))
-			if err := s.Push(rec); err != nil {
-				t.Fatal(err)
-			}
-			if i%3 == 2 {
-				// Pop across block boundaries: the fringe walks back into
-				// evicted (possibly still-flushing) blocks.
-				out := make([]byte, recSize)
-				if err := s.Pop(out); err != nil {
-					t.Fatal(err)
-				}
-				popped = append(popped, out...)
-			}
-		}
-		for s.Len() > 0 {
-			out := make([]byte, recSize)
-			if err := s.Pop(out); err != nil {
-				t.Fatal(err)
-			}
-			popped = append(popped, out...)
-		}
-		n := s.Len()
-		s.Close()
-		if err := dev.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if live := dev.Frames().Live(); live != 0 {
-			t.Fatalf("wb=%d: %d frames live after close", wb, live)
-		}
-		_ = stats
-		return popped, n
-	}
-
-	wantPopped, wantLen := run(0)
-	for _, wb := range []int{1, 4} {
-		popped, n := run(wb)
-		if n != wantLen {
-			t.Errorf("wb=%d: final length %d, want %d", wb, n, wantLen)
-		}
-		if !bytes.Equal(popped, wantPopped) {
-			t.Errorf("wb=%d: pop sequence differs from synchronous run", wb)
-		}
-	}
-}

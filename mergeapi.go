@@ -30,9 +30,9 @@ func Merge(left, right io.Reader, crit *Criterion, out io.Writer, opts MergeOpti
 }
 
 // MergeContext is Merge bounded by ctx: when ctx is canceled or its
-// deadline passes, the merge stops at the next stream operation, its
-// parser pipelines are torn down, and the returned error satisfies
-// errors.Is against context.Canceled / context.DeadlineExceeded.
+// deadline passes, the merge stops at the next stream operation and the
+// returned error satisfies errors.Is against context.Canceled /
+// context.DeadlineExceeded.
 func MergeContext(ctx context.Context, left, right io.Reader, crit *Criterion, out io.Writer, opts MergeOptions) (*MergeReport, error) {
 	if crit == nil {
 		return nil, fmt.Errorf("nexsort: Merge requires a criterion (it defines element matching)")

@@ -177,12 +177,6 @@ type Config struct {
 	// and the per-category block-transfer counts are identical at every
 	// setting — parallelism buys wall-clock time only.
 	Parallelism int
-	// CacheBlocks carves this many blocks out of the memory budget for a
-	// clean-frame LRU cache on the scratch device: repeat reads of
-	// recently touched spill blocks are served from memory and reported
-	// as cache hits instead of block transfers. Default 0 (off), which
-	// keeps the counted I/Os exactly the paper's model.
-	CacheBlocks int
 	// ScratchQuotaBlocks caps the scratch device at this many blocks.
 	// Writes past the quota fail with ErrScratchExhausted (IsExhausted);
 	// as the device approaches the cap the sorters degrade gracefully
@@ -200,39 +194,18 @@ type Config struct {
 	// like a checksum mismatch. Default off: the paper's model stores
 	// blocks verbatim.
 	CompressSpill bool
-	// ReadAhead reserves this many pipeline blocks (on top of the memory
-	// budget, so the sorter's share of M is untouched) for the scratch
-	// device's read-ahead worker: sequential run readers prefetch
-	// upcoming blocks while the sorter computes, overlapping I/O with
-	// work. The sorted output and the counted logical block transfers
-	// are identical at every depth — a prefetched block is charged only
-	// when consumed. Default 0: fully synchronous I/O, the paper's
-	// model.
-	ReadAhead int
-	// WriteBehind reserves this many pipeline blocks (on top of the
-	// memory budget, like ReadAhead) for the scratch device's
-	// write-behind queue: full run and stack blocks are flushed by a
-	// background goroutine while the sorter keeps going. Like ReadAhead
-	// it changes wall-clock time only; flush errors (including scratch
-	// exhaustion) surface at the next operation on the same stream with
-	// the usual typed taxonomy. Default 0: synchronous writes.
-	WriteBehind int
 	// MergeParallel range-partitions the final merge of every external
 	// sort into up to this many key ranges, merged concurrently on the
-	// worker pool and concatenated in key order (DESIGN.md §17). Implies
-	// FenceIndex. The sorted output is byte-identical and the counted
-	// logical block transfers per category are identical at every
-	// setting > 0 — and identical to the serial merge except for the
-	// fence-index side stream's own small category, so like Parallelism
-	// it buys wall-clock time only. Default 0: the serial single-tree
-	// final merge, the paper's model.
+	// worker pool and concatenated in key order (DESIGN.md §17). It
+	// partitions with a fence-key sparse index that run formation emits
+	// beside every spilled run (the first normalized key of each run
+	// block, stored as a tiny side stream). The sorted output is
+	// byte-identical and the counted logical block transfers per category
+	// are identical at every setting > 0 — and identical to the serial
+	// merge except for the fence-index side stream's own small category,
+	// so like Parallelism it buys wall-clock time only. Default 0: the
+	// serial single-tree final merge, the paper's model.
 	MergeParallel int
-	// FenceIndex emits a fence-key sparse index beside every spilled run
-	// (the first normalized key of each run block, stored as a tiny
-	// compressed side stream): the machinery MergeParallel partitions
-	// with. On its own it adds the index streams without changing the
-	// merge. Default off.
-	FenceIndex bool
 }
 
 // Defaults for Config.
@@ -267,13 +240,9 @@ func (c Config) normalize() (em.Config, error) {
 		VerifyChecksums:    c.VerifyChecksums,
 		Retry:              c.Retry,
 		Parallelism:        c.Parallelism,
-		CacheBlocks:        c.CacheBlocks,
 		ScratchQuotaBlocks: c.ScratchQuotaBlocks,
 		CompressSpill:      c.CompressSpill,
-		ReadAhead:          c.ReadAhead,
-		WriteBehind:        c.WriteBehind,
 		MergeParallel:      c.MergeParallel,
-		FenceIndex:         c.FenceIndex,
 	}
 	if err := cfg.Validate(); err != nil {
 		return cfg, err

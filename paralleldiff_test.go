@@ -137,7 +137,6 @@ func TestCompressedSpillConformance(t *testing.T) {
 			out[k] = em.IOCount{
 				Reads: c.Reads, Writes: c.Writes,
 				ReadBytes: c.ReadBytes, WriteBytes: c.WriteBytes,
-				CacheHits: c.CacheHits, CacheMisses: c.CacheMisses,
 			}
 		}
 		return out
@@ -197,29 +196,25 @@ func TestCompressedSpillConformance(t *testing.T) {
 // logical ledger category except the fence-index side stream must be
 // untouched; across partition counts the whole logical ledger — fence
 // reads, splitter samples and partitioned-merge counts included — must
-// not move at all, with or without spill compression, at pipeline depths
-// 0 and 8. The merge-sort trials separately assert that a partitioned
-// merge actually ran, so the invariance is never vacuously true.
+// not move at all, with or without spill compression. The merge-sort
+// trials separately assert that a partitioned merge actually ran, so the
+// invariance is never vacuously true.
 func TestPartitionedMergeConformance(t *testing.T) {
 	doc, _, err := chaostest.Doc(300, 6, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	crit := keys.ByAttrOrTag("key")
-	depths := []struct{ ra, wb int }{{0, 0}, {8, 8}}
 
 	// logical projects a snapshot onto the counters that must be invariant
 	// across partition counts: the logical block ledger plus the
-	// partitioned-merge bookkeeping. The overlap counters are the
-	// pipeline's own traffic and PrefetchWasted legitimately varies with
-	// where the planner's scans end, so they are projected out.
+	// partitioned-merge bookkeeping.
 	logical := func(snap map[string]em.IOCount) map[string]em.IOCount {
 		out := make(map[string]em.IOCount, len(snap))
 		for k, c := range snap {
 			out[k] = em.IOCount{
 				Reads: c.Reads, Writes: c.Writes,
 				ReadBytes: c.ReadBytes, WriteBytes: c.WriteBytes,
-				CacheHits: c.CacheHits, CacheMisses: c.CacheMisses,
 				PartitionedMerges: c.PartitionedMerges,
 				SplitterSamples:   c.SplitterSamples,
 			}
@@ -249,50 +244,46 @@ func TestPartitionedMergeConformance(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			for _, algo := range chaostest.Algorithms {
-				for _, d := range depths {
+				env := diffEnv(24, 2)
+				env.CompressSpill = compress
+				serial := chaostest.Run(doc, crit, chaostest.Trial{Algorithm: algo, Env: env})
+				if serial.PanicValue != nil || serial.Err != nil {
+					t.Fatalf("%v serial: panic=%v err=%v", algo, serial.PanicValue, serial.Err)
+				}
+				serialIOs := logical(serial.Stats.Snapshot())
+
+				var baseIOs map[string]em.IOCount // partitioned ledger at P=1
+				for _, p := range parallelLevels {
 					env := diffEnv(24, 2)
 					env.CompressSpill = compress
-					env.ReadAhead, env.WriteBehind = d.ra, d.wb
-					serial := chaostest.Run(doc, crit, chaostest.Trial{Algorithm: algo, Env: env})
-					if serial.PanicValue != nil || serial.Err != nil {
-						t.Fatalf("%v ra=%d wb=%d serial: panic=%v err=%v", algo, d.ra, d.wb, serial.PanicValue, serial.Err)
+					env.MergeParallel = p
+					o := chaostest.Run(doc, crit, chaostest.Trial{Algorithm: algo, Env: env})
+					if o.PanicValue != nil {
+						t.Fatalf("%v P=%d: panic: %v", algo, p, o.PanicValue)
 					}
-					serialIOs := logical(serial.Stats.Snapshot())
-
-					var baseIOs map[string]em.IOCount // partitioned ledger at P=1
-					for _, p := range parallelLevels {
-						env := diffEnv(24, 2)
-						env.CompressSpill = compress
-						env.ReadAhead, env.WriteBehind = d.ra, d.wb
-						env.MergeParallel = p
-						o := chaostest.Run(doc, crit, chaostest.Trial{Algorithm: algo, Env: env})
-						if o.PanicValue != nil {
-							t.Fatalf("%v ra=%d wb=%d P=%d: panic: %v", algo, d.ra, d.wb, p, o.PanicValue)
-						}
-						if o.Err != nil {
-							t.Fatalf("%v ra=%d wb=%d P=%d: %v", algo, d.ra, d.wb, p, o.Err)
-						}
-						if o.BudgetInUse != 0 || o.FramesLive != 0 {
-							t.Errorf("%v ra=%d wb=%d P=%d: leaked %d budget blocks, %d frames",
-								algo, d.ra, d.wb, p, o.BudgetInUse, o.FramesLive)
-						}
-						if !bytes.Equal(o.Output, serial.Output) {
-							t.Errorf("%v ra=%d wb=%d P=%d: output differs from the serial merge", algo, d.ra, d.wb, p)
-						}
-						got := logical(o.Stats.Snapshot())
-						if algo == chaostest.MergeSort && o.Stats.TotalPartitionedMerges() == 0 {
-							t.Errorf("%v ra=%d wb=%d P=%d: no partitioned merge ran — the conformance check is vacuous", algo, d.ra, d.wb, p)
-						}
-						if baseIOs == nil {
-							baseIOs = got
-						} else if !reflect.DeepEqual(got, baseIOs) {
-							t.Errorf("%v ra=%d wb=%d P=%d: partition count moved the logical ledger\nP=1: %v\nP=%d: %v",
-								algo, d.ra, d.wb, p, baseIOs, p, got)
-						}
-						if gotSerial := sansFence(got); !reflect.DeepEqual(gotSerial, serialIOs) {
-							t.Errorf("%v ra=%d wb=%d P=%d: partitioning moved the non-fence ledger\nserial:      %v\npartitioned: %v",
-								algo, d.ra, d.wb, p, serialIOs, gotSerial)
-						}
+					if o.Err != nil {
+						t.Fatalf("%v P=%d: %v", algo, p, o.Err)
+					}
+					if o.BudgetInUse != 0 || o.FramesLive != 0 {
+						t.Errorf("%v P=%d: leaked %d budget blocks, %d frames",
+							algo, p, o.BudgetInUse, o.FramesLive)
+					}
+					if !bytes.Equal(o.Output, serial.Output) {
+						t.Errorf("%v P=%d: output differs from the serial merge", algo, p)
+					}
+					got := logical(o.Stats.Snapshot())
+					if algo == chaostest.MergeSort && o.Stats.TotalPartitionedMerges() == 0 {
+						t.Errorf("%v P=%d: no partitioned merge ran — the conformance check is vacuous", algo, p)
+					}
+					if baseIOs == nil {
+						baseIOs = got
+					} else if !reflect.DeepEqual(got, baseIOs) {
+						t.Errorf("%v P=%d: partition count moved the logical ledger\nP=1: %v\nP=%d: %v",
+							algo, p, baseIOs, p, got)
+					}
+					if gotSerial := sansFence(got); !reflect.DeepEqual(gotSerial, serialIOs) {
+						t.Errorf("%v P=%d: partitioning moved the non-fence ledger\nserial:      %v\npartitioned: %v",
+							algo, p, serialIOs, gotSerial)
 					}
 				}
 			}
@@ -350,94 +341,6 @@ func TestParallelDifferentialOptions(t *testing.T) {
 				if !reflect.DeepEqual(ios, wantIOs) {
 					t.Errorf("parallelism=%d: block transfers differ from sequential run\nsequential: %v\nparallel:   %v",
 						p, wantIOs, ios)
-				}
-			}
-		})
-	}
-}
-
-// TestOverlapPipelineConformance is the asynchronous-I/O counterpart of the
-// differential suite: read-ahead and write-behind are wall-clock
-// optimizations below the logical block abstraction, so at every
-// (Parallelism, ReadAhead, WriteBehind) combination the output bytes must
-// be identical and the logical per-category ledger must DeepEqual the
-// synchronous run's. The overlap counters (PrefetchHits/PrefetchWasted/
-// FlushStalls) are projected out — they are the pipeline's own traffic —
-// and the test separately requires that the deep configurations actually
-// engaged the pipeline, so the invariance is never vacuously true.
-func TestOverlapPipelineConformance(t *testing.T) {
-	doc, _, err := chaostest.Doc(300, 6, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crit := keys.ByAttrOrTag("key")
-	depths := []struct{ ra, wb int }{{1, 0}, {0, 1}, {2, 2}, {8, 8}}
-
-	logical := func(snap map[string]em.IOCount) map[string]em.IOCount {
-		out := make(map[string]em.IOCount, len(snap))
-		for k, c := range snap {
-			out[k] = em.IOCount{
-				Reads: c.Reads, Writes: c.Writes,
-				ReadBytes: c.ReadBytes, WriteBytes: c.WriteBytes,
-				CacheHits: c.CacheHits, CacheMisses: c.CacheMisses,
-			}
-		}
-		return out
-	}
-	overlapTraffic := func(snap map[string]em.IOCount) (hits, waste, stalls int64) {
-		for _, c := range snap {
-			hits += c.PrefetchHits
-			waste += c.PrefetchWasted
-			stalls += c.FlushStalls
-		}
-		return
-	}
-
-	for _, compress := range []bool{false, true} {
-		name := "plain"
-		if compress {
-			name = "compressed"
-		}
-		t.Run(name, func(t *testing.T) {
-			for _, algo := range chaostest.Algorithms {
-				for _, p := range parallelLevels {
-					env := diffEnv(16, p)
-					env.CompressSpill = compress
-					sync := chaostest.Run(doc, crit, chaostest.Trial{Algorithm: algo, Env: env})
-					if sync.PanicValue != nil || sync.Err != nil {
-						t.Fatalf("%v P=%d sync: panic=%v err=%v", algo, p, sync.PanicValue, sync.Err)
-					}
-					if h, w, s := overlapTraffic(sync.Stats.Snapshot()); h+w+s != 0 {
-						t.Fatalf("%v P=%d sync: overlap counters moved with the engine off: hits=%d waste=%d stalls=%d", algo, p, h, w, s)
-					}
-					wantIOs := logical(sync.Stats.Snapshot())
-					for _, d := range depths {
-						env := diffEnv(16, p)
-						env.CompressSpill = compress
-						env.ReadAhead, env.WriteBehind = d.ra, d.wb
-						o := chaostest.Run(doc, crit, chaostest.Trial{Algorithm: algo, Env: env})
-						if o.PanicValue != nil {
-							t.Fatalf("%v P=%d ra=%d wb=%d: panic: %v", algo, p, d.ra, d.wb, o.PanicValue)
-						}
-						if o.Err != nil {
-							t.Fatalf("%v P=%d ra=%d wb=%d: %v", algo, p, d.ra, d.wb, o.Err)
-						}
-						if o.BudgetInUse != 0 || o.FramesLive != 0 {
-							t.Errorf("%v P=%d ra=%d wb=%d: leaked %d budget blocks, %d frames",
-								algo, p, d.ra, d.wb, o.BudgetInUse, o.FramesLive)
-						}
-						if !bytes.Equal(o.Output, sync.Output) {
-							t.Errorf("%v P=%d ra=%d wb=%d: output differs from the synchronous run", algo, p, d.ra, d.wb)
-						}
-						if got := logical(o.Stats.Snapshot()); !reflect.DeepEqual(got, wantIOs) {
-							t.Errorf("%v P=%d ra=%d wb=%d: pipeline moved the logical ledger\nsync:  %v\nasync: %v",
-								algo, p, d.ra, d.wb, wantIOs, got)
-						}
-						hits, _, _ := overlapTraffic(o.Stats.Snapshot())
-						if d.ra > 0 && hits == 0 {
-							t.Errorf("%v P=%d ra=%d wb=%d: read-ahead never produced a consumed prefetch", algo, p, d.ra, d.wb)
-						}
-					}
 				}
 			}
 		})
