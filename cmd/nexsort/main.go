@@ -5,9 +5,9 @@
 // The ordering criterion (-by) uses the spec syntax of
 // nexsort.ParseCriterion: comma-separated tag=source rules where source is
 // @attr, name(), text(), or a/b/text(). The algorithm, block size, memory
-// budget, sort threshold, depth limit and the paper's optional techniques
-// (compaction, graceful degeneration) are all flags, so the tool doubles
-// as a workbench for the paper's experiments.
+// budget, sort threshold, depth limit, compaction, and the paper's
+// Section 3.1 layout in place of the default graceful degeneration are all
+// flags, so the tool doubles as a workbench for the paper's experiments.
 package main
 
 import (
@@ -32,7 +32,7 @@ func main() {
 		threshold = flag.Int("threshold", 0, "NEXSORT sort threshold t in bytes (0 = 2 blocks)")
 		depth     = flag.Int("depth", 0, "depth limit (0 = sort head to toe)")
 		compactF  = flag.Bool("compact", false, "enable Section 3.2 compaction")
-		degen     = flag.Bool("degenerate", false, "enable graceful degeneration on flat inputs")
+		paperLay  = flag.Bool("paper-layout", false, "run NEXSORT in the paper's Section 3.1 layout (one resident data-stack block, no graceful degeneration)")
 		xsort     = flag.String("xsort", "", "XSort mode: only sort the child lists of these comma-separated tags (mergesort algorithm only)")
 		recSeq    = flag.String("record-order", "", "stamp each element with this attribute holding its original sibling position (nexsort only)")
 		indent    = flag.String("indent", "", "pretty-print output with this unit")
@@ -115,7 +115,7 @@ func main() {
 		Threshold:   *threshold,
 		DepthLimit:  *depth,
 		Compact:     *compactF,
-		Degenerate:  *degen,
+		PaperLayout: *paperLay,
 		RecordOrder: *recSeq,
 		Indent:      *indent,
 	}
@@ -160,8 +160,8 @@ func main() {
 		}
 		if res.NEXSORT != nil {
 			r := res.NEXSORT
-			fmt.Fprintf(os.Stderr, "subtree sorts=%d (internal=%d external=%d merged=%d unsorted=%d) run blocks=%d scratch blocks=%d threshold=%dB\n",
-				r.SubtreeSorts, r.InternalSorts, r.ExternalSorts, r.MergedSubtrees, r.UnsortedRuns, r.RunBlocks, r.ScratchBlocks, r.Threshold)
+			fmt.Fprintf(os.Stderr, "subtree sorts=%d (internal=%d external=%d merged=%d incomplete-runs=%d unsorted=%d) run blocks=%d scratch blocks=%d threshold=%dB\n",
+				r.SubtreeSorts, r.InternalSorts, r.ExternalSorts, r.MergedSubtrees, r.IncompleteRuns, r.UnsortedRuns, r.RunBlocks, r.ScratchBlocks, r.Threshold)
 		}
 		if res.MergeSort != nil {
 			r := res.MergeSort

@@ -100,8 +100,10 @@ type Params struct {
 	Threshold  int // NEXSORT only; 0 = 2 blocks
 	DepthLimit int
 	Compact    bool
-	Degenerate bool
-	ScratchDir string // empty = in-memory scratch device
+	// PaperLayout runs NEXSORT in the paper's Section 3.1 layout, the one
+	// its figures measure; the default is graceful degeneration.
+	PaperLayout bool
+	ScratchDir  string // empty = in-memory scratch device
 	// Parallelism is the run's worker bound (0 = DefaultParallelism, then
 	// GOMAXPROCS; 1 = sequential). Block-transfer counts are invariant
 	// under this knob — only WallSeconds moves — so every paper curve can
@@ -200,11 +202,11 @@ func Run(w *Workload, p Params) (*Result, error) {
 	switch p.Algo {
 	case AlgoNEXSORT:
 		rep, err := core.Sort(env, in, io.Discard, core.Options{
-			Criterion:  w.Criterion,
-			Threshold:  p.Threshold,
-			DepthLimit: p.DepthLimit,
-			Compact:    p.Compact,
-			Degenerate: p.Degenerate,
+			Criterion:   w.Criterion,
+			Threshold:   p.Threshold,
+			DepthLimit:  p.DepthLimit,
+			Compact:     p.Compact,
+			PaperLayout: p.PaperLayout,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("bench: NEXSORT on %s: %w", w.Path, err)

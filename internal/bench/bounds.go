@@ -136,7 +136,7 @@ func Bounds(cfg BoundsConfig) ([]BoundsRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		params := Params{Algo: AlgoNEXSORT, BlockSize: DefaultBlockSize, MemBlocks: pt.mem, Compact: true, ScratchDir: cfg.ScratchDir}
+		params := Params{Algo: AlgoNEXSORT, PaperLayout: true, BlockSize: DefaultBlockSize, MemBlocks: pt.mem, Compact: true, ScratchDir: cfg.ScratchDir}
 		res, err := Run(w, params)
 		if err != nil {
 			w.Close()

@@ -88,7 +88,7 @@ func Fig5(cfg Fig5Config) ([]Fig5Row, *Workload, error) {
 	var rows []Fig5Row
 	for _, m := range mems {
 		row := Fig5Row{MemBlocks: m, MemBytes: m * DefaultBlockSize}
-		if row.Nex, err = Run(w, Params{Algo: AlgoNEXSORT, BlockSize: DefaultBlockSize, MemBlocks: m, Compact: true, ScratchDir: cfg.ScratchDir}); err != nil {
+		if row.Nex, err = Run(w, Params{Algo: AlgoNEXSORT, PaperLayout: true, BlockSize: DefaultBlockSize, MemBlocks: m, Compact: true, ScratchDir: cfg.ScratchDir}); err != nil {
 			return nil, nil, err
 		}
 		if row.Merge, err = Run(w, Params{Algo: AlgoMergeSort, BlockSize: DefaultBlockSize, MemBlocks: m, Compact: true, ScratchDir: cfg.ScratchDir}); err != nil {
@@ -151,7 +151,7 @@ func Fig6(cfg Fig6Config) ([]Fig6Row, error) {
 			return nil, err
 		}
 		row := Fig6Row{Elements: spec.Elements(), Stats: w.Stats}
-		if row.Nex, err = Run(w, Params{Algo: AlgoNEXSORT, BlockSize: DefaultBlockSize, MemBlocks: mem, Compact: true, ScratchDir: cfg.ScratchDir}); err != nil {
+		if row.Nex, err = Run(w, Params{Algo: AlgoNEXSORT, PaperLayout: true, BlockSize: DefaultBlockSize, MemBlocks: mem, Compact: true, ScratchDir: cfg.ScratchDir}); err != nil {
 			return nil, err
 		}
 		if row.Merge, err = Run(w, Params{Algo: AlgoMergeSort, BlockSize: DefaultBlockSize, MemBlocks: mem, Compact: true, ScratchDir: cfg.ScratchDir}); err != nil {
@@ -184,8 +184,9 @@ type Fig7Row struct {
 
 // Fig7 runs the tree-shape experiment — Table 2's five document shapes
 // (heights 2-6, near-constant size) and Figure 7's timings over them. The
-// findings to reproduce: at height 2 (a flat file) NEXSORT — without the
-// degeneration optimization, exactly like the paper's implementation — is
+// findings to reproduce: at height 2 (a flat file) NEXSORT — in the
+// paper's layout, without the degeneration optimization, exactly like the
+// paper's implementation — is
 // worse than merge sort; past the critical height the fan-out drops enough
 // for subtree sorts to fit in memory and NEXSORT wins decisively; merge
 // sort degrades slowly with height as key paths lengthen.
@@ -207,7 +208,7 @@ func Fig7(cfg Fig7Config) ([]Fig7Row, error) {
 			return nil, err
 		}
 		row := Fig7Row{Height: i + 2, Fanouts: spec.Fanouts, Elements: spec.Elements()}
-		if row.Nex, err = Run(w, Params{Algo: AlgoNEXSORT, BlockSize: DefaultBlockSize, MemBlocks: mem, Compact: true, ScratchDir: cfg.ScratchDir}); err != nil {
+		if row.Nex, err = Run(w, Params{Algo: AlgoNEXSORT, PaperLayout: true, BlockSize: DefaultBlockSize, MemBlocks: mem, Compact: true, ScratchDir: cfg.ScratchDir}); err != nil {
 			return nil, err
 		}
 		if row.Merge, err = Run(w, Params{Algo: AlgoMergeSort, BlockSize: DefaultBlockSize, MemBlocks: mem, Compact: true, ScratchDir: cfg.ScratchDir}); err != nil {
@@ -269,7 +270,7 @@ func Threshold(cfg ThresholdConfig) ([]ThresholdRow, error) {
 		if t < 1 {
 			t = 1
 		}
-		res, err := Run(w, Params{Algo: AlgoNEXSORT, BlockSize: DefaultBlockSize, MemBlocks: mem, Threshold: t, Compact: true, ScratchDir: cfg.ScratchDir})
+		res, err := Run(w, Params{Algo: AlgoNEXSORT, PaperLayout: true, BlockSize: DefaultBlockSize, MemBlocks: mem, Threshold: t, Compact: true, ScratchDir: cfg.ScratchDir})
 		if err != nil {
 			return nil, err
 		}

@@ -60,8 +60,8 @@ func BenchmarkNEXSORTCompact(b *testing.B) {
 	}
 }
 
-// BenchmarkNEXSORTDegenerateFlat measures graceful degeneration on its
-// target shape.
+// BenchmarkNEXSORTDegenerateFlat measures graceful degeneration, the
+// default layout, on its target shape.
 func BenchmarkNEXSORTDegenerateFlat(b *testing.B) {
 	var sb strings.Builder
 	if _, err := (gen.CustomSpec{Fanouts: []int{16000}, Seed: 7}).Write(&sb); err != nil {
@@ -75,7 +75,7 @@ func BenchmarkNEXSORTDegenerateFlat(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := Sort(env, strings.NewReader(doc), io.Discard, Options{Criterion: benchCriterion(), Degenerate: true}); err != nil {
+		if _, err := Sort(env, strings.NewReader(doc), io.Discard, Options{Criterion: benchCriterion()}); err != nil {
 			b.Fatal(err)
 		}
 		env.Close()

@@ -22,10 +22,18 @@
 // Figure 4 prescribe — concatenates the runs into the final sorted
 // document.
 //
-// Extensions of Section 3.2 are available through Options: depth-limited
-// sorting, complex (subtree-pass) ordering criteria via the keys package's
-// streaming evaluators, graceful degeneration into external merge sort on
-// flat inputs, and the compaction codecs of the compact package.
+// The default layout is the one of Section 3.2's graceful degeneration into
+// external merge sort: nearly all of the budget is the data stack's
+// resident window, and when the open element's accumulated children fill
+// it they are cut into an incomplete sorted run, so a flat document needs
+// no more passes than external merge sort. Options.PaperLayout selects the
+// layout of Section 3.1 that the paper evaluates instead: one resident
+// data-stack block and no cuts. The output is the same either way.
+//
+// The other extensions of Section 3.2 are available through Options:
+// depth-limited sorting, complex (subtree-pass) ordering criteria via the
+// keys package's streaming evaluators, and the compaction codecs of the
+// compact package.
 package core
 
 import (
@@ -35,18 +43,16 @@ import (
 	"nexsort/internal/keys"
 )
 
-// MinMemBlocks is the smallest memory budget NEXSORT accepts: one resident
-// block for the data stack, two for the path stack (Lemma 4.11's
-// assumption), two for the ordering-expression spill stack, one for the
-// input buffer, plus reader, writer and at least four blocks of sort
-// area so the external fallback's merge makes progress.
+// MinMemBlocks is the smallest memory budget NEXSORT accepts, in either
+// layout: two blocks for the path stack (Lemma 4.11's assumption), two for
+// the ordering-expression spill stack, one for the input buffer, and the
+// data stack's resident window plus reader, writer and sort area. The
+// paper's layout keeps one window block and leaves at least four blocks of
+// sort area so the external fallback's merge makes progress. The default
+// layout gives the window all but eight blocks, so at the floor a cut
+// sorts three blocks of children, and the incomplete-run merge, which
+// takes the window back, has four blocks.
 const MinMemBlocks = 12
-
-// MinMemBlocksDegenerate is the floor with graceful degeneration enabled:
-// the optimization dedicates the sort area to extra resident data-stack
-// blocks so accumulating children never touch disk, which only pays off
-// with a few blocks to spare.
-const MinMemBlocksDegenerate = 16
 
 // Options configures a sort.
 type Options struct {
@@ -72,12 +78,17 @@ type Options struct {
 	// the setting the paper's own evaluation uses for both algorithms.
 	// Input and output documents are plain XML either way.
 	Compact bool
-	// Degenerate enables graceful degeneration into external merge sort
-	// (Section 3.2): when the open subtree's accumulated children fill
-	// the sort area, they are sorted into an incomplete run immediately
-	// instead of riding the data stack to disk and back. The paper's own
-	// evaluation leaves this off, which is also the default here.
-	Degenerate bool
+	// PaperLayout selects the memory layout of Section 3.1, the one the
+	// paper evaluates: one resident data-stack block, the rest of the
+	// budget a sort area, and the key-path external merge sort for any
+	// subtree larger than that area. The default (false) is Section 3.2's
+	// graceful degeneration into external merge sort: the data stack keeps
+	// all but eight blocks resident, and when the open element's
+	// accumulated children fill that window they are sorted into an
+	// incomplete run at once instead of riding the stack to disk and back;
+	// the element's end tag merges its incomplete runs. Output bytes are
+	// identical in both layouts; the I/O ledger is not.
+	PaperLayout bool
 	// RecordOrder, when non-empty, stamps every element with an attribute
 	// of this name holding its original position among its siblings
 	// (zero-padded, so lexicographic order is numeric order). This is the
@@ -154,10 +165,6 @@ func (o *Options) validate(env *em.Env) (keysCrit *keys.Criterion, threshold int
 	if env.Budget.Total() < MinMemBlocks {
 		return nil, 0, fmt.Errorf("core: memory budget %d blocks below NEXSORT's minimum %d",
 			env.Budget.Total(), MinMemBlocks)
-	}
-	if o.Degenerate && env.Budget.Total() < MinMemBlocksDegenerate {
-		return nil, 0, fmt.Errorf("core: graceful degeneration needs at least %d memory blocks, got %d",
-			MinMemBlocksDegenerate, env.Budget.Total())
 	}
 	crit := o.Criterion
 	if crit == nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -141,8 +142,9 @@ func TestMatchesBaselineByteForByte(t *testing.T) {
 
 func TestExternalSubtreeSortPath(t *testing.T) {
 	// A single giant flat element under the root forces the root subtree
-	// sort to exceed the in-memory area (without degeneration), taking
-	// the key-path external fallback.
+	// sort to exceed the in-memory area of the paper's layout, taking the
+	// key-path external fallback; the default layout would cut the
+	// children into incomplete runs instead.
 	var sb strings.Builder
 	sb.WriteString(`<root key="r">`)
 	rng := rand.New(rand.NewSource(3))
@@ -154,7 +156,7 @@ func TestExternalSubtreeSortPath(t *testing.T) {
 	c := &keys.Criterion{Rules: []keys.Rule{{Tag: "", Source: keys.ByAttr("key")}}, KeyCap: 16}
 
 	env := newEnv(t, 256, MinMemBlocks)
-	got, rep := nexsort(t, env, doc, Options{Criterion: c})
+	got, rep := nexsort(t, env, doc, Options{Criterion: c, PaperLayout: true})
 	if rep.ExternalSorts == 0 {
 		t.Fatalf("expected an external subtree sort; report = %+v", rep)
 	}
@@ -195,7 +197,8 @@ func TestComplexOrderingCriteria(t *testing.T) {
 }
 
 func TestComplexCriteriaExternalFallback(t *testing.T) {
-	// Path criterion + oversized subtree: exercises the key sidecar.
+	// Path criterion + oversized subtree in the paper's layout: exercises
+	// the key sidecar.
 	var sb strings.Builder
 	sb.WriteString("<root>")
 	rng := rand.New(rand.NewSource(9))
@@ -207,7 +210,7 @@ func TestComplexCriteriaExternalFallback(t *testing.T) {
 	c := &keys.Criterion{Rules: []keys.Rule{{Tag: "e", Source: keys.ByPath("v")}}, KeyCap: 16}
 
 	env := newEnv(t, 256, MinMemBlocks+3)
-	got, rep := nexsort(t, env, doc, Options{Criterion: c})
+	got, rep := nexsort(t, env, doc, Options{Criterion: c, PaperLayout: true})
 	if rep.ExternalSorts == 0 {
 		t.Fatalf("expected the external fallback; report = %+v", rep)
 	}
@@ -345,6 +348,44 @@ func TestDispatchUnderBudgetPressure(t *testing.T) {
 	}
 }
 
+// TestDefaultLayoutDispatches: in the default layout, in-place subtree
+// sorts reach the worker pool on blocks lent out of the data stack's
+// window, and the output and ledger are still those of the sequential run.
+func TestDefaultLayoutDispatches(t *testing.T) {
+	var sb strings.Builder
+	if _, err := (gen.IBMSpec{Height: 7, MaxFanout: 6, MaxElements: 3000, Seed: 5}).Write(&sb); err != nil {
+		t.Fatal(err)
+	}
+	doc := sb.String()
+	c := &keys.Criterion{Rules: []keys.Rule{{Tag: "", Source: keys.ByAttr(gen.DefaultKeyAttr)}}, KeyCap: 16}
+	sortAt := func(par int) (string, map[string]em.IOCount) {
+		env, err := em.NewEnv(em.Config{BlockSize: 512, MemBlocks: 256, Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer env.Close()
+		out, _ := nexsort(t, env, doc, Options{Criterion: c})
+		return out, env.Stats.Snapshot()
+	}
+	dispatched := 0
+	testHookDispatched = func() { dispatched++ }
+	defer func() { testHookDispatched = nil }()
+	wantOut, wantIOs := sortAt(1)
+	if dispatched != 0 {
+		t.Fatalf("P=1 dispatched %d sorts", dispatched)
+	}
+	gotOut, gotIOs := sortAt(2)
+	if dispatched == 0 {
+		t.Error("P=2 dispatched no subtree sort")
+	}
+	if gotOut != wantOut {
+		t.Error("P=2 output differs from P=1")
+	}
+	if !reflect.DeepEqual(gotIOs, wantIOs) {
+		t.Errorf("P=2 ledger differs from P=1\nP=1: %v\nP=2: %v", wantIOs, gotIOs)
+	}
+}
+
 // sortMatchesOracle sorts a random document drawn from seed under a random
 // geometry at the given parallelism and compares the output with the
 // in-memory oracle.
@@ -445,20 +486,20 @@ func TestCompactionIdenticalOutput(t *testing.T) {
 }
 
 // TestCompactionQuick: compaction preserves output across random documents
-// and option mixes (with degeneration and depth limits thrown in).
+// and option mixes (with both layouts and depth limits thrown in).
 func TestCompactionQuick(t *testing.T) {
 	c := &keys.Criterion{Rules: []keys.Rule{{Tag: "", Source: keys.ByAttr("k")}}, KeyCap: 12}
-	f := func(seed int64, degen bool, depthRaw uint8) bool {
+	f := func(seed int64, paper bool, depthRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		doc := randomXML(rng, 100)
 		run := func(compactOn bool) (string, bool) {
-			env, err := em.NewEnv(em.Config{BlockSize: 128, MemBlocks: MinMemBlocksDegenerate})
+			env, err := em.NewEnv(em.Config{BlockSize: 128, MemBlocks: MinMemBlocks})
 			if err != nil {
 				return "", false
 			}
 			defer env.Close()
 			var out strings.Builder
-			opts := Options{Criterion: c, Compact: compactOn, Degenerate: degen, DepthLimit: int(depthRaw) % 4}
+			opts := Options{Criterion: c, Compact: compactOn, PaperLayout: paper, DepthLimit: int(depthRaw) % 4}
 			if _, err := Sort(env, strings.NewReader(doc), &out, opts); err != nil {
 				return "", false
 			}

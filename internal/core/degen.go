@@ -25,7 +25,7 @@ import (
 // element's uncut child region reaches the sort area, cut it into an
 // incomplete sorted run.
 func (s *sorter) maybeCutIncomplete() error {
-	if !s.opts.Degenerate || s.path.Len() == 0 {
+	if s.opts.PaperLayout || s.path.Len() == 0 {
 		return nil
 	}
 	if err := s.path.Peek(s.pathBuf); err != nil {
@@ -42,6 +42,11 @@ func (s *sorter) maybeCutIncomplete() error {
 // memory and replaces them on the data stack with nothing — the batch
 // moves to an incomplete sorted run keyed by (child key, sibling seq).
 func (s *sorter) cutIncompleteRun(rec pathRec) error {
+	// The cut grants its reader and writer on the scanning goroutine, so
+	// the blocks lent to workers come back first.
+	if err := s.drainWorkers(); err != nil {
+		return err
+	}
 	// The region is memory-resident by construction (the trigger fires
 	// before it can outgrow the data stack's resident window), so the
 	// in-memory sort below is modelled as in-place: no extra grant.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -13,7 +14,7 @@ import (
 )
 
 // flatDoc builds a two-level document (root + n children), the shape where
-// unmodified NEXSORT wastes a pass and graceful degeneration pays off.
+// the paper's layout wastes a pass and graceful degeneration pays off.
 func flatDoc(n int, seed int64) string {
 	rng := rand.New(rand.NewSource(seed))
 	var sb strings.Builder
@@ -34,17 +35,17 @@ func TestDegenerateFlatDocumentCorrect(t *testing.T) {
 	c := flatCriterion()
 	want := oracle(t, doc, c, 0)
 
-	envOff := newEnv(t, 256, MinMemBlocksDegenerate)
-	gotOff, repOff := nexsort(t, envOff, doc, Options{Criterion: c})
+	envOff := newEnv(t, 256, 16)
+	gotOff, repOff := nexsort(t, envOff, doc, Options{Criterion: c, PaperLayout: true})
 
-	envOn := newEnv(t, 256, MinMemBlocksDegenerate)
-	gotOn, repOn := nexsort(t, envOn, doc, Options{Criterion: c, Degenerate: true})
+	envOn := newEnv(t, 256, 16)
+	gotOn, repOn := nexsort(t, envOn, doc, Options{Criterion: c})
 
 	if gotOff != want {
-		t.Error("degeneration-off output differs from oracle")
+		t.Error("paper-layout output differs from oracle")
 	}
 	if gotOn != want {
-		t.Error("degeneration-on output differs from oracle")
+		t.Error("default-layout output differs from oracle")
 	}
 	if repOn.IncompleteRuns == 0 {
 		t.Fatalf("expected incomplete runs on a flat document; report = %+v", repOn)
@@ -53,7 +54,7 @@ func TestDegenerateFlatDocumentCorrect(t *testing.T) {
 		t.Error("expected the root sort to merge incomplete runs")
 	}
 	if repOff.IncompleteRuns != 0 {
-		t.Error("degeneration off must not cut incomplete runs")
+		t.Error("the paper's layout must not cut incomplete runs")
 	}
 
 	// The optimization's whole point: the flat document's children no
@@ -86,8 +87,8 @@ func TestDegenerateNestedDocument(t *testing.T) {
 	doc := sb.String()
 	c := flatCriterion()
 
-	env := newEnv(t, 256, MinMemBlocksDegenerate)
-	got, rep := nexsort(t, env, doc, Options{Criterion: c, Degenerate: true, Threshold: 512})
+	env := newEnv(t, 256, 16)
+	got, rep := nexsort(t, env, doc, Options{Criterion: c, Threshold: 512})
 	if got != oracle(t, doc, c, 0) {
 		t.Error("nested degeneration output differs from oracle")
 	}
@@ -100,40 +101,99 @@ func TestDegenerateWithDepthLimit(t *testing.T) {
 	doc := `<root key="r">` + strings.Repeat(`<g key="b"><i key="z" pad="pppppppppppppppppppppppppppppp"/><i key="a" pad="pppppppppppppppppppppppppppppp"/></g><g key="a" pad="pppppppppppppppppppppppppppp"/>`, 60) + `</root>`
 	c := flatCriterion()
 	for depth := 1; depth <= 3; depth++ {
-		env := newEnv(t, 256, MinMemBlocksDegenerate)
-		got, _ := nexsort(t, env, doc, Options{Criterion: c, Degenerate: true, DepthLimit: depth})
+		env := newEnv(t, 256, 16)
+		got, _ := nexsort(t, env, doc, Options{Criterion: c, DepthLimit: depth})
 		if got != oracle(t, doc, c, depth) {
 			t.Errorf("depth %d: degeneration output differs from oracle", depth)
 		}
 	}
 }
 
-// TestDegenerateQuick: degeneration on/off agree with the oracle across
-// random documents, geometries and thresholds.
+// TestDegenerateOversizedStartTag: a start tag larger than a block leaves a
+// small subtree too big to sort in place in the default layout's window.
+// It must get the sort area the paper's layout gives it, down to the
+// floor, and sort as that layout does.
+func TestDegenerateOversizedStartTag(t *testing.T) {
+	blob := strings.Repeat("x", 2000)
+	var sb strings.Builder
+	fmt.Fprintf(&sb, `<root key="r" blob="%s">`, blob)
+	for i := 0; i < 80; i++ {
+		if i == 40 {
+			fmt.Fprintf(&sb, `<big key="m" blob="%s"><c key="2"/><c key="1"/></big>`, blob)
+		}
+		fmt.Fprintf(&sb, `<row key="%05d"/>`, i*7919%1000)
+	}
+	sb.WriteString("</root>")
+	doc := sb.String()
+	c := flatCriterion()
+	want := oracle(t, doc, c, 0)
+	for _, mem := range []int{MinMemBlocks, 16} {
+		for _, paper := range []bool{false, true} {
+			env := newEnv(t, 256, mem)
+			if got, _ := nexsort(t, env, doc, Options{Criterion: c, PaperLayout: paper}); got != want {
+				t.Errorf("M=%d paper=%v: output differs from oracle", mem, paper)
+			}
+		}
+	}
+}
+
+// TestDegenerateQuick: both layouts agree with the oracle — and so with
+// each other, byte for byte — across random documents, thresholds, depth
+// limits and budgets down to the floor, at parallelism 1, 2 and 8; and each
+// layout's ledger is the same at every parallelism.
 func TestDegenerateQuick(t *testing.T) {
-	c := &keys.Criterion{Rules: []keys.Rule{{Tag: "", Source: keys.ByAttr("k")}}, KeyCap: 12}
-	f := func(seed int64, thrRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		doc := randomXML(rng, 150)
-		env, err := em.NewEnv(em.Config{BlockSize: 128, MemBlocks: MinMemBlocksDegenerate + rng.Intn(6)})
-		if err != nil {
+	f := func(seed int64, thrRaw, depthRaw uint8) bool {
+		if err := layoutsAgree(seed, thrRaw, depthRaw); err != nil {
+			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		defer env.Close()
-		var out strings.Builder
-		opts := Options{Criterion: c, Degenerate: true, Threshold: 1 + int(thrRaw)%512}
-		if _, err := Sort(env, strings.NewReader(doc), &out, opts); err != nil {
-			return false
-		}
-		n, err := xmltree.ParseString(doc)
-		if err != nil {
-			return false
-		}
-		n.ComputeKeys(c)
-		n.SortRecursive()
-		return out.String() == n.XMLString() && env.Budget.InUse() == 0
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
 	}
+}
+
+// layoutsAgree sorts a random document drawn from seed in both layouts at
+// M in [MinMemBlocks, MinMemBlocks+8) and P in {1, 2, 8}.
+func layoutsAgree(seed int64, thrRaw, depthRaw uint8) error {
+	c := &keys.Criterion{Rules: []keys.Rule{{Tag: "", Source: keys.ByAttr("k")}}, KeyCap: 12}
+	rng := rand.New(rand.NewSource(seed))
+	doc := randomXML(rng, 150)
+	mem := MinMemBlocks + rng.Intn(8)
+	depth := int(depthRaw) % 5
+	n, err := xmltree.ParseString(doc)
+	if err != nil {
+		return err
+	}
+	n.ComputeKeys(c)
+	n.SortToDepth(depth)
+	want := n.XMLString()
+	for _, paper := range []bool{false, true} {
+		var first map[string]em.IOCount
+		for _, par := range []int{1, 2, 8} {
+			env, err := em.NewEnv(em.Config{BlockSize: 128, MemBlocks: mem, Parallelism: par})
+			if err != nil {
+				return err
+			}
+			var out strings.Builder
+			opts := Options{Criterion: c, PaperLayout: paper, Threshold: 1 + int(thrRaw)%512, DepthLimit: depth}
+			_, err = Sort(env, strings.NewReader(doc), &out, opts)
+			ios, inUse := env.Stats.Snapshot(), env.Budget.InUse()
+			env.Close()
+			switch {
+			case err != nil:
+				return fmt.Errorf("paper=%v M=%d P=%d: %w", paper, mem, par, err)
+			case out.String() != want:
+				return fmt.Errorf("paper=%v M=%d P=%d: output differs from the oracle", paper, mem, par)
+			case inUse != 0:
+				return fmt.Errorf("paper=%v M=%d P=%d: %d blocks still granted", paper, mem, par, inUse)
+			case first == nil:
+				first = ios
+			case !reflect.DeepEqual(ios, first):
+				return fmt.Errorf("paper=%v M=%d: ledger at P=%d differs from P=1\nP=1: %v\nP=%d: %v", paper, mem, par, first, par, ios)
+			}
+		}
+	}
+	return nil
 }

@@ -205,10 +205,12 @@ func newChildRecordSorter(env *em.Env) (*extsort.Sorter, error) {
 }
 
 // drainChildRecords streams sorted child records into a run, stripping the
-// (key, seq) header and copying each child's tokens. Every token is
-// scanned, so a corrupt record fails here as the decoder would fail it.
+// (key, seq) header and copying each child's tokens. The sorter's final
+// merge feeds the run directly (SortStream): the merged child records are
+// never written to scratch and read back. Every token is scanned, so a
+// corrupt record fails here as the decoder would fail it.
 func drainChildRecords(sorter *extsort.Sorter, w *runstore.Writer) error {
-	it, err := sorter.Sort()
+	it, err := sorter.SortStream()
 	if err != nil {
 		return err
 	}

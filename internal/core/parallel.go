@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"io"
 	"sync"
 
@@ -12,23 +14,30 @@ import (
 // complete subtree's bytes are popped off the data stack, sorting them and
 // writing the run touches only the subtree's own snapshot, its run writer,
 // and the (concurrency-safe) device. sortSubtree therefore dispatches the
-// in-memory case to a pooled worker when the budget admits a second
+// in-memory case to a pooled worker when there is room for a second
 // working set, and the main goroutine keeps scanning the input — the next
 // sibling fills while the previous one sorts and spills.
 //
-// Two rules keep the execution byte-identical to sequential at every
+// Three rules keep the execution byte-identical to sequential at every
 // parallelism level, with unchanged block-transfer counts:
 //
-//  1. Admission reads effectiveFree() — the budget as a sequential run
-//     would see it, i.e. actual free blocks plus everything in-flight
-//     workers still hold. The internal-vs-external routing of every
-//     subtree (which determines all I/O) is thus independent of worker
-//     timing. Grant/release and the in-flight tally move together under
-//     parMu, so the figure is exact, never racy.
-//  2. Every non-dispatched path (external sort, degeneration, incomplete
-//     merges, error unwinds, the output phase) first drains the pool, so
-//     code that sizes itself by Budget.Free() — the key-path fallback,
-//     the child-record merger — sees exactly the sequential value.
+//  1. Admission never changes routing. In the paper's layout it reads
+//     effectiveFree() — the budget as a sequential run would see it, i.e.
+//     actual free blocks plus everything in-flight workers still hold.
+//     Grant/release and the in-flight tally move together under mu, so
+//     the figure is exact, never racy. In the default layout the subtree
+//     is resident and sorts in place either way.
+//  2. In the default layout nearly all of the budget is the data stack's
+//     window, so a worker's grant is lent out of it: only blocks the
+//     window holds no frame in, so shrinking it evicts nothing. The
+//     window pages exactly as the sequential run's as long as it never
+//     has to evict at the shrunk size, so pushToken takes the blocks back
+//     (drainWorkers) before any push that could outgrow it.
+//  3. Every non-dispatched path (external sort, cuts, incomplete merges,
+//     error unwinds, closing the stacks) first drains the pool, so code
+//     that sizes itself by Budget.Free() — the key-path fallback, the
+//     child-record merger — sees exactly the sequential value, and the
+//     window is whole again.
 //
 // The subtree's bytes are snapshotted (read off the data stack) on the
 // main goroutine before dispatch — the same charged reads the sequential
@@ -36,6 +45,9 @@ import (
 type parState struct {
 	pool *em.Pool
 	wg   sync.WaitGroup
+	// lent is the number of blocks lent out of the data stack's window to
+	// in-flight workers; only the scanning goroutine touches it.
+	lent int
 
 	mu       sync.Mutex
 	inflight int // budget blocks held by in-flight workers
@@ -54,9 +66,29 @@ func (s *sorter) effectiveFree() int {
 	return s.env.Budget.Free() + s.par.inflight
 }
 
+// testHookDispatched, when a test sets it, is called on the scanning
+// goroutine for every subtree sort dispatched to a worker.
+var testHookDispatched func()
+
+// errWindowFull refuses a dispatch whose grant the data stack's window
+// cannot lend without evicting.
+var errWindowFull = errors.New("core: data-stack window has no room to lend")
+
 // grantWorker reserves n blocks for a worker and records them in the
-// in-flight tally atomically with the grant.
+// in-flight tally atomically with the grant. In the default layout the
+// blocks are first lent out of the data stack's window, and only if the
+// window has n blocks it holds no frame in; drainWorkers takes them back.
 func (s *sorter) grantWorker(n int) error {
+	if !s.opts.PaperLayout {
+		r := s.data.Resident()
+		if r-s.data.Held() < n {
+			return errWindowFull
+		}
+		if err := s.data.SetResident(r - n); err != nil {
+			return err
+		}
+		s.par.lent += n
+	}
 	s.par.mu.Lock()
 	defer s.par.mu.Unlock()
 	if err := s.env.Budget.Grant(n); err != nil {
@@ -110,11 +142,18 @@ func (s *sorter) workerErr() error {
 }
 
 // drainWorkers blocks until every dispatched subtree sort has finished and
-// released its blocks, then surfaces any worker failure. It must be called
-// before any code path that depends on Budget.Free() or on runs being
-// sealed. Workers never call it, so it cannot deadlock.
+// released its blocks, grows the data stack's window back by the blocks
+// lent to them, then surfaces any worker failure. It must be called before
+// any code path that grants budget or depends on Budget.Free() or on runs
+// being sealed. Workers never call it, so it cannot deadlock.
 func (s *sorter) drainWorkers() error {
 	s.par.wg.Wait()
+	if n := s.par.lent; n > 0 {
+		s.par.lent = 0
+		if err := s.data.SetResident(s.data.Resident() + n); err != nil {
+			return fmt.Errorf("core: restoring data-stack window: %w", err)
+		}
+	}
 	return s.workerErr()
 }
 
@@ -162,6 +201,9 @@ func (s *sorter) tryDispatchSubtreeSort(start, size int64, relLimit int) (runsto
 		s.releaseWorker(held)
 		pool.Release()
 		return 0, false, err
+	}
+	if testHookDispatched != nil {
+		testHookDispatched()
 	}
 	s.par.wg.Add(1)
 	go func() {

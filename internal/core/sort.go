@@ -107,13 +107,6 @@ func Sort(env *em.Env, in io.Reader, out io.Writer, opts Options) (*Report, erro
 	s.par.pool = env.Pool()
 
 	rootRun, err := s.sortingPhase(in)
-	// Always drain dispatched subtree sorts before leaving the sorting
-	// phase: on success the output phase needs every run sealed; on error
-	// the workers must finish releasing their budget blocks before the
-	// caller inspects the budget (no leak, no double release).
-	if derr := s.drainWorkers(); err == nil {
-		err = derr
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -132,12 +125,12 @@ func (s *sorter) sortingPhase(in io.Reader) (root runstore.RunID, err error) {
 
 	// Fixed structures: 2 path-stack blocks, 2 ordering-expression spill
 	// blocks, 1 input buffer block, and the data stack's resident window:
-	// one block normally, or — with graceful degeneration — the sort
-	// area, so that an accumulating flat child list is cut into an
-	// incomplete run while still memory-resident instead of riding the
-	// stack to disk and back.
+	// by default the sort area, so that an accumulating flat child list is
+	// cut into an incomplete run while still memory-resident instead of
+	// riding the stack to disk and back, or one block in the paper's
+	// layout.
 	dataResident := 1
-	if s.opts.Degenerate {
+	if !s.opts.PaperLayout {
 		// Nearly all of the budget accumulates children in the resident
 		// window, exactly like external merge sort filling memory before
 		// cutting an initial run; when incomplete runs are merged, the
@@ -151,6 +144,16 @@ func (s *sorter) sortingPhase(in io.Reader) (root runstore.RunID, err error) {
 		return 0, err
 	}
 	defer s.data.Close()
+	// Dispatched subtree sorts may hold blocks lent from the window, so
+	// they are drained — and the window regrown — before it closes. On
+	// success the output phase needs every run sealed; on error the
+	// workers must finish releasing their blocks before the caller
+	// inspects the budget (no leak, no double release).
+	defer func() {
+		if derr := s.drainWorkers(); err == nil {
+			err = derr
+		}
+	}()
 	s.path, err = xstack.NewRecordStack(s.env.Dev, em.CatPathStack, budget, 2, pathRecSize)
 	if err != nil {
 		return 0, err
@@ -260,9 +263,17 @@ func (s *sorter) sortingPhase(in io.Reader) (root runstore.RunID, err error) {
 	return rootRun, nil
 }
 
-// pushToken appends a token to the data stack.
+// pushToken appends a token to the data stack. While blocks are lent out
+// of its window, a push that could grow the window past its shrunk size
+// first takes them back: at the shrunk size it would evict a block the
+// sequential run keeps resident.
 func (s *sorter) pushToken(tok xmltok.Token) error {
 	s.encBuf = xmltok.AppendToken(s.encBuf[:0], tok)
+	if s.par.lent > 0 && s.data.Held()+len(s.encBuf)/s.env.Conf.BlockSize+1 > s.data.Resident() {
+		if err := s.drainWorkers(); err != nil {
+			return err
+		}
+	}
 	return s.data.Push(s.encBuf)
 }
 

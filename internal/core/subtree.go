@@ -47,17 +47,23 @@ func (s *sorter) sortSubtree(rec pathRec, endTok xmltok.Token, ds int) (runstore
 	delete(s.incomplete, depthIdx)
 
 	bs := int64(s.env.Conf.BlockSize)
+	// Under the default layout the cut trigger bounds every element's
+	// children, so a subtree no larger than the cut capacity plus a block
+	// for its tags is memory-resident: it sorts in place, without a second
+	// grant.
+	inPlace := !s.opts.PaperLayout && size <= s.cutCap+bs
 	// The plain in-memory case — no incomplete runs to merge, no depth
-	// boundary, no degeneration — is self-contained once the subtree's
-	// bytes leave the data stack, so it can run on a pool worker while the
-	// scan continues with the next sibling. The admission predicate is the
-	// sequential internal-vs-external routing verbatim (one block for the
-	// run writer, one reserved for the range reader), evaluated against
-	// effectiveFree() so that in-flight workers do not perturb it: every
-	// subtree routes exactly as it would at parallelism one, which is what
-	// keeps the block-transfer counts parallelism-invariant.
-	if len(incRuns) == 0 && !noSort && !s.opts.Degenerate &&
-		size <= int64(s.effectiveFree()-2)*bs {
+	// boundary — is self-contained once the subtree's bytes leave the data
+	// stack, so it can run on a pool worker while the scan continues with
+	// the next sibling. The admission predicate is the sequential routing
+	// verbatim: the in-place case, or in the paper's layout the
+	// internal-vs-external test (one block for the run writer, one
+	// reserved for the range reader) evaluated against effectiveFree() so
+	// that in-flight workers do not perturb it. Every subtree routes
+	// exactly as it would at parallelism one, which is what keeps the
+	// block-transfer counts parallelism-invariant.
+	if len(incRuns) == 0 && !noSort &&
+		(inPlace || s.opts.PaperLayout && size <= int64(s.effectiveFree()-2)*bs) {
 		runID, ok, err := s.tryDispatchSubtreeSort(rec.start, size, relLimit)
 		if err != nil {
 			return 0, err
@@ -66,8 +72,8 @@ func (s *sorter) sortSubtree(rec pathRec, endTok xmltok.Token, ds int) (runstore
 			s.report.InternalSorts++
 			return s.collapseSubtree(rec.start, endTok, runID)
 		}
-		// Pool busy or budget too tight for a second working set: fall
-		// through to the sequential path below.
+		// Pool busy, or no room for a second working set: fall through
+		// to the sequential path below.
 	}
 
 	// Sequential path. Wait out in-flight workers first: the branches
@@ -83,6 +89,21 @@ func (s *sorter) sortSubtree(rec pathRec, endTok xmltok.Token, ds int) (runstore
 		return 0, err
 	}
 
+	// In the default layout, a subtree that does not sort in place — one
+	// whose children were cut into incomplete runs, or one whose tags
+	// outgrow the window's slack — gets the sort area the paper's layout
+	// gives it: the data stack's window is lent to its sort and taken back
+	// before the subtree collapses. The stack is read once meanwhile, so
+	// one resident block suffices, and the freed blocks buy the merge its
+	// fan-in (external merge sort's buffer/merge phase split) or the sort
+	// its area.
+	window := s.data.Resident()
+	if len(incRuns) > 0 || !s.opts.PaperLayout && !inPlace && !noSort {
+		if err := s.data.SetResident(1); err != nil {
+			w.Close()
+			return 0, err
+		}
+	}
 	switch {
 	case len(incRuns) > 0:
 		err = s.mergedSubtreeSort(rec, endTok, incRuns, relLimit, noSort, w)
@@ -90,10 +111,7 @@ func (s *sorter) sortSubtree(rec pathRec, endTok xmltok.Token, ds int) (runstore
 	case noSort:
 		err = s.copySubtree(rec.start, w)
 		s.report.UnsortedRuns++
-	case s.opts.Degenerate && size <= s.cutCap+bs:
-		// Under degeneration the cut trigger bounds every element's
-		// on-stack size, so the subtree is already memory-resident: sort
-		// it in place without a second grant.
+	case inPlace:
 		err = s.internalSubtreeSort(rec.start, 0, relLimit, w)
 		s.report.InternalSorts++
 	case size <= int64(s.env.Budget.Free()-1)*bs:
@@ -104,6 +122,12 @@ func (s *sorter) sortSubtree(rec pathRec, endTok xmltok.Token, ds int) (runstore
 	default:
 		err = s.externalSubtreeSort(rec.start, relLimit, w)
 		s.report.ExternalSorts++
+	}
+	// Regrowing only re-grants budget; it can still fail if an error
+	// unwind above left blocks granted, and that must surface as an error,
+	// not a panic mid-teardown.
+	if rerr := s.data.SetResident(window); rerr != nil && err == nil {
+		err = fmt.Errorf("core: restoring data-stack window: %w", rerr)
 	}
 	if err != nil {
 		w.Close()
@@ -163,7 +187,7 @@ func (s *sorter) copySubtree(start int64, w *runstore.Writer) error {
 // internalSubtreeSort is Line 11's common case: copy the subtree's tokens
 // into a token tree, sort it, and stream it into the run. The tree's memory
 // is drawn from the budget at the subtree's encoded size; size 0 skips the
-// grant (degeneration mode, where the bytes are already resident in the
+// grant (the default layout, where the bytes are already resident in the
 // data stack's window and the sort is modelled as in-place).
 func (s *sorter) internalSubtreeSort(start, size int64, relLimit int, w *runstore.Writer) error {
 	bs := int64(s.env.Conf.BlockSize)
@@ -219,27 +243,9 @@ func (s *sorter) externalSubtreeSort(start int64, relLimit int, w *runstore.Writ
 // mergedSubtreeSort completes a subtree whose earlier children were cut
 // into incomplete sorted runs by graceful degeneration: the remaining
 // uncut children are interior-sorted in memory into one more batch, and
-// everything is merged into the element's complete sorted run.
-func (s *sorter) mergedSubtreeSort(rec pathRec, endTok xmltok.Token, incRuns []*em.Stream, relLimit int, noSort bool, w *runstore.Writer) (err error) {
-	// Lend the data stack's accumulation window to the merge: everything
-	// that mattered was already cut into incomplete runs, so the stack
-	// below needs only one resident block, and the freed blocks buy the
-	// merge its fan-in (external merge sort's buffer/merge phase split).
-	restore := s.data.Resident()
-	if restore > 1 {
-		if serr := s.data.SetResident(1); serr != nil {
-			return serr
-		}
-		defer func() {
-			// Regrowing only re-grants budget; it can still fail if an
-			// error unwind above left blocks granted, and that must
-			// surface as an error, not a panic mid-teardown.
-			if rerr := s.data.SetResident(restore); rerr != nil && err == nil {
-				err = fmt.Errorf("core: restoring data-stack window: %w", rerr)
-			}
-		}()
-	}
-
+// everything is merged into the element's complete sorted run. The caller
+// has lent it the data stack's window.
+func (s *sorter) mergedSubtreeSort(rec pathRec, endTok xmltok.Token, incRuns []*em.Stream, relLimit int, noSort bool, w *runstore.Writer) error {
 	reader, err := s.data.ReadRange(s.env.Budget, rec.start)
 	if err != nil {
 		return err

@@ -111,6 +111,7 @@ type Sorter struct {
 	mergePasses   int
 	totalRecords  int64
 	totalBytes    int64
+	streamFinal   bool // SortStream: never materialize the final merge
 	streamedFinal bool
 	sorted        bool
 	closed        bool
@@ -124,9 +125,9 @@ type Stats struct {
 	InitialRuns int
 	MergePasses int
 	Spilled     bool // false when everything fit in the buffer
-	// StreamedFinalMerge reports the scratch-pressure degradation: the
-	// final merge was delivered through the Iterator instead of being
-	// materialized as one more run (Device.NearFull fired).
+	// StreamedFinalMerge reports that the final merge was delivered
+	// through the Iterator instead of being materialized as one more run:
+	// the caller asked for it (SortStream), or Device.NearFull fired.
 	StreamedFinalMerge bool
 }
 
@@ -431,6 +432,16 @@ func (s *Sorter) AddPresortedRun(run *em.Stream) error {
 	return nil
 }
 
+// SortStream is Sort with the final merge taken as a stream: the iterator
+// is the merge itself, never a merged run written to scratch and read
+// back. The streamed merge holds one reader block per run and no writer
+// block, so it takes up to memBlocks runs, one more than a materialized
+// pass, and never costs an extra pass.
+func (s *Sorter) SortStream() (*Iterator, error) {
+	s.streamFinal = true
+	return s.Sort()
+}
+
 // Sort finishes run formation, runs the merge passes, and returns an
 // iterator over the sorted records. The iterator becomes invalid once the
 // sorter is closed.
@@ -462,15 +473,16 @@ func (s *Sorter) Sort() (*Iterator, error) {
 	}
 	fanIn := s.memBlocks - 1
 	for len(s.runs) > 1 {
-		// Graceful degradation under scratch pressure: when the device is
-		// near its quota and few enough runs remain that each can hold one
-		// reader block within this sorter's grant, skip materializing the
-		// merged run and hand the caller a streaming final merge instead.
-		// Dropping the output block raises the feasible fan-in from M−1 to
-		// M, and the pass that would have cost the full data size in
-		// writes (plus rereads) costs nothing — the last scratch the run
-		// needed was the runs it already has.
-		if s.env.Dev.NearFull() && len(s.runs) <= s.memBlocks {
+		// A streamed final merge: asked for by SortStream, or graceful
+		// degradation under scratch pressure when the device is near its
+		// quota. Once few enough runs remain that each can hold one reader
+		// block within this sorter's grant, skip materializing the merged
+		// run and hand the caller the merge instead. Dropping the output
+		// block raises the feasible fan-in from M−1 to M, and the pass that
+		// would have cost the full data size in writes (plus rereads)
+		// costs nothing — the last scratch the run needed was the runs it
+		// already has.
+		if (s.streamFinal || s.env.Dev.NearFull()) && len(s.runs) <= s.memBlocks {
 			m, err := newStreamMerger(s, s.runs)
 			if err != nil {
 				return nil, err

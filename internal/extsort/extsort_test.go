@@ -185,38 +185,71 @@ func TestSorterCompressedSpill(t *testing.T) {
 
 func TestSorterMergePassCounts(t *testing.T) {
 	// With fan-in f = memBlocks-1 = 2 and r initial runs, merge passes
-	// should be ceil(log2(r)).
+	// should be ceil(log2(r)). SortStream merges pairwise only until at
+	// most memBlocks = 3 runs remain and streams that last merge: it yields
+	// the same records, moves fewer blocks, and never takes an extra pass.
 	for _, runs := range []int{2, 3, 4, 7, 8} {
-		env := newEnv(t, 64, 8)
-		s, err := New(env, em.CatMergeRun, bytesCompare, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Each Add of a 128-byte record exceeds the 2-block buffer,
-		// cutting one run per record.
-		for i := 0; i < runs; i++ {
-			rec := bytes.Repeat([]byte{byte('a' + i)}, 128)
-			if err := s.Add(rec); err != nil {
+		var matIOs int64
+		for _, stream := range []bool{false, true} {
+			env := newEnv(t, 64, 8)
+			s, err := New(env, em.CatMergeRun, bytesCompare, 3)
+			if err != nil {
 				t.Fatal(err)
 			}
+			// Each Add of a 128-byte record exceeds the 2-block buffer,
+			// cutting one run per record.
+			for i := 0; i < runs; i++ {
+				rec := bytes.Repeat([]byte{byte('a' + i)}, 128)
+				if err := s.Add(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sortFn, last := s.Sort, 1
+			if stream {
+				sortFn, last = s.SortStream, 3
+			}
+			it, err := sortFn()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; ; i++ {
+				rec, err := it.Next()
+				if err == io.EOF {
+					if i != runs {
+						t.Errorf("%d runs, stream=%v: %d records out", runs, stream, i)
+					}
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rec[0] != byte('a'+i) {
+					t.Errorf("%d runs, stream=%v: record %d is %q...", runs, stream, i, rec[:1])
+				}
+			}
+			it.Close()
+			wantPasses := 0
+			for n := runs; n > last; n = (n + 1) / 2 {
+				wantPasses++
+			}
+			if got := s.Stats().MergePasses; got != wantPasses {
+				t.Errorf("%d runs, stream=%v: MergePasses = %d, want %d", runs, stream, got, wantPasses)
+			}
+			if got := s.Stats().InitialRuns; got != runs {
+				t.Errorf("InitialRuns = %d, want %d", runs, got)
+			}
+			if got := s.Stats().StreamedFinalMerge; got != stream {
+				t.Errorf("%d runs: StreamedFinalMerge = %v, want %v", runs, got, stream)
+			}
+			ios := env.Stats.IOs(em.CatMergeRun)
+			if !stream {
+				matIOs = ios
+			} else if ios >= matIOs {
+				t.Errorf("%d runs: streamed sort moved %d blocks, materialized %d", runs, ios, matIOs)
+			}
+			s.Close()
+			env.Close()
 		}
-		it, err := s.Sort()
-		if err != nil {
-			t.Fatal(err)
-		}
-		it.Close()
-		wantPasses := 0
-		for n := runs; n > 1; n = (n + 1) / 2 {
-			wantPasses++
-		}
-		if got := s.Stats().MergePasses; got != wantPasses {
-			t.Errorf("%d runs: MergePasses = %d, want %d", runs, got, wantPasses)
-		}
-		if got := s.Stats().InitialRuns; got != runs {
-			t.Errorf("InitialRuns = %d, want %d", runs, got)
-		}
-		s.Close()
-		env.Close()
 	}
 }
 

@@ -109,6 +109,10 @@ func (s *ByteStack) SetResident(n int) error { return s.p.setResident(n) }
 // Resident returns the current window capacity in blocks.
 func (s *ByteStack) Resident() int { return s.p.resident }
 
+// Held returns how many blocks the window holds in frames right now, at
+// most Resident(). Shrinking the window to Held() or more evicts nothing.
+func (s *ByteStack) Held() int { return len(s.p.bufs) }
+
 // Close releases the resident-window grant. The stack is unusable after.
 func (s *ByteStack) Close() { s.p.close() }
 

@@ -267,9 +267,16 @@ type Options struct {
 	// Compact applies the paper's Section 3.2 compaction (name
 	// dictionary, end-tag elision) to the working structures.
 	Compact bool
-	// Degenerate enables NEXSORT's graceful degeneration into external
-	// merge sort on flat inputs (Section 3.2).
-	Degenerate bool
+	// PaperLayout runs NEXSORT in the memory layout of the paper's
+	// Section 3.1 and its evaluation: one resident data-stack block, and
+	// the key-path external merge sort for any subtree larger than the
+	// sort area. The default is Section 3.2's graceful degeneration into
+	// external merge sort, which keeps nearly all of memory as the data
+	// stack's window and cuts an open element's accumulated children into
+	// incomplete sorted runs, so a flat document needs no more passes than
+	// merge sort. Output bytes are the same either way; block transfers
+	// are not.
+	PaperLayout bool
 	// RecordOrder, when non-empty, stamps each output element with an
 	// attribute of this name holding its original sibling position
 	// (zero-padded): sorting the result by that attribute later restores
@@ -403,7 +410,7 @@ func sortInEnv(env *em.Env, in io.Reader, out io.Writer, opts Options) (*Result,
 			Threshold:   opts.Threshold,
 			DepthLimit:  opts.DepthLimit,
 			Compact:     opts.Compact,
-			Degenerate:  opts.Degenerate,
+			PaperLayout: opts.PaperLayout,
 			RecordOrder: opts.RecordOrder,
 			Indent:      opts.Indent,
 		})

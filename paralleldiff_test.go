@@ -291,9 +291,9 @@ func TestPartitionedMergeConformance(t *testing.T) {
 	}
 }
 
-// runNexsortOpts drives core.Sort directly so the paper's optional
-// techniques (compaction, graceful degeneration) can be switched on —
-// chaostest.Run always sorts with default options.
+// runNexsortOpts drives core.Sort directly so compaction and the paper's
+// layout can be switched on — chaostest.Run always sorts with default
+// options.
 func runNexsortOpts(t *testing.T, doc []byte, cfg em.Config, opts core.Options) ([]byte, map[string]em.IOCount) {
 	t.Helper()
 	env, err := em.NewEnv(cfg)
@@ -312,19 +312,18 @@ func runNexsortOpts(t *testing.T, doc []byte, cfg em.Config, opts core.Options) 
 }
 
 // TestParallelDifferentialOptions covers the NEXSORT code paths the plain
-// differential matrix can't reach: Section 3.2 compaction and graceful
-// degeneration. Degenerate mode never dispatches to the pool — its
-// incomplete-run cuts make transient budget grants mid-scan — so this also
-// pins the sequential fallback as invariant.
+// differential matrix can't reach: Section 3.2 compaction, and the paper's
+// Section 3.1 layout, whose dispatch admission reads the budget rather
+// than the data stack's window.
 func TestParallelDifferentialOptions(t *testing.T) {
 	crit := keys.ByAttrOrTag("key")
 	variants := []struct {
 		name string
 		opts core.Options
 	}{
+		{"paper", core.Options{Criterion: crit, PaperLayout: true}},
 		{"compact", core.Options{Criterion: crit, Compact: true}},
-		{"degenerate", core.Options{Criterion: crit, Degenerate: true}},
-		{"compact-degenerate", core.Options{Criterion: crit, Compact: true, Degenerate: true}},
+		{"compact-paper", core.Options{Criterion: crit, Compact: true, PaperLayout: true}},
 	}
 	doc, _, err := chaostest.Doc(300, 6, 3)
 	if err != nil {
