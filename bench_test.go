@@ -156,39 +156,6 @@ func BenchmarkAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkSpillCompression regenerates the compressed-spill experiment on
-// a file-backed scratch device. The custom metrics carry the experiment's
-// findings: the physical-byte compression ratio per algorithm, and (as a
-// 0/1 flag) that the counted block transfers stayed identical — the codec
-// must not move the paper's metric.
-func BenchmarkSpillCompression(b *testing.B) {
-	dir := b.TempDir()
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Spill(bench.SpillConfig{Scale: benchScale, ScratchDir: dir})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ios := map[string]int64{}
-		invariant := 1.0
-		for _, r := range rows {
-			if !r.Compress {
-				ios[r.Algo] = r.TotalIOs
-				continue
-			}
-			if r.TotalIOs != ios[r.Algo] {
-				invariant = 0
-			}
-			switch r.Algo {
-			case bench.AlgoNEXSORT.String():
-				b.ReportMetric(r.Ratio, "nexsort-ratio")
-			case bench.AlgoMergeSort.String():
-				b.ReportMetric(r.Ratio, "mergesort-ratio")
-			}
-		}
-		b.ReportMetric(invariant, "IOs-invariant")
-	}
-}
-
 // BenchmarkParallelSpeedup compares sequential and pooled-worker execution
 // of both sorters on one document. The custom metrics carry the experiment's
 // two findings: the wall-clock speedup, and (as a 0/1 flag) that the block
@@ -215,30 +182,5 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 		b.ReportMetric(bestNex, "nexsort-speedup")
 		b.ReportMetric(bestMerge, "mergesort-speedup")
 		b.ReportMetric(invariant, "IOs-invariant")
-	}
-}
-
-// BenchmarkPartitionedMerge drives the range-partitioned final merge sweep
-// (DESIGN.md §17) under simulated device latency. The experiment
-// hard-fails if any partition count changes the output bytes or moves the
-// logical ledger, so `-benchtime=1x` in CI doubles as a conformance run;
-// the reported metric is the best merge-phase speedup over the serial
-// loser tree.
-func BenchmarkPartitionedMerge(b *testing.B) {
-	dir := b.TempDir()
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.PMerge(bench.PMergeConfig{Scale: benchScale, ScratchDir: dir})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var best float64 = 1
-		var atP int
-		for _, r := range rows {
-			if r.Speedup > best {
-				best, atP = r.Speedup, r.Parallel
-			}
-		}
-		b.ReportMetric(best, "merge-speedup")
-		b.ReportMetric(float64(atP), "at-parallel")
 	}
 }

@@ -30,18 +30,14 @@ import (
 // run (a sort past its last spill write no longer needs scratch space).
 
 // cancelEnv is the chaos soak's environment shape: heavy spilling, full
-// hardening, explicit parallelism. compress additionally routes every
-// scratch block through the spill codec (CompressSpill), so the trigger
-// sweeps land inside compressed reads and writes too — the codec's
-// per-operation scratch frames must unwind clean like everything else.
-func cancelEnv(parallelism int, compress bool) em.Config {
+// hardening, explicit parallelism.
+func cancelEnv(parallelism int) em.Config {
 	return em.Config{
 		BlockSize:       512,
 		MemBlocks:       16,
 		VerifyChecksums: true,
 		Retry:           em.RetryPolicy{MaxRetries: 6, RetryCorruptReads: true},
 		Parallelism:     parallelism,
-		CompressSpill:   compress,
 	}
 }
 
@@ -69,18 +65,7 @@ func TestCancelAnywhereSoak(t *testing.T) {
 	for _, algo := range chaostest.Algorithms {
 		for _, p := range []int{1, 2, 8} {
 			t.Run(fmt.Sprintf("%v/p%d", algo, p), func(t *testing.T) {
-				// The p=2 leg runs the whole sweep with the spill codec in
-				// the stack, so cancellation is proven under compression as
-				// well as over the plain backend. The p>1 legs also
-				// range-partition every final merge, so triggers land inside
-				// fence-index spills and reads, the planner's cut scans, and
-				// concurrent partition workers — all of which must unwind
-				// frame- and budget-clean within the same bound (partition
-				// workers are ordinary pool workers, so K is unchanged).
-				env := cancelEnv(p, p == 2)
-				if p > 1 {
-					env.MergeParallel = p
-				}
+				env := cancelEnv(p)
 				clean := chaostest.RunCancel(doc, crit, chaostest.CancelTrial{
 					Algorithm: algo, Env: env,
 				})
@@ -93,9 +78,6 @@ func TestCancelAnywhereSoak(t *testing.T) {
 				total := clean.TotalOps
 				if total < 20 {
 					t.Fatalf("clean run performed only %d device ops; workload too small to soak", total)
-				}
-				if p > 1 && algo == chaostest.MergeSort && clean.Stats.TotalPartitionedMerges() == 0 {
-					t.Fatal("partitioned-merge leg ran no partitioned merge; the soak would be vacuous")
 				}
 
 				// Sweep trigger points across the whole run. The stride
@@ -120,9 +102,9 @@ func TestCancelAnywhereSoak(t *testing.T) {
 						if o.PanicValue != nil {
 							t.Fatalf("N=%d: sort panicked: %v", trigger, o.PanicValue)
 						}
-						if o.BudgetInUse != 0 || o.FramesLive != 0 || o.CodecFramesLive != 0 {
-							t.Fatalf("N=%d: leak after unwind: %d budget blocks, %d frames, %d codec frames (err=%v)",
-								trigger, o.BudgetInUse, o.FramesLive, o.CodecFramesLive, o.Err)
+						if o.BudgetInUse != 0 || o.FramesLive != 0 {
+							t.Fatalf("N=%d: leak after unwind: %d budget blocks, %d frames (err=%v)",
+								trigger, o.BudgetInUse, o.FramesLive, o.Err)
 						}
 						if !o.Fired {
 							t.Fatalf("N=%d <= total=%d but the trigger never fired (err=%v)",
@@ -193,16 +175,7 @@ func TestExhaustAnywhereSoak(t *testing.T) {
 	for _, algo := range chaostest.Algorithms {
 		for _, p := range []int{1, 8} {
 			t.Run(fmt.Sprintf("%v/p%d", algo, p), func(t *testing.T) {
-				// The p=8 leg exhausts the device underneath the spill
-				// codec, with the final merges range-partitioned: a
-				// compressed write hitting ENOSPC must surface the typed
-				// error with no codec scratch pinned — and exhaustion inside
-				// a fence-index spill, a preallocated output segment, or a
-				// concurrent partition worker must unwind exactly as clean.
-				env := cancelEnv(p, p == 8)
-				if p == 8 {
-					env.MergeParallel = p
-				}
+				env := cancelEnv(p)
 				clean := chaostest.RunCancel(doc, crit, chaostest.CancelTrial{Algorithm: algo, Env: env})
 				if clean.Err != nil {
 					t.Fatalf("clean run failed: %v", clean.Err)
@@ -225,9 +198,9 @@ func TestExhaustAnywhereSoak(t *testing.T) {
 					if !o.Fired {
 						t.Fatalf("N=%d <= total=%d but the trigger never fired (err=%v)", n, total, o.Err)
 					}
-					if o.BudgetInUse != 0 || o.FramesLive != 0 || o.CodecFramesLive != 0 {
-						t.Fatalf("N=%d: leak after unwind: %d budget blocks, %d frames, %d codec frames (err=%v)",
-							n, o.BudgetInUse, o.FramesLive, o.CodecFramesLive, o.Err)
+					if o.BudgetInUse != 0 || o.FramesLive != 0 {
+						t.Fatalf("N=%d: leak after unwind: %d budget blocks, %d frames (err=%v)",
+							n, o.BudgetInUse, o.FramesLive, o.Err)
 					}
 					switch {
 					case o.Err == nil:
@@ -289,12 +262,7 @@ func TestCancelScratchClean(t *testing.T) {
 	dir := t.TempDir()
 
 	for _, algo := range chaostest.Algorithms {
-		// Compressed, with partitioned final merges: the scratch file's
-		// cleanup must be just as oblivious to the spill representation and
-		// the merge partitioning (fence-index streams included) as to the
-		// trigger point.
-		env := cancelEnv(2, true)
-		env.MergeParallel = 2
+		env := cancelEnv(2)
 		env.ScratchDir = dir
 		clean := chaostest.RunCancel(doc, crit, chaostest.CancelTrial{Algorithm: algo, Env: env})
 		if clean.Err != nil {
@@ -376,7 +344,7 @@ func TestDeadlinePropagation(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; ; i++ {
-			env, err := em.NewEnvContext(ctx, cancelEnv(2, true))
+			env, err := em.NewEnvContext(ctx, cancelEnv(2))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -384,9 +352,6 @@ func TestDeadlinePropagation(t *testing.T) {
 				core.Options{Criterion: keys.ByAttrOrTag("key")})
 			if live := env.Dev.Frames().Live(); live != 0 {
 				t.Fatalf("iteration %d: %d frames live after sort (err=%v)", i, live, sortErr)
-			}
-			if live := env.SpillCodecFramesLive(); live != 0 {
-				t.Fatalf("iteration %d: %d codec scratch frames live after sort (err=%v)", i, live, sortErr)
 			}
 			if inUse := env.Budget.InUse(); inUse != 0 {
 				t.Fatalf("iteration %d: %d budget blocks in use after sort (err=%v)", i, inUse, sortErr)

@@ -7,15 +7,13 @@
 //	nexbench -exp table1             # the key-path representation demo
 //
 // Experiments: table1, table2, fig5, fig6, fig7, threshold, bounds,
-// ablation, parallel, alloc, cmp, spill, all. Results print as aligned text
+// ablation, parallel, alloc, cmp, all. Results print as aligned text
 // tables whose columns match the paper's axes; EXPERIMENTS.md records a
-// reference run next to the paper's numbers. The parallel, alloc, cmp and
-// spill experiments are not paper figures: parallel shows the worker pool's
+// reference run next to the paper's numbers. The parallel, alloc and cmp
+// experiments are not paper figures: parallel shows the worker pool's
 // wall-clock speedup at identical block-transfer counts, alloc shows each
 // sorter's heap churn (allocs/op, B/op — the -benchmem columns) under the
-// frame-pool substrate, cmp measures the comparison kernel, and spill
-// measures the compressed spill format's physical-byte reduction on the
-// file backend.
+// frame-pool substrate, and cmp measures the comparison kernel.
 // -json switches every table to one JSON object per line for scripting.
 package main
 
@@ -36,7 +34,7 @@ var jsonOut bool
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment: table1|table2|fig5|fig6|fig7|threshold|bounds|ablation|parallel|alloc|cmp|spill|pmerge|all")
+		exp       = flag.String("exp", "all", "experiment: table1|table2|fig5|fig6|fig7|threshold|bounds|ablation|parallel|alloc|cmp|all")
 		scale     = flag.Float64("scale", 1.0, "input size multiplier (1.0 ≈ seconds per experiment)")
 		scratch   = flag.String("scratch", "", "scratch directory for workloads and spill (default: memory-backed spill, temp-dir workloads)")
 		seed      = flag.Int64("seed", 1, "workload seed")
@@ -46,10 +44,6 @@ func main() {
 		parallel  = flag.Int("parallel", 0, "worker parallelism for every experiment environment (0 = GOMAXPROCS, 1 = sequential); block-transfer counts are unaffected")
 		jsonFlag  = flag.Bool("json", false, "emit each result table as one JSON object per line instead of aligned text")
 		cmpOut    = flag.String("cmp-out", "BENCH_cmp.json", "output path for the cmp experiment's machine-readable rows")
-		compress  = flag.Bool("spill-compress", false, "front-code and deflate spill blocks in every experiment environment; logical block transfers are unchanged")
-		spillOut  = flag.String("spill-out", "BENCH_spill.json", "output path for the spill experiment's machine-readable rows")
-		pmergeO   = flag.String("pmerge-out", "BENCH_pmerge.json", "output path for the pmerge experiment's machine-readable rows")
-		mergePar  = flag.Int("merge-parallel", 0, "final-merge partition count for every experiment environment (0 = serial); output bytes are unaffected and counted block transfers gain only the fence-index side stream")
 	)
 	flag.Parse()
 	jsonOut = *jsonFlag
@@ -60,9 +54,7 @@ func main() {
 		BaseDelay:         *retryBase,
 		RetryCorruptReads: *verify && *retries > 0,
 	}
-	bench.Hardening.CompressSpill = *compress
 	bench.DefaultParallelism = *parallel
-	bench.DefaultMergeParallel = *mergePar
 
 	dir := *scratch
 	if dir == "" {
@@ -208,62 +200,6 @@ func main() {
 			}
 			if !jsonOut {
 				fmt.Printf("(comparison-kernel rows written to %s)\n", *cmpOut)
-			}
-			return nil
-		})
-	}
-
-	if want("spill") {
-		ran = true
-		run("Compressed spill format (logical vs physical scratch bytes)", func() error {
-			rows, err := bench.Spill(bench.SpillConfig{Scale: s, ScratchDir: dir, Seed: *seed})
-			if err != nil {
-				return err
-			}
-			printTable(bench.SpillTable(rows))
-			f, err := os.Create(*spillOut)
-			if err != nil {
-				return err
-			}
-			enc := json.NewEncoder(f)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(rows); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			if !jsonOut {
-				fmt.Printf("(spill-format rows written to %s)\n", *spillOut)
-			}
-			return nil
-		})
-	}
-
-	if want("pmerge") {
-		ran = true
-		run("Range-partitioned merge (merge-phase wall clock vs partition count)", func() error {
-			rows, err := bench.PMerge(bench.PMergeConfig{Scale: s, ScratchDir: dir, Seed: *seed})
-			if err != nil {
-				return err
-			}
-			printTable(bench.PMergeTable(rows))
-			f, err := os.Create(*pmergeO)
-			if err != nil {
-				return err
-			}
-			enc := json.NewEncoder(f)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(rows); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			if !jsonOut {
-				fmt.Printf("(pmerge rows written to %s)\n", *pmergeO)
 			}
 			return nil
 		})

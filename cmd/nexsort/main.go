@@ -43,9 +43,7 @@ func main() {
 		retryBase = flag.Duration("retry-delay", 0, "backoff before the first retry, doubling per attempt")
 		retryMax  = flag.Duration("retry-max-delay", 0, "cap on the retry backoff (0 = uncapped)")
 		quota     = flag.Int64("scratch-quota", 0, "fail with a scratch-exhausted error once spill storage exceeds this many blocks (0 = unlimited)")
-		compress  = flag.Bool("spill-compress", false, "front-code and deflate spill blocks on the scratch device; counted logical I/Os are unchanged, physical scratch bytes shrink")
 		parallel  = flag.Int("parallel", 0, "worker parallelism: sorting overlaps with the input scan on up to this many goroutines (0 = GOMAXPROCS, 1 = sequential); output and I/O counts are identical at every setting")
-		mergePar  = flag.Int("merge-parallel", 0, "range-partition the final merge into up to this many key ranges merged concurrently, partitioning with a fence-key index spilled beside every run; output bytes are identical at every setting and logical I/Os differ from serial only by the fence-index side stream")
 	)
 	flag.Parse()
 
@@ -106,8 +104,6 @@ func main() {
 		},
 		Parallelism:        *parallel,
 		ScratchQuotaBlocks: *quota,
-		CompressSpill:      *compress,
-		MergeParallel:      *mergePar,
 	}
 	opts := nexsort.Options{
 		Criterion:   crit,
@@ -151,10 +147,6 @@ func main() {
 			}
 			if n.ChecksumFailures > 0 {
 				line += fmt.Sprintf(" checksum-failures=%d", n.ChecksumFailures)
-			}
-			if n.PhysReadBytes > 0 || n.PhysWriteBytes > 0 {
-				line += fmt.Sprintf(" logical-bytes=%d/%d physical-bytes=%d/%d",
-					n.ReadBytes, n.WriteBytes, n.PhysReadBytes, n.PhysWriteBytes)
 			}
 			fmt.Fprintln(os.Stderr, line)
 		}

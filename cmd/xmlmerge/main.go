@@ -32,7 +32,6 @@ func main() {
 		blockSize = flag.Int("block", nexsort.DefaultBlockSize, "block size for the sorting step")
 		memBytes  = flag.Int64("mem", nexsort.DefaultMemoryBytes, "memory budget for the sorting step")
 		scratch   = flag.String("scratch", "", "scratch directory (default system temp)")
-		mergePar  = flag.Int("merge-parallel", 0, "range-partition each sorting step's final merge into up to this many concurrent key ranges; output bytes are identical at every setting and logical I/Os differ from serial only by the fence-index side stream")
 		stats     = flag.Bool("stats", false, "print merge statistics to stderr")
 	)
 	flag.Parse()
@@ -77,7 +76,7 @@ func main() {
 	if *presorted {
 		rep, err = nexsort.Merge(left, right, crit, out, opts)
 	} else {
-		cfg := nexsort.Config{BlockSize: *blockSize, MemoryBytes: *memBytes, ScratchDir: *scratch, MergeParallel: *mergePar}
+		cfg := nexsort.Config{BlockSize: *blockSize, MemoryBytes: *memBytes, ScratchDir: *scratch}
 		_, _, rep, err = nexsort.SortAndMerge(left, right, crit, out, cfg, opts)
 	}
 	if err != nil {

@@ -35,7 +35,7 @@ var detScopes = []string{
 	"/internal/em", "/internal/core", "/internal/extsort", "/internal/merge",
 	"/internal/xstack", "/internal/runstore", "/internal/compact",
 	"/internal/keypath", "/internal/keys", "/internal/sortkey",
-	"/internal/xmltok", "/internal/xmltree", "/internal/fence",
+	"/internal/xmltok", "/internal/xmltree",
 }
 
 // inDetScope reports whether the package path (or a parent) is under the

@@ -109,15 +109,6 @@ type Params struct {
 	// under this knob — only WallSeconds moves — so every paper curve can
 	// be regenerated at any setting.
 	Parallelism int
-	// CompressSpill routes scratch blocks through the spill codec. The
-	// counted logical block transfers — every paper curve — are invariant
-	// under this knob; only the physical byte ledger and WallSeconds move.
-	CompressSpill bool
-	// MergeParallel range-partitions every external sort's final merge
-	// into up to this many concurrent key ranges (0 = serial). The output
-	// and the counted logical block transfers are invariant under this
-	// knob; it only adds the tiny fence-index side streams.
-	MergeParallel int
 }
 
 // Result is one measured run.
@@ -150,7 +141,6 @@ type Result struct {
 var Hardening struct {
 	VerifyChecksums bool
 	Retry           em.RetryPolicy
-	CompressSpill   bool
 }
 
 // DefaultParallelism is the process-wide worker bound applied to runs whose
@@ -158,21 +148,12 @@ var Hardening struct {
 // defers to the environment default (GOMAXPROCS).
 var DefaultParallelism int
 
-// DefaultMergeParallel is the process-wide final-merge partition count
-// applied to runs whose Params leave MergeParallel zero; cmd/nexbench sets
-// it from -merge-parallel. Zero keeps the final merge serial.
-var DefaultMergeParallel int
-
 // Run sorts the workload once under p, discarding the output document (its
 // write I/O is still counted).
 func Run(w *Workload, p Params) (*Result, error) {
 	parallelism := p.Parallelism
 	if parallelism == 0 {
 		parallelism = DefaultParallelism
-	}
-	mergeParallel := p.MergeParallel
-	if mergeParallel == 0 {
-		mergeParallel = DefaultMergeParallel
 	}
 	cfg := em.Config{
 		BlockSize:       p.BlockSize,
@@ -182,8 +163,6 @@ func Run(w *Workload, p Params) (*Result, error) {
 		VerifyChecksums: Hardening.VerifyChecksums,
 		Retry:           Hardening.Retry,
 		Parallelism:     parallelism,
-		CompressSpill:   Hardening.CompressSpill || p.CompressSpill,
-		MergeParallel:   mergeParallel,
 	}
 	env, err := em.NewEnv(cfg)
 	if err != nil {

@@ -279,49 +279,6 @@ func TestAblationShape(t *testing.T) {
 	}
 }
 
-func TestSpillShape(t *testing.T) {
-	rows, err := Spill(SpillConfig{Scale: 0.2, ScratchDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 { // 2 algorithms x codec off/on
-		t.Fatalf("%d rows", len(rows))
-	}
-	byKey := map[string]SpillRow{}
-	for _, r := range rows {
-		key := r.Algo + "/off"
-		if r.Compress {
-			key = r.Algo + "/on"
-		}
-		byKey[key] = r
-	}
-	for _, algo := range []Algo{AlgoNEXSORT, AlgoMergeSort} {
-		off, on := byKey[algo.String()+"/off"], byKey[algo.String()+"/on"]
-		if off.PhysicalBytes == 0 || on.PhysicalBytes == 0 {
-			t.Fatalf("%v: no physical scratch traffic measured", algo)
-		}
-		// The acceptance criterion: the key-path spill data compresses at
-		// least 2x — written bytes, so rereads can't pad the ratio.
-		if on.PhysicalWriteBytes*2 > off.PhysicalWriteBytes {
-			t.Errorf("%v: physical write bytes %d compressed vs %d plain; want at least a 2x reduction",
-				algo, on.PhysicalWriteBytes, off.PhysicalWriteBytes)
-		}
-		if off.TotalIOs != on.TotalIOs {
-			t.Errorf("%v: codec moved the counted block transfers: %d vs %d", algo, off.TotalIOs, on.TotalIOs)
-		}
-	}
-	var sb strings.Builder
-	if err := SpillTable(rows).Fprint(&sb); err != nil || !strings.Contains(sb.String(), "front+flate") {
-		t.Errorf("table render: %v\n%s", err, sb.String())
-	}
-}
-
-func TestSpillNeedsScratchDir(t *testing.T) {
-	if _, err := Spill(SpillConfig{Scale: 0.1}); err == nil {
-		t.Error("in-memory spill experiment should be rejected")
-	}
-}
-
 func TestAlgoString(t *testing.T) {
 	if AlgoNEXSORT.String() != "NeXSort" || AlgoMergeSort.String() != "Merge Sort" {
 		t.Error("algo names")

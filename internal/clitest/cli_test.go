@@ -8,6 +8,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -61,6 +63,35 @@ func run(t *testing.T, tool string, stdin string, args ...string) (string, strin
 	return out.String(), errb.String(), code
 }
 
+var (
+	statsTotalRE    = regexp.MustCompile(`total I/Os=(\d+)`)
+	statsCategoryRE = regexp.MustCompile(`(?m)^\s+(\S+)\s+reads=(\d+)\s+writes=(\d+)`)
+)
+
+// checkStatsSum parses nexsort -stats output and requires the per-category
+// reads= and writes= lines to sum to the total I/Os= line.
+func checkStatsSum(t *testing.T, stats string) {
+	t.Helper()
+	m := statsTotalRE.FindStringSubmatch(stats)
+	if m == nil {
+		t.Fatalf("no total I/Os= line in -stats output:\n%s", stats)
+	}
+	total, _ := strconv.ParseInt(m[1], 10, 64)
+	cats := statsCategoryRE.FindAllStringSubmatch(stats, -1)
+	if len(cats) == 0 {
+		t.Fatalf("no per-category reads=/writes= lines in -stats output:\n%s", stats)
+	}
+	var sum int64
+	for _, c := range cats {
+		r, _ := strconv.ParseInt(c[2], 10, 64)
+		w, _ := strconv.ParseInt(c[3], 10, 64)
+		sum += r + w
+	}
+	if sum != total {
+		t.Errorf("-stats categories sum to %d I/Os, total I/Os=%d:\n%s", sum, total, stats)
+	}
+}
+
 func TestGenerateSortCheckPipeline(t *testing.T) {
 	dir := t.TempDir()
 	doc := filepath.Join(dir, "doc.xml")
@@ -88,6 +119,7 @@ func TestGenerateSortCheckPipeline(t *testing.T) {
 	if !strings.Contains(stderr, "subtree sorts=") || !strings.Contains(stderr, "total I/Os=") {
 		t.Errorf("nexsort -stats output: %s", stderr)
 	}
+	checkStatsSum(t, stderr)
 
 	out, _, code := run(t, "xmlcheck", "", "-by", "@key", "-in", sorted)
 	if code != 0 {
@@ -106,10 +138,11 @@ func TestSorterCLIAlgorithmsAgree(t *testing.T) {
 	var outputs []string
 	for _, algo := range []string{"nexsort", "mergesort", "inmemory"} {
 		out, stderr, code := run(t, "nexsort", "", "-by", "@key", "-in", doc, "-algo", algo,
-			"-block", "1024", "-mem", "32768")
+			"-block", "1024", "-mem", "32768", "-stats")
 		if code != 0 {
 			t.Fatalf("%s failed: %s", algo, stderr)
 		}
+		checkStatsSum(t, stderr)
 		outputs = append(outputs, out)
 	}
 	if outputs[0] != outputs[1] || outputs[1] != outputs[2] {

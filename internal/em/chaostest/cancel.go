@@ -59,11 +59,6 @@ type CancelOutcome struct {
 	// memory.
 	BudgetInUse int
 	FramesLive  int
-	// CodecFramesLive is the spill compression layer's live scratch-frame
-	// count after the sort returned (always 0 with CompressSpill off). A
-	// trigger can fire inside a compressed read or write, so the codec's
-	// per-operation scratch must release on the refusal path too.
-	CodecFramesLive int
 	// TotalOps is the number of operations the scratch backend performed
 	// over the whole run, counted below the device's lifecycle gate —
 	// refused operations never reach the backend, so TotalOps-TriggerOp
@@ -133,7 +128,6 @@ func RunCancel(doc []byte, crit *keys.Criterion, t CancelTrial) *CancelOutcome {
 	}
 	out.BudgetInUse = env.Budget.InUse()
 	out.FramesLive = env.Dev.Frames().Live()
-	out.CodecFramesLive = env.SpillCodecFramesLive()
 	out.TotalOps = trig.Ops()
 	out.Fired = trig.Fired()
 	return out

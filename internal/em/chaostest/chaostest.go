@@ -84,11 +84,6 @@ type Outcome struct {
 	// the sort returned — any nonzero value means an error path dropped a
 	// frame instead of releasing it.
 	FramesLive int
-	// CodecFramesLive is the spill compression layer's live scratch-frame
-	// count after the sort returned (always 0 with CompressSpill off).
-	// The codec acquires scratch per operation and must release it on
-	// every path, including corrupt-decode unwinds.
-	CodecFramesLive int
 	// Injected is the chaos backend's per-kind fault tally.
 	Injected map[string]int64
 	// Stats is the environment's I/O accounting (retries, checksum
@@ -140,7 +135,6 @@ func Run(doc []byte, crit *keys.Criterion, t Trial) *Outcome {
 	}
 	out.BudgetInUse = env.Budget.InUse()
 	out.FramesLive = env.Dev.Frames().Live()
-	out.CodecFramesLive = env.SpillCodecFramesLive()
 	if chaos != nil {
 		out.Injected = chaos.Injected()
 	} else {

@@ -48,7 +48,6 @@ func (c *CountingReader) charge(n int) {
 	c.residual += n
 	for c.residual >= len(c.buf) {
 		c.stats.AddReads(c.cat, 1)
-		c.stats.AddReadBytes(c.cat, int64(len(c.buf)))
 		c.residual -= len(c.buf)
 	}
 }
@@ -132,7 +131,6 @@ func (c *CountingReader) ReadByte() (byte, error) {
 func (c *CountingReader) Finish() {
 	if c.residual > 0 {
 		c.stats.AddReads(c.cat, 1)
-		c.stats.AddReadBytes(c.cat, int64(len(c.buf)))
 		c.residual = 0
 	}
 }
@@ -190,7 +188,6 @@ func (c *CountingWriter) charge(n int) {
 	c.residual += n
 	for c.residual >= len(c.buf) {
 		c.stats.AddWrites(c.cat, 1)
-		c.stats.AddWriteBytes(c.cat, int64(len(c.buf)))
 		c.residual -= len(c.buf)
 	}
 }
@@ -255,7 +252,6 @@ func (c *CountingWriter) Flush() error {
 	}
 	if c.residual > 0 {
 		c.stats.AddWrites(c.cat, 1)
-		c.stats.AddWriteBytes(c.cat, int64(len(c.buf)))
 		c.residual = 0
 	}
 	return c.flushBuf()

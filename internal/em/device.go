@@ -168,7 +168,6 @@ func (d *Device) ReadBlock(c Category, id int64, p []byte) error {
 		return fmt.Errorf("em: read block %d: %w", id, err)
 	}
 	d.stats.AddReads(c, 1)
-	d.stats.AddReadBytes(c, int64(d.blockSize))
 	return nil
 }
 
@@ -201,7 +200,6 @@ func (d *Device) WriteBlock(c Category, id int64, p []byte) error {
 		return fmt.Errorf("em: write block %d: %w", id, err)
 	}
 	d.stats.AddWrites(c, 1)
-	d.stats.AddWriteBytes(c, int64(d.blockSize))
 	return nil
 }
 

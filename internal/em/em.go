@@ -65,14 +65,6 @@ const (
 	CatMergeRun
 	// CatScratch is miscellaneous scratch I/O not attributed elsewhere.
 	CatScratch
-	// CatFenceIndex is the per-run fence-key sparse index: a tiny side
-	// stream (the first normalized key of every run block) emitted during
-	// run formation when Config.MergeParallel is set, and read back by the partitioned final merge to select splitters and
-	// locate partition boundaries. Index blocks travel through the same
-	// hardened backend stack as the runs themselves, so checksums and
-	// compression apply; keeping them in their own category keeps every
-	// paper-model invariant on the run categories intact.
-	CatFenceIndex
 
 	numCategories
 )
@@ -98,8 +90,6 @@ func (c Category) String() string {
 		return "merge-run"
 	case CatScratch:
 		return "scratch"
-	case CatFenceIndex:
-		return "fence-index"
 	default:
 		return fmt.Sprintf("category(%d)", int(c))
 	}

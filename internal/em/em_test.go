@@ -272,9 +272,9 @@ func TestStreamReadFromOffset(t *testing.T) {
 }
 
 // TestConcurrentReadersOneStream opens eight readers on one sealed stream
-// at different offsets and drains them concurrently, as the partitioned
-// merge's range readers do: each must see exactly the stream's bytes from
-// its offset on, and every frame must be back in the pool afterwards.
+// at different offsets and drains them concurrently: each must see exactly
+// the stream's bytes from its offset on, and every frame must be back in
+// the pool afterwards.
 func TestConcurrentReadersOneStream(t *testing.T) {
 	const bs = 96
 	payload := make([]byte, 40*bs+11)

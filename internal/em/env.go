@@ -30,24 +30,6 @@ type Config struct {
 	// every setting (see the concurrency model in DESIGN.md).
 	Parallelism int
 
-	// MergeParallel, when positive, runs the external merge sort's final
-	// merge as up to that many independent loser trees over disjoint key
-	// ranges, dispatched on the worker pool, each writing its own segment
-	// of the output stream (DESIGN.md §17). Setting it also makes run
-	// formation emit a fence-key sparse index per run — the first
-	// normalized key of every run block, spilled as a tiny side stream
-	// (CatFenceIndex) through the same hardened backend stack as the runs
-	// — which is what lets the merge partition runs by key range without
-	// scanning them. Splitters are chosen so that all records with equal
-	// keys land in one partition, which preserves the serial loser tree's
-	// run-index tie-break and makes the concatenated output byte-identical
-	// to the serial merge. Every run block is still read exactly once and
-	// every output block written exactly once, at every partition count;
-	// index I/O is charged to its own category, so the run categories and
-	// the paper-model counts are unchanged. 0 (the default) keeps the
-	// final merge on a single loser tree and emits no index.
-	MergeParallel int
-
 	// ScratchQuotaBlocks, when positive, caps the scratch device at that
 	// many blocks: a CapacityBackend under the hardening layers refuses
 	// writes past the quota with the typed ErrScratchExhausted, and the
@@ -63,17 +45,6 @@ type Config struct {
 	// of scratch space per block and one CRC pass per transfer; the
 	// block-transfer counters are unchanged.
 	VerifyChecksums bool
-	// CompressSpill stores every spill block in the compressed spill
-	// format (DESIGN.md §14): records are front-coded against their
-	// predecessor, the block is flate-compressed, and only the encoded
-	// bytes cross the device boundary. The logical block-transfer
-	// counters — the paper's model — are unchanged at every layer; the
-	// physical byte counters in Stats shrink with the data's redundancy
-	// (2-4× on key-path runs). Composes with VerifyChecksums: the
-	// checksummed record is what gets compressed, so verification still
-	// sees exactly the bytes it wrote. Decode failures surface as typed
-	// ErrCorruptBlock errors, like checksum failures.
-	CompressSpill bool
 	// Retry re-attempts backend operations that fail with a transient
 	// error (and, optionally, corrupt reads) under a bounded backoff.
 	// The zero policy disables retrying.
@@ -102,9 +73,6 @@ func (c Config) Validate() error {
 	if c.ScratchQuotaBlocks < 0 {
 		return fmt.Errorf("em: negative scratch quota %d blocks", c.ScratchQuotaBlocks)
 	}
-	if c.MergeParallel < 0 {
-		return fmt.Errorf("em: negative merge parallelism %d", c.MergeParallel)
-	}
 	return nil
 }
 
@@ -128,22 +96,6 @@ type Env struct {
 	// main goroutine is the remaining unit). Nil on hand-built Envs, which
 	// therefore run sequentially.
 	pool *Pool
-
-	// spill is the compression layer in the backend stack, nil when
-	// Conf.CompressSpill is off; kept so leak checks can see its scratch
-	// pool.
-	spill *CompressedBackend
-}
-
-// SpillCodecFramesLive reports how many scratch frames the spill
-// compression layer holds live right now (always 0 with compression off).
-// The unwind invariant extends to the codec: after a sort returns — clean,
-// canceled, or faulted — this must be zero.
-func (e *Env) SpillCodecFramesLive() int {
-	if e.spill == nil {
-		return 0
-	}
-	return e.spill.ScratchFramesLive()
 }
 
 // Parallelism returns the resolved parallelism level: Conf.Parallelism, or
@@ -156,10 +108,9 @@ func (e *Env) Pool() *Pool { return e.pool }
 
 // NewEnv builds an environment from cfg. The spill backend is assembled
 // bottom-up: the raw store (file or memory), the scratch quota (if any),
-// the optional WrapBackend test hook (fault injection), then physical
-// byte accounting, spill compression, checksum verification, and
-// transient-fault retry — so retries re-drive decompression and
-// verification, and both see exactly what the (possibly faulty) device
+// the optional WrapBackend test hook (fault injection), then checksum
+// verification and transient-fault retry — so retries re-drive
+// verification, and it sees exactly what the (possibly faulty) device
 // returned. The environment has no lifecycle: it can never be
 // canceled. Use NewEnvContext to bound a run by a context.
 func NewEnv(cfg Config) (*Env, error) {
@@ -194,23 +145,18 @@ func newEnv(cfg Config, life *Lifecycle) (*Env, error) {
 	if cfg.ScratchQuotaBlocks > 0 {
 		// The quota sits directly on the raw store and is denominated in
 		// physical blocks: with checksums on, each logical block costs its
-		// trailer too, and with compression its slot header — that
-		// overhead must not eat into the quota's block count. Compressed
-		// records are shorter than their slot, but the quota meters slots:
-		// a block allocated is a block of quota spent.
+		// trailer too, and that overhead must not eat into the quota's
+		// block count.
 		phys := int64(cfg.BlockSize)
 		if cfg.VerifyChecksums {
 			phys += checksumTrailerLen
-		}
-		if cfg.CompressSpill {
-			phys += spillHeaderLen
 		}
 		backend = NewCapacityBackend(backend, cfg.ScratchQuotaBlocks*phys)
 	}
 	if cfg.WrapBackend != nil {
 		backend = cfg.WrapBackend(backend)
 	}
-	backend, spill := hardenStack(backend, cfg, stats, life)
+	backend = hardenStack(backend, cfg, stats, life)
 	dev := NewDevice(backend, cfg.BlockSize, stats)
 	dev.BindLifecycle(life)
 	dev.SetCapacityHint(cfg.ScratchQuotaBlocks)
@@ -224,40 +170,23 @@ func newEnv(cfg Config, life *Lifecycle) (*Env, error) {
 		Budget: budget,
 		Conf:   cfg,
 		pool:   NewPool(cfg.parallelism() - 1),
-		spill:  spill,
 	}, nil
 }
 
 // hardenStack assembles the hardening layers bottom-up and returns the top
-// of the stack plus the compression layer (nil when off):
+// of the stack:
 //
-//	retry → checksum → compression → physical counting → backend
+//	retry → checksum → backend
 //
-// Physical counting sits innermost, directly on the (possibly
-// fault-injected) device, so the physical ledger sees exactly what crossed
-// the boundary. Compression sits below checksums — the checksummed record
-// is this layer's unit — so verification round-trips through the codec and
-// a corrupted compressed block fails decode (or, if the flate stream
-// survives, the CRC above). Retry stays on top: re-attempts re-drive
-// decode and verification.
-func hardenStack(backend Backend, cfg Config, stats *Stats, life *Lifecycle) (Backend, *CompressedBackend) {
-	backend = NewPhysCountBackend(backend, stats)
-	var spill *CompressedBackend
-	if cfg.CompressSpill {
-		unit := cfg.BlockSize
-		if cfg.VerifyChecksums {
-			unit += checksumTrailerLen
-		}
-		spill = NewCompressedBackend(backend, unit, stats)
-		backend = spill
-	}
+// Retry stays on top, so a re-attempt re-drives verification.
+func hardenStack(backend Backend, cfg Config, stats *Stats, life *Lifecycle) Backend {
 	if cfg.VerifyChecksums {
 		backend = NewChecksumBackend(backend, cfg.BlockSize, stats)
 	}
 	if cfg.Retry.Enabled() {
 		backend = NewRetryBackendLifecycle(backend, cfg.Retry, stats, life)
 	}
-	return backend, spill
+	return backend
 }
 
 // Close releases the scratch device.

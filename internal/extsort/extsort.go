@@ -26,7 +26,6 @@ import (
 	"sync"
 
 	"nexsort/internal/em"
-	"nexsort/internal/fence"
 	"nexsort/internal/sortkey"
 )
 
@@ -87,23 +86,16 @@ type Sorter struct {
 	memBlocks int
 	bufLimit  int // record bytes buffered before a run is cut
 
-	// fenceOn is set when Config.MergeParallel is, forced off without a
-	// keyer (no normalized keys means no byte-comparable fences);
-	// mergeParallel mirrors Config.MergeParallel.
-	fenceOn       bool
-	mergeParallel int
-
 	entries  []entry
 	keyBuf   []byte    // reused normalized-key scratch for Add
 	arena    *recArena // frame-backed storage behind entry records
 	bufBytes int
 	runs     []*em.Stream
 
-	// Worker bookkeeping. mu guards runs slot assignment, fences, firstErr
-	// and panicVal against the pool workers; wg tracks in-flight batches.
+	// Worker bookkeeping. mu guards runs slot assignment, firstErr and
+	// panicVal against the pool workers; wg tracks in-flight batches.
 	mu       sync.Mutex
 	wg       sync.WaitGroup
-	fences   map[*em.Stream]*em.Stream // run → its fence-key index stream
 	firstErr error
 	panicVal any
 
@@ -155,16 +147,13 @@ func NewKernel(env *em.Env, cat em.Category, k sortkey.Kernel, memBlocks int) (*
 		return nil, fmt.Errorf("extsort: %w", err)
 	}
 	return &Sorter{
-		env:           env,
-		cat:           cat,
-		cmp:           k.Compare,
-		keyer:         k.AppendKey,
-		memBlocks:     memBlocks,
-		bufLimit:      (memBlocks - 1) * env.Conf.BlockSize,
-		arena:         newRecArena(env.Dev.Frames(), memBlocks-1),
-		fenceOn:       env.Conf.MergeParallel > 0 && k.AppendKey != nil,
-		mergeParallel: env.Conf.MergeParallel,
-		fences:        make(map[*em.Stream]*em.Stream),
+		env:       env,
+		cat:       cat,
+		cmp:       k.Compare,
+		keyer:     k.AppendKey,
+		memBlocks: memBlocks,
+		bufLimit:  (memBlocks - 1) * env.Conf.BlockSize,
+		arena:     newRecArena(env.Dev.Frames(), memBlocks-1),
 	}, nil
 }
 
@@ -350,17 +339,7 @@ func (s *Sorter) writeRun(batch []entry) (*em.Stream, error) {
 	// pool even when the spill fails mid-run.
 	defer w.Close()
 	var lenBuf [binary.MaxVarintLen64]byte
-	var fences []fence.Entry
-	var off, nextFenceBlock int64
-	bs := int64(s.env.Conf.BlockSize)
 	for _, e := range batch {
-		if s.fenceOn {
-			// One fence per run block: the first record starting in it.
-			if blk := off / bs; blk >= nextFenceBlock {
-				fences = append(fences, fence.Entry{Offset: off, Key: s.keyer(nil, e.rec, 0)})
-				nextFenceBlock = blk + 1
-			}
-		}
 		n := binary.PutUvarint(lenBuf[:], uint64(len(e.rec)))
 		if _, err := w.Write(lenBuf[:n]); err != nil {
 			return nil, err
@@ -368,17 +347,9 @@ func (s *Sorter) writeRun(batch []entry) (*em.Stream, error) {
 		if _, err := w.Write(e.rec); err != nil {
 			return nil, err
 		}
-		off += int64(n) + int64(len(e.rec))
 	}
 	if err := w.Close(); err != nil {
 		return nil, err
-	}
-	if s.fenceOn {
-		// The index spills after the run writer's frame is back: the
-		// working set stays within the batch's grant.
-		if err := s.spillFenceIndex(run, fences); err != nil {
-			return nil, err
-		}
 	}
 	return run, nil
 }
@@ -388,15 +359,6 @@ func (s *Sorter) writeRun(batch []entry) (*em.Stream, error) {
 func (s *Sorter) drain() error {
 	s.wg.Wait()
 	return s.err()
-}
-
-// Runs reports how many runs exist right now. Meaningful after Flush
-// (benchmark harnesses read it between run formation and the merge);
-// mid-Add it may lag in-flight background spills.
-func (s *Sorter) Runs() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.runs)
 }
 
 // err reports (without waiting) a worker failure recorded so far.
@@ -491,11 +453,8 @@ func (s *Sorter) Sort() (*Iterator, error) {
 			return &Iterator{run: m}, nil
 		}
 		if len(s.runs) <= fanIn {
-			// Final pass: one merge produces the output run —
-			// range-partitioned across the pool when the fence indexes
-			// allow, on the serial loser tree otherwise; the bytes are
-			// identical either way.
-			merged, err := s.finalMerge(s.runs)
+			// Final pass: one merge produces the output run.
+			merged, err := s.mergeRuns(s.runs)
 			if err != nil {
 				return nil, err
 			}
@@ -546,32 +505,18 @@ type streamMerger struct {
 	closed  bool
 }
 
-// newStreamMerger opens a reader per run and primes the loser tree. On
-// error every already-opened reader is closed.
+// newStreamMerger opens a reader per run and primes the loser tree. Cursor
+// index follows run order and breaks ties between equal records. On error
+// every already-opened reader is closed.
 func newStreamMerger(s *Sorter, runs []*em.Stream) (*streamMerger, error) {
-	readers := make([]*runReader, len(runs))
+	m := &streamMerger{s: s, cursors: make([]mergeCursor, 0, len(runs))}
 	for i, run := range runs {
 		r, err := newRunReader(run)
 		if err != nil {
-			for _, rr := range readers[:i] {
-				rr.close()
-			}
+			m.close()
 			return nil, err
 		}
-		readers[i] = r
-	}
-	return newStreamMergerReaders(s, readers)
-}
-
-// newStreamMergerReaders primes a loser tree over pre-built readers,
-// taking ownership of them (every reader is closed on error). Cursor index
-// follows reader order, and cursor index is the tie-break — the
-// partitioned merge hands partition slices over in original run order, so
-// equal keys resolve exactly as the serial merge would.
-func newStreamMergerReaders(s *Sorter, readers []*runReader) (*streamMerger, error) {
-	m := &streamMerger{s: s, cursors: make([]mergeCursor, len(readers))}
-	for i, r := range readers {
-		m.cursors[i] = mergeCursor{r: r, idx: i}
+		m.cursors = append(m.cursors, mergeCursor{r: r, idx: i})
 	}
 	for i := range m.cursors {
 		if err := m.load(&m.cursors[i]); err != nil {
@@ -695,9 +640,6 @@ func (s *Sorter) mergeRuns(runs []*em.Stream) (_ *em.Stream, retErr error) {
 		}
 	}()
 	var lenBuf [binary.MaxVarintLen64]byte
-	var fences []fence.Entry
-	var off, nextFenceBlock int64
-	bs := int64(s.env.Conf.BlockSize)
 	for {
 		rec, err := m.next()
 		if err == io.EOF {
@@ -706,12 +648,6 @@ func (s *Sorter) mergeRuns(runs []*em.Stream) (_ *em.Stream, retErr error) {
 		if err != nil {
 			return nil, err
 		}
-		if s.fenceOn {
-			if blk := off / bs; blk >= nextFenceBlock {
-				fences = append(fences, fence.Entry{Offset: off, Key: s.keyer(nil, rec, 0)})
-				nextFenceBlock = blk + 1
-			}
-		}
 		n := binary.PutUvarint(lenBuf[:], uint64(len(rec)))
 		if _, err := w.Write(lenBuf[:n]); err != nil {
 			return nil, err
@@ -719,18 +655,83 @@ func (s *Sorter) mergeRuns(runs []*em.Stream) (_ *em.Stream, retErr error) {
 		if _, err := w.Write(rec); err != nil {
 			return nil, err
 		}
-		off += int64(n) + int64(len(rec))
 	}
 	if err := w.Close(); err != nil {
 		return nil, err
 	}
-	if s.fenceOn {
-		if err := s.spillFenceIndex(out, fences); err != nil {
-			return nil, err
-		}
-	}
-	s.forgetFences(runs)
 	return out, nil
+}
+
+// mergePass merges runs in disjoint fanIn-sized groups into the next
+// pass's runs. The groups read and write disjoint streams, so they are
+// dispatched concurrently on the worker pool under the same admission rule
+// as run formation — a pool slot AND a full extra working-set grant, with
+// inline fallback — and each group's output lands in a pre-claimed slot,
+// so the pass's result (and every downstream merge decision) is identical
+// at every parallelism level.
+func (s *Sorter) mergePass(runs []*em.Stream, fanIn int) ([]*em.Stream, error) {
+	next := make([]*em.Stream, (len(runs)+fanIn-1)/fanIn)
+	for lo, slot := 0, 0; lo < len(runs); lo, slot = lo+fanIn, slot+1 {
+		hi := lo + fanIn
+		if hi > len(runs) {
+			hi = len(runs)
+		}
+		if hi-lo == 1 {
+			next[slot] = runs[lo]
+			continue
+		}
+		if err := s.err(); err != nil {
+			break
+		}
+		if s.env.Pool().TryAcquire() {
+			if err := s.env.Budget.Grant(s.memBlocks); err != nil {
+				s.env.Pool().Release()
+			} else {
+				group, slot := runs[lo:hi], slot
+				s.wg.Add(1)
+				go func() {
+					defer s.wg.Done()
+					defer s.env.Pool().Release()
+					defer s.env.Budget.Release(s.memBlocks)
+					defer func() {
+						if r := recover(); r != nil {
+							s.mu.Lock()
+							if s.panicVal == nil {
+								s.panicVal = r
+							}
+							s.mu.Unlock()
+						}
+					}()
+					merged, err := s.mergeRuns(group)
+					s.mu.Lock()
+					if err != nil {
+						if s.firstErr == nil {
+							s.firstErr = err
+						}
+					} else {
+						next[slot] = merged
+					}
+					s.mu.Unlock()
+				}()
+				continue
+			}
+		}
+		merged, err := s.mergeRuns(runs[lo:hi])
+		if err != nil {
+			s.mu.Lock()
+			if s.firstErr == nil {
+				s.firstErr = err
+			}
+			s.mu.Unlock()
+			break
+		}
+		next[slot] = merged
+	}
+	s.wg.Wait()
+	if err := s.err(); err != nil {
+		return nil, err
+	}
+	return next, nil
 }
 
 // Stats returns execution statistics. Valid after Sort.
@@ -800,19 +801,10 @@ func (it *Iterator) Close() {
 	}
 }
 
-// recordByteSource is the byte stream a runReader decodes records from: a
-// whole run (em.StreamReader) or the partitioned merge's stitched view of
-// one partition's slice of a run (chainSource).
-type recordByteSource interface {
-	io.Reader
-	io.ByteReader
-}
-
-// runReader streams length-prefixed records out of a record byte source.
+// runReader streams length-prefixed records out of a run.
 type runReader struct {
-	src     recordByteSource
-	closeFn func() // releases the source's device reader, if it has one
-	buf     []byte
+	src *em.StreamReader
+	buf []byte
 }
 
 func newRunReader(run *em.Stream) (*runReader, error) {
@@ -820,7 +812,7 @@ func newRunReader(run *em.Stream) (*runReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &runReader{src: sr, closeFn: func() { sr.Close() }}, nil
+	return &runReader{src: sr}, nil
 }
 
 // maxRecordLen bounds decoded record lengths against corruption; records
@@ -845,8 +837,4 @@ func (r *runReader) next() ([]byte, error) {
 	return r.buf, nil
 }
 
-func (r *runReader) close() {
-	if r.closeFn != nil {
-		r.closeFn()
-	}
-}
+func (r *runReader) close() { r.src.Close() }

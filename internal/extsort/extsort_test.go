@@ -113,76 +113,6 @@ func TestSorterSpillAndMerge(t *testing.T) {
 	}
 }
 
-// TestSorterCompressedSpill drives run formation and the merge read path
-// through the spill codec: with CompressSpill on, a heavily spilling sort
-// must emit the identical record sequence and identical logical I/O
-// counts, while the bytes crossing the device shrink — key-path-shaped
-// records (fixed-width decimal strings) front-code and deflate well.
-func TestSorterCompressedSpill(t *testing.T) {
-	// Block size 256 (not the other tests' 64): the codec's 16-byte slot
-	// header and deflate's stream overhead are per block, so compression
-	// only pays at realistic block sizes.
-	sortOnce := func(compress bool) ([]string, map[string]em.IOCount, *em.Env) {
-		env, err := em.NewEnv(em.Config{BlockSize: 256, MemBlocks: 16, CompressSpill: compress})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { env.Close() })
-		s, err := New(env, em.CatMergeRun, bytesCompare, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		rng := rand.New(rand.NewSource(42))
-		for i := 0; i < 400; i++ {
-			if err := s.Add([]byte(fmt.Sprintf("%06d", rng.Intn(100000)))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		it, err := s.Sort()
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer it.Close()
-		var got []string
-		for {
-			rec, err := it.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = append(got, string(rec))
-		}
-		if !s.Stats().Spilled || s.Stats().MergePasses < 1 {
-			t.Fatalf("compress=%v: expected a real external sort, stats = %+v", compress, s.Stats())
-		}
-		return got, env.Stats.Snapshot(), env
-	}
-
-	plainRecs, plainIOs, _ := sortOnce(false)
-	compRecs, compIOs, compEnv := sortOnce(true)
-	if fmt.Sprint(compRecs) != fmt.Sprint(plainRecs) {
-		t.Error("compressed sort emitted a different record sequence")
-	}
-	if live := compEnv.SpillCodecFramesLive(); live != 0 {
-		t.Errorf("%d codec scratch frames live after sort", live)
-	}
-	var plainW, compW int64
-	for c, n := range plainIOs {
-		m := compIOs[c]
-		if n.Reads != m.Reads || n.Writes != m.Writes || n.ReadBytes != m.ReadBytes || n.WriteBytes != m.WriteBytes {
-			t.Errorf("%s: logical counts moved under compression: %+v vs %+v", c, n, m)
-		}
-		plainW += n.PhysWriteBytes
-		compW += m.PhysWriteBytes
-	}
-	if compW == 0 || compW >= plainW {
-		t.Errorf("physical spill write bytes %d compressed vs %d plain; want a reduction", compW, plainW)
-	}
-}
-
 func TestSorterMergePassCounts(t *testing.T) {
 	// With fan-in f = memBlocks-1 = 2 and r initial runs, merge passes
 	// should be ceil(log2(r)). SortStream merges pairwise only until at

@@ -52,12 +52,7 @@ func figure1Criterion() *keys.Criterion {
 // nexsortDoc sorts a document string with NEXSORT.
 func nexsortDoc(t *testing.T, doc string, c *keys.Criterion) string {
 	t.Helper()
-	return nexsortDocCfg(t, doc, c, em.Config{BlockSize: 256, MemBlocks: 16})
-}
-
-func nexsortDocCfg(t *testing.T, doc string, c *keys.Criterion, cfg em.Config) string {
-	t.Helper()
-	env, err := em.NewEnv(cfg)
+	env, err := em.NewEnv(em.Config{BlockSize: 256, MemBlocks: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,32 +62,6 @@ func nexsortDocCfg(t *testing.T, doc string, c *keys.Criterion, cfg em.Config) s
 		t.Fatal(err)
 	}
 	return out.String()
-}
-
-// TestFigure1MergeCompressedInputs re-runs Example 1.1 with the sorts'
-// scratch traffic routed through the spill codec: the sorted inputs, and
-// therefore the merged document, must be byte-identical to the plain runs
-// — the spill representation can never leak into document content.
-func TestFigure1MergeCompressedInputs(t *testing.T) {
-	c := figure1Criterion()
-	cfg := em.Config{BlockSize: 256, MemBlocks: 16, CompressSpill: true}
-	s1, s2 := nexsortDocCfg(t, d1, c, cfg), nexsortDocCfg(t, d2, c, cfg)
-	if s1 != nexsortDoc(t, d1, c) || s2 != nexsortDoc(t, d2, c) {
-		t.Fatal("compressed-spill sorts differ from plain sorts")
-	}
-	var out strings.Builder
-	rep, err := Documents(strings.NewReader(s1), strings.NewReader(s2), c, &out, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same matched pairs as TestFigure1Merge: company, region AC, branch
-	// Durham, employee 323.
-	if rep.Matched != 4 {
-		t.Errorf("Matched = %d, want 4", rep.Matched)
-	}
-	if !strings.Contains(out.String(), `<employee ID="323"><name>Smith</name><phone>5552345</phone><salary>45000</salary><bonus>5000</bonus></employee>`) {
-		t.Errorf("merged document lost content:\n%s", out.String())
-	}
 }
 
 // TestFigure1Merge reproduces Example 1.1 end to end: sort both documents,

@@ -87,72 +87,6 @@ func TestReaderResumeAtOffset(t *testing.T) {
 	}
 }
 
-// TestStoreThroughCompressedSpill runs the token-run store over the spill
-// codec stack (compression above the physical byte counter, exactly as the
-// environment assembles it): runs must round-trip token-exact while the
-// bytes crossing the inner backend shrink below the logical ledger, and
-// the codec's per-operation scratch must be clean when the store is idle.
-func TestStoreThroughCompressedSpill(t *testing.T) {
-	// Block size 256 (not the other tests' 64): the codec's per-block slot
-	// header and deflate overhead only amortize at realistic block sizes.
-	stats := em.NewStats()
-	codec := em.NewCompressedBackend(em.NewPhysCountBackend(em.NewMemBackend(), stats), 256, stats)
-	dev := em.NewDevice(codec, 256, stats)
-	s := New(dev)
-
-	// Token runs with the repetitive names and keys real subtree sorts
-	// produce, long enough to span many blocks.
-	var toks []xmltok.Token
-	for i := 0; i < 200; i++ {
-		toks = append(toks,
-			xmltok.Token{Kind: xmltok.KindStart, Name: "employee", Attrs: []xmltok.Attr{{Name: "ID", Value: "00042"}}},
-			xmltok.Token{Kind: xmltok.KindText, Text: "region/NE/branch/02"},
-			xmltok.Token{Kind: xmltok.KindEnd, Name: "employee"},
-		)
-	}
-	id, w, err := s.Create(em.CatSubtreeSort, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tok := range toks {
-		if err := writeToken(w, tok); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := s.Open(id, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	var got []xmltok.Token
-	for {
-		tok, err := readToken(r)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, tok)
-	}
-	if !reflect.DeepEqual(got, toks) {
-		t.Fatal("compressed run round trip mismatch")
-	}
-	c := em.CatSubtreeSort
-	if stats.Writes(c) == 0 || stats.PhysWriteBytes(c) == 0 {
-		t.Fatalf("no spill traffic measured: writes=%d physWB=%d", stats.Writes(c), stats.PhysWriteBytes(c))
-	}
-	if got, want := stats.PhysWriteBytes(c), stats.WriteBytes(c); got >= want {
-		t.Errorf("physical write bytes %d not below logical %d", got, want)
-	}
-	if live := codec.ScratchFramesLive(); live != 0 {
-		t.Errorf("%d codec scratch frames live after the round trip", live)
-	}
-}
-
 func TestStoreErrors(t *testing.T) {
 	s, _ := newStore(t)
 	if _, err := s.Open(0, nil, 0); err == nil {

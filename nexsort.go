@@ -184,28 +184,6 @@ type Config struct {
 	// materializing one more run. Default 0 (unlimited), the paper's
 	// model.
 	ScratchQuotaBlocks int64
-	// CompressSpill front-codes and deflates every spill block on its way
-	// to the scratch device (see DESIGN.md §14). The sorted output and
-	// the counted logical block transfers — the paper's metric, reported
-	// in Result.IOs as Reads/Writes/ReadBytes/WriteBytes — are unchanged;
-	// what shrinks is the physical side (PhysReadBytes/PhysWriteBytes),
-	// typically 2-4x on key-path spill data. Damage to a compressed block
-	// at rest surfaces as a typed corruption error (IsCorrupt), exactly
-	// like a checksum mismatch. Default off: the paper's model stores
-	// blocks verbatim.
-	CompressSpill bool
-	// MergeParallel range-partitions the final merge of every external
-	// sort into up to this many key ranges, merged concurrently on the
-	// worker pool and concatenated in key order (DESIGN.md §17). It
-	// partitions with a fence-key sparse index that run formation emits
-	// beside every spilled run (the first normalized key of each run
-	// block, stored as a tiny side stream). The sorted output is
-	// byte-identical and the counted logical block transfers per category
-	// are identical at every setting > 0 — and identical to the serial
-	// merge except for the fence-index side stream's own small category,
-	// so like Parallelism it buys wall-clock time only. Default 0: the
-	// serial single-tree final merge, the paper's model.
-	MergeParallel int
 }
 
 // Defaults for Config.
@@ -241,8 +219,6 @@ func (c Config) normalize() (em.Config, error) {
 		Retry:              c.Retry,
 		Parallelism:        c.Parallelism,
 		ScratchQuotaBlocks: c.ScratchQuotaBlocks,
-		CompressSpill:      c.CompressSpill,
-		MergeParallel:      c.MergeParallel,
 	}
 	if err := cfg.Validate(); err != nil {
 		return cfg, err

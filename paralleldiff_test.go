@@ -114,183 +114,6 @@ func TestParallelDifferential(t *testing.T) {
 	}
 }
 
-// TestCompressedSpillConformance is the spill-format counterpart of the
-// differential suite: compression is a representation change below the
-// block abstraction, so with it on vs. off — at every parallelism level —
-// the output bytes must be identical and the logical per-category I/O
-// accounting (reads, writes, and their whole-block byte volumes) must not
-// move. What must move is the physical side: on the key-path workload the
-// bytes that actually cross the device shrink by at least 2×.
-func TestCompressedSpillConformance(t *testing.T) {
-	doc, _, err := chaostest.Doc(300, 6, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crit := keys.ByAttrOrTag("key")
-
-	// logicalSide projects a snapshot onto the logical ledger, which is
-	// what must be invariant; the physical counters are supposed to
-	// differ between the two configurations.
-	logicalSide := func(snap map[string]em.IOCount) map[string]em.IOCount {
-		out := make(map[string]em.IOCount, len(snap))
-		for k, c := range snap {
-			out[k] = em.IOCount{
-				Reads: c.Reads, Writes: c.Writes,
-				ReadBytes: c.ReadBytes, WriteBytes: c.WriteBytes,
-			}
-		}
-		return out
-	}
-	spillPhysWriteBytes := func(o *chaostest.Outcome) int64 {
-		var n int64
-		for _, c := range o.Stats.Snapshot() {
-			n += c.PhysWriteBytes
-		}
-		return n
-	}
-
-	for _, algo := range chaostest.Algorithms {
-		t.Run(algo.String(), func(t *testing.T) {
-			for _, p := range parallelLevels {
-				plain := chaostest.Run(doc, crit, chaostest.Trial{Algorithm: algo, Env: diffEnv(16, p)})
-				env := diffEnv(16, p)
-				env.CompressSpill = true
-				comp := chaostest.Run(doc, crit, chaostest.Trial{Algorithm: algo, Env: env})
-				for name, o := range map[string]*chaostest.Outcome{"plain": plain, "compressed": comp} {
-					if o.PanicValue != nil {
-						t.Fatalf("%s parallelism=%d: panic: %v", name, p, o.PanicValue)
-					}
-					if o.Err != nil {
-						t.Fatalf("%s parallelism=%d: %v", name, p, o.Err)
-					}
-					if o.FramesLive != 0 || o.BudgetInUse != 0 {
-						t.Fatalf("%s parallelism=%d: leaked %d frames, %d budget blocks",
-							name, p, o.FramesLive, o.BudgetInUse)
-					}
-				}
-				if comp.CodecFramesLive != 0 {
-					t.Errorf("parallelism=%d: %d codec scratch frames leaked", p, comp.CodecFramesLive)
-				}
-				if !bytes.Equal(plain.Output, comp.Output) {
-					t.Errorf("parallelism=%d: compression changed the output bytes", p)
-				}
-				want, got := logicalSide(plain.Stats.Snapshot()), logicalSide(comp.Stats.Snapshot())
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("parallelism=%d: compression moved the logical I/O counts\nplain:      %v\ncompressed: %v",
-						p, want, got)
-				}
-				plainB, compB := spillPhysWriteBytes(plain), spillPhysWriteBytes(comp)
-				if compB == 0 || compB*2 > plainB {
-					t.Errorf("parallelism=%d: physical spill write bytes %d vs %d uncompressed; want at least a 2x reduction",
-						p, compB, plainB)
-				}
-			}
-		})
-	}
-}
-
-// TestPartitionedMergeConformance is the range-partitioned-merge axis of
-// the differential suite (DESIGN.md §17): partitioning the final merge by
-// key range is a wall-clock optimization and nothing else. Against the
-// plain serial sorter the output bytes must be identical and every
-// logical ledger category except the fence-index side stream must be
-// untouched; across partition counts the whole logical ledger — fence
-// reads, splitter samples and partitioned-merge counts included — must
-// not move at all, with or without spill compression. The merge-sort
-// trials separately assert that a partitioned merge actually ran, so the
-// invariance is never vacuously true.
-func TestPartitionedMergeConformance(t *testing.T) {
-	doc, _, err := chaostest.Doc(300, 6, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crit := keys.ByAttrOrTag("key")
-
-	// logical projects a snapshot onto the counters that must be invariant
-	// across partition counts: the logical block ledger plus the
-	// partitioned-merge bookkeeping.
-	logical := func(snap map[string]em.IOCount) map[string]em.IOCount {
-		out := make(map[string]em.IOCount, len(snap))
-		for k, c := range snap {
-			out[k] = em.IOCount{
-				Reads: c.Reads, Writes: c.Writes,
-				ReadBytes: c.ReadBytes, WriteBytes: c.WriteBytes,
-				PartitionedMerges: c.PartitionedMerges,
-				SplitterSamples:   c.SplitterSamples,
-			}
-		}
-		return out
-	}
-	// sansFence drops the fence-index category and the partitioned-merge
-	// bookkeeping: what remains must match the plain serial sorter's
-	// ledger exactly — partitioning may add its side stream but may not
-	// move a single run or output block transfer.
-	sansFence := func(snap map[string]em.IOCount) map[string]em.IOCount {
-		out := make(map[string]em.IOCount, len(snap))
-		for k, c := range snap {
-			if k == em.CatFenceIndex.String() {
-				continue
-			}
-			c.PartitionedMerges, c.SplitterSamples = 0, 0
-			out[k] = c
-		}
-		return out
-	}
-
-	for _, compress := range []bool{false, true} {
-		name := "plain"
-		if compress {
-			name = "compressed"
-		}
-		t.Run(name, func(t *testing.T) {
-			for _, algo := range chaostest.Algorithms {
-				env := diffEnv(24, 2)
-				env.CompressSpill = compress
-				serial := chaostest.Run(doc, crit, chaostest.Trial{Algorithm: algo, Env: env})
-				if serial.PanicValue != nil || serial.Err != nil {
-					t.Fatalf("%v serial: panic=%v err=%v", algo, serial.PanicValue, serial.Err)
-				}
-				serialIOs := logical(serial.Stats.Snapshot())
-
-				var baseIOs map[string]em.IOCount // partitioned ledger at P=1
-				for _, p := range parallelLevels {
-					env := diffEnv(24, 2)
-					env.CompressSpill = compress
-					env.MergeParallel = p
-					o := chaostest.Run(doc, crit, chaostest.Trial{Algorithm: algo, Env: env})
-					if o.PanicValue != nil {
-						t.Fatalf("%v P=%d: panic: %v", algo, p, o.PanicValue)
-					}
-					if o.Err != nil {
-						t.Fatalf("%v P=%d: %v", algo, p, o.Err)
-					}
-					if o.BudgetInUse != 0 || o.FramesLive != 0 {
-						t.Errorf("%v P=%d: leaked %d budget blocks, %d frames",
-							algo, p, o.BudgetInUse, o.FramesLive)
-					}
-					if !bytes.Equal(o.Output, serial.Output) {
-						t.Errorf("%v P=%d: output differs from the serial merge", algo, p)
-					}
-					got := logical(o.Stats.Snapshot())
-					if algo == chaostest.MergeSort && o.Stats.TotalPartitionedMerges() == 0 {
-						t.Errorf("%v P=%d: no partitioned merge ran — the conformance check is vacuous", algo, p)
-					}
-					if baseIOs == nil {
-						baseIOs = got
-					} else if !reflect.DeepEqual(got, baseIOs) {
-						t.Errorf("%v P=%d: partition count moved the logical ledger\nP=1: %v\nP=%d: %v",
-							algo, p, baseIOs, p, got)
-					}
-					if gotSerial := sansFence(got); !reflect.DeepEqual(gotSerial, serialIOs) {
-						t.Errorf("%v P=%d: partitioning moved the non-fence ledger\nserial:      %v\npartitioned: %v",
-							algo, p, serialIOs, gotSerial)
-					}
-				}
-			}
-		})
-	}
-}
-
 // runNexsortOpts drives core.Sort directly so compaction and the paper's
 // layout can be switched on — chaostest.Run always sorts with default
 // options.
