@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -266,5 +268,77 @@ func TestLoserMergeReaderErrorReleasesFrames(t *testing.T) {
 	}
 	if inUse := env.Budget.InUse(); inUse != 0 {
 		t.Errorf("error path leaked %d budget blocks", inUse)
+	}
+}
+
+// TestPartitionedMergePresortedFallback pins the mix NEXSORT's graceful
+// degeneration feeds the sorter: a presorted run registered with
+// AddPresortedRun first, then records added one at a time that spill into
+// runs of the sorter's own. The name dates from the range-partitioned final
+// merge (DESIGN.md §17), which had to fall back to the single loser tree for
+// such a run; that loser tree is now the only merge. The mix must come out
+// in (key, seq) order, with the same bytes, the same run structure and the
+// same block ledger at every parallelism, through intermediate merge passes
+// that P=2 dispatches to workers.
+func TestPartitionedMergePresortedFallback(t *testing.T) {
+	keySeqRec := func(key string, seq, pad int) []byte {
+		rec := binary.AppendUvarint(nil, uint64(len(key)))
+		rec = append(rec, key...)
+		rec = binary.AppendUvarint(rec, uint64(seq))
+		return append(rec, strings.Repeat("x", pad)...)
+	}
+	var pre, added [][]byte
+	for i := 0; i < 200; i++ {
+		pre = append(pre, keySeqRec(fmt.Sprintf("k%04d", i*2), i, 0))
+	}
+	for i := 0; i < 2000; i++ {
+		added = append(added, keySeqRec(fmt.Sprintf("k%04d", i%400), 200+i, i%24))
+	}
+	want := append(append([][]byte(nil), pre...), added...)
+	sort.Slice(want, func(i, j int) bool { return sortkey.CompareKeySeq(want[i], want[j]) < 0 })
+
+	build := func(parallelism int) ([]string, Stats, map[string]em.IOCount) {
+		env, err := em.NewEnv(em.Config{BlockSize: 512, MemBlocks: 64, Parallelism: parallelism})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer env.Close()
+		s, err := NewKernel(env, em.CatMergeRun, sortkey.KeySeq(), 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if err := s.AddPresortedRun(writePresortedRun(t, env, pre)); err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range added {
+			if err := s.Add(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return drainSorted(t, s), s.Stats(), env.Stats.Snapshot()
+	}
+
+	got, stats, ledger := build(1)
+	if stats.InitialRuns < 7 || stats.MergePasses < 2 {
+		t.Fatalf("stats %+v: want the presorted run merged with several cut runs over an intermediate pass", stats)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("merged %d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != string(want[i]) {
+			t.Fatalf("record %d = %q, want %q", i, got[i], want[i])
+		}
+	}
+	gotP, statsP, ledgerP := build(2)
+	if statsP != stats {
+		t.Errorf("parallelism=2: stats %+v, sequential %+v", statsP, stats)
+	}
+	if strings.Join(gotP, "\n") != strings.Join(got, "\n") {
+		t.Error("parallelism=2: output differs from the sequential sort")
+	}
+	if !reflect.DeepEqual(ledgerP, ledger) {
+		t.Errorf("parallelism=2: ledger moved\nP=1: %v\nP=2: %v", ledger, ledgerP)
 	}
 }
