@@ -10,8 +10,9 @@
 // ablation, parallel, alloc, cmp, all. Results print as aligned text
 // tables whose columns match the paper's axes; EXPERIMENTS.md records a
 // reference run next to the paper's numbers. The parallel, alloc and cmp
-// experiments are not paper figures: parallel shows the worker pool's
-// wall-clock speedup at identical block-transfer counts, alloc shows each
+// experiments are not paper figures: parallel shows NEXSORT's worker pool's
+// wall-clock speedup at identical block-transfer counts (merge sort runs on
+// one goroutine, so it has no rows there), alloc shows each
 // sorter's heap churn (allocs/op, B/op — the -benchmem columns) under the
 // frame-pool substrate, and cmp measures the comparison kernel.
 // -json switches every table to one JSON object per line for scripting.
@@ -41,7 +42,7 @@ func main() {
 		verify    = flag.Bool("verify-checksums", false, "checksum every spill block in the experiment environments")
 		retries   = flag.Int("retries", 0, "retry budget for transiently faulted spill transfers (0 disables)")
 		retryBase = flag.Duration("retry-delay", 0, "backoff before the first retry, doubling per attempt")
-		parallel  = flag.Int("parallel", 0, "worker parallelism for every experiment environment (0 = GOMAXPROCS, 1 = sequential); block-transfer counts are unaffected")
+		parallel  = flag.Int("parallel", 0, "NEXSORT's worker parallelism for every experiment environment (0 = GOMAXPROCS, 1 = sequential; merge sort always runs on one goroutine); block-transfer counts are unaffected")
 		jsonFlag  = flag.Bool("json", false, "emit each result table as one JSON object per line instead of aligned text")
 		cmpOut    = flag.String("cmp-out", "BENCH_cmp.json", "output path for the cmp experiment's machine-readable rows")
 	)
@@ -154,7 +155,7 @@ func main() {
 	}
 	if want("parallel") {
 		ran = true
-		run("Parallel speedup (sequential vs worker pool)", func() error {
+		run("Parallel speedup (NEXSORT, sequential vs worker pool)", func() error {
 			rows, err := bench.Parallel(bench.ParallelConfig{Scale: s, ScratchDir: dir, Seed: *seed})
 			if err != nil {
 				return err

@@ -8,12 +8,13 @@ import (
 )
 
 // The parallel-speedup experiment: not a paper figure (the 2003 testbed is
-// a single disk and a single CPU), but the harness's check that the worker
-// pool buys wall-clock time without moving the paper's metric. Both
-// algorithms sort one document at a ladder of parallelism levels; the
+// a single disk and a single CPU), but the harness's check that NEXSORT's
+// worker pool buys wall-clock time without moving the paper's metric.
+// NEXSORT sorts one document at a ladder of parallelism levels; the
 // block-transfer counts must be identical all the way up — the determinism
 // guarantee of the concurrency model — while wall-clock time is free to
-// improve.
+// improve. Merge sort runs on one goroutine at every level, so it has no
+// rows here.
 
 // ParallelConfig parameterizes the sequential-vs-parallel comparison.
 type ParallelConfig struct {
@@ -24,20 +25,18 @@ type ParallelConfig struct {
 	Seed   int64
 }
 
-// ParallelRow is one (algorithm, parallelism) measurement.
+// ParallelRow is one NEXSORT measurement at one parallelism level.
 type ParallelRow struct {
-	Algo        Algo
 	Parallelism int
 	Result      *Result
-	// Speedup is wall-clock relative to the same algorithm at
-	// parallelism 1.
+	// Speedup is wall-clock relative to the first level of the ladder.
 	Speedup float64
-	// IOsMatch reports whether the run's total block transfers equal the
-	// parallelism-1 run's — the invariant this experiment exists to show.
+	// IOsMatch reports whether the run's total block transfers equal those
+	// at the first level — the invariant this experiment exists to show.
 	IOsMatch bool
 }
 
-// Parallel measures both algorithms across the parallelism ladder.
+// Parallel measures NEXSORT across the parallelism ladder.
 func Parallel(cfg ParallelConfig) ([]ParallelRow, error) {
 	levels := cfg.Levels
 	if levels == nil {
@@ -61,31 +60,25 @@ func Parallel(cfg ParallelConfig) ([]ParallelRow, error) {
 	defer w.Close()
 
 	var rows []ParallelRow
-	for _, algo := range []Algo{AlgoNEXSORT, AlgoMergeSort} {
-		var base *Result
-		for _, level := range levels {
-			res, err := Run(w, Params{
-				Algo:        algo,
-				BlockSize:   DefaultBlockSize,
-				MemBlocks:   128,
-				Compact:     true,
-				ScratchDir:  cfg.ScratchDir,
-				Parallelism: level,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("bench: %v at parallelism %d: %w", algo, level, err)
-			}
-			row := ParallelRow{Algo: algo, Parallelism: level, Result: res}
-			if base == nil {
-				base = res
-				row.Speedup = 1
-				row.IOsMatch = true
-			} else {
-				row.Speedup = base.WallSeconds / res.WallSeconds
-				row.IOsMatch = res.TotalIOs == base.TotalIOs
-			}
-			rows = append(rows, row)
+	for _, level := range levels {
+		res, err := Run(w, Params{
+			Algo:        AlgoNEXSORT,
+			BlockSize:   DefaultBlockSize,
+			MemBlocks:   128,
+			Compact:     true,
+			ScratchDir:  cfg.ScratchDir,
+			Parallelism: level,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("bench: NEXSORT at parallelism %d: %w", level, err)
 		}
+		row := ParallelRow{Parallelism: level, Result: res, Speedup: 1, IOsMatch: true}
+		if len(rows) > 0 {
+			base := rows[0].Result
+			row.Speedup = base.WallSeconds / res.WallSeconds
+			row.IOsMatch = res.TotalIOs == base.TotalIOs
+		}
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
@@ -93,9 +86,8 @@ func Parallel(cfg ParallelConfig) ([]ParallelRow, error) {
 // ParallelTable renders the sequential-vs-parallel comparison.
 func ParallelTable(rows []ParallelRow) *Table {
 	t := &Table{
-		Title: "Parallelism — wall-clock speedup at identical block transfers (worker pool bounded by the memory budget)",
-		Header: []string{"algorithm", "parallel", "IOs", "IOs=seq", "wall(s)",
-			"speedup", "sim(s)"},
+		Title:  "Parallelism — NEXSORT's wall-clock speedup at identical block transfers (worker pool bounded by the memory budget)",
+		Header: []string{"parallel", "IOs", "IOs=seq", "wall(s)", "speedup", "sim(s)"},
 	}
 	for _, r := range rows {
 		match := "yes"
@@ -103,7 +95,7 @@ func ParallelTable(rows []ParallelRow) *Table {
 			match = "NO (bug)"
 		}
 		t.Rows = append(t.Rows, []string{
-			r.Algo.String(), di(r.Parallelism),
+			di(r.Parallelism),
 			d64(r.Result.TotalIOs), match,
 			f3(r.Result.WallSeconds), ratio(r.Speedup),
 			f2(r.Result.SimSeconds),

@@ -38,9 +38,6 @@ func (b *CapacityBackend) Exhaust() {
 	b.mu.Unlock()
 }
 
-// Limit returns the configured quota in bytes (<= 0 means unlimited).
-func (b *CapacityBackend) Limit() int64 { return b.limit }
-
 // ReadAt implements io.ReaderAt; reads always pass through.
 func (b *CapacityBackend) ReadAt(p []byte, off int64) (int, error) {
 	return b.inner.ReadAt(p, off)

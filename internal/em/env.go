@@ -22,10 +22,11 @@ type Config struct {
 	// InMemory forces the in-memory backend even if ScratchDir is set.
 	InMemory bool
 
-	// Parallelism bounds how many goroutines the sorters may use: the main
+	// Parallelism bounds how many goroutines NEXSORT may use: the main
 	// scanning goroutine plus Parallelism-1 pooled workers that sort and
-	// spill runs/subtrees in the background. 0 means GOMAXPROCS; 1 forces
-	// fully sequential execution. Parallelism changes only wall-clock time:
+	// spill subtrees in the background. Merge sort and extsort.Sorter run
+	// on one goroutine. 0 means GOMAXPROCS; 1 forces fully sequential
+	// execution. Parallelism changes only wall-clock time:
 	// output bytes and per-category block-transfer counts are identical at
 	// every setting (see the concurrency model in DESIGN.md).
 	Parallelism int
@@ -92,15 +93,11 @@ type Env struct {
 	Budget *Budget
 	Conf   Config
 
-	// pool admits background sort workers (Conf.Parallelism - 1 slots; the
-	// main goroutine is the remaining unit). Nil on hand-built Envs, which
-	// therefore run sequentially.
+	// pool admits NEXSORT's background subtree sorts (Conf.Parallelism - 1
+	// slots; the main goroutine is the remaining unit). Nil on hand-built
+	// Envs, which therefore run sequentially.
 	pool *Pool
 }
-
-// Parallelism returns the resolved parallelism level: Conf.Parallelism, or
-// GOMAXPROCS when that is zero.
-func (e *Env) Parallelism() int { return e.Conf.parallelism() }
 
 // Pool returns the background-worker pool (nil admits nothing, meaning
 // sequential execution).

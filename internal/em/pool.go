@@ -1,13 +1,14 @@
 package em
 
-// Pool bounds how many background worker goroutines the sorters may run at
-// once. It is a plain counting semaphore: a worker is admitted only when
-// TryAcquire succeeds, and admission never blocks — callers that fail to
-// acquire a slot simply do the work inline on the calling goroutine. That
-// non-blocking discipline is what keeps parallel execution deterministic:
-// the decision "sort this run/subtree now" is made at exactly the same
-// point in the input scan regardless of how busy the pool is; only *where*
-// the sort executes changes.
+// Pool bounds how many background worker goroutines NEXSORT's subtree
+// dispatch (internal/core) may run at once. It is a plain counting
+// semaphore: a worker is admitted only when TryAcquire succeeds, and
+// admission never blocks — a caller that fails to acquire a slot simply
+// does the work inline on the calling goroutine. That non-blocking
+// discipline is what keeps parallel execution deterministic: the decision
+// "sort this subtree now" is made at exactly the same point in the input
+// scan regardless of how busy the pool is; only *where* the sort executes
+// changes.
 //
 // A nil *Pool is valid and admits nothing, so hand-assembled Envs (tests
 // that build the struct directly instead of calling NewEnv) degrade to
@@ -46,12 +47,4 @@ func (p *Pool) Release() {
 	if p != nil && p.sem != nil {
 		<-p.sem
 	}
-}
-
-// Cap returns the number of slots (0 for a nil or sequential pool).
-func (p *Pool) Cap() int {
-	if p == nil || p.sem == nil {
-		return 0
-	}
-	return cap(p.sem)
 }

@@ -31,9 +31,6 @@ func NewStream(dev *Device, cat Category) *Stream {
 	return &Stream{dev: dev, cat: cat}
 }
 
-// Category returns the accounting category the stream charges.
-func (s *Stream) Category() Category { return s.cat }
-
 // Size returns the number of bytes in the stream. While a writer is open the
 // value includes only flushed whole blocks; after Close it is exact.
 func (s *Stream) Size() int64 {

@@ -23,15 +23,12 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sync"
 
 	"nexsort/internal/em"
 	"nexsort/internal/sortkey"
 )
 
-// Compare is a total order over encoded records. Comparators must be safe
-// for concurrent use (the library's are pure functions): at parallelism
-// above one, several runs may be sorting on pool workers at once.
+// Compare is a total order over encoded records.
 type Compare func(a, b []byte) int
 
 // keyPrefixLen is the inline normalized-key prefix kept next to every
@@ -64,17 +61,8 @@ type entry struct {
 // feed with Add, then call Sort once; the returned iterator yields records
 // in ascending order. Close releases the budget.
 //
-// Run formation is pipelined: when the buffer fills, the full batch is
-// handed to a pooled worker that sorts and spills it while the caller keeps
-// filling the next batch. A worker is admitted only if the environment's
-// pool has a free slot AND the budget can grant a second working set
-// (memBlocks more blocks) — otherwise the run is cut inline, exactly as at
-// parallelism one. Each batch reserves its slot in s.runs before the worker
-// starts, so the run order — and with it every merge decision and the final
-// output — is byte-identical to sequential execution.
-//
-// The Sorter itself is confined to one goroutine (Add/Sort/Close are not
-// concurrent with each other); the parallelism is internal.
+// A Sorter runs entirely on its caller's goroutine; Add, Sort and Close
+// must not be called concurrently.
 type Sorter struct {
 	env *em.Env
 	cat em.Category
@@ -91,13 +79,6 @@ type Sorter struct {
 	arena    *recArena // frame-backed storage behind entry records
 	bufBytes int
 	runs     []*em.Stream
-
-	// Worker bookkeeping. mu guards runs slot assignment, firstErr and
-	// panicVal against the pool workers; wg tracks in-flight batches.
-	mu       sync.Mutex
-	wg       sync.WaitGroup
-	firstErr error
-	panicVal any
 
 	initialRuns   int
 	mergePasses   int
@@ -227,79 +208,35 @@ func (a *recArena) release() {
 	a.cur = nil
 }
 
-// cutRun sorts the buffer and writes it as an initial run. The run's slot
-// in s.runs is claimed here, on the calling goroutine, so run order is
-// independent of worker scheduling. If the pool and the budget both admit
-// a background batch, the sort+spill happens on a worker while the caller
-// refills a fresh buffer; otherwise it happens inline, just as at
-// parallelism one. Either way the run's content is the same: the batch is
-// fully formed before the cut, and a run's bytes do not depend on which
-// device blocks the spill happened to allocate.
+// cutRun sorts the buffer and spills it as a length-prefixed initial run.
 func (s *Sorter) cutRun() error {
-	if err := s.err(); err != nil {
-		return err
-	}
 	if len(s.entries) == 0 {
 		return nil
 	}
-	s.mu.Lock()
-	slot := len(s.runs)
-	s.runs = append(s.runs, nil)
-	s.mu.Unlock()
-	s.initialRuns++
-
-	if s.env.Pool().TryAcquire() {
-		// A background batch duplicates the working set — the worker keeps
-		// the full buffer plus the writer block while the caller fills new
-		// records — so it must win a second grant; under budget pressure
-		// the cut falls back inline, keeping memory within M.
-		if err := s.env.Budget.Grant(s.memBlocks); err != nil {
-			s.env.Pool().Release()
-		} else {
-			batch := s.entries
-			arena := s.arena
-			s.entries = nil
-			s.arena = newRecArena(s.env.Dev.Frames(), s.memBlocks-1)
-			s.bufBytes = 0
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				defer s.env.Pool().Release()
-				defer s.env.Budget.Release(s.memBlocks)
-				defer func() {
-					if r := recover(); r != nil {
-						s.mu.Lock()
-						if s.panicVal == nil {
-							s.panicVal = r
-						}
-						s.mu.Unlock()
-					}
-				}()
-				// The batch's records live in its arena; recycle the frames
-				// once the spill is done, before the grant is returned.
-				defer arena.release()
-				run, err := s.writeRun(batch)
-				s.mu.Lock()
-				if err != nil {
-					if s.firstErr == nil {
-						s.firstErr = err
-					}
-				} else {
-					s.runs[slot] = run
-				}
-				s.mu.Unlock()
-			}()
-			return nil
-		}
-	}
-
-	run, err := s.writeRun(s.entries)
+	s.sortEntries(s.entries)
+	run := em.NewStream(s.env.Dev, s.cat)
+	w, err := run.NewWriter(nil) // accounted under this sorter's grant
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	s.runs[slot] = run
-	s.mu.Unlock()
+	// Close on every path: the writer's buffer frame must go back to the
+	// pool even when the spill fails mid-run.
+	defer w.Close()
+	var lenBuf [binary.MaxVarintLen64]byte
+	for _, e := range s.entries {
+		n := binary.PutUvarint(lenBuf[:], uint64(len(e.rec)))
+		if _, err := w.Write(lenBuf[:n]); err != nil {
+			return err
+		}
+		if _, err := w.Write(e.rec); err != nil {
+			return err
+		}
+	}
+	if err := w.Close(); err != nil {
+		return err
+	}
+	s.runs = append(s.runs, run)
+	s.initialRuns++
 	s.entries = s.entries[:0]
 	s.arena.release()
 	s.bufBytes = 0
@@ -325,54 +262,6 @@ func (s *Sorter) sortEntries(entries []entry) {
 	})
 }
 
-// writeRun sorts one complete batch and spills it as a length-prefixed run.
-// It touches no Sorter state besides env/cat/cmp/keyer, so it is safe on a
-// worker.
-func (s *Sorter) writeRun(batch []entry) (*em.Stream, error) {
-	s.sortEntries(batch)
-	run := em.NewStream(s.env.Dev, s.cat)
-	w, err := run.NewWriter(nil) // accounted under this sorter's grant
-	if err != nil {
-		return nil, err
-	}
-	// Close on every path: the writer's buffer frame must go back to the
-	// pool even when the spill fails mid-run.
-	defer w.Close()
-	var lenBuf [binary.MaxVarintLen64]byte
-	for _, e := range batch {
-		n := binary.PutUvarint(lenBuf[:], uint64(len(e.rec)))
-		if _, err := w.Write(lenBuf[:n]); err != nil {
-			return nil, err
-		}
-		if _, err := w.Write(e.rec); err != nil {
-			return nil, err
-		}
-	}
-	if err := w.Close(); err != nil {
-		return nil, err
-	}
-	return run, nil
-}
-
-// drain waits for every in-flight batch, re-raises a worker panic on the
-// calling goroutine, and returns the first worker error.
-func (s *Sorter) drain() error {
-	s.wg.Wait()
-	return s.err()
-}
-
-// err reports (without waiting) a worker failure recorded so far.
-func (s *Sorter) err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.panicVal != nil {
-		pv := s.panicVal
-		s.panicVal = nil
-		panic(pv)
-	}
-	return s.firstErr
-}
-
 // AddPresortedRun registers an externally produced, already-sorted run of
 // length-prefixed records; the merge phase treats it exactly like an
 // initial run the sorter cut itself. NEXSORT's graceful-degeneration mode
@@ -383,13 +272,11 @@ func (s *Sorter) AddPresortedRun(run *em.Stream) error {
 	if s.sorted {
 		return fmt.Errorf("extsort: AddPresortedRun after Sort")
 	}
-	// Flush buffered records first so run order stays deterministic.
+	// Flush buffered records first, so runs stay in the order they arrived.
 	if err := s.cutRun(); err != nil {
 		return err
 	}
-	s.mu.Lock()
 	s.runs = append(s.runs, run)
-	s.mu.Unlock()
 	s.initialRuns++
 	return nil
 }
@@ -419,18 +306,12 @@ func (s *Sorter) Sort() (*Iterator, error) {
 	if err := s.env.Dev.Interrupted(); err != nil {
 		return nil, err
 	}
-	// Fast path: everything fit in memory, no run was ever cut (and hence
-	// no worker is in flight — workers exist only for cut runs).
+	// Fast path: everything fit in memory, no run was ever cut.
 	if len(s.runs) == 0 {
 		s.sortEntries(s.entries)
 		return &Iterator{mem: s.entries}, nil
 	}
 	if err := s.cutRun(); err != nil {
-		return nil, err
-	}
-	// All runs must be sealed before merging starts; the merge itself runs
-	// on the calling goroutine with the base grant, as at parallelism one.
-	if err := s.drain(); err != nil {
 		return nil, err
 	}
 	fanIn := s.memBlocks - 1
@@ -451,16 +332,6 @@ func (s *Sorter) Sort() (*Iterator, error) {
 			}
 			s.streamedFinal = true
 			return &Iterator{run: m}, nil
-		}
-		if len(s.runs) <= fanIn {
-			// Final pass: one merge produces the output run.
-			merged, err := s.mergeRuns(s.runs)
-			if err != nil {
-				return nil, err
-			}
-			s.runs = []*em.Stream{merged}
-			s.mergePasses++
-			continue
 		}
 		next, err := s.mergePass(s.runs, fanIn)
 		if err != nil {
@@ -662,74 +533,17 @@ func (s *Sorter) mergeRuns(runs []*em.Stream) (_ *em.Stream, retErr error) {
 	return out, nil
 }
 
-// mergePass merges runs in disjoint fanIn-sized groups into the next
-// pass's runs. The groups read and write disjoint streams, so they are
-// dispatched concurrently on the worker pool under the same admission rule
-// as run formation — a pool slot AND a full extra working-set grant, with
-// inline fallback — and each group's output lands in a pre-claimed slot,
-// so the pass's result (and every downstream merge decision) is identical
-// at every parallelism level.
+// mergePass merges runs in disjoint fanIn-sized groups, in run order, into
+// the next pass's runs; the final pass is the one whose single group holds
+// every run.
 func (s *Sorter) mergePass(runs []*em.Stream, fanIn int) ([]*em.Stream, error) {
-	next := make([]*em.Stream, (len(runs)+fanIn-1)/fanIn)
-	for lo, slot := 0, 0; lo < len(runs); lo, slot = lo+fanIn, slot+1 {
-		hi := lo + fanIn
-		if hi > len(runs) {
-			hi = len(runs)
-		}
-		if hi-lo == 1 {
-			next[slot] = runs[lo]
-			continue
-		}
-		if err := s.err(); err != nil {
-			break
-		}
-		if s.env.Pool().TryAcquire() {
-			if err := s.env.Budget.Grant(s.memBlocks); err != nil {
-				s.env.Pool().Release()
-			} else {
-				group, slot := runs[lo:hi], slot
-				s.wg.Add(1)
-				go func() {
-					defer s.wg.Done()
-					defer s.env.Pool().Release()
-					defer s.env.Budget.Release(s.memBlocks)
-					defer func() {
-						if r := recover(); r != nil {
-							s.mu.Lock()
-							if s.panicVal == nil {
-								s.panicVal = r
-							}
-							s.mu.Unlock()
-						}
-					}()
-					merged, err := s.mergeRuns(group)
-					s.mu.Lock()
-					if err != nil {
-						if s.firstErr == nil {
-							s.firstErr = err
-						}
-					} else {
-						next[slot] = merged
-					}
-					s.mu.Unlock()
-				}()
-				continue
-			}
-		}
-		merged, err := s.mergeRuns(runs[lo:hi])
+	next := make([]*em.Stream, 0, (len(runs)+fanIn-1)/fanIn)
+	for lo := 0; lo < len(runs); lo += fanIn {
+		merged, err := s.mergeRuns(runs[lo:min(lo+fanIn, len(runs))])
 		if err != nil {
-			s.mu.Lock()
-			if s.firstErr == nil {
-				s.firstErr = err
-			}
-			s.mu.Unlock()
-			break
+			return nil, err
 		}
-		next[slot] = merged
-	}
-	s.wg.Wait()
-	if err := s.err(); err != nil {
-		return nil, err
+		next = append(next, merged)
 	}
 	return next, nil
 }
@@ -746,24 +560,16 @@ func (s *Sorter) Stats() Stats {
 	}
 }
 
-// Close releases the sorter's memory grant. In-flight workers are drained
-// first: each worker releases its own batch grant on the way out, so
-// closing mid-flight (the error path) can neither double-release nor leak
-// budget blocks. A worker panic is re-raised here if no earlier call
-// surfaced it; the base grant is still released on that unwind.
+// Close releases the sorter's memory grant. The current batch arena (still
+// referenced by Iterator.mem on the in-memory fast path) is recycled first.
 func (s *Sorter) Close() {
 	if s.closed {
 		return
 	}
 	s.closed = true
-	defer s.env.Budget.Release(s.memBlocks)
-	defer func() {
-		// The current batch arena (still referenced by Iterator.mem on the
-		// in-memory fast path) is recycled here, before the grant goes back.
-		s.arena.release()
-		s.entries = nil
-	}()
-	s.drain() //nolint:errcheck // terminal errors were already surfaced by Add/Sort
+	s.arena.release()
+	s.entries = nil
+	s.env.Budget.Release(s.memBlocks)
 }
 
 // recordSource is a stream of sorted records behind an Iterator: a single

@@ -222,39 +222,3 @@ func SortXML(env *em.Env, c *keys.Criterion, in io.Reader, out io.Writer, opts X
 	report.MergePasses = st.MergePasses
 	return report, nil
 }
-
-// sliceCursor is an io.ByteReader and io.Reader over a byte slice without
-// the bytes.Reader allocation.
-type sliceCursor struct {
-	buf []byte
-	pos int
-}
-
-func (c *sliceCursor) ReadByte() (byte, error) {
-	if c.pos >= len(c.buf) {
-		return 0, io.EOF
-	}
-	b := c.buf[c.pos]
-	c.pos++
-	return b, nil
-}
-
-func (c *sliceCursor) Read(p []byte) (int, error) {
-	if c.pos >= len(c.buf) {
-		return 0, io.EOF
-	}
-	n := copy(p, c.buf[c.pos:])
-	c.pos += n
-	return n, nil
-}
-
-// Window returns the unread rest of the slice (xmltok.WindowReader), so
-// token decoders read it in place.
-func (c *sliceCursor) Window() ([]byte, error) {
-	if c.pos >= len(c.buf) {
-		return nil, io.EOF
-	}
-	return c.buf[c.pos:], nil
-}
-
-func (c *sliceCursor) Advance(n int) { c.pos += n }

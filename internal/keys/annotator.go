@@ -50,10 +50,6 @@ func NewAnnotator(c *Criterion, spill SpillStack) *Annotator {
 	return &Annotator{c: c, wcap: w, spill: spill, buf: make([]byte, c.StateSize())}
 }
 
-// WindowSize returns the number of matcher states held in memory at most;
-// the value the path-stack analysis treats as a constant.
-func (a *Annotator) WindowSize() int { return a.wcap }
-
 // Depth returns the number of currently open elements.
 func (a *Annotator) Depth() int { return a.depth }
 

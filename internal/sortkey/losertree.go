@@ -81,6 +81,3 @@ func (t *LoserTree) Fix() {
 
 // Comparisons returns the number of less invocations so far.
 func (t *LoserTree) Comparisons() int64 { return t.cmps }
-
-// Len returns the number of leaves.
-func (t *LoserTree) Len() int { return t.k }

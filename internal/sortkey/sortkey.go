@@ -74,8 +74,7 @@ const (
 
 // Kernel bundles the two halves of a comparison kernel for one record
 // format: the zero-allocation comparator and the normalized-key generator
-// that agrees with it. Both must be pure functions (safe for concurrent
-// use by pool workers).
+// that agrees with it. Both must be pure functions.
 type Kernel struct {
 	// Compare is a total order over encoded records. It must not allocate.
 	Compare func(a, b []byte) int

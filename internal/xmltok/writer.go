@@ -124,9 +124,6 @@ func (w *Writer) WriteEncoded(e *Encoded) error {
 	return w.err
 }
 
-// Depth returns the number of currently open elements.
-func (w *Writer) Depth() int { return w.depth }
-
 // Close verifies the document is balanced and flushes the final newline in
 // indented mode. It does not close the underlying writer.
 func (w *Writer) Close() error {

@@ -169,13 +169,13 @@ type Config struct {
 	// policy disables retrying. Re-attempts are tallied per category in
 	// the Result's I/O breakdown.
 	Retry RetryPolicy
-	// Parallelism bounds the goroutines a sort may use: the scanning
-	// goroutine plus Parallelism-1 pooled workers that sort and spill
-	// runs and independent sibling subtrees in the background, admitted
-	// only when the memory budget has room for their working sets. 0
-	// defaults to GOMAXPROCS; 1 forces sequential execution. The output
-	// and the per-category block-transfer counts are identical at every
-	// setting — parallelism buys wall-clock time only.
+	// Parallelism bounds the goroutines a NEXSORT sort may use: the
+	// scanning goroutine plus Parallelism-1 pooled workers that sort and
+	// spill independent sibling subtrees in the background, admitted only
+	// when the memory budget has room for their working sets. Merge sort
+	// runs on one goroutine. 0 defaults to GOMAXPROCS; 1 forces sequential
+	// execution. The output and the per-category block-transfer counts are
+	// identical at every setting — parallelism buys wall-clock time only.
 	Parallelism int
 	// ScratchQuotaBlocks caps the scratch device at this many blocks.
 	// Writes past the quota fail with ErrScratchExhausted (IsExhausted);
