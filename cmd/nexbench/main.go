@@ -7,14 +7,12 @@
 //	nexbench -exp table1             # the key-path representation demo
 //
 // Experiments: table1, table2, fig5, fig6, fig7, threshold, bounds,
-// ablation, parallel, alloc, cmp, all. Results print as aligned text
-// tables whose columns match the paper's axes; EXPERIMENTS.md records a
-// reference run next to the paper's numbers. The parallel, alloc and cmp
-// experiments are not paper figures: parallel shows NEXSORT's worker pool's
-// wall-clock speedup at identical block-transfer counts (merge sort runs on
-// one goroutine, so it has no rows there), alloc shows each
-// sorter's heap churn (allocs/op, B/op — the -benchmem columns) under the
-// frame-pool substrate, and cmp measures the comparison kernel.
+// ablation, parallel, all. Results print as aligned text tables whose
+// columns match the paper's axes; EXPERIMENTS.md records a reference run
+// next to the paper's numbers. The parallel experiment is not a paper
+// figure: it shows NEXSORT's worker pool's wall-clock speedup, and fails
+// unless every parallelism level moves the same blocks (merge sort runs on
+// one goroutine, so it has no rows there).
 // -json switches every table to one JSON object per line for scripting.
 package main
 
@@ -35,7 +33,7 @@ var jsonOut bool
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment: table1|table2|fig5|fig6|fig7|threshold|bounds|ablation|parallel|alloc|cmp|all")
+		exp       = flag.String("exp", "all", "experiment: table1|table2|fig5|fig6|fig7|threshold|bounds|ablation|parallel|all")
 		scale     = flag.Float64("scale", 1.0, "input size multiplier (1.0 ≈ seconds per experiment)")
 		scratch   = flag.String("scratch", "", "scratch directory for workloads and spill (default: memory-backed spill, temp-dir workloads)")
 		seed      = flag.Int64("seed", 1, "workload seed")
@@ -44,7 +42,6 @@ func main() {
 		retryBase = flag.Duration("retry-delay", 0, "backoff before the first retry, doubling per attempt")
 		parallel  = flag.Int("parallel", 0, "NEXSORT's worker parallelism for every experiment environment (0 = GOMAXPROCS, 1 = sequential; merge sort always runs on one goroutine); block-transfer counts are unaffected")
 		jsonFlag  = flag.Bool("json", false, "emit each result table as one JSON object per line instead of aligned text")
-		cmpOut    = flag.String("cmp-out", "BENCH_cmp.json", "output path for the cmp experiment's machine-readable rows")
 	)
 	flag.Parse()
 	jsonOut = *jsonFlag
@@ -161,47 +158,6 @@ func main() {
 				return err
 			}
 			printTable(bench.ParallelTable(rows))
-			return nil
-		})
-	}
-	if want("alloc") {
-		ran = true
-		run("Allocation profile (frame-pool heap churn)", func() error {
-			rows, err := bench.Alloc(bench.AllocConfig{Scale: s, ScratchDir: dir, Seed: *seed})
-			if err != nil {
-				return err
-			}
-			printTable(bench.AllocTable(rows))
-			return nil
-		})
-	}
-	if want("cmp") {
-		ran = true
-		run("Comparison kernel (normalized keys, loser tree)", func() error {
-			rows, err := bench.Cmp(bench.CmpConfig{Scale: s, Seed: *seed})
-			if err != nil {
-				return err
-			}
-			printTable(bench.CmpTable(rows))
-			// The machine-readable result rides next to the rendered
-			// table: one JSON document with the raw rows, for CI smoke
-			// checks and cross-run diffing.
-			f, err := os.Create(*cmpOut)
-			if err != nil {
-				return err
-			}
-			enc := json.NewEncoder(f)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(rows); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			if !jsonOut {
-				fmt.Printf("(comparison-kernel rows written to %s)\n", *cmpOut)
-			}
 			return nil
 		})
 	}

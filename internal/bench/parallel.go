@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
 
 	"nexsort/internal/gen"
@@ -11,10 +12,10 @@ import (
 // a single disk and a single CPU), but the harness's check that NEXSORT's
 // worker pool buys wall-clock time without moving the paper's metric.
 // NEXSORT sorts one document at a ladder of parallelism levels; the
-// block-transfer counts must be identical all the way up — the determinism
-// guarantee of the concurrency model — while wall-clock time is free to
-// improve. Merge sort runs on one goroutine at every level, so it has no
-// rows here.
+// per-category block-transfer ledger must be identical all the way up —
+// the determinism guarantee of the concurrency model — or the experiment
+// fails, while wall-clock time is free to improve. Merge sort runs on one
+// goroutine at every level, so it has no rows here.
 
 // ParallelConfig parameterizes the sequential-vs-parallel comparison.
 type ParallelConfig struct {
@@ -31,12 +32,10 @@ type ParallelRow struct {
 	Result      *Result
 	// Speedup is wall-clock relative to the first level of the ladder.
 	Speedup float64
-	// IOsMatch reports whether the run's total block transfers equal those
-	// at the first level — the invariant this experiment exists to show.
-	IOsMatch bool
 }
 
-// Parallel measures NEXSORT across the parallelism ladder.
+// Parallel measures NEXSORT across the parallelism ladder. It fails if any
+// level's per-category ledger differs from the first level's.
 func Parallel(cfg ParallelConfig) ([]ParallelRow, error) {
 	levels := cfg.Levels
 	if levels == nil {
@@ -72,11 +71,14 @@ func Parallel(cfg ParallelConfig) ([]ParallelRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench: NEXSORT at parallelism %d: %w", level, err)
 		}
-		row := ParallelRow{Parallelism: level, Result: res, Speedup: 1, IOsMatch: true}
+		row := ParallelRow{Parallelism: level, Result: res, Speedup: 1}
 		if len(rows) > 0 {
-			base := rows[0].Result
-			row.Speedup = base.WallSeconds / res.WallSeconds
-			row.IOsMatch = res.TotalIOs == base.TotalIOs
+			base := rows[0]
+			if !maps.Equal(res.IOs, base.Result.IOs) {
+				return nil, fmt.Errorf("bench: NEXSORT's ledger at parallelism %d differs from parallelism %d's: %v vs %v",
+					level, base.Parallelism, res.IOs, base.Result.IOs)
+			}
+			row.Speedup = base.Result.WallSeconds / res.WallSeconds
 		}
 		rows = append(rows, row)
 	}
@@ -87,16 +89,12 @@ func Parallel(cfg ParallelConfig) ([]ParallelRow, error) {
 func ParallelTable(rows []ParallelRow) *Table {
 	t := &Table{
 		Title:  "Parallelism — NEXSORT's wall-clock speedup at identical block transfers (worker pool bounded by the memory budget)",
-		Header: []string{"parallel", "IOs", "IOs=seq", "wall(s)", "speedup", "sim(s)"},
+		Header: []string{"parallel", "IOs", "wall(s)", "speedup", "sim(s)"},
 	}
 	for _, r := range rows {
-		match := "yes"
-		if !r.IOsMatch {
-			match = "NO (bug)"
-		}
 		t.Rows = append(t.Rows, []string{
 			di(r.Parallelism),
-			d64(r.Result.TotalIOs), match,
+			d64(r.Result.TotalIOs),
 			f3(r.Result.WallSeconds), ratio(r.Speedup),
 			f2(r.Result.SimSeconds),
 		})

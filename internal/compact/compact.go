@@ -22,16 +22,10 @@
 // token pipeline; core.Options.Compact threads them around NEXSORT's data
 // stack and runs.
 //
-// The paper's stronger variant — eliminating end tags entirely by keeping
-// level numbers with start tags — is implemented as the standalone stream
-// codecs in levels.go (LevelCompressor / LevelExpander, with
-// CompressStream / ExpandStream as the storage-format entry points).
-// NEXSORT's own working structures keep the 2-byte end stub instead: in the
-// binary token form an elided end tag costs one kind byte plus an
-// empty-name length, so the incremental saving of level-stamping there is
-// about one byte per element against a stream format every consumer would
-// have to reconstruct; the level codec's full benefit (measured at ~37% of
-// the raw binary stream in tests) belongs to spooling and interchange.
+// The paper's stronger variant, which drops end tags entirely by keeping
+// level numbers with start tags, is not built: in the binary token form an
+// elided end tag is 2 bytes, so level numbers would save about one byte per
+// element.
 package compact
 
 import (

@@ -151,15 +151,6 @@ type Report struct {
 	IOs map[string]em.IOCount
 }
 
-// TotalIOs sums the report's I/O breakdown.
-func (r *Report) TotalIOs() int64 {
-	var total int64
-	for _, c := range r.IOs {
-		total += c.Total()
-	}
-	return total
-}
-
 // validate checks options against the environment.
 func (o *Options) validate(env *em.Env) (keysCrit *keys.Criterion, threshold int, err error) {
 	if env.Budget.Total() < MinMemBlocks {

@@ -643,15 +643,3 @@ func TestHeterogeneousSchemaAtScale(t *testing.T) {
 		t.Error("merge sort disagrees with the oracle on the site schema")
 	}
 }
-
-func TestReportTotalIOs(t *testing.T) {
-	env := newEnv(t, 128, 16)
-	_, rep := nexsort(t, env, paperDoc, Options{Criterion: paperCriterion()})
-	var want int64
-	for _, c := range rep.IOs {
-		want += c.Total()
-	}
-	if got := rep.TotalIOs(); got != want || got == 0 {
-		t.Errorf("TotalIOs = %d, want %d", got, want)
-	}
-}

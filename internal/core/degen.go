@@ -1,10 +1,10 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"nexsort/internal/em"
+	"nexsort/internal/extsort"
 )
 
 // Graceful degeneration into external merge sort (Section 3.2).
@@ -88,23 +88,17 @@ func (s *sorter) cutIncompleteRun(rec pathRec) error {
 	t.sortKids(0)
 
 	run := em.NewStream(s.env.Dev, em.CatSubtreeSort)
-	w, err := run.NewWriter(s.env.Budget)
+	w, err := extsort.NewRunWriter(run, s.env.Budget)
 	if err != nil {
 		return err
 	}
-	var lenBuf [binary.MaxVarintLen64]byte
 	for _, c := range nodes {
 		s.recBuf, err = appendChildRecord(s.recBuf[:0], t, c, rec.childBase+int64(t.nodes[c].seq))
 		if err != nil {
 			w.Close()
 			return err
 		}
-		n := binary.PutUvarint(lenBuf[:], uint64(len(s.recBuf)))
-		if _, err := w.Write(lenBuf[:n]); err != nil {
-			w.Close()
-			return err
-		}
-		if _, err := w.Write(s.recBuf); err != nil {
+		if err := w.Write(s.recBuf); err != nil {
 			w.Close()
 			return err
 		}

@@ -267,7 +267,9 @@ func (s *sorter) mergedSubtreeSort(rec pathRec, endTok xmltok.Token, incRuns []*
 	}
 	defer sorter.Close()
 	for _, run := range incRuns {
-		sorter.AddPresortedRun(run)
+		if err := sorter.AddPresortedRun(run); err != nil {
+			return err
+		}
 	}
 
 	// Load, interior-sort and enqueue the uncut tail of the child list one

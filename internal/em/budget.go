@@ -26,10 +26,6 @@ type Budget struct {
 	total int
 	used  int
 	peak  int
-
-	// frames, when attached, is the pool whose buffers back this budget's
-	// grants: AcquireFrames turns a grant directly into memory.
-	frames *FramePool
 }
 
 // NewBudget returns a Budget of m blocks. m must be positive.
@@ -60,15 +56,6 @@ func (b *Budget) Grant(n int) error {
 		b.peak = b.used
 	}
 	return nil
-}
-
-// MustGrant is Grant that panics on failure. It is for fixed structural
-// allocations (e.g. the two resident path-stack blocks) whose absence is a
-// programming error, per the minimum-memory assumptions in Section 3.1.
-func (b *Budget) MustGrant(n int) {
-	if err := b.Grant(n); err != nil {
-		panic(err)
-	}
 }
 
 // Release returns n blocks to the budget. Releasing more than is in use is
@@ -104,52 +91,4 @@ func (b *Budget) Peak() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.peak
-}
-
-// AttachFrames binds pool as the memory substrate behind this budget:
-// AcquireFrames and ReleaseFrames operate on it. NewEnv attaches the
-// device's block-sized pool, so a granted block is its memory.
-func (b *Budget) AttachFrames(pool *FramePool) {
-	b.mu.Lock()
-	b.frames = pool
-	b.mu.Unlock()
-}
-
-// Frames returns the attached frame pool (nil when none was attached).
-func (b *Budget) Frames() *FramePool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.frames
-}
-
-// AcquireFrames is the frame-returning path of Grant: it reserves n blocks
-// of main memory and materializes them as n zeroed frames from the
-// attached pool, so the grant and the buffers it stands for cannot drift
-// apart. On ErrBudgetExceeded no frames are acquired.
-func (b *Budget) AcquireFrames(n int) ([]Frame, error) {
-	pool := b.Frames()
-	if pool == nil {
-		return nil, fmt.Errorf("em: AcquireFrames on a budget with no frame pool attached")
-	}
-	if err := b.Grant(n); err != nil {
-		return nil, err
-	}
-	frames := make([]Frame, n)
-	for i := range frames {
-		frames[i] = pool.Acquire()
-	}
-	return frames, nil
-}
-
-// ReleaseFrames returns frames acquired with AcquireFrames to the pool and
-// releases their grant in one step.
-func (b *Budget) ReleaseFrames(frames []Frame) {
-	pool := b.Frames()
-	if pool == nil {
-		panic("em: ReleaseFrames on a budget with no frame pool attached")
-	}
-	for _, f := range frames {
-		pool.Release(f)
-	}
-	b.Release(len(frames))
 }

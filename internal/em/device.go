@@ -53,16 +53,6 @@ func NewDevice(backend Backend, blockSize int, stats *Stats) *Device {
 	return &Device{blockSize: blockSize, stats: stats, frames: NewFramePool(blockSize), backend: backend}
 }
 
-// NewFileDevice creates a Device backed by a scratch file in dir (the
-// system temp dir if empty). The file is removed on Close.
-func NewFileDevice(dir string, blockSize int, stats *Stats) (*Device, error) {
-	b, err := NewFileBackend(scratchPath(dir))
-	if err != nil {
-		return nil, err
-	}
-	return NewDevice(b, blockSize, stats), nil
-}
-
 // scratchPath returns a fresh scratch-file path in dir. The name carries
 // the PID alongside the process-local counter so that two processes
 // sharing a scratch directory can never collide; NewFileBackend's

@@ -186,7 +186,6 @@ func TestBudgetPanics(t *testing.T) {
 	mustPanic(t, "over-release", func() { b.Release(1) })
 	mustPanic(t, "negative grant", func() { _ = b.Grant(-1) })
 	mustPanic(t, "zero budget", func() { NewBudget(0) })
-	mustPanic(t, "MustGrant", func() { b.MustGrant(3) })
 }
 
 func mustPanic(t *testing.T, name string, f func()) {

@@ -157,14 +157,10 @@ func newEnv(cfg Config, life *Lifecycle) (*Env, error) {
 	dev := NewDevice(backend, cfg.BlockSize, stats)
 	dev.BindLifecycle(life)
 	dev.SetCapacityHint(cfg.ScratchQuotaBlocks)
-	budget := NewBudget(cfg.MemBlocks)
-	// The device's frame pool is the memory behind the budget's blocks:
-	// one substrate under every buffer, so grants and buffers can't drift.
-	budget.AttachFrames(dev.Frames())
 	return &Env{
 		Dev:    dev,
 		Stats:  stats,
-		Budget: budget,
+		Budget: NewBudget(cfg.MemBlocks),
 		Conf:   cfg,
 		pool:   NewPool(cfg.parallelism() - 1),
 	}, nil

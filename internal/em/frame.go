@@ -61,10 +61,10 @@ func NewFramePool(frameSize int) *FramePool {
 func (p *FramePool) FrameSize() int { return p.frameSize }
 
 // Acquire returns a zeroed frame, recycling a released one when available.
-// Acquire does no budget accounting: callers either hold a Budget grant
-// covering the block already (the common case — a component granted its
-// blocks up front and materializes them as frames one by one) or go
-// through Budget.AcquireFrames, which grants and acquires together.
+// Acquire does no budget accounting: the caller already holds a Budget
+// grant covering the block (a component grants its blocks up front and
+// materializes them as frames one by one), and releases that grant itself
+// when it releases the frame.
 func (p *FramePool) Acquire() Frame {
 	p.mu.Lock()
 	var buf []byte

@@ -2,7 +2,6 @@ package em
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 )
 
@@ -44,67 +43,4 @@ func TestFramePoolReleasePanics(t *testing.T) {
 	mustPanic("zero frame", func() { p.Release(Frame{}) })
 	mustPanic("wrong size", func() { p.Release(Frame{data: make([]byte, 8)}) })
 	mustPanic("none live", func() { p.Release(Frame{data: make([]byte, 16)}) })
-}
-
-// TestBudgetFramePeaksCoincide pins the containment invariant in its exact
-// form: in a workload whose every grant is materialized as frames, the
-// budget's high-water mark and the pool's live-frame high-water mark are
-// the same number — a granted block is the right to pin one frame, nothing
-// more and nothing less.
-func TestBudgetFramePeaksCoincide(t *testing.T) {
-	pool := NewFramePool(64)
-	b := NewBudget(8)
-	b.AttachFrames(pool)
-
-	a, err := b.AcquireFrames(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := b.AcquireFrames(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pool.Live() > b.InUse() {
-		t.Fatalf("containment violated: %d frames live, %d blocks granted", pool.Live(), b.InUse())
-	}
-	b.ReleaseFrames(a)
-	d, err := b.AcquireFrames(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.ReleaseFrames(d)
-	b.ReleaseFrames(c)
-
-	if b.Peak() != pool.PeakLive() {
-		t.Errorf("budget peak %d != frame peak %d in a frame-only workload", b.Peak(), pool.PeakLive())
-	}
-	if b.Peak() != 6 {
-		t.Errorf("peak = %d, want 6 (3+2 released 3, then +4)", b.Peak())
-	}
-	if b.InUse() != 0 || pool.Live() != 0 {
-		t.Errorf("teardown leak: inUse=%d live=%d", b.InUse(), pool.Live())
-	}
-}
-
-func TestBudgetAcquireFramesOverBudget(t *testing.T) {
-	pool := NewFramePool(64)
-	b := NewBudget(4)
-	b.AttachFrames(pool)
-
-	frames, err := b.AcquireFrames(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.AcquireFrames(2); !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("over-budget acquire = %v, want ErrBudgetExceeded", err)
-	}
-	if pool.Live() != 3 {
-		t.Errorf("failed acquire pinned frames: live = %d, want 3", pool.Live())
-	}
-	b.ReleaseFrames(frames)
-
-	detached := NewBudget(4)
-	if _, err := detached.AcquireFrames(1); err == nil {
-		t.Error("AcquireFrames without an attached pool should fail")
-	}
 }

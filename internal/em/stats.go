@@ -116,14 +116,6 @@ func (s *Stats) TotalChecksumFailures() int64 {
 	return t
 }
 
-// Canceled returns the lifecycle-refused operations recorded under
-// category c.
-func (s *Stats) Canceled(c Category) int64 { return s.canceled[c].Load() }
-
-// Exhausted returns the out-of-space write failures recorded under
-// category c.
-func (s *Stats) Exhausted(c Category) int64 { return s.exhaust[c].Load() }
-
 // TotalCanceled returns lifecycle-refused operations across all categories.
 func (s *Stats) TotalCanceled() int64 {
 	var t int64

@@ -208,27 +208,22 @@ func (a *recArena) release() {
 	a.cur = nil
 }
 
-// cutRun sorts the buffer and spills it as a length-prefixed initial run.
+// cutRun sorts the buffer and spills it as an initial run.
 func (s *Sorter) cutRun() error {
 	if len(s.entries) == 0 {
 		return nil
 	}
 	s.sortEntries(s.entries)
 	run := em.NewStream(s.env.Dev, s.cat)
-	w, err := run.NewWriter(nil) // accounted under this sorter's grant
+	w, err := NewRunWriter(run, nil) // accounted under this sorter's grant
 	if err != nil {
 		return err
 	}
 	// Close on every path: the writer's buffer frame must go back to the
 	// pool even when the spill fails mid-run.
 	defer w.Close()
-	var lenBuf [binary.MaxVarintLen64]byte
 	for _, e := range s.entries {
-		n := binary.PutUvarint(lenBuf[:], uint64(len(e.rec)))
-		if _, err := w.Write(lenBuf[:n]); err != nil {
-			return err
-		}
-		if _, err := w.Write(e.rec); err != nil {
+		if err := w.Write(e.rec); err != nil {
 			return err
 		}
 	}
@@ -263,7 +258,7 @@ func (s *Sorter) sortEntries(entries []entry) {
 }
 
 // AddPresortedRun registers an externally produced, already-sorted run of
-// length-prefixed records; the merge phase treats it exactly like an
+// records written by a RunWriter; the merge phase treats it exactly like an
 // initial run the sorter cut itself. NEXSORT's graceful-degeneration mode
 // hands its incomplete sorted runs to the final merge this way — the
 // paper's "we have incorporated the first step of creating initial sorted
@@ -499,7 +494,7 @@ func (s *Sorter) mergeRuns(runs []*em.Stream) (_ *em.Stream, retErr error) {
 	}
 	defer m.close()
 	out := em.NewStream(s.env.Dev, s.cat)
-	w, err := out.NewWriter(nil)
+	w, err := NewRunWriter(out, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -510,7 +505,6 @@ func (s *Sorter) mergeRuns(runs []*em.Stream) (_ *em.Stream, retErr error) {
 			w.Close()
 		}
 	}()
-	var lenBuf [binary.MaxVarintLen64]byte
 	for {
 		rec, err := m.next()
 		if err == io.EOF {
@@ -519,11 +513,7 @@ func (s *Sorter) mergeRuns(runs []*em.Stream) (_ *em.Stream, retErr error) {
 		if err != nil {
 			return nil, err
 		}
-		n := binary.PutUvarint(lenBuf[:], uint64(len(rec)))
-		if _, err := w.Write(lenBuf[:n]); err != nil {
-			return nil, err
-		}
-		if _, err := w.Write(rec); err != nil {
+		if err := w.Write(rec); err != nil {
 			return nil, err
 		}
 	}
@@ -607,10 +597,45 @@ func (it *Iterator) Close() {
 	}
 }
 
-// runReader streams length-prefixed records out of a run.
+// A run is a sequence of records, each framed as uvarint length | record.
+// The sorter's own runs and the presorted runs AddPresortedRun takes are
+// written by RunWriter and read by runReader.
+
+// RunWriter appends framed records to a run.
+type RunWriter struct {
+	w      *em.StreamWriter
+	lenBuf [binary.MaxVarintLen64]byte
+}
+
+// NewRunWriter opens run for writing. Its one buffer block is granted from
+// budget; nil leaves it to a grant the caller already holds.
+func NewRunWriter(run *em.Stream, budget *em.Budget) (*RunWriter, error) {
+	w, err := run.NewWriter(budget)
+	if err != nil {
+		return nil, err
+	}
+	return &RunWriter{w: w}, nil
+}
+
+// Write appends one record.
+func (w *RunWriter) Write(rec []byte) error {
+	n := binary.PutUvarint(w.lenBuf[:], uint64(len(rec)))
+	if _, err := w.w.Write(w.lenBuf[:n]); err != nil {
+		return err
+	}
+	_, err := w.w.Write(rec)
+	return err
+}
+
+// Close seals the run and releases the writer's buffer block. It may be
+// called again after a failure; later calls do nothing.
+func (w *RunWriter) Close() error { return w.w.Close() }
+
+// runReader streams framed records out of a run.
 type runReader struct {
-	src *em.StreamReader
-	buf []byte
+	src  *em.StreamReader
+	size int64 // the run's length in bytes
+	buf  []byte
 }
 
 func newRunReader(run *em.Stream) (*runReader, error) {
@@ -618,20 +643,18 @@ func newRunReader(run *em.Stream) (*runReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &runReader{src: sr}, nil
+	return &runReader{src: sr, size: run.Size()}, nil
 }
-
-// maxRecordLen bounds decoded record lengths against corruption; records
-// legitimately reach subtree size, so the cap is generous.
-const maxRecordLen = 1 << 30
 
 func (r *runReader) next() ([]byte, error) {
 	n, err := binary.ReadUvarint(r.src)
 	if err != nil {
 		return nil, err // io.EOF at a record boundary is the clean end
 	}
-	if n > maxRecordLen {
-		return nil, fmt.Errorf("extsort: corrupt run: record length %d", n)
+	// A record never runs past its run's end, so a longer length is
+	// corrupt, and must not size the buffer.
+	if left := r.size - r.src.Offset(); n > uint64(left) {
+		return nil, fmt.Errorf("extsort: corrupt run: record length %d with %d bytes left", n, left)
 	}
 	if cap(r.buf) < int(n) {
 		r.buf = make([]byte, n)

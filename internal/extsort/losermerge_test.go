@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -13,22 +14,17 @@ import (
 	"nexsort/internal/sortkey"
 )
 
-// writePresortedRun spills records as one length-prefixed run, the format
-// AddPresortedRun expects.
+// writePresortedRun spills records as one run, the format AddPresortedRun
+// expects.
 func writePresortedRun(t *testing.T, env *em.Env, recs [][]byte) *em.Stream {
 	t.Helper()
 	run := em.NewStream(env.Dev, em.CatMergeRun)
-	w, err := run.NewWriter(nil)
+	w, err := NewRunWriter(run, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var lenBuf [binary.MaxVarintLen64]byte
 	for _, rec := range recs {
-		n := binary.PutUvarint(lenBuf[:], uint64(len(rec)))
-		if _, err := w.Write(lenBuf[:n]); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.Write(rec); err != nil {
+		if err := w.Write(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -228,8 +224,8 @@ func TestLoserMergeReaderErrorReleasesFrames(t *testing.T) {
 
 	good := writePresortedRun(t, env, [][]byte{[]byte("aaa"), []byte("mmm"), []byte("zzz")})
 	// The corrupt run yields one clean record, then a length prefix far
-	// beyond maxRecordLen: the reader fails with a non-EOF error only
-	// after the merge is underway.
+	// past the run's end: the reader fails with a non-EOF error only after
+	// the merge is underway.
 	corrupt := em.NewStream(env.Dev, em.CatMergeRun)
 	w, err := corrupt.NewWriter(nil)
 	if err != nil {
@@ -243,7 +239,7 @@ func TestLoserMergeReaderErrorReleasesFrames(t *testing.T) {
 	if _, err := w.Write([]byte("bbb")); err != nil {
 		t.Fatal(err)
 	}
-	n = binary.PutUvarint(lenBuf[:], uint64(maxRecordLen)+1)
+	n = binary.PutUvarint(lenBuf[:], 1<<20)
 	if _, err := w.Write(lenBuf[:n]); err != nil {
 		t.Fatal(err)
 	}
@@ -268,6 +264,44 @@ func TestLoserMergeReaderErrorReleasesFrames(t *testing.T) {
 	}
 	if inUse := env.Budget.InUse(); inUse != 0 {
 		t.Errorf("error path leaked %d budget blocks", inUse)
+	}
+}
+
+// TestCorruptRunLengthDoesNotAllocate: a record whose length prefix runs
+// past the end of its run must fail as a corrupt run before the length
+// sizes a buffer. The run is 8 bytes: a length of 2^30, then 3 bytes.
+func TestCorruptRunLengthDoesNotAllocate(t *testing.T) {
+	env := newEnv(t, 64, 16)
+	run := em.NewStream(env.Dev, em.CatMergeRun)
+	w, err := run.NewWriter(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(append(binary.AppendUvarint(nil, 1<<30), "abc"...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The bytes are averaged over several calls, so that an allocation
+	// elsewhere in the process while they run cannot fail the test.
+	const limit, calls = 64 << 10, 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		r, err := newRunReader(run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = r.next()
+		r.close()
+		if err == nil || !strings.Contains(err.Error(), "corrupt run") {
+			t.Fatalf("corrupt record length: %v, want a corrupt run", err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if n := (after.TotalAlloc - before.TotalAlloc) / calls; n > limit {
+		t.Errorf("allocated %d bytes per call, want at most %d", n, limit)
 	}
 }
 

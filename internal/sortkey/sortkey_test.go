@@ -269,6 +269,42 @@ func TestKeyPathTransitivity(t *testing.T) {
 	}
 }
 
+// TestKernelsDoNotAllocate: the comparators allocate nothing, and neither
+// do the normalized-key encoders appending into a buffer already grown.
+func TestKernelsDoNotAllocate(t *testing.T) {
+	paths := benchRecords()
+	rng := rand.New(rand.NewSource(5))
+	seqs := make([][]byte, len(paths))
+	for i := range seqs {
+		key := fmt.Sprintf("key%03d", rng.Intn(100))
+		rec := binary.AppendUvarint(nil, uint64(len(key)))
+		rec = append(rec, key...)
+		rec = binary.AppendUvarint(rec, uint64(rng.Intn(1000)))
+		seqs[i] = append(rec, "payload"...)
+	}
+	var buf []byte
+	for i := range paths {
+		buf = AppendKeyPathKey(buf[:0], paths[i], 0)
+		buf = AppendKeySeqKey(buf[:0], seqs[i], 0)
+	}
+	var i int
+	next := func(recs [][]byte) ([]byte, []byte) {
+		i++
+		return recs[i%len(recs)], recs[(i+1)%len(recs)]
+	}
+	kernels := map[string]func(){
+		"CompareKeyPath":   func() { CompareKeyPath(next(paths)) },
+		"CompareKeySeq":    func() { CompareKeySeq(next(seqs)) },
+		"AppendKeyPathKey": func() { a, _ := next(paths); buf = AppendKeyPathKey(buf[:0], a, 0) },
+		"AppendKeySeqKey":  func() { a, _ := next(seqs); buf = AppendKeySeqKey(buf[:0], a, 0) },
+	}
+	for name, f := range kernels {
+		if n := testing.AllocsPerRun(len(paths), f); n != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", name, n)
+		}
+	}
+}
+
 func BenchmarkCompareKeyPath(b *testing.B) {
 	recs := benchRecords()
 	b.ReportAllocs()

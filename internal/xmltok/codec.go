@@ -20,19 +20,15 @@ import (
 //	runptr: kind runID(uvarint) name [key]
 //
 // Each string is len(uvarint) bytes; [key] is present when the flag bit is
-// set. The codec is also where end-tag elimination (Section 3.2, "XML
-// compaction techniques") plugs in: the compact package encodes
-// level-stamped start tags with this codec and simply never emits end tags.
+// set.
 
 // flagHasKey marks a token carrying a computed ordering key.
 const flagHasKey = 0x80
 
-// flagHasLevel marks a token carrying a nesting level (level-stamped
-// streams, the compact package's end-tag elimination).
-const flagHasLevel = 0x40
-
-// kindMask strips the flag bits off the kind byte.
-const kindMask = 0x3f
+// kindMask strips the flag bit off the kind byte. Every other bit belongs
+// to the kind, so a kind byte with any of them set beyond the four kinds is
+// an unknown kind, rejected by the decoder and the view alike.
+const kindMask = 0x7f
 
 // AppendToken appends the binary encoding of t to dst and returns the
 // extended slice.
@@ -40,9 +36,6 @@ func AppendToken(dst []byte, t Token) []byte {
 	kb := byte(t.Kind)
 	if t.HasKey {
 		kb |= flagHasKey
-	}
-	if t.Level > 0 {
-		kb |= flagHasLevel
 	}
 	dst = append(dst, kb)
 	switch t.Kind {
@@ -66,9 +59,6 @@ func AppendToken(dst []byte, t Token) []byte {
 	if t.HasKey {
 		dst = appendString(dst, t.Key)
 	}
-	if t.Level > 0 {
-		dst = binary.AppendUvarint(dst, uint64(t.Level))
-	}
 	return dst
 }
 
@@ -90,9 +80,6 @@ func EncodedSize(t Token) int {
 	}
 	if t.HasKey {
 		n += stringSize(t.Key)
-	}
-	if t.Level > 0 {
-		n += uvarintSize(uint64(t.Level))
 	}
 	return n
 }
@@ -253,16 +240,6 @@ func (d *Decoder) readToken(r io.ByteReader) (Token, error) {
 		if t.Key, err = d.readString(r); err != nil {
 			return Token{}, mid(err)
 		}
-	}
-	if kb&flagHasLevel != 0 {
-		level, err := binary.ReadUvarint(r)
-		if err != nil {
-			return Token{}, mid(err)
-		}
-		if level > maxStringLen {
-			return Token{}, fmt.Errorf("xmltok: corrupt stream: level %d", level)
-		}
-		t.Level = int(level)
 	}
 	return t, nil
 }

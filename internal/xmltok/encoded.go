@@ -31,7 +31,7 @@ type span struct{ off, end int }
 // Scan records the token at the front of buf as the view and returns its
 // encoded length. ok is false when buf does not hold the whole token or the
 // token is corrupt: an unknown kind, a length past the token's end, or an
-// attribute count, string length or level over the decoder's limit —
+// attribute count or string length over the decoder's limit —
 // exactly the tokens the decoder rejects given the same bytes. Scan
 // allocates nothing.
 func (e *Encoded) Scan(buf []byte) (n int, ok bool) {
@@ -78,11 +78,6 @@ func (e *Encoded) scan(buf []byte, limit uint64) (n int, ok bool) {
 	if e.flags&flagHasKey != 0 {
 		e.key = c.span()
 	}
-	if e.flags&flagHasLevel != 0 {
-		if level := c.uvarint(); level > limit {
-			return 0, false
-		}
-	}
 	if c.bad {
 		return 0, false
 	}
@@ -121,10 +116,9 @@ func (e *Encoded) HasKey() bool { return e.flags&flagHasKey != 0 }
 // Key returns the token's ordering key, empty when it has none.
 func (e *Encoded) Key() []byte { return e.b[e.key.off:e.key.end] }
 
-// AppendWithKey appends the token re-keyed: key replaces any key it has,
-// and any nesting level is dropped. For a token AppendToken wrote, the
-// bytes are AppendToken's for the token with Key = key, HasKey set and
-// Level 0.
+// AppendWithKey appends the token re-keyed: key replaces any key it has.
+// For a token AppendToken wrote, the bytes are AppendToken's for the token
+// with Key = key and HasKey set.
 func (e *Encoded) AppendWithKey(dst, key []byte) []byte {
 	dst = append(dst, byte(e.kind)|flagHasKey)
 	dst = append(dst, e.b[1:e.fields]...)
@@ -166,10 +160,6 @@ func (d *Decoder) Decode(e *Encoded) Token {
 	if e.HasKey() {
 		t.HasKey = true
 		t.Key = string(e.Key())
-	}
-	if e.flags&flagHasLevel != 0 {
-		c := cursor{b: e.b, i: e.key.end, limit: maxStringLen}
-		t.Level = int(c.uvarint())
 	}
 	return t
 }

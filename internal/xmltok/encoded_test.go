@@ -3,9 +3,11 @@ package xmltok
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -25,21 +27,25 @@ func corruptCounts() map[string][]byte {
 	}
 }
 
+// byteReaders open a token stream the three ways the decoder reads one: a
+// plain reader, one-byte windows (every token straddles a window edge) and
+// a whole-buffer window (every token decodes in place).
+var byteReaders = map[string]func([]byte) io.ByteReader{
+	"plain reader":        func(in []byte) io.ByteReader { return bytes.NewReader(in) },
+	"one-byte windows":    func(in []byte) io.ByteReader { return &chunkWindow{data: in, k: 1} },
+	"whole-buffer window": func(in []byte) io.ByteReader { return &chunkWindow{data: in, k: len(in) + 1} },
+}
+
 // TestCorruptTokenCountsDoNotAllocate: a corrupt count must fail after
 // allocating in proportion to the bytes present, not to the count it
 // claims — through a plain reader, one-byte windows and a whole-buffer
 // window, and through both ReadToken and ReadEncoded.
 func TestCorruptTokenCountsDoNotAllocate(t *testing.T) {
-	readers := map[string]func([]byte) io.ByteReader{
-		"plain reader":        func(in []byte) io.ByteReader { return bytes.NewReader(in) },
-		"one-byte windows":    func(in []byte) io.ByteReader { return &chunkWindow{data: in, k: 1} },
-		"whole-buffer window": func(in []byte) io.ByteReader { return &chunkWindow{data: in, k: len(in) + 1} },
-	}
 	// The bytes are averaged over several calls, so that an allocation
 	// elsewhere in the process while they run cannot fail the test.
 	const limit, calls = 64 << 10, 20
 	for input, in := range corruptCounts() {
-		for reader, open := range readers {
+		for reader, open := range byteReaders {
 			entries := map[string]func(io.ByteReader) error{
 				"ReadToken": func(r io.ByteReader) error {
 					var d Decoder
@@ -67,6 +73,39 @@ func TestCorruptTokenCountsDoNotAllocate(t *testing.T) {
 					t.Errorf("%s, %s, %s: allocated %d bytes per call, want at most %d", input, reader, entry, n, limit)
 				}
 			}
+		}
+	}
+}
+
+// TestKindBit0x40Rejected: 0x40 is not a flag bit, so a kind byte with it
+// set is an unknown kind to every entry point. Each input is a valid token
+// with the bit set and one more byte after it, which a decoder that took
+// the bit for a flag would swallow as that flag's field.
+func TestKindBit0x40Rejected(t *testing.T) {
+	inputs := map[string][]byte{}
+	for _, tok := range encodedSeedTokens() {
+		in := AppendToken(nil, tok)
+		in[0] |= 0x40
+		inputs[fmt.Sprintf("%v key=%v", tok.Kind, tok.HasKey)] = append(in, 3)
+	}
+	const want = "unknown token kind"
+	for input, in := range inputs {
+		for reader, open := range byteReaders {
+			var d Decoder
+			if _, err := d.ReadToken(open(in)); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s, %s: ReadToken = %v, want %q", input, reader, err, want)
+			}
+			if _, err := d.ReadEncoded(open(in)); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s, %s: ReadEncoded = %v, want %q", input, reader, err, want)
+			}
+		}
+		var d Decoder
+		if _, err := d.DecodeToken(in); err == nil {
+			t.Errorf("%s: DecodeToken accepted it", input)
+		}
+		var v Encoded
+		if n, ok := v.Scan(in); ok {
+			t.Errorf("%s: Scan accepted %d bytes", input, n)
 		}
 	}
 }
@@ -117,13 +156,13 @@ func TestReadEncodedMatchesDecoder(t *testing.T) {
 }
 
 // encodedSeedTokens are tokens that exercise every field of the view: a
-// level, a key on an end tag, a run pointer, and text and attribute values
-// that need escaping.
+// key on an end tag, a run pointer, and text and attribute values that need
+// escaping.
 func encodedSeedTokens() []Token {
 	return []Token{
 		{Kind: KindStart, Name: "a", Attrs: []Attr{{"x", `1&2<3>4"5`}, {"y", ""}}, Key: "k", HasKey: true},
 		{Kind: KindText, Text: `a & b < c > d "e"`},
-		{Kind: KindStart, Name: "b", Level: 3},
+		{Kind: KindStart, Name: "b"},
 		{Kind: KindRunPtr, Run: 7, Name: "r", Key: "rk", HasKey: true},
 		{Kind: KindEnd, Name: "b", Key: "end-key", HasKey: true},
 		{Kind: KindEnd, Name: "a"},
@@ -186,7 +225,7 @@ func FuzzEncoded(f *testing.F) {
 
 			canonical := bytes.Equal(AppendToken(nil, tok), v.Bytes())
 			rekeyed := tok
-			rekeyed.Key, rekeyed.HasKey, rekeyed.Level = "new&key", true, 0
+			rekeyed.Key, rekeyed.HasKey = "new&key", true
 			checkReencoding(t, "AppendWithKey", v.AppendWithKey(nil, []byte(rekeyed.Key)), rekeyed, canonical)
 			if tok.Kind == KindStart {
 				end := Token{Kind: KindEnd, Name: tok.Name}

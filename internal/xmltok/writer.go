@@ -70,7 +70,7 @@ func (w *Writer) WriteToken(t Token) error {
 	default:
 		return fmt.Errorf("xmltok: cannot serialize %v token", t.Kind)
 	}
-	t.HasKey, t.Key, t.Level = false, "", 0
+	t.HasKey, t.Key = false, ""
 	w.enc = AppendToken(w.enc[:0], t)
 	w.view.scan(w.enc, ^uint64(0))
 	return w.WriteEncoded(&w.view)

@@ -82,10 +82,6 @@ type Token struct {
 
 	Key    string // computed ordering key (binary codec only)
 	HasKey bool   // whether Key is meaningful
-
-	// Level is the token's nesting level in a level-stamped stream (the
-	// compact package's end-tag elimination); 0 everywhere else.
-	Level int
 }
 
 // WithKey returns a copy of t carrying the given ordering key.
