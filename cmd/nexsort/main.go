@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"nexsort"
+	"nexsort/internal/ioguard"
 )
 
 func main() {
@@ -68,7 +69,7 @@ func main() {
 		fatal(fmt.Errorf("unknown algorithm %q", *algo))
 	}
 
-	var in io.Reader = os.Stdin
+	in := os.Stdin
 	if *inPath != "" {
 		f, err := os.Open(*inPath)
 		if err != nil {
@@ -79,6 +80,9 @@ func main() {
 	}
 	var out io.Writer = os.Stdout
 	if *outPath != "" {
+		if err := ioguard.CheckOutput(*outPath, in); err != nil {
+			fatal(err)
+		}
 		f, err := os.Create(*outPath)
 		if err != nil {
 			fatal(err)

@@ -18,6 +18,7 @@ import (
 	"os"
 
 	"nexsort"
+	"nexsort/internal/ioguard"
 )
 
 func main() {
@@ -59,6 +60,9 @@ func main() {
 
 	var out io.Writer = os.Stdout
 	if *outPath != "" {
+		if err := ioguard.CheckOutput(*outPath, left, right); err != nil {
+			fatal(err)
+		}
 		f, err := os.Create(*outPath)
 		if err != nil {
 			fatal(err)
@@ -80,6 +84,9 @@ func main() {
 		_, _, rep, err = nexsort.SortAndMerge(left, right, crit, out, cfg, opts)
 	}
 	if err != nil {
+		if *outPath != "" {
+			os.Remove(*outPath) // no partial results, as MergeFiles
+		}
 		fatal(err)
 	}
 	if *stats {

@@ -1,6 +1,7 @@
 package nexsort
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -112,5 +113,51 @@ func TestErrorHelperExports(t *testing.T) {
 	}
 	if IsCorrupt(nil) || IsTransient(nil) {
 		t.Error("nil error classified as a fault")
+	}
+}
+
+// TestFileAPIsRefuseInputAsOutput: an output path naming an input file is
+// refused before the output is created, so the input is left byte for byte
+// as it was. Creating the output would truncate the input first.
+func TestFileAPIsRefuseInputAsOutput(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, doc string) (string, []byte) {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path, []byte(doc)
+	}
+	unchanged := func(path string, want []byte) {
+		t.Helper()
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s changed: %q", path, got)
+		}
+	}
+	refused := func(err error, outPath string) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), outPath) {
+			t.Errorf("err = %v, want a refusal naming %s", err, outPath)
+		}
+	}
+
+	docPath, doc := write("doc.xml", apiDoc)
+	_, err := SortFile(docPath, docPath, Config{InMemory: true, BlockSize: 256, MemoryBytes: 16 * 256}, Options{Criterion: apiCriterion()})
+	refused(err, docPath)
+	unchanged(docPath, doc)
+
+	crit := &Criterion{Rules: []Rule{{Source: ByAttr("ID")}}}
+	leftPath, left := write("left.xml", `<r><e ID="1"/></r>`)
+	rightPath, right := write("right.xml", `<r><e ID="2"/></r>`)
+	for _, outPath := range []string{leftPath, rightPath} {
+		_, err := MergeFiles(leftPath, rightPath, outPath, crit, MergeOptions{})
+		refused(err, outPath)
+		unchanged(leftPath, left)
+		unchanged(rightPath, right)
 	}
 }

@@ -183,6 +183,60 @@ func TestMergeCLI(t *testing.T) {
 	}
 }
 
+// TestCLIsRefuseInputAsOutput: nexsort and xmlmerge refuse an output path
+// that names one of their inputs and leave that input as it was.
+func TestCLIsRefuseInputAsOutput(t *testing.T) {
+	dir := t.TempDir()
+	left := filepath.Join(dir, "l.xml")
+	right := filepath.Join(dir, "r.xml")
+	docs := map[string]string{
+		left:  `<inv><item sku="B" q="1"/><item sku="A" q="2"/></inv>`,
+		right: `<inv><item sku="C" q="9"/><item sku="A" q="7"/></inv>`,
+	}
+	runs := [][]string{
+		{"nexsort", "-by", "item=@sku", "-in", left, "-out", left},
+		{"xmlmerge", "-by", "item=@sku", "-left", left, "-right", right, "-out", left},
+		{"xmlmerge", "-by", "item=@sku", "-left", left, "-right", right, "-out", right},
+		{"xmlmerge", "-by", "item=@sku", "-left", left, "-right", right, "-out", right, "-presorted"},
+	}
+	for _, args := range runs {
+		for path, doc := range docs {
+			if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, stderr, code := run(t, args[0], "", args[1:]...)
+		if code != 1 || !strings.Contains(stderr, "same file") {
+			t.Errorf("%v: exit %d, stderr %q; want a refusal", args, code, stderr)
+		}
+		for path, doc := range docs {
+			if got, err := os.ReadFile(path); err != nil || string(got) != doc {
+				t.Errorf("%v: %s is now %q (%v)", args, path, got, err)
+			}
+		}
+	}
+}
+
+// TestMergeCLIRemovesPartialOutput: a failed merge leaves no output file,
+// as a failed sort does not.
+func TestMergeCLIRemovesPartialOutput(t *testing.T) {
+	dir := t.TempDir()
+	left := filepath.Join(dir, "l.xml")
+	right := filepath.Join(dir, "r.xml")
+	out := filepath.Join(dir, "out.xml")
+	os.WriteFile(left, []byte(`<inv><item sku="A" q="2"/></inv>`), 0o644)
+	os.WriteFile(right, []byte(`<inv><item sku="C" q="9"/><item sku=`), 0o644)
+	for _, extra := range [][]string{nil, {"-presorted"}} {
+		args := append([]string{"-by", "item=@sku", "-left", left, "-right", right, "-out", out}, extra...)
+		if _, _, code := run(t, "xmlmerge", "", args...); code != 1 {
+			t.Errorf("%v: exit %d, want 1", extra, code)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("%v: partial output left behind: stat = %v", extra, err)
+		}
+	}
+}
+
 func TestBadUsageExitCodes(t *testing.T) {
 	if _, _, code := run(t, "nexsort", "", "-in", "nope.xml"); code != 2 {
 		t.Errorf("nexsort without -by: exit %d, want 2", code)

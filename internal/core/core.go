@@ -17,18 +17,21 @@
 // the end of the scan the document has become a tree of sorted runs
 // connected by pointers (Figure 3).
 //
-// Output phase. A depth-first traversal of the run tree — made iterative
-// with an external-memory output location stack, exactly as lines 13-21 of
-// Figure 4 prescribe — concatenates the runs into the final sorted
-// document.
+// Output phase. A token sink serializes the sorted document and follows
+// each run pointer into its run tree depth first — made iterative with an
+// external-memory output location stack, exactly as lines 13-21 of Figure
+// 4 prescribe. In the paper's layout the sink walks the tree from the root
+// run. In the default layout the root is never written as a run: once the
+// scan has ended, it is sorted straight into the sink.
 //
 // The default layout is the one of Section 3.2's graceful degeneration into
 // external merge sort: nearly all of the budget is the data stack's
 // resident window, and when the open element's accumulated children fill
-// it they are cut into an incomplete sorted run, so a flat document needs
-// no more passes than external merge sort. Options.PaperLayout selects the
-// layout of Section 3.1 that the paper evaluates instead: one resident
-// data-stack block and no cuts. The output is the same either way.
+// it they are cut into an incomplete sorted run, as are its last children
+// at its end tag, so a flat document needs no more passes than external
+// merge sort. Options.PaperLayout selects the layout of Section 3.1 that
+// the paper evaluates instead: one resident data-stack block, no cuts, and
+// a root run. The output is the same either way.
 //
 // The other extensions of Section 3.2 are available through Options:
 // depth-limited sorting, complex (subtree-pass) ordering criteria via the
@@ -50,8 +53,11 @@ import (
 // paper's layout keeps one window block and leaves at least four blocks of
 // sort area so the external fallback's merge makes progress. The default
 // layout gives the window all but eight blocks, so at the floor a cut
-// sorts three blocks of children, and the incomplete-run merge, which
-// takes the window back, has four blocks.
+// sorts three blocks of children, and an element's incomplete-run merge,
+// which takes the window back, has five blocks. The root's merge runs
+// after the scan, when the path stack, the spill stack and the input
+// buffer have given their blocks to the output phase's three, and has
+// eight.
 const MinMemBlocks = 12
 
 // Options configures a sort.
@@ -80,14 +86,16 @@ type Options struct {
 	Compact bool
 	// PaperLayout selects the memory layout of Section 3.1, the one the
 	// paper evaluates: one resident data-stack block, the rest of the
-	// budget a sort area, and the key-path external merge sort for any
-	// subtree larger than that area. The default (false) is Section 3.2's
-	// graceful degeneration into external merge sort: the data stack keeps
-	// all but eight blocks resident, and when the open element's
-	// accumulated children fill that window they are sorted into an
-	// incomplete run at once instead of riding the stack to disk and back;
-	// the element's end tag merges its incomplete runs. Output bytes are
-	// identical in both layouts; the I/O ledger is not.
+	// budget a sort area, the key-path external merge sort for any subtree
+	// larger than that area, and a root run that the output phase starts
+	// from. The default (false) is Section 3.2's graceful degeneration
+	// into external merge sort: the data stack keeps all but eight blocks
+	// resident, and when the open element's accumulated children fill that
+	// window they are sorted into an incomplete run at once instead of
+	// riding the stack to disk and back; the element's end tag cuts its
+	// last children the same way and merges its incomplete runs. The root
+	// is sorted straight into the output phase once the scan has ended.
+	// Output bytes are identical in both layouts; the I/O ledger is not.
 	PaperLayout bool
 	// RecordOrder, when non-empty, stamps every element with an attribute
 	// of this name holding its original position among its siblings
@@ -129,7 +137,8 @@ type Report struct {
 	// (depth-limited mode, subtrees rooted exactly at level d+1).
 	UnsortedRuns int
 	// IncompleteRuns counts incomplete sorted runs cut by graceful
-	// degeneration.
+	// degeneration, including the cut of an element's last children at
+	// its end tag.
 	IncompleteRuns int
 	// MergedSubtrees counts subtree sorts that merged incomplete runs.
 	MergedSubtrees int
@@ -138,7 +147,8 @@ type Report struct {
 	// analysis bounds it by min(kt, N) elements.
 	MaxSubtreeBytes int64
 	// RunBlocks is the total number of device blocks occupied by sorted
-	// runs (Lemma 4.8 bounds it by O(N/B)).
+	// runs (Lemma 4.8 bounds it by O(N/B)). The default layout writes no
+	// root run, so a document whose only sort is the root's has none.
 	RunBlocks int
 	// ScratchBlocks is the total scratch-device footprint (runs plus
 	// paged-out stack blocks) — the disk space a capacity planner must

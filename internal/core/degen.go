@@ -15,7 +15,8 @@ import (
 // sketches: whenever the open element's accumulated (complete) children
 // fill the sort area, sort them in memory immediately and emit an
 // incomplete sorted run; the children never ride the data stack to disk.
-// At the element's end tag, its incomplete runs are handed to the merge
+// At the element's end tag its last children are cut the same way, while
+// they are still resident, and its incomplete runs are handed to the merge
 // phase of the external sorter as pre-sorted initial runs — "we have
 // incorporated the first step of creating initial sorted runs for external
 // merge sort into the loop of Line 2" — so a flat document completes with
@@ -35,38 +36,46 @@ func (s *sorter) maybeCutIncomplete() error {
 	if s.data.Size()-rec.cutMark < s.cutCap {
 		return nil
 	}
-	return s.cutIncompleteRun(rec)
+	rec, err := s.cutIncompleteRun(rec, int(s.path.Len()))
+	if err != nil {
+		return err
+	}
+	rec.marshal(s.pathBuf)
+	return s.path.ReplaceTop(s.pathBuf)
 }
 
-// cutIncompleteRun sorts the top element's uncut complete children in
-// memory and replaces them on the data stack with nothing — the batch
-// moves to an incomplete sorted run keyed by (child key, sibling seq).
-func (s *sorter) cutIncompleteRun(rec pathRec) error {
+// cutIncompleteRun sorts the uncut complete children of the element at
+// level ds in memory and replaces them on the data stack with nothing — the
+// batch moves to an incomplete sorted run keyed by (child key, sibling
+// seq), appended to the element's run list. It returns rec with the child
+// sequence numbers the batch used handed out. The trigger cuts the element
+// on top of the path stack; the element's end tag cuts its last children
+// from the popped record before the end tag is pushed.
+func (s *sorter) cutIncompleteRun(rec pathRec, ds int) (pathRec, error) {
 	// The cut grants its reader and writer on the scanning goroutine, so
 	// the blocks lent to workers come back first.
 	if err := s.drainWorkers(); err != nil {
-		return err
+		return rec, err
 	}
 	// The region is memory-resident by construction (the trigger fires
 	// before it can outgrow the data stack's resident window), so the
 	// in-memory sort below is modelled as in-place: no extra grant.
 
-	// Depth-limit translation for the element's children: the element is
-	// at level ds = path length; its child list is sorted iff ds <= d.
-	ds := int(s.path.Len())
+	// Depth-limit translation for the element's children: its child list
+	// is sorted iff ds <= d.
 	d := s.opts.DepthLimit
 	listSorted := d == 0 || ds <= d
 
 	reader, err := s.data.ReadRange(s.env.Budget, rec.cutMark)
 	if err != nil {
-		return err
+		return rec, err
 	}
 	t := s.takeTree()
 	defer s.returnTree(t)
 	err = t.load(reader, s.data.Size()-rec.cutMark)
 	reader.Close()
 	if err != nil {
-		return err
+		return rec, err
 	}
 	// The children sit at level 2 of the element's frame. Below the depth
 	// limit nothing reorders: no interior is sorted, and the empty key
@@ -76,7 +85,7 @@ func (s *sorter) cutIncompleteRun(rec pathRec) error {
 		maxLevel = sortLevels(relLimitAt(d, ds))
 	}
 	if err := t.index(2, maxLevel); err != nil {
-		return fmt.Errorf("core: sorting subtree: %w", err)
+		return rec, fmt.Errorf("core: sorting subtree: %w", err)
 	}
 	nodes := t.children(0)
 	for i, c := range nodes {
@@ -90,31 +99,30 @@ func (s *sorter) cutIncompleteRun(rec pathRec) error {
 	run := em.NewStream(s.env.Dev, em.CatSubtreeSort)
 	w, err := extsort.NewRunWriter(run, s.env.Budget)
 	if err != nil {
-		return err
+		return rec, err
 	}
 	for _, c := range nodes {
 		s.recBuf, err = appendChildRecord(s.recBuf[:0], t, c, rec.childBase+int64(t.nodes[c].seq))
 		if err != nil {
 			w.Close()
-			return err
+			return rec, err
 		}
 		if err := w.Write(s.recBuf); err != nil {
 			w.Close()
-			return err
+			return rec, err
 		}
 	}
 	if err := w.Close(); err != nil {
-		return err
+		return rec, err
 	}
 	s.incomplete[ds] = append(s.incomplete[ds], run)
 	s.report.IncompleteRuns++
 
 	if err := s.data.Truncate(rec.cutMark); err != nil {
-		return err
+		return rec, err
 	}
 	rec.childBase += int64(len(nodes))
-	rec.marshal(s.pathBuf)
-	return s.path.ReplaceTop(s.pathBuf)
+	return rec, nil
 }
 
 // relLimitAt returns the subtree-relative depth limit for an element at

@@ -68,6 +68,32 @@ func TestDegenerateFlatDocumentCorrect(t *testing.T) {
 	if onStack > offStack/4 {
 		t.Errorf("expected a large reduction: on=%d off=%d", onStack, offStack)
 	}
+
+	// The default layout's flat sort pays no more than merge sort: the
+	// last children are cut at the end tag while resident, so nothing is
+	// paged; the root streams into the output, so there is no run to read
+	// back; and every incomplete-run block is written once and read once.
+	for _, p := range []int{1, 2, 8} {
+		env, err := em.NewEnv(em.Config{BlockSize: 256, MemBlocks: 16, Parallelism: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { env.Close() })
+		got, rep := nexsort(t, env, doc, Options{Criterion: c})
+		st := env.Stats
+		if got != want {
+			t.Errorf("P=%d: default-layout output differs from oracle", p)
+		}
+		if rr := st.IOs(em.CatRunRead); rr != 0 || rep.RunBlocks != 0 {
+			t.Errorf("P=%d: %d run-read transfers and %d run blocks, want none", p, rr, rep.RunBlocks)
+		}
+		if r, w := st.Reads(em.CatDataStack), st.Writes(em.CatDataStack); r+w != 0 {
+			t.Errorf("P=%d: data-stack %d/%d, want 0/0", p, r, w)
+		}
+		if r, w := st.Reads(em.CatSubtreeSort), st.Writes(em.CatSubtreeSort); r != w {
+			t.Errorf("P=%d: subtree-sort %d/%d, want reads equal to writes", p, r, w)
+		}
+	}
 }
 
 func TestDegenerateNestedDocument(t *testing.T) {

@@ -8,19 +8,18 @@ import (
 	"nexsort/internal/em"
 	"nexsort/internal/extsort"
 	"nexsort/internal/keypath"
-	"nexsort/internal/runstore"
 	"nexsort/internal/sortkey"
 	"nexsort/internal/xmltok"
 )
 
 // keyPathSortTokens runs a depth-aware key-path external merge sort over an
 // annotated token stream describing one subtree, read as views from r,
-// writing the sorted token stream into a run. Start tags must carry keys:
+// writing the sorted token stream to w. Start tags must carry keys:
 // directly for start-resolvable criteria, or from the key sidecar, which
 // re-keys every start tag in preorder. relLimit > 0 bounds sorting to the
 // top relLimit levels: deeper elements degrade to the empty key, so the
 // (key, seq) order reduces to document order there.
-func keyPathSortTokens(env *em.Env, r io.ByteReader, sidecar *keySidecar, relLimit int, w *runstore.Writer) error {
+func keyPathSortTokens(env *em.Env, r io.ByteReader, sidecar *keySidecar, relLimit int, w tokenSink) error {
 	sorter, err := extsort.NewKernel(env, em.CatSubtreeSort, sortkey.KeyPath(), env.Budget.Free())
 	if err != nil {
 		return err
@@ -204,12 +203,12 @@ func newChildRecordSorter(env *em.Env) (*extsort.Sorter, error) {
 	return extsort.NewKernel(env, em.CatSubtreeSort, sortkey.KeySeq(), env.Budget.Free())
 }
 
-// drainChildRecords streams sorted child records into a run, stripping the
+// drainChildRecords streams sorted child records into w, stripping the
 // (key, seq) header and copying each child's tokens. The sorter's final
-// merge feeds the run directly (SortStream): the merged child records are
-// never written to scratch and read back. Every token is scanned, so a
+// merge feeds w directly (SortStream): the merged child records are never
+// written to scratch and read back. Every token is scanned, so a
 // corrupt record fails here as the decoder would fail it.
-func drainChildRecords(sorter *extsort.Sorter, w *runstore.Writer) error {
+func drainChildRecords(sorter *extsort.Sorter, w tokenSink) error {
 	it, err := sorter.SortStream()
 	if err != nil {
 		return err

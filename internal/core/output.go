@@ -16,11 +16,13 @@ import (
 // resume offset.
 const outLocSize = 16
 
-// outputPhase is lines 13-21 of Figure 4: a depth-first traversal of the
-// tree of sorted runs, made iterative with an external-memory output
-// location stack so that arbitrarily deep run trees never grow the call
-// stack beyond the one resident block the analysis assumes (Lemma 4.13).
-func (s *sorter) outputPhase(root runstore.RunID, out io.Writer) error {
+// outputPhase is lines 13-21 of Figure 4. Its blocks are the output
+// location stack, the output buffer and the one run reader the sink holds
+// open at a time. In the paper's layout the sink walks the run tree from
+// the root run. In the default layout the root is sorted into the sink,
+// which follows each run pointer as it arrives; the root's sort sizes
+// itself by what is left once those three blocks are granted.
+func (s *sorter) outputPhase(root *docRoot, out io.Writer) error {
 	budget := s.env.Budget
 
 	oStack, err := xstack.NewRecordStack(s.env.Dev, em.CatOutputStack, budget, 1, outLocSize)
@@ -29,83 +31,33 @@ func (s *sorter) outputPhase(root runstore.RunID, out io.Writer) error {
 	}
 	defer oStack.Close()
 
-	if err := budget.Grant(1); err != nil {
-		return fmt.Errorf("core: output buffer: %w", err)
+	// The output buffer and the run reader.
+	if err := budget.Grant(2); err != nil {
+		return fmt.Errorf("core: output buffers: %w", err)
 	}
-	defer budget.Release(1)
+	defer budget.Release(2)
 
 	cw := em.NewCountingWriter(out, s.env.Dev, em.CatOutput)
 	defer cw.Close()
-	var xw *xmltok.Writer
+	sink := &outputSink{store: s.store, oStack: oStack}
 	if s.opts.Indent != "" {
-		xw = xmltok.NewIndentWriter(cw, s.opts.Indent)
+		sink.xw = xmltok.NewIndentWriter(cw, s.opts.Indent)
 	} else {
-		xw = xmltok.NewWriter(cw)
+		sink.xw = xmltok.NewWriter(cw)
 	}
-
-	// With compaction, each token is decoded — through one token decoder
-	// for the whole phase, whose name interning carries across tokens —
-	// and its names restored before it is written.
-	var dec *compact.Decoder
-	var tokDec xmltok.Decoder
 	if s.dict != nil {
-		dec = compact.NewDecoder(s.dict)
+		sink.dec = compact.NewDecoder(s.dict)
 	}
 
-	curID := root
-	cur, err := s.store.OpenCat(curID, budget, 0, em.CatRunRead)
+	if root.run >= 0 {
+		err = sink.follow(root.run)
+	} else {
+		err = s.sortRoot(root, sink)
+	}
 	if err != nil {
 		return err
 	}
-	loc := make([]byte, outLocSize)
-	for {
-		tok, err := cur.Next()
-		if err == io.EOF {
-			cur.Close()
-			if oStack.Len() == 0 {
-				break
-			}
-			if err := oStack.Pop(loc); err != nil {
-				return err
-			}
-			curID = runstore.RunID(binary.LittleEndian.Uint64(loc[0:]))
-			off := int64(binary.LittleEndian.Uint64(loc[8:]))
-			if cur, err = s.store.OpenCat(curID, budget, off, em.CatRunRead); err != nil {
-				return err
-			}
-			continue
-		}
-		if err != nil {
-			cur.Close()
-			return err
-		}
-		if tok.Kind() == xmltok.KindRunPtr {
-			// Line 19-20: remember where to resume this run, then jump
-			// into the child run at its beginning.
-			binary.LittleEndian.PutUint64(loc[0:], uint64(curID))
-			binary.LittleEndian.PutUint64(loc[8:], uint64(cur.Offset()))
-			if err := oStack.Push(loc); err != nil {
-				cur.Close()
-				return err
-			}
-			cur.Close()
-			curID = runstore.RunID(tok.Run())
-			if cur, err = s.store.OpenCat(curID, budget, 0, em.CatRunRead); err != nil {
-				return err
-			}
-			continue
-		}
-		if dec != nil {
-			err = writeCompacted(xw, &tokDec, dec, tok)
-		} else {
-			err = xw.WriteEncoded(tok)
-		}
-		if err != nil {
-			cur.Close()
-			return err
-		}
-	}
-	if err := xw.Close(); err != nil {
+	if err := sink.xw.Close(); err != nil {
 		return err
 	}
 	if err := cw.Flush(); err != nil {
@@ -115,12 +67,94 @@ func (s *sorter) outputPhase(root runstore.RunID, out io.Writer) error {
 	return nil
 }
 
-// writeCompacted writes one token of a compacted run: decoded, its names
-// restored by dec, and serialized without its key.
-func writeCompacted(xw *xmltok.Writer, tokDec *xmltok.Decoder, dec *compact.Decoder, tok *xmltok.Encoded) error {
-	t, err := dec.Decode(tokDec.Decode(tok))
+// outputSink is the output phase as a token sink: Append serializes a
+// token, and a run pointer is followed into its run tree. Its run readers
+// are opened under the one reader block outputPhase grants.
+type outputSink struct {
+	store  *runstore.Store
+	oStack *xstack.RecordStack
+	xw     *xmltok.Writer
+	// With compaction, each token is decoded — through one token decoder
+	// for the whole phase, whose name interning carries across tokens —
+	// and its names restored by dec before it is written.
+	dec    *compact.Decoder
+	tokDec xmltok.Decoder
+	view   xmltok.Encoded
+	loc    [outLocSize]byte
+}
+
+// Append writes one encoded token, or the run tree a run pointer leads to.
+func (o *outputSink) Append(tok []byte) error {
+	if _, ok := o.view.Scan(tok); !ok {
+		return fmt.Errorf("core: corrupt token in the output phase")
+	}
+	if o.view.Kind() == xmltok.KindRunPtr {
+		return o.follow(runstore.RunID(o.view.Run()))
+	}
+	return o.write(&o.view)
+}
+
+// write serializes one token that is not a run pointer.
+func (o *outputSink) write(tok *xmltok.Encoded) error {
+	if o.dec == nil {
+		return o.xw.WriteEncoded(tok)
+	}
+	t, err := o.dec.Decode(o.tokDec.Decode(tok))
 	if err != nil {
 		return err
 	}
-	return xw.WriteToken(t)
+	return o.xw.WriteToken(t)
+}
+
+// follow writes the run tree under run id: a depth-first traversal made
+// iterative with the output location stack, so that arbitrarily deep run
+// trees never grow the call stack beyond the one resident block the
+// analysis assumes (Lemma 4.13). The stack is empty on entry and on return.
+func (o *outputSink) follow(id runstore.RunID) error {
+	cur, err := o.store.OpenCat(id, nil, 0, em.CatRunRead)
+	if err != nil {
+		return err
+	}
+	for {
+		tok, err := cur.Next()
+		if err == io.EOF {
+			cur.Close()
+			if o.oStack.Len() == 0 {
+				return nil
+			}
+			if err := o.oStack.Pop(o.loc[:]); err != nil {
+				return err
+			}
+			id = runstore.RunID(binary.LittleEndian.Uint64(o.loc[0:]))
+			off := int64(binary.LittleEndian.Uint64(o.loc[8:]))
+			if cur, err = o.store.OpenCat(id, nil, off, em.CatRunRead); err != nil {
+				return err
+			}
+			continue
+		}
+		if err != nil {
+			cur.Close()
+			return err
+		}
+		if tok.Kind() == xmltok.KindRunPtr {
+			// Lines 19-20: remember where to resume this run, then jump
+			// into the child run at its beginning.
+			binary.LittleEndian.PutUint64(o.loc[0:], uint64(id))
+			binary.LittleEndian.PutUint64(o.loc[8:], uint64(cur.Offset()))
+			if err := o.oStack.Push(o.loc[:]); err != nil {
+				cur.Close()
+				return err
+			}
+			cur.Close()
+			id = runstore.RunID(tok.Run())
+			if cur, err = o.store.OpenCat(id, nil, 0, em.CatRunRead); err != nil {
+				return err
+			}
+			continue
+		}
+		if err := o.write(tok); err != nil {
+			cur.Close()
+			return err
+		}
+	}
 }

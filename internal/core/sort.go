@@ -106,11 +106,7 @@ func Sort(env *em.Env, in io.Reader, out io.Writer, opts Options) (*Report, erro
 	}
 	s.par.pool = env.Pool()
 
-	rootRun, err := s.sortingPhase(in)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.outputPhase(rootRun, out); err != nil {
+	if err := s.sortDocument(in, out); err != nil {
 		return nil, err
 	}
 	s.report.RunBlocks = s.store.TotalBlocks()
@@ -119,58 +115,89 @@ func Sort(env *em.Env, in io.Reader, out io.Writer, opts Options) (*Report, erro
 	return s.report, nil
 }
 
-// sortingPhase is lines 1-12 of Figure 4. It returns the root run's ID.
-func (s *sorter) sortingPhase(in io.Reader) (root runstore.RunID, err error) {
+// docRoot is what the sorting phase leaves the output phase. In the
+// paper's layout the root was sorted into a run at its end tag, as Figure 4
+// has it. In the default layout the root is still on the data stack, and
+// the output phase sorts it straight into the output once the scan has
+// ended.
+type docRoot struct {
+	run   runstore.RunID // the root run; -1 when the root streams
+	start int64          // the root's data-stack start location
+	end   xmltok.Token   // the root's end tag
+}
+
+// sortDocument runs both phases of Figure 4 over one data stack, which
+// lives until the default layout's root has been sorted out of it.
+func (s *sorter) sortDocument(in io.Reader, out io.Writer) (err error) {
 	budget := s.env.Budget
 
-	// Fixed structures: 2 path-stack blocks, 2 ordering-expression spill
-	// blocks, 1 input buffer block, and the data stack's resident window:
-	// by default the sort area, so that an accumulating flat child list is
-	// cut into an incomplete run while still memory-resident instead of
-	// riding the stack to disk and back, or one block in the paper's
-	// layout.
+	// The data stack's resident window: by default the sort area, so that
+	// an accumulating flat child list is cut into an incomplete run while
+	// still memory-resident instead of riding the stack to disk and back,
+	// or one block in the paper's layout.
 	dataResident := 1
 	if !s.opts.PaperLayout {
 		// Nearly all of the budget accumulates children in the resident
 		// window, exactly like external merge sort filling memory before
 		// cutting an initial run; when incomplete runs are merged, the
-		// window is lent to the merge (SetResident in mergedSubtreeSort),
-		// so the merge enjoys the same fan-in merge sort would.
+		// window is lent to the merge (SetResident in sortInto), so the
+		// merge enjoys the same fan-in merge sort would.
 		dataResident = budget.Total() - 8
 		s.cutCap = int64(dataResident-1) * int64(s.env.Conf.BlockSize)
 	}
 	s.data, err = xstack.NewByteStack(s.env.Dev, em.CatDataStack, budget, dataResident)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	defer s.data.Close()
 	// Dispatched subtree sorts may hold blocks lent from the window, so
 	// they are drained — and the window regrown — before it closes. On
-	// success the output phase needs every run sealed; on error the
-	// workers must finish releasing their blocks before the caller
-	// inspects the budget (no leak, no double release).
+	// error the workers must finish releasing their blocks before the
+	// caller inspects the budget (no leak, no double release).
 	defer func() {
 		if derr := s.drainWorkers(); err == nil {
 			err = derr
 		}
 	}()
+	root, err := s.sortingPhase(in)
+	if err != nil {
+		return err
+	}
+	// The output phase reads the runs, so every dispatched sort must have
+	// sealed its run; the root's sort also sizes itself by Budget.Free().
+	if err := s.drainWorkers(); err != nil {
+		return err
+	}
+	return s.outputPhase(root, out)
+}
+
+// sortingPhase is lines 1-12 of Figure 4. The path stack, the
+// ordering-expression spill stack and the input buffer live only as long
+// as the scan, so their blocks are free again when the output phase starts.
+func (s *sorter) sortingPhase(in io.Reader) (root *docRoot, err error) {
+	budget := s.env.Budget
+
+	// Fixed structures beside the data stack: 2 path-stack blocks, 2
+	// ordering-expression spill blocks and 1 input buffer block.
 	s.path, err = xstack.NewRecordStack(s.env.Dev, em.CatPathStack, budget, 2, pathRecSize)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	defer s.path.Close()
 	s.spill, err = xstack.NewRecordStack(s.env.Dev, em.CatPathStack, budget, 2, s.crit.StateSize())
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	defer s.spill.Close()
 	s.annot = keys.NewAnnotator(s.crit, s.spill)
 
 	if err := budget.Grant(1); err != nil {
-		return 0, fmt.Errorf("core: input buffer: %w", err)
+		return nil, fmt.Errorf("core: input buffer: %w", err)
 	}
 	defer budget.Release(1)
 
+	// The reader's frame is the input buffer block: the deferred Close
+	// returns it before the deferred Release returns the block.
 	cr := em.NewCountingReader(in, s.env.Dev, em.CatInput)
 	defer cr.Close()
 	parser := xmltok.NewParser(cr, xmltok.DefaultParserOptions())
@@ -179,20 +206,19 @@ func (s *sorter) sortingPhase(in io.Reader) (root runstore.RunID, err error) {
 		stamper = newOrderStamper(s.opts.RecordOrder)
 	}
 
-	rootRun := runstore.RunID(-1)
 	for {
 		tok, err := parser.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		if stamper != nil {
 			tok = stamper.stamp(tok)
 		}
 		if tok, err = s.annot.Annotate(tok); err != nil {
-			return 0, err
+			return nil, err
 		}
 		if s.enc != nil {
 			// Ordering keys were evaluated on the original names above;
@@ -208,59 +234,72 @@ func (s *sorter) sortingPhase(in io.Reader) (root runstore.RunID, err error) {
 			}
 			rec := pathRec{start: s.data.Size()}
 			if err := s.pushToken(tok); err != nil {
-				return 0, err
+				return nil, err
 			}
 			rec.cutMark = s.data.Size()
 			rec.marshal(s.pathBuf)
 			if err := s.path.Push(s.pathBuf); err != nil {
-				return 0, err
+				return nil, err
 			}
 
 		case xmltok.KindText:
 			s.report.TextNodes++
 			if err := s.pushToken(tok); err != nil {
-				return 0, err
+				return nil, err
 			}
 			if err := s.maybeCutIncomplete(); err != nil {
-				return 0, err
+				return nil, err
 			}
 
 		case xmltok.KindEnd:
 			if err := s.path.Pop(s.pathBuf); err != nil {
-				return 0, err
+				return nil, err
 			}
 			rec := unmarshalPathRec(s.pathBuf)
-			if err := s.pushToken(tok); err != nil {
-				return 0, err
-			}
-			size := s.data.Size() - rec.start
-			isRoot := s.path.Len() == 0
 			ds := int(s.path.Len()) + 1 // the closed element's level
-			withinDepth := s.opts.DepthLimit == 0 || ds <= s.opts.DepthLimit+1
 			// An element whose children were cut into incomplete runs
 			// must be completed now regardless of its remaining size.
+			// Its last children are cut too, while they are still
+			// resident: the end tag goes on the stack after the cut.
 			hasIncomplete := len(s.incomplete[ds]) > 0
-			if isRoot || hasIncomplete || (size >= s.threshold && withinDepth) {
-				runID, err := s.sortSubtree(rec, tok, ds)
-				if err != nil {
-					return 0, err
+			if hasIncomplete && s.data.Size() > rec.cutMark {
+				if rec, err = s.cutIncompleteRun(rec, ds); err != nil {
+					return nil, err
 				}
-				if isRoot {
-					rootRun = runID
+			}
+			if err := s.pushToken(tok); err != nil {
+				return nil, err
+			}
+			if ds == 1 && !s.opts.PaperLayout {
+				// The root streams into the output phase, but only once
+				// the scan has ended: a second root element or text
+				// after this one must fail before any output is written.
+				root = &docRoot{run: -1, start: rec.start, end: tok}
+				continue
+			}
+			size := s.data.Size() - rec.start
+			withinDepth := s.opts.DepthLimit == 0 || ds <= s.opts.DepthLimit+1
+			if ds == 1 || hasIncomplete || (size >= s.threshold && withinDepth) {
+				runID, err := s.sortSubtree(rec.start, tok, ds)
+				if err != nil {
+					return nil, err
+				}
+				if ds == 1 {
+					root = &docRoot{run: runID}
 				} else if err := s.maybeCutIncomplete(); err != nil {
-					return 0, err
+					return nil, err
 				}
 			} else if err := s.maybeCutIncomplete(); err != nil {
-				return 0, err
+				return nil, err
 			}
 		}
 	}
 	cr.Finish()
 	s.report.InputBytes = cr.BytesRead()
-	if rootRun < 0 {
-		return 0, fmt.Errorf("core: input document has no root element")
+	if root == nil {
+		return nil, fmt.Errorf("core: input document has no root element")
 	}
-	return rootRun, nil
+	return root, nil
 }
 
 // pushToken appends a token to the data stack. While blocks are lent out

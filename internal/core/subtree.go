@@ -9,49 +9,61 @@ import (
 	"nexsort/internal/xmltok"
 )
 
-// sortSubtree is lines 10-12 of Figure 4: pop the complete subtree starting
-// at rec.start from the data stack, sort it, write it as a sorted run, and
-// push a run-pointer token (carrying the subtree root's ordering key from
-// its end tag) back in its place. ds is the subtree root's level, used by
-// depth-limited sorting.
-func (s *sorter) sortSubtree(rec pathRec, endTok xmltok.Token, ds int) (runstore.RunID, error) {
+// sortPlan is the route of one subtree sort through Line 11's options,
+// decided from the subtree's size and level before any block moves.
+type sortPlan struct {
+	size int64
+	// relLimit is the global depth limit in the subtree's frame: an
+	// element at relative level r (subtree root = 1) sits at global level
+	// ds+r-1, so child lists are sorted for r <= relLimit = d-ds+1.
+	relLimit int
+	// noSort marks a subtree at the depth boundary (ds = d+1): it is
+	// written to disk unsorted so that it stops inflating ancestors' sorts
+	// ("ensuring that we do not carry large subtrees along").
+	noSort bool
+	// inPlace: under the default layout the cut trigger bounds every
+	// element's children, so a subtree no larger than the cut capacity
+	// plus a block for its tags is memory-resident and sorts in place,
+	// without a second grant.
+	inPlace bool
+	// incRuns are the element's incomplete runs, to be merged.
+	incRuns []*em.Stream
+}
+
+// planSort routes the sort of the complete subtree starting at start,
+// whose root is at level ds, and counts it in the report.
+func (s *sorter) planSort(start int64, ds int) (sortPlan, error) {
 	// Lifecycle poll at the per-subtree boundary: an in-memory subtree
 	// sort moves no blocks, so this is what keeps cancellation prompt
 	// through a stretch of small subtrees that never touch the device.
 	if err := s.env.Dev.Interrupted(); err != nil {
-		return 0, err
+		return sortPlan{}, err
 	}
-	size := s.data.Size() - rec.start
-	if size > s.report.MaxSubtreeBytes {
-		s.report.MaxSubtreeBytes = size
+	p := sortPlan{
+		size:     s.data.Size() - start,
+		relLimit: relLimitAt(s.opts.DepthLimit, ds),
+		incRuns:  s.incomplete[ds],
+	}
+	delete(s.incomplete, ds)
+	if p.size > s.report.MaxSubtreeBytes {
+		s.report.MaxSubtreeBytes = p.size
 	}
 	s.report.SubtreeSorts++
+	p.noSort = s.opts.DepthLimit > 0 && p.relLimit <= 0
+	p.inPlace = !s.opts.PaperLayout && p.size <= s.cutCap+int64(s.env.Conf.BlockSize)
+	return p, nil
+}
 
-	// Translate the global depth limit into the subtree's frame: an
-	// element at relative level r (subtree root = 1) sits at global level
-	// ds+r-1, so child lists are sorted for r <= relLimit = d-ds+1.
-	// relLimit <= 0 means the subtree sits at the boundary (ds = d+1): it
-	// is written to disk unsorted so that it stops inflating ancestors'
-	// sorts ("ensuring that we do not carry large subtrees along").
-	relLimit := 0
-	noSort := false
-	if s.opts.DepthLimit > 0 {
-		relLimit = s.opts.DepthLimit - ds + 1
-		if relLimit <= 0 {
-			noSort = true
-		}
+// sortSubtree is lines 10-12 of Figure 4: pop the complete subtree starting
+// at start from the data stack, sort it, write it as a sorted run, and push
+// a run-pointer token (carrying the subtree root's ordering key from its end
+// tag) back in its place. ds is the subtree root's level, used by
+// depth-limited sorting.
+func (s *sorter) sortSubtree(start int64, endTok xmltok.Token, ds int) (runstore.RunID, error) {
+	p, err := s.planSort(start, ds)
+	if err != nil {
+		return 0, err
 	}
-
-	depthIdx := int(s.path.Len()) + 1 // the closed element's depth index
-	incRuns := s.incomplete[depthIdx]
-	delete(s.incomplete, depthIdx)
-
-	bs := int64(s.env.Conf.BlockSize)
-	// Under the default layout the cut trigger bounds every element's
-	// children, so a subtree no larger than the cut capacity plus a block
-	// for its tags is memory-resident: it sorts in place, without a second
-	// grant.
-	inPlace := !s.opts.PaperLayout && size <= s.cutCap+bs
 	// The plain in-memory case — no incomplete runs to merge, no depth
 	// boundary — is self-contained once the subtree's bytes leave the data
 	// stack, so it can run on a pool worker while the scan continues with
@@ -62,15 +74,15 @@ func (s *sorter) sortSubtree(rec pathRec, endTok xmltok.Token, ds int) (runstore
 	// that in-flight workers do not perturb it. Every subtree routes
 	// exactly as it would at parallelism one, which is what keeps the
 	// block-transfer counts parallelism-invariant.
-	if len(incRuns) == 0 && !noSort &&
-		(inPlace || s.opts.PaperLayout && size <= int64(s.effectiveFree()-2)*bs) {
-		runID, ok, err := s.tryDispatchSubtreeSort(rec.start, size, relLimit)
+	if len(p.incRuns) == 0 && !p.noSort &&
+		(p.inPlace || s.opts.PaperLayout && p.size <= int64(s.effectiveFree()-2)*int64(s.env.Conf.BlockSize)) {
+		runID, ok, err := s.tryDispatchSubtreeSort(start, p.size, p.relLimit)
 		if err != nil {
 			return 0, err
 		}
 		if ok {
 			s.report.InternalSorts++
-			return s.collapseSubtree(rec.start, endTok, runID)
+			return s.collapseSubtree(start, endTok, runID)
 		}
 		// Pool busy, or no room for a second working set: fall through
 		// to the sequential path below.
@@ -83,60 +95,74 @@ func (s *sorter) sortSubtree(rec pathRec, endTok xmltok.Token, ds int) (runstore
 	if err := s.drainWorkers(); err != nil {
 		return 0, err
 	}
-
 	runID, w, err := s.store.Create(em.CatSubtreeSort, s.env.Budget)
 	if err != nil {
 		return 0, err
 	}
+	err = s.sortInto(p, start, endTok, w)
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return 0, err
+	}
+	return s.collapseSubtree(start, endTok, runID)
+}
 
+// sortRoot is the default layout's root sort: the branch sortSubtree would
+// take, written to the output sink instead of a run. It runs once the scan
+// has ended and its workers have drained, and never on a worker.
+func (s *sorter) sortRoot(root *docRoot, sink tokenSink) error {
+	p, err := s.planSort(root.start, 1)
+	if err != nil {
+		return err
+	}
+	return s.sortInto(p, root.start, root.end, sink)
+}
+
+// sortInto sorts the subtree at start along plan p into w.
+func (s *sorter) sortInto(p sortPlan, start int64, endTok xmltok.Token, w tokenSink) (err error) {
 	// In the default layout, a subtree that does not sort in place — one
 	// whose children were cut into incomplete runs, or one whose tags
 	// outgrow the window's slack — gets the sort area the paper's layout
 	// gives it: the data stack's window is lent to its sort and taken back
-	// before the subtree collapses. The stack is read once meanwhile, so
-	// one resident block suffices, and the freed blocks buy the merge its
-	// fan-in (external merge sort's buffer/merge phase split) or the sort
-	// its area.
-	window := s.data.Resident()
-	if len(incRuns) > 0 || !s.opts.PaperLayout && !inPlace && !noSort {
+	// afterwards. The stack is read once meanwhile, so one resident block
+	// suffices, and the freed blocks buy the merge its fan-in (external
+	// merge sort's buffer/merge phase split) or the sort its area.
+	if len(p.incRuns) > 0 || !s.opts.PaperLayout && !p.inPlace && !p.noSort {
+		window := s.data.Resident()
 		if err := s.data.SetResident(1); err != nil {
-			w.Close()
-			return 0, err
+			return err
 		}
+		// Regrowing only re-grants budget; it can still fail if an error
+		// unwind left blocks granted, and that must surface as an error,
+		// not a panic mid-teardown.
+		defer func() {
+			if rerr := s.data.SetResident(window); rerr != nil && err == nil {
+				err = fmt.Errorf("core: restoring data-stack window: %w", rerr)
+			}
+		}()
 	}
+	bs := int64(s.env.Conf.BlockSize)
 	switch {
-	case len(incRuns) > 0:
-		err = s.mergedSubtreeSort(rec, endTok, incRuns, relLimit, noSort, w)
+	case len(p.incRuns) > 0:
 		s.report.MergedSubtrees++
-	case noSort:
-		err = s.copySubtree(rec.start, w)
+		return s.mergedSubtreeSort(start, endTok, p.incRuns, w)
+	case p.noSort:
 		s.report.UnsortedRuns++
-	case inPlace:
-		err = s.internalSubtreeSort(rec.start, 0, relLimit, w)
+		return s.copySubtree(start, w)
+	case p.inPlace:
 		s.report.InternalSorts++
-	case size <= int64(s.env.Budget.Free()-1)*bs:
+		return s.internalSubtreeSort(start, 0, p.relLimit, w)
+	case p.size <= int64(s.env.Budget.Free()-1)*bs:
 		// The encoded subtree fits in the remaining sort area (one block
 		// stays reserved for the range reader): in-memory recursive sort.
-		err = s.internalSubtreeSort(rec.start, size, relLimit, w)
 		s.report.InternalSorts++
+		return s.internalSubtreeSort(start, p.size, p.relLimit, w)
 	default:
-		err = s.externalSubtreeSort(rec.start, relLimit, w)
 		s.report.ExternalSorts++
+		return s.externalSubtreeSort(start, p.relLimit, w)
 	}
-	// Regrowing only re-grants budget; it can still fail if an error
-	// unwind above left blocks granted, and that must surface as an error,
-	// not a panic mid-teardown.
-	if rerr := s.data.SetResident(window); rerr != nil && err == nil {
-		err = fmt.Errorf("core: restoring data-stack window: %w", rerr)
-	}
-	if err != nil {
-		w.Close()
-		return 0, err
-	}
-	if err := w.Close(); err != nil {
-		return 0, err
-	}
-	return s.collapseSubtree(rec.start, endTok, runID)
 }
 
 // collapseSubtree replaces the subtree's bytes on the data stack with a
@@ -161,9 +187,9 @@ func (s *sorter) collapseSubtree(start int64, endTok xmltok.Token, runID runstor
 	return runID, nil
 }
 
-// copySubtree writes the subtree's tokens to the run verbatim (depth-limited
+// copySubtree writes the subtree's tokens to w verbatim (depth-limited
 // mode, subtree rooted exactly at level d+1).
-func (s *sorter) copySubtree(start int64, w *runstore.Writer) error {
+func (s *sorter) copySubtree(start int64, w tokenSink) error {
 	reader, err := s.data.ReadRange(s.env.Budget, start)
 	if err != nil {
 		return err
@@ -185,11 +211,11 @@ func (s *sorter) copySubtree(start int64, w *runstore.Writer) error {
 }
 
 // internalSubtreeSort is Line 11's common case: copy the subtree's tokens
-// into a token tree, sort it, and stream it into the run. The tree's memory
+// into a token tree, sort it, and stream it into w. The tree's memory
 // is drawn from the budget at the subtree's encoded size; size 0 skips the
 // grant (the default layout, where the bytes are already resident in the
 // data stack's window and the sort is modelled as in-place).
-func (s *sorter) internalSubtreeSort(start, size int64, relLimit int, w *runstore.Writer) error {
+func (s *sorter) internalSubtreeSort(start, size int64, relLimit int, w tokenSink) error {
 	bs := int64(s.env.Conf.BlockSize)
 	blocks := int((size + bs - 1) / bs)
 	if err := s.env.Budget.Grant(blocks); err != nil {
@@ -215,7 +241,7 @@ func (s *sorter) internalSubtreeSort(start, size int64, relLimit int, w *runstor
 // tags — as (preorder index, key) records, sorts them back into preorder,
 // and zips them with a second scan so that start tags carry keys before
 // key-path extraction.
-func (s *sorter) externalSubtreeSort(start int64, relLimit int, w *runstore.Writer) error {
+func (s *sorter) externalSubtreeSort(start int64, relLimit int, w tokenSink) error {
 	allSimple := true
 	for _, r := range s.crit.Rules {
 		if !r.Source.StartResolvable() {
@@ -240,26 +266,30 @@ func (s *sorter) externalSubtreeSort(start int64, relLimit int, w *runstore.Writ
 	return keyPathSortTokens(s.env, reader, sidecar, relLimit, w)
 }
 
-// mergedSubtreeSort completes a subtree whose earlier children were cut
-// into incomplete sorted runs by graceful degeneration: the remaining
-// uncut children are interior-sorted in memory into one more batch, and
-// everything is merged into the element's complete sorted run. The caller
-// has lent it the data stack's window.
-func (s *sorter) mergedSubtreeSort(rec pathRec, endTok xmltok.Token, incRuns []*em.Stream, relLimit int, noSort bool, w *runstore.Writer) error {
-	reader, err := s.data.ReadRange(s.env.Budget, rec.start)
+// mergedSubtreeSort completes a subtree whose children were all cut into
+// incomplete sorted runs by graceful degeneration, the last of them at its
+// end tag: only its start and end tags are left on the data stack. It
+// merges the runs into the element's sorted child list and writes that
+// between the two tags. The caller has lent it the data stack's window.
+func (s *sorter) mergedSubtreeSort(start int64, endTok xmltok.Token, incRuns []*em.Stream, w tokenSink) error {
+	// The start tag is read and its reader closed before the merger takes
+	// every free block.
+	reader, err := s.data.ReadRange(s.env.Budget, start)
 	if err != nil {
 		return err
 	}
-	defer reader.Close()
 	var dec xmltok.Decoder
 	startTok, err := dec.ReadEncoded(reader)
+	if err == nil && startTok.Kind() != xmltok.KindStart {
+		err = fmt.Errorf("core: merged subtree does not begin with a start tag")
+	}
+	if err == nil {
+		s.encBuf = append(s.encBuf[:0], startTok.Bytes()...)
+	}
+	reader.Close()
 	if err != nil {
 		return err
 	}
-	if startTok.Kind() != xmltok.KindStart {
-		return fmt.Errorf("core: merged subtree does not begin with a start tag")
-	}
-	s.encBuf = append(s.encBuf[:0], startTok.Bytes()...)
 
 	sorter, err := newChildRecordSorter(s.env)
 	if err != nil {
@@ -271,44 +301,6 @@ func (s *sorter) mergedSubtreeSort(rec pathRec, endTok xmltok.Token, incRuns []*
 			return err
 		}
 	}
-
-	// Load, interior-sort and enqueue the uncut tail of the child list one
-	// child at a time. The region is below the cut capacity by
-	// construction, so this is an in-memory step (its budget was
-	// effectively reserved by the trigger). The children sit at level 2
-	// of the element's frame; below the depth limit they keep document
-	// order, so the empty key makes (key, seq) reduce to the sequence
-	// number.
-	maxLevel := 0
-	if !noSort {
-		maxLevel = sortLevels(relLimit)
-	}
-	t := s.takeTree()
-	defer s.returnTree(t)
-	for childSeq := rec.childBase; ; childSeq++ {
-		last, err := t.loadChild(&dec, reader)
-		if err != nil {
-			return err
-		}
-		if last {
-			break
-		}
-		if err := t.index(2, maxLevel); err != nil {
-			return fmt.Errorf("core: sorting subtree: %w", err)
-		}
-		child := t.children(0)[0]
-		if noSort {
-			t.nodes[child].key = nil
-		}
-		if s.recBuf, err = appendChildRecord(s.recBuf[:0], t, child, childSeq); err != nil {
-			return err
-		}
-		if err := sorter.Add(s.recBuf); err != nil {
-			return err
-		}
-	}
-	reader.Close()
-
 	if err := w.Append(s.encBuf); err != nil {
 		return err
 	}

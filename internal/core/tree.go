@@ -82,40 +82,6 @@ func (t *tokenTree) load(r io.Reader, size int64) error {
 	return err
 }
 
-// loadChild copies the next complete child subtree from a sibling-level
-// token stream into the buffer: one text token, one run pointer, or an
-// element through its end tag. last is true at an end tag closing the
-// sibling list, or at the end of the stream.
-func (t *tokenTree) loadChild(dec *xmltok.Decoder, r io.ByteReader) (last bool, err error) {
-	t.buf = t.buf[:0]
-	depth := 0
-	for {
-		tok, err := dec.ReadEncoded(r)
-		if err == io.EOF {
-			if depth == 0 {
-				return true, nil
-			}
-			err = io.ErrUnexpectedEOF
-		}
-		if err != nil {
-			return false, err
-		}
-		switch tok.Kind() {
-		case xmltok.KindStart:
-			depth++
-		case xmltok.KindEnd:
-			if depth == 0 {
-				return true, nil
-			}
-			depth--
-		}
-		t.buf = append(t.buf, tok.Bytes()...)
-		if depth == 0 {
-			return false, nil
-		}
-	}
-}
-
 // index scans the buffer as a sequence of complete sibling subtrees, the
 // top-level nodes, which sit at level base and become the virtual root's
 // children in stream order. The child lists of elements at levels up to

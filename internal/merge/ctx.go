@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 
+	"nexsort/internal/ioguard"
 	"nexsort/internal/keys"
 )
 
@@ -22,8 +23,8 @@ import (
 // context.DeadlineExceeded. The merge runs on the calling goroutine, so
 // nothing is left running.
 func DocumentsContext(ctx context.Context, left, right io.Reader, c *keys.Criterion, out io.Writer, opts Options) (*Report, error) {
-	rep, err := Documents(&ctxReader{ctx: ctx, r: left}, &ctxReader{ctx: ctx, r: right},
-		c, &ctxWriter{ctx: ctx, w: out}, opts)
+	rep, err := Documents(ioguard.Reader(ctx, left), ioguard.Reader(ctx, right),
+		c, ioguard.Writer(ctx, out), opts)
 	if err != nil {
 		// Prefer the context's error over whatever wrapped form the
 		// guarded stream surfaced it in.
@@ -38,8 +39,8 @@ func DocumentsContext(ctx context.Context, left, right io.Reader, c *keys.Criter
 // ApplyUpdatesContext is ApplyUpdates bounded by ctx, with the same
 // cancellation semantics as DocumentsContext.
 func ApplyUpdatesContext(ctx context.Context, base, updates io.Reader, c *keys.Criterion, out io.Writer, indent string) (*Report, error) {
-	rep, err := ApplyUpdates(&ctxReader{ctx: ctx, r: base}, &ctxReader{ctx: ctx, r: updates},
-		c, &ctxWriter{ctx: ctx, w: out}, indent)
+	rep, err := ApplyUpdates(ioguard.Reader(ctx, base), ioguard.Reader(ctx, updates),
+		c, ioguard.Writer(ctx, out), indent)
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return nil, ctxErr
@@ -47,34 +48,4 @@ func ApplyUpdatesContext(ctx context.Context, base, updates io.Reader, c *keys.C
 		return nil, err
 	}
 	return rep, nil
-}
-
-// ctxReader fails reads once the context is over. The context lives in a
-// struct field only because io.Reader's signature leaves nowhere else for
-// it; the guard is constructed and consumed within a single Documents /
-// ApplyUpdates call, never stored (see the NV005 baseline).
-type ctxReader struct {
-	ctx context.Context
-	r   io.Reader
-}
-
-func (c *ctxReader) Read(p []byte) (int, error) {
-	if err := c.ctx.Err(); err != nil {
-		return 0, err
-	}
-	return c.r.Read(p)
-}
-
-// ctxWriter fails writes once the context is over; same field rationale
-// as ctxReader.
-type ctxWriter struct {
-	ctx context.Context
-	w   io.Writer
-}
-
-func (c *ctxWriter) Write(p []byte) (int, error) {
-	if err := c.ctx.Err(); err != nil {
-		return 0, err
-	}
-	return c.w.Write(p)
 }

@@ -45,8 +45,7 @@ func TestPinnedLedger(t *testing.T) {
 			write: gen.CustomSpec{Fanouts: []int{2000}, Seed: 9}.Write,
 			modes: []mode{
 				{"nexsort", nexsort.Options{}, map[string]rw{
-					"input": {544, 0}, "data-stack": {2, 2}, "subtree-sort": {1900, 2463},
-					"run-read": {563, 0}, "output": {0, 544}}, [2]int{0, 1}},
+					"input": {544, 0}, "subtree-sort": {1281, 1281}, "output": {0, 544}}, [2]int{0, 1}},
 				{"paper-layout", nexsort.Options{PaperLayout: true}, map[string]rw{
 					"input": {544, 0}, "data-stack": {597, 597}, "subtree-sort": {2625, 3188},
 					"run-read": {563, 0}, "output": {0, 544}}, [2]int{1, 0}},
@@ -64,7 +63,7 @@ func TestPinnedLedger(t *testing.T) {
 			},
 			modes: []mode{
 				{"nexsort", nexsort.Options{}, map[string]rw{
-					"input": {940, 0}, "subtree-sort": {0, 1010}, "run-read": {1506, 0},
+					"input": {940, 0}, "subtree-sort": {0, 1008}, "run-read": {1488, 0},
 					"output": {0, 940}}, [2]int{0, 0}},
 				{"paper-layout", nexsort.Options{PaperLayout: true}, map[string]rw{
 					"input": {940, 0}, "data-stack": {1559, 1063}, "subtree-sort": {0, 1010},
@@ -79,8 +78,8 @@ func TestPinnedLedger(t *testing.T) {
 			write: gen.SiteSpec{Items: 60, MaxBids: 10, Seed: 9}.Write,
 			modes: []mode{
 				{"nexsort", nexsort.Options{}, map[string]rw{
-					"input": {207, 0}, "data-stack": {35, 23}, "subtree-sort": {267, 507},
-					"run-read": {246, 0}, "output": {0, 207}}, [2]int{0, 6}},
+					"input": {207, 0}, "data-stack": {16, 8}, "subtree-sort": {267, 506},
+					"run-read": {239, 0}, "output": {0, 207}}, [2]int{0, 6}},
 				{"paper-layout", nexsort.Options{PaperLayout: true}, map[string]rw{
 					"input": {207, 0}, "data-stack": {284, 278}, "subtree-sort": {1246, 1486},
 					"run-read": {246, 0}, "output": {0, 207}}, [2]int{6, 0}},
@@ -95,8 +94,8 @@ func TestPinnedLedger(t *testing.T) {
 			write: gen.SiteSpec{Items: 60, MaxBids: 10, Seed: 9}.Write,
 			modes: []mode{
 				{"nexsort", nexsort.Options{}, map[string]rw{
-					"input": {207, 0}, "data-stack": {30, 22}, "subtree-sort": {263, 503},
-					"run-read": {246, 0}, "output": {0, 207}}, [2]int{0, 6}},
+					"input": {207, 0}, "data-stack": {6, 3}, "subtree-sort": {263, 502},
+					"run-read": {239, 0}, "output": {0, 207}}, [2]int{0, 6}},
 				{"paper-layout", nexsort.Options{PaperLayout: true}, map[string]rw{
 					"input": {207, 0}, "data-stack": {546, 270}, "subtree-sort": {1892, 2132},
 					"run-read": {246, 0}, "output": {0, 207}}, [2]int{6, 0}},

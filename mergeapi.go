@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"nexsort/internal/ioguard"
 	"nexsort/internal/merge"
 )
 
@@ -77,6 +78,9 @@ func mergeFiles(leftPath, rightPath, outPath string, run func(left, right io.Rea
 	}
 	defer right.Close()
 
+	if err := ioguard.CheckOutput(outPath, left, right); err != nil {
+		return nil, fmt.Errorf("nexsort: %w", err)
+	}
 	out, err := os.Create(outPath)
 	if err != nil {
 		return nil, err

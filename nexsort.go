@@ -44,6 +44,7 @@ import (
 	"nexsort/internal/core"
 	"nexsort/internal/em"
 	"nexsort/internal/extsort"
+	"nexsort/internal/ioguard"
 	"nexsort/internal/keys"
 	"nexsort/internal/xmltok"
 	"nexsort/internal/xmltree"
@@ -244,14 +245,15 @@ type Options struct {
 	// dictionary, end-tag elision) to the working structures.
 	Compact bool
 	// PaperLayout runs NEXSORT in the memory layout of the paper's
-	// Section 3.1 and its evaluation: one resident data-stack block, and
-	// the key-path external merge sort for any subtree larger than the
-	// sort area. The default is Section 3.2's graceful degeneration into
-	// external merge sort, which keeps nearly all of memory as the data
-	// stack's window and cuts an open element's accumulated children into
-	// incomplete sorted runs, so a flat document needs no more passes than
-	// merge sort. Output bytes are the same either way; block transfers
-	// are not.
+	// Section 3.1 and its evaluation: one resident data-stack block, the
+	// key-path external merge sort for any subtree larger than the sort
+	// area, and a root run that the output phase starts from. The default
+	// is Section 3.2's graceful degeneration into external merge sort,
+	// which keeps nearly all of memory as the data stack's window, cuts an
+	// open element's accumulated children into incomplete sorted runs, and
+	// sorts the root straight into the output once the input has been
+	// read, so a flat document needs no more passes than merge sort.
+	// Output bytes are the same either way; block transfers are not.
 	PaperLayout bool
 	// RecordOrder, when non-empty, stamps each output element with an
 	// attribute of this name holding its original sibling position
@@ -311,7 +313,7 @@ func SortContext(ctx context.Context, in io.Reader, out io.Writer, cfg Config, o
 		return nil, err
 	}
 	defer env.Close()
-	res, err := sortInEnv(env, &ctxReader{ctx: ctx, r: in}, &ctxWriter{ctx: ctx, w: out}, opts)
+	res, err := sortInEnv(env, ioguard.Reader(ctx, in), ioguard.Writer(ctx, out), opts)
 	if err != nil {
 		// Prefer the context's own error over the wrapped transport error:
 		// if the context is over, that is the reason the sort stopped,
@@ -322,35 +324,6 @@ func SortContext(ctx context.Context, in io.Reader, out io.Writer, cfg Config, o
 		return nil, err
 	}
 	return res, nil
-}
-
-// ctxReader fails reads once the context is cancelled. The sorters read
-// the input in a tight streaming loop, so cancellation takes effect within
-// one buffered block.
-type ctxReader struct {
-	ctx context.Context
-	r   io.Reader
-}
-
-func (c *ctxReader) Read(p []byte) (int, error) {
-	if err := c.ctx.Err(); err != nil {
-		return 0, err
-	}
-	return c.r.Read(p)
-}
-
-// ctxWriter fails writes once the context is cancelled, covering the
-// output phase after the input has been fully consumed.
-type ctxWriter struct {
-	ctx context.Context
-	w   io.Writer
-}
-
-func (c *ctxWriter) Write(p []byte) (int, error) {
-	if err := c.ctx.Err(); err != nil {
-		return 0, err
-	}
-	return c.w.Write(p)
 }
 
 // Sort sorts the XML document read from in and writes the sorted document
@@ -477,6 +450,9 @@ func sortFile(inPath, outPath string, run func(io.Reader, io.Writer) (*Result, e
 		reader = gz
 	}
 
+	if err := ioguard.CheckOutput(outPath, in); err != nil {
+		return nil, fmt.Errorf("nexsort: %w", err)
+	}
 	out, err := os.Create(outPath)
 	if err != nil {
 		return nil, err
