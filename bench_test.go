@@ -155,21 +155,3 @@ func BenchmarkAblation(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkParallelSpeedup compares sequential and pooled-worker execution
-// of NEXSORT on one document and reports the best wall-clock speedup. It
-// fails if parallelism moves the paper's metric: bench.Parallel returns an
-// error when a level's block-transfer ledger differs from the first's.
-func BenchmarkParallelSpeedup(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Parallel(bench.ParallelConfig{Scale: benchScale})
-		if err != nil {
-			b.Fatal(err)
-		}
-		best := 1.0
-		for _, r := range rows {
-			best = max(best, r.Speedup)
-		}
-		b.ReportMetric(best, "nexsort-speedup")
-	}
-}

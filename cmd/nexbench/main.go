@@ -7,12 +7,9 @@
 //	nexbench -exp table1             # the key-path representation demo
 //
 // Experiments: table1, table2, fig5, fig6, fig7, threshold, bounds,
-// ablation, parallel, all. Results print as aligned text tables whose
-// columns match the paper's axes; EXPERIMENTS.md records a reference run
-// next to the paper's numbers. The parallel experiment is not a paper
-// figure: it shows NEXSORT's worker pool's wall-clock speedup, and fails
-// unless every parallelism level moves the same blocks (merge sort runs on
-// one goroutine, so it has no rows there).
+// ablation, all. Results print as aligned text tables whose columns match
+// the paper's axes; EXPERIMENTS.md records a reference run next to the
+// paper's numbers.
 // -json switches every table to one JSON object per line for scripting.
 package main
 
@@ -33,14 +30,13 @@ var jsonOut bool
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment: table1|table2|fig5|fig6|fig7|threshold|bounds|ablation|parallel|all")
+		exp       = flag.String("exp", "all", "experiment: table1|table2|fig5|fig6|fig7|threshold|bounds|ablation|all")
 		scale     = flag.Float64("scale", 1.0, "input size multiplier (1.0 ≈ seconds per experiment)")
 		scratch   = flag.String("scratch", "", "scratch directory for workloads and spill (default: memory-backed spill, temp-dir workloads)")
 		seed      = flag.Int64("seed", 1, "workload seed")
 		verify    = flag.Bool("verify-checksums", false, "checksum every spill block in the experiment environments")
 		retries   = flag.Int("retries", 0, "retry budget for transiently faulted spill transfers (0 disables)")
 		retryBase = flag.Duration("retry-delay", 0, "backoff before the first retry, doubling per attempt")
-		parallel  = flag.Int("parallel", 0, "NEXSORT's worker parallelism for every experiment environment (0 = GOMAXPROCS, 1 = sequential; merge sort always runs on one goroutine); block-transfer counts are unaffected")
 		jsonFlag  = flag.Bool("json", false, "emit each result table as one JSON object per line instead of aligned text")
 	)
 	flag.Parse()
@@ -52,7 +48,6 @@ func main() {
 		BaseDelay:         *retryBase,
 		RetryCorruptReads: *verify && *retries > 0,
 	}
-	bench.DefaultParallelism = *parallel
 
 	dir := *scratch
 	if dir == "" {
@@ -147,17 +142,6 @@ func main() {
 				return err
 			}
 			printTable(bench.AblationTable(rows))
-			return nil
-		})
-	}
-	if want("parallel") {
-		ran = true
-		run("Parallel speedup (NEXSORT, sequential vs worker pool)", func() error {
-			rows, err := bench.Parallel(bench.ParallelConfig{Scale: s, ScratchDir: dir, Seed: *seed})
-			if err != nil {
-				return err
-			}
-			printTable(bench.ParallelTable(rows))
 			return nil
 		})
 	}

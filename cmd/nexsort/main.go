@@ -44,7 +44,7 @@ func main() {
 		retryBase = flag.Duration("retry-delay", 0, "backoff before the first retry, doubling per attempt")
 		retryMax  = flag.Duration("retry-max-delay", 0, "cap on the retry backoff (0 = uncapped)")
 		quota     = flag.Int64("scratch-quota", 0, "fail with a scratch-exhausted error once spill storage exceeds this many blocks (0 = unlimited)")
-		parallel  = flag.Int("parallel", 0, "NEXSORT's worker parallelism: subtree sorts overlap with the input scan on up to this many goroutines (0 = GOMAXPROCS, 1 = sequential; merge sort always runs on one goroutine); output and I/O counts are identical at every setting")
+		parallel  = flag.Int("parallel", 0, "NEXSORT's worker parallelism: the default layout's in-place subtree sorts overlap with the input scan on up to this many goroutines (0 = GOMAXPROCS, 1 = sequential; -paper-layout and merge sort always run on one goroutine); output and I/O counts are identical at every setting")
 	)
 	flag.Parse()
 

@@ -1,5 +1,5 @@
 // nexvet statically enforces NEXSORT's frame, budget, I/O-accounting, and
-// concurrency invariants (see DESIGN.md §11 and §16). It runs two ways:
+// concurrency invariants (see DESIGN.md §11 and §15). It runs two ways:
 //
 //	go vet -vettool=$(command -v nexvet) ./...   # unit-checker mode, per package
 //	nexvet ./...                                 # standalone: whole tree + stale-baseline check

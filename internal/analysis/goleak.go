@@ -7,7 +7,7 @@ import (
 )
 
 // GoLeak (NV006) enforces the goroutine-lifecycle discipline of DESIGN.md
-// §16: every goroutine a library package launches must have a statically
+// §15: every goroutine a library package launches must have a statically
 // provable join or drain path, so no run can leave workers behind for the
 // race detector (or a production process) to find later. A launch is
 // proven when any of these holds:

@@ -104,11 +104,6 @@ type Params struct {
 	// its figures measure; the default is graceful degeneration.
 	PaperLayout bool
 	ScratchDir  string // empty = in-memory scratch device
-	// Parallelism is the run's worker bound (0 = DefaultParallelism, then
-	// GOMAXPROCS; 1 = sequential). Block-transfer counts are invariant
-	// under this knob — only WallSeconds moves — so every paper curve can
-	// be regenerated at any setting.
-	Parallelism int
 }
 
 // Result is one measured run.
@@ -143,18 +138,9 @@ var Hardening struct {
 	Retry           em.RetryPolicy
 }
 
-// DefaultParallelism is the process-wide worker bound applied to runs whose
-// Params leave Parallelism zero; cmd/nexbench sets it from -parallel. Zero
-// defers to the environment default (GOMAXPROCS).
-var DefaultParallelism int
-
 // Run sorts the workload once under p, discarding the output document (its
 // write I/O is still counted).
 func Run(w *Workload, p Params) (*Result, error) {
-	parallelism := p.Parallelism
-	if parallelism == 0 {
-		parallelism = DefaultParallelism
-	}
 	cfg := em.Config{
 		BlockSize:       p.BlockSize,
 		MemBlocks:       p.MemBlocks,
@@ -162,7 +148,6 @@ func Run(w *Workload, p Params) (*Result, error) {
 		InMemory:        p.ScratchDir == "",
 		VerifyChecksums: Hardening.VerifyChecksums,
 		Retry:           Hardening.Retry,
-		Parallelism:     parallelism,
 	}
 	env, err := em.NewEnv(cfg)
 	if err != nil {

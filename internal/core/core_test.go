@@ -371,8 +371,9 @@ func TestSortQuick(t *testing.T) {
 }
 
 // TestDispatchUnderBudgetPressure replays TestSortQuick inputs whose
-// dispatched subtree sorts met a full budget when the snapshot reader
-// asked for its block. The dispatch must fall back to the inline sort.
+// dispatched subtree sorts met a full budget when the range reader that
+// loads the token tree asked for its block. The dispatch must fall back to
+// the inline sort.
 func TestDispatchUnderBudgetPressure(t *testing.T) {
 	cases := []struct {
 		seed             int64
@@ -390,9 +391,10 @@ func TestDispatchUnderBudgetPressure(t *testing.T) {
 	}
 }
 
-// TestDefaultLayoutDispatches: in the default layout, in-place subtree
-// sorts reach the worker pool on blocks lent out of the data stack's
-// window, and the output and ledger are still those of the sequential run.
+// TestDefaultLayoutDispatches: at P = 8 the default layout's in-place
+// subtree sorts reach the worker pool on blocks lent out of the data
+// stack's window, the paper's layout sorts every subtree on the scanning
+// goroutine, and each layout's output and ledger are those of P = 1.
 func TestDefaultLayoutDispatches(t *testing.T) {
 	var sb strings.Builder
 	if _, err := (gen.IBMSpec{Height: 7, MaxFanout: 6, MaxElements: 3000, Seed: 5}).Write(&sb); err != nil {
@@ -400,31 +402,46 @@ func TestDefaultLayoutDispatches(t *testing.T) {
 	}
 	doc := sb.String()
 	c := &keys.Criterion{Rules: []keys.Rule{{Tag: "", Source: keys.ByAttr(gen.DefaultKeyAttr)}}, KeyCap: 16}
-	sortAt := func(par int) (string, map[string]em.IOCount) {
-		env, err := em.NewEnv(em.Config{BlockSize: 512, MemBlocks: 256, Parallelism: par})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer env.Close()
-		out, _ := nexsort(t, env, doc, Options{Criterion: c})
-		return out, env.Stats.Snapshot()
-	}
 	dispatched := 0
 	testHookDispatched = func() { dispatched++ }
 	defer func() { testHookDispatched = nil }()
-	wantOut, wantIOs := sortAt(1)
-	if dispatched != 0 {
-		t.Fatalf("P=1 dispatched %d sorts", dispatched)
-	}
-	gotOut, gotIOs := sortAt(2)
-	if dispatched == 0 {
-		t.Error("P=2 dispatched no subtree sort")
-	}
-	if gotOut != wantOut {
-		t.Error("P=2 output differs from P=1")
-	}
-	if !reflect.DeepEqual(gotIOs, wantIOs) {
-		t.Errorf("P=2 ledger differs from P=1\nP=1: %v\nP=2: %v", wantIOs, gotIOs)
+	for _, tc := range []struct {
+		name       string
+		paper      bool
+		dispatches bool
+	}{
+		{"default", false, true},
+		{"paper", true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sortAt := func(par int) (string, map[string]em.IOCount, *Report) {
+				env, err := em.NewEnv(em.Config{BlockSize: 512, MemBlocks: 256, Parallelism: par})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer env.Close()
+				dispatched = 0
+				out, rep := nexsort(t, env, doc, Options{Criterion: c, PaperLayout: tc.paper})
+				return out, env.Stats.Snapshot(), rep
+			}
+			wantOut, wantIOs, _ := sortAt(1)
+			if dispatched != 0 {
+				t.Fatalf("P=1 dispatched %d sorts", dispatched)
+			}
+			gotOut, gotIOs, rep := sortAt(8)
+			if tc.dispatches && dispatched == 0 {
+				t.Errorf("P=8 dispatched none of %d subtree sorts", rep.SubtreeSorts)
+			}
+			if !tc.dispatches && dispatched != 0 {
+				t.Errorf("P=8 dispatched %d of %d subtree sorts", dispatched, rep.SubtreeSorts)
+			}
+			if gotOut != wantOut {
+				t.Error("P=8 output differs from P=1")
+			}
+			if !reflect.DeepEqual(gotIOs, wantIOs) {
+				t.Errorf("P=8 ledger differs from P=1\nP=1: %v\nP=8: %v", wantIOs, gotIOs)
+			}
+		})
 	}
 }
 

@@ -66,17 +66,11 @@ func (s *sorter) cutIncompleteRun(rec pathRec, ds int) (pathRec, error) {
 	d := s.opts.DepthLimit
 	listSorted := d == 0 || ds <= d
 
-	reader, err := s.data.ReadRange(s.env.Budget, rec.cutMark)
+	t, err := s.loadTree(s.env.Budget, rec.cutMark)
 	if err != nil {
 		return rec, err
 	}
-	t := s.takeTree()
 	defer s.returnTree(t)
-	err = t.load(reader, s.data.Size()-rec.cutMark)
-	reader.Close()
-	if err != nil {
-		return rec, err
-	}
 	// The children sit at level 2 of the element's frame. Below the depth
 	// limit nothing reorders: no interior is sorted, and the empty key
 	// forces document order.

@@ -3,45 +3,40 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 
 	"nexsort/internal/em"
 	"nexsort/internal/runstore"
 )
 
-// Parallel subtree sorting. Sibling subtrees share no stack state: once a
-// complete subtree's bytes are popped off the data stack, sorting them and
-// writing the run touches only the subtree's own snapshot, its run writer,
-// and the (concurrency-safe) device. sortSubtree therefore dispatches the
-// in-memory case to a pooled worker when there is room for a second
-// working set, and the main goroutine keeps scanning the input — the next
-// sibling fills while the previous one sorts and spills.
+// Parallel subtree sorting. In the default layout a complete subtree no
+// larger than the cut capacity is resident in the data stack's window and
+// sorts in place. Once its bytes are loaded into a token tree, its sort
+// touches no stack state: indexing, sorting and emitting use only the
+// tree, its run writer and the (concurrency-safe) device. sortSubtree
+// therefore loads the tree on the scanning goroutine — through the same
+// charged ReadRange as the inline sort — and hands it to a pooled worker,
+// and the scan goes on with the next sibling while the worker sorts and
+// spills. The paper's layout never dispatches: it sorts every subtree on
+// the scanning goroutine, as Figure 4 does.
 //
 // Three rules keep the execution byte-identical to sequential at every
 // parallelism level, with unchanged block-transfer counts:
 //
-//  1. Admission never changes routing. In the paper's layout it reads
-//     effectiveFree() — the budget as a sequential run would see it, i.e.
-//     actual free blocks plus everything in-flight workers still hold.
-//     Grant/release and the in-flight tally move together under mu, so
-//     the figure is exact, never racy. In the default layout the subtree
-//     is resident and sorts in place either way.
-//  2. In the default layout nearly all of the budget is the data stack's
-//     window, so a worker's grant is lent out of it: only blocks the
-//     window holds no frame in, so shrinking it evicts nothing. The
-//     window pages exactly as the sequential run's as long as it never
-//     has to evict at the shrunk size, so pushToken takes the blocks back
-//     (drainWorkers) before any push that could outgrow it.
-//  3. Every non-dispatched path (external sort, cuts, incomplete merges,
-//     error unwinds, closing the stacks) first drains the pool, so code
-//     that sizes itself by Budget.Free() — the key-path fallback, the
+//  1. Admission never changes routing. A subtree is a dispatch candidate
+//     exactly when the sequential run sorts it in place, and a refused
+//     dispatch sorts it in place on the scanning goroutine.
+//  2. Nearly all of the budget is the data stack's window, so a worker's
+//     grant is lent out of it: only blocks the window holds no frame in,
+//     so shrinking it evicts nothing. The window pages exactly as the
+//     sequential run's as long as it never has to evict at the shrunk
+//     size, so pushToken takes the blocks back (drainWorkers) before any
+//     push that could outgrow it.
+//  3. Every non-dispatched path (external sorts, cuts, merged sorts, error
+//     unwinds, closing the stacks) first drains the pool, so code that
+//     sizes itself by Budget.Free() — the key-path fallback, the
 //     child-record merger — sees exactly the sequential value, and the
 //     window is whole again.
-//
-// The subtree's bytes are snapshotted (read off the data stack) on the
-// main goroutine before dispatch — the same charged reads the sequential
-// path performs — so the worker does no stack I/O at all.
 type parState struct {
 	pool *em.Pool
 	wg   sync.WaitGroup
@@ -50,20 +45,9 @@ type parState struct {
 	lent int
 
 	mu       sync.Mutex
-	inflight int // budget blocks held by in-flight workers
 	firstErr error
 	panicVal any
 	trees    []*tokenTree // token trees no sort is using, kept for reuse
-}
-
-// effectiveFree returns the free-block count a sequential execution would
-// observe at this point of the scan: blocks actually free plus blocks held
-// by in-flight subtree workers (a sequential run would have already
-// released those).
-func (s *sorter) effectiveFree() int {
-	s.par.mu.Lock()
-	defer s.par.mu.Unlock()
-	return s.env.Budget.Free() + s.par.inflight
 }
 
 // testHookDispatched, when a test sets it, is called on the scanning
@@ -74,36 +58,19 @@ var testHookDispatched func()
 // cannot lend without evicting.
 var errWindowFull = errors.New("core: data-stack window has no room to lend")
 
-// grantWorker reserves n blocks for a worker and records them in the
-// in-flight tally atomically with the grant. In the default layout the
-// blocks are first lent out of the data stack's window, and only if the
-// window has n blocks it holds no frame in; drainWorkers takes them back.
+// grantWorker lends n blocks out of the data stack's window and grants
+// them to a worker, but only if the window has n blocks it holds no frame
+// in. The worker releases the grant; drainWorkers grows the window back.
 func (s *sorter) grantWorker(n int) error {
-	if !s.opts.PaperLayout {
-		r := s.data.Resident()
-		if r-s.data.Held() < n {
-			return errWindowFull
-		}
-		if err := s.data.SetResident(r - n); err != nil {
-			return err
-		}
-		s.par.lent += n
+	r := s.data.Resident()
+	if r-s.data.Held() < n {
+		return errWindowFull
 	}
-	s.par.mu.Lock()
-	defer s.par.mu.Unlock()
-	if err := s.env.Budget.Grant(n); err != nil {
+	if err := s.data.SetResident(r - n); err != nil {
 		return err
 	}
-	s.par.inflight += n
-	return nil
-}
-
-// releaseWorker returns a worker's blocks, keeping the tally paired.
-func (s *sorter) releaseWorker(n int) {
-	s.par.mu.Lock()
-	s.env.Budget.Release(n)
-	s.par.inflight -= n
-	s.par.mu.Unlock()
+	s.par.lent += n
+	return s.env.Budget.Grant(n)
 }
 
 // takeTree returns a token tree for one in-memory sort, reusing one an
@@ -157,10 +124,10 @@ func (s *sorter) drainWorkers() error {
 	return s.workerErr()
 }
 
-// tryDispatchSubtreeSort attempts to run the in-memory sort of the subtree
-// [start, start+size) on a pool worker. It returns ok=false (and no error)
-// when the pool is busy or the budget cannot admit a second working set —
-// the caller then drains and sorts sequentially. On ok=true the run is
+// tryDispatchSubtreeSort attempts to run the in-place sort of the
+// size-byte subtree at start on a pool worker. It returns ok=false (and no
+// error) when the pool is busy or the window cannot lend the worker's
+// grant — the caller then drains and sorts inline. On ok=true the run is
 // created and will be sealed by the worker; the caller may immediately
 // truncate the data stack and continue scanning.
 func (s *sorter) tryDispatchSubtreeSort(start, size int64, relLimit int) (runstore.RunID, bool, error) {
@@ -171,25 +138,22 @@ func (s *sorter) tryDispatchSubtreeSort(start, size int64, relLimit int) (runsto
 	if !pool.TryAcquire() {
 		return 0, false, nil
 	}
+	// The worker's working set: the token tree, modelled at the subtree's
+	// encoded size as the paper layout's in-memory sort models it, and the
+	// run writer's block. The grant holds one more block for the range
+	// reader that loads the tree, returned as soon as the tree is loaded,
+	// so that a window without room sends the subtree down the inline path
+	// instead of failing the reader's grant.
 	bs := int64(s.env.Conf.BlockSize)
-	blocks := int((size + bs - 1) / bs)
-	// The worker's working set: the raw snapshot (blocks), the token
-	// tree's copy and index — modelled at the snapshot's footprint, as the
-	// sequential grant in internalSubtreeSort models it — and the run
-	// writer's block.
-	// The grant holds one more block for the range reader that takes the
-	// snapshot, returned as soon as the snapshot is taken, so that a full
-	// budget sends the subtree down the inline path instead of failing
-	// the reader's grant.
-	held := 2*blocks + 1
+	held := int((size+bs-1)/bs) + 1
 	if err := s.grantWorker(held + 1); err != nil {
 		pool.Release()
-		return 0, false, nil // budget pressure: sort inline instead
+		return 0, false, nil // no room to lend: sort inline instead
 	}
-	snap, err := s.snapshotRange(start, size)
-	s.releaseWorker(1)
+	t, err := s.loadTree(nil, start)
+	s.env.Budget.Release(1)
 	if err != nil {
-		s.releaseWorker(held)
+		s.env.Budget.Release(held)
 		pool.Release()
 		return 0, false, err
 	}
@@ -197,8 +161,8 @@ func (s *sorter) tryDispatchSubtreeSort(start, size int64, relLimit int) (runsto
 	// charge it again.
 	runID, w, err := s.store.Create(em.CatSubtreeSort, nil)
 	if err != nil {
-		snap.release(s.env.Dev.Frames())
-		s.releaseWorker(held)
+		s.returnTree(t)
+		s.env.Budget.Release(held)
 		pool.Release()
 		return 0, false, err
 	}
@@ -209,11 +173,11 @@ func (s *sorter) tryDispatchSubtreeSort(start, size int64, relLimit int) (runsto
 	go func() {
 		defer s.par.wg.Done()
 		defer pool.Release()
-		defer s.releaseWorker(held)
-		// Frames return to the pool before the blocks that covered them
-		// return to the budget (defers run last-in first-out), keeping
-		// live-frames <= blocks-in-use at every instant.
-		defer snap.release(s.env.Dev.Frames())
+		// The writer's frame returns to the pool in w.Close, before the
+		// blocks that covered it return to the budget, keeping live-frames
+		// <= blocks-in-use at every instant.
+		defer s.env.Budget.Release(held)
+		defer s.returnTree(t)
 		defer func() {
 			if r := recover(); r != nil {
 				s.par.mu.Lock()
@@ -223,9 +187,7 @@ func (s *sorter) tryDispatchSubtreeSort(start, size int64, relLimit int) (runsto
 				s.par.mu.Unlock()
 			}
 		}()
-		t := s.takeTree()
-		defer s.returnTree(t)
-		err := t.sortSubtree(snap, snap.size, relLimit, w)
+		err := t.sortSubtree(relLimit, w)
 		if cerr := w.Close(); err == nil {
 			err = cerr
 		}
@@ -238,81 +200,4 @@ func (s *sorter) tryDispatchSubtreeSort(start, size int64, relLimit int) (runsto
 		}
 	}()
 	return runID, true, nil
-}
-
-// snapshotRange copies the data-stack range [start, Size()) into a chain of
-// pooled frames on the calling goroutine — the `blocks` share of the
-// worker's grant pins exactly that many frames, and the reader's block is
-// granted by the caller. The reads are charged exactly as the sequential
-// in-memory sort's ReadRange pass, so dispatching changes no counter.
-func (s *sorter) snapshotRange(start, size int64) (*frameChain, error) {
-	reader, err := s.data.ReadRange(nil, start)
-	if err != nil {
-		return nil, err
-	}
-	defer reader.Close()
-	pool := s.env.Dev.Frames()
-	chain := &frameChain{size: size, fsize: int64(pool.FrameSize())}
-	for off := int64(0); off < size; off += chain.fsize {
-		f := pool.Acquire()
-		chain.frames = append(chain.frames, f)
-		n := chain.fsize
-		if rest := size - off; rest < n {
-			n = rest
-		}
-		if _, err := io.ReadFull(reader, f.Bytes()[:n]); err != nil {
-			chain.release(pool)
-			return nil, err
-		}
-	}
-	return chain, nil
-}
-
-// frameChain is a worker's private subtree snapshot: the encoded bytes
-// pinned across budget-backed frames instead of one variable-sized heap
-// slab, read back as one stream spanning the chain.
-type frameChain struct {
-	frames []em.Frame
-	size   int64
-	fsize  int64
-	pos    int64
-}
-
-// Window returns the unread bytes of the frame holding the read position
-// (xmltok.WindowReader).
-func (c *frameChain) Window() ([]byte, error) {
-	if c.pos >= c.size {
-		return nil, io.EOF
-	}
-	frame := c.frames[c.pos/c.fsize].Bytes()
-	off := c.pos % c.fsize
-	return frame[off:min(c.fsize, off+c.size-c.pos)], nil
-}
-
-func (c *frameChain) Advance(n int) { c.pos += int64(n) }
-
-func (c *frameChain) ReadByte() (byte, error) {
-	w, err := c.Window()
-	if err != nil {
-		return 0, err
-	}
-	c.pos++
-	return w[0], nil
-}
-
-func (c *frameChain) Read(p []byte) (int, error) {
-	w, err := c.Window()
-	if err != nil {
-		return 0, err
-	}
-	n := copy(p, w)
-	c.pos += int64(n)
-	return n, nil
-}
-
-func (c *frameChain) release(pool *em.FramePool) {
-	for _, f := range c.frames {
-		pool.Release(f)
-	}
-	c.frames = nil
 }

@@ -64,18 +64,14 @@ func (s *sorter) sortSubtree(start int64, endTok xmltok.Token, ds int) (runstore
 	if err != nil {
 		return 0, err
 	}
-	// The plain in-memory case — no incomplete runs to merge, no depth
-	// boundary — is self-contained once the subtree's bytes leave the data
-	// stack, so it can run on a pool worker while the scan continues with
-	// the next sibling. The admission predicate is the sequential routing
-	// verbatim: the in-place case, or in the paper's layout the
-	// internal-vs-external test (one block for the run writer, one
-	// reserved for the range reader) evaluated against effectiveFree() so
-	// that in-flight workers do not perturb it. Every subtree routes
-	// exactly as it would at parallelism one, which is what keeps the
-	// block-transfer counts parallelism-invariant.
-	if len(p.incRuns) == 0 && !p.noSort &&
-		(p.inPlace || s.opts.PaperLayout && p.size <= int64(s.effectiveFree()-2)*int64(s.env.Conf.BlockSize)) {
+	// The in-place case — no incomplete runs to merge, no depth boundary —
+	// is self-contained once the subtree is loaded into a token tree, so
+	// it can run on a pool worker while the scan continues with the next
+	// sibling. Only the default layout sorts in place, so the paper's
+	// layout never dispatches. Every subtree routes exactly as it would at
+	// parallelism one, which is what keeps the block-transfer counts
+	// parallelism-invariant.
+	if p.inPlace && len(p.incRuns) == 0 && !p.noSort {
 		runID, ok, err := s.tryDispatchSubtreeSort(start, p.size, p.relLimit)
 		if err != nil {
 			return 0, err
@@ -84,8 +80,8 @@ func (s *sorter) sortSubtree(start int64, endTok xmltok.Token, ds int) (runstore
 			s.report.InternalSorts++
 			return s.collapseSubtree(start, endTok, runID)
 		}
-		// Pool busy, or no room for a second working set: fall through
-		// to the sequential path below.
+		// Pool busy, or no room to lend: fall through to the sequential
+		// path below.
 	}
 
 	// Sequential path. Wait out in-flight workers first: the branches
@@ -168,8 +164,8 @@ func (s *sorter) sortInto(p sortPlan, start int64, endTok xmltok.Token, w tokenS
 // collapseSubtree replaces the subtree's bytes on the data stack with a
 // run-pointer token carrying the root's ordering key — the common tail of
 // both the sequential and the dispatched sort. For a dispatched sort the
-// worker still owns its private snapshot, so truncating here is safe even
-// while the sort is in flight.
+// worker owns the token tree it was handed loaded, so truncating here is
+// safe even while the sort is in flight.
 func (s *sorter) collapseSubtree(start int64, endTok xmltok.Token, runID runstore.RunID) (runstore.RunID, error) {
 	if err := s.data.Truncate(start); err != nil {
 		return 0, err
@@ -223,15 +219,29 @@ func (s *sorter) internalSubtreeSort(start, size int64, relLimit int, w tokenSin
 	}
 	defer s.env.Budget.Release(blocks)
 
-	reader, err := s.data.ReadRange(s.env.Budget, start)
+	t, err := s.loadTree(s.env.Budget, start)
 	if err != nil {
 		return err
 	}
-	defer reader.Close()
-
-	t := s.takeTree()
 	defer s.returnTree(t)
-	return t.sortSubtree(reader, s.data.Size()-start, relLimit, w)
+	return t.sortSubtree(relLimit, w)
+}
+
+// loadTree loads the data-stack range [start, Size()) into a token tree
+// from takeTree, which the caller returns. The range reader borrows its
+// block from budget; nil means the caller's grant already holds it.
+func (s *sorter) loadTree(budget *em.Budget, start int64) (*tokenTree, error) {
+	reader, err := s.data.ReadRange(budget, start)
+	if err != nil {
+		return nil, err
+	}
+	defer reader.Close()
+	t := s.takeTree()
+	if err := t.load(reader, s.data.Size()-start); err != nil {
+		s.returnTree(t)
+		return nil, err
+	}
+	return t, nil
 }
 
 // externalSubtreeSort is Line 11's fallback for subtrees larger than the

@@ -183,13 +183,10 @@ func (t *tokenTree) indexSubtree(maxLevel int) (int32, error) {
 	return top[0], nil
 }
 
-// sortSubtree is the whole in-memory sort: it loads the size bytes of one
-// subtree from r, sorts its child lists to the depth limit relLimit (0
-// sorts head to toe) and writes the sorted subtree to w.
-func (t *tokenTree) sortSubtree(r io.Reader, size int64, relLimit int, w tokenSink) error {
-	if err := t.load(r, size); err != nil {
-		return err
-	}
+// sortSubtree is the in-memory sort of one loaded subtree: it sorts its
+// child lists to the depth limit relLimit (0 sorts head to toe) and writes
+// the sorted subtree to w.
+func (t *tokenTree) sortSubtree(relLimit int, w tokenSink) error {
 	root, err := t.indexSubtree(sortLevels(relLimit))
 	if err != nil {
 		return fmt.Errorf("core: sorting subtree: %w", err)

@@ -184,7 +184,7 @@ func TestTokenTreeMatchesXMLTree(t *testing.T) {
 					want := referenceBytes(t, ref)
 
 					var got recordSink
-					if err := tree.sortSubtree(bytes.NewReader(sub), int64(len(sub)), relLimit, &got); err != nil {
+					if err := sortBytes(&tree, sub, relLimit, &got); err != nil {
 						t.Fatalf("%s relLimit %d: %v", c.name, relLimit, err)
 					}
 					if !bytes.Equal(got.b, want) {
@@ -291,14 +291,14 @@ func TestTokenTreeRejectsMalformed(t *testing.T) {
 	}
 	var tree tokenTree
 	for name, in := range cases {
-		err := tree.sortSubtree(bytes.NewReader(in), int64(len(in)), 0, &recordSink{})
+		err := sortBytes(&tree, in, 0, &recordSink{})
 		if err == nil {
 			t.Errorf("%s: accepted %x", name, in)
 		}
 	}
 	elided := enc(start("a"), start("b"), end(""), end(""))
 	var out recordSink
-	if err := tree.sortSubtree(bytes.NewReader(elided), int64(len(elided)), 0, &out); err != nil {
+	if err := sortBytes(&tree, elided, 0, &out); err != nil {
 		t.Errorf("elided end-tag names: %v", err)
 	}
 	if want := fmt.Sprintf("%x", enc(
@@ -306,4 +306,12 @@ func TestTokenTreeRejectsMalformed(t *testing.T) {
 	)); fmt.Sprintf("%x", out.b) != want {
 		t.Errorf("elided end-tag names: wrote %x, want %s", out.b, want)
 	}
+}
+
+// sortBytes loads the encoded subtree in into tree and sorts it into w.
+func sortBytes(tree *tokenTree, in []byte, relLimit int, w tokenSink) error {
+	if err := tree.load(bytes.NewReader(in), int64(len(in))); err != nil {
+		return err
+	}
+	return tree.sortSubtree(relLimit, w)
 }

@@ -17,10 +17,10 @@ import (
 //
 // Locking: every method takes the internal mutex, so Grant/Release are safe
 // from any goroutine — background sort workers release their own grants.
-// The mutex makes each call atomic, not sequences of calls; components that
-// need a consistent "free plus what my workers hold" figure for admission
-// decisions (core's effectiveFree) serialize their Grant/Release pairs
-// under their own coarser lock on top of this one.
+// The mutex makes each call atomic, not sequences of calls. No caller needs
+// more: NEXSORT's workers only release, and every grant and every reading
+// of Free() that routes a sort is made on the scanning goroutine, which
+// first waits for its workers wherever the value matters.
 type Budget struct {
 	mu    sync.Mutex
 	total int

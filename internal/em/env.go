@@ -24,11 +24,12 @@ type Config struct {
 
 	// Parallelism bounds how many goroutines NEXSORT may use: the main
 	// scanning goroutine plus Parallelism-1 pooled workers that sort and
-	// spill subtrees in the background. Merge sort and extsort.Sorter run
-	// on one goroutine. 0 means GOMAXPROCS; 1 forces fully sequential
-	// execution. Parallelism changes only wall-clock time:
-	// output bytes and per-category block-transfer counts are identical at
-	// every setting (see the concurrency model in DESIGN.md).
+	// spill the default layout's in-place subtree sorts in the background.
+	// The paper's layout, merge sort and extsort.Sorter run on one
+	// goroutine. 0 means GOMAXPROCS; 1 forces fully sequential execution.
+	// Parallelism changes only wall-clock time: output bytes and
+	// per-category block-transfer counts are identical at every setting
+	// (see the concurrency model in DESIGN.md).
 	Parallelism int
 
 	// ScratchQuotaBlocks, when positive, caps the scratch device at that
@@ -94,8 +95,8 @@ type Env struct {
 	Conf   Config
 
 	// pool admits NEXSORT's background subtree sorts (Conf.Parallelism - 1
-	// slots; the main goroutine is the remaining unit). Nil on hand-built
-	// Envs, which therefore run sequentially.
+	// slots; the scanning goroutine is the remaining unit). Nil on
+	// hand-built Envs, which therefore run sequentially.
 	pool *Pool
 }
 

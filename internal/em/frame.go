@@ -8,9 +8,9 @@ import (
 // Frame is a pinned, reusable fixed-size buffer handed out by a FramePool:
 // the memory behind one granted block of the Budget's M. Every block-sized
 // buffer in the system — stream readers and writers, the stacks' resident
-// windows, run snapshots, record arenas — is a Frame, so the budget's
-// count of abstract blocks and the process's actual buffer footprint move
-// together instead of being tracked by two disconnected mechanisms.
+// windows, record arenas — is a Frame, so the budget's count of abstract
+// blocks and the process's actual buffer footprint move together instead
+// of being tracked by two disconnected mechanisms.
 //
 // A Frame is valid from Acquire until the matching Release; its bytes are
 // zeroed on acquisition (the same contract as a fresh make), so no data

@@ -1,14 +1,14 @@
 package em
 
 // Pool bounds how many background worker goroutines NEXSORT's subtree
-// dispatch (internal/core) may run at once. It is a plain counting
-// semaphore: a worker is admitted only when TryAcquire succeeds, and
-// admission never blocks — a caller that fails to acquire a slot simply
-// does the work inline on the calling goroutine. That non-blocking
-// discipline is what keeps parallel execution deterministic: the decision
-// "sort this subtree now" is made at exactly the same point in the input
-// scan regardless of how busy the pool is; only *where* the sort executes
-// changes.
+// dispatch (internal/core) may run at once; only the default layout's
+// in-place subtree sorts are dispatched. It is a plain counting semaphore:
+// a worker is admitted only when TryAcquire succeeds, and admission never
+// blocks — a caller that fails to acquire a slot simply does the work
+// inline on the calling goroutine. That non-blocking discipline is what
+// keeps parallel execution deterministic: the decision "sort this subtree
+// now" is made at exactly the same point in the input scan regardless of
+// how busy the pool is; only *where* the sort executes changes.
 //
 // A nil *Pool is valid and admits nothing, so hand-assembled Envs (tests
 // that build the struct directly instead of calling NewEnv) degrade to

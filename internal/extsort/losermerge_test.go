@@ -309,7 +309,7 @@ func TestCorruptRunLengthDoesNotAllocate(t *testing.T) {
 // degeneration feeds the sorter: a presorted run registered with
 // AddPresortedRun first, then records added one at a time that spill into
 // runs of the sorter's own. The name dates from the range-partitioned final
-// merge (DESIGN.md §17), which had to fall back to the single loser tree for
+// merge (DESIGN.md §14), which had to fall back to the single loser tree for
 // such a run; that loser tree is now the only merge. The mix must come out
 // in (key, seq) order through an intermediate merge pass, with a pinned run
 // structure and block ledger.

@@ -9,8 +9,8 @@ import (
 // a time, so that the tokenizer and the binary decoder can scan inside the
 // block instead of copying bytes out one call at a time. Every block reader
 // that feeds a token stream implements it: the input scan's
-// em.CountingReader, em.StreamReader under sorted runs, the data stack's
-// xstack.RangeReader and the parallel sorter's subtree snapshots.
+// em.CountingReader, em.StreamReader under sorted runs and the data
+// stack's xstack.RangeReader.
 //
 // Window returns the unconsumed bytes of the resident block, refilling the
 // block first if none are left. It returns a non-empty slice and a nil

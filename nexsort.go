@@ -172,11 +172,13 @@ type Config struct {
 	Retry RetryPolicy
 	// Parallelism bounds the goroutines a NEXSORT sort may use: the
 	// scanning goroutine plus Parallelism-1 pooled workers that sort and
-	// spill independent sibling subtrees in the background, admitted only
-	// when the memory budget has room for their working sets. Merge sort
-	// runs on one goroutine. 0 defaults to GOMAXPROCS; 1 forces sequential
-	// execution. The output and the per-category block-transfer counts are
-	// identical at every setting — parallelism buys wall-clock time only.
+	// spill the default layout's in-place subtree sorts in the background,
+	// each admitted only when the data stack's window can lend it the
+	// blocks of its working set. The paper's layout (Options.PaperLayout)
+	// and merge sort run on one goroutine. 0 defaults to GOMAXPROCS; 1
+	// forces sequential execution. The output and the per-category
+	// block-transfer counts are identical at every setting — parallelism
+	// buys wall-clock time only.
 	Parallelism int
 	// ScratchQuotaBlocks caps the scratch device at this many blocks.
 	// Writes past the quota fail with ErrScratchExhausted (IsExhausted);

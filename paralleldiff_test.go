@@ -136,8 +136,8 @@ func runNexsortOpts(t *testing.T, doc []byte, cfg em.Config, opts core.Options) 
 
 // TestParallelDifferentialOptions covers the NEXSORT code paths the plain
 // differential matrix can't reach: Section 3.2 compaction, and the paper's
-// Section 3.1 layout, whose dispatch admission reads the budget rather
-// than the data stack's window.
+// Section 3.1 layout, which never dispatches, so its ledger must not
+// depend on the pool either.
 func TestParallelDifferentialOptions(t *testing.T) {
 	crit := keys.ByAttrOrTag("key")
 	variants := []struct {
