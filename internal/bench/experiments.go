@@ -3,13 +3,14 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"sort"
+	"strings"
 
 	"nexsort/internal/gen"
 	"nexsort/internal/keypath"
 	"nexsort/internal/keys"
 	"nexsort/internal/xmltok"
-	"nexsort/internal/xmltree"
 )
 
 // Scale multiplies every experiment's input size. 1.0 is the fast default
@@ -304,36 +305,33 @@ func Table1() ([]keypath.Row, error) {
 		{Tag: "employee", Source: keys.ByAttr("ID")},
 		{Tag: "", Source: keys.ByTag()},
 	}}
-	tree, err := xmltree.ParseString(d1)
-	if err != nil {
-		return nil, err
-	}
+	parser := xmltok.NewParser(strings.NewReader(d1), xmltok.DefaultParserOptions())
 	annot := keys.NewAnnotator(crit, nil)
 	extract := keypath.NewExtractor()
 	var recs []keypath.Record
-	err = tree.EmitTokens(func(tok xmltok.Token) error {
-		if tok.Kind == xmltok.KindStart {
-			tok.HasKey = false
+	for {
+		tok, err := parser.NextEncoded()
+		if err == io.EOF {
+			break
 		}
-		atok, err := annot.Annotate(tok)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		var view xmltok.Encoded
-		view.Scan(xmltok.AppendToken(nil, atok))
-		buf, ok, err := extract.Append(nil, &view)
-		if err != nil || !ok {
-			return err
+		if tok, err = annot.Annotate(tok); err != nil {
+			return nil, err
+		}
+		buf, ok, err := extract.Append(nil, tok)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			continue
 		}
 		rec, err := keypath.ReadRecord(bytes.NewReader(buf))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		recs = append(recs, rec)
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Compare(recs[j]) < 0 })
 	return keypath.FormatTable(recs), nil

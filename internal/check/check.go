@@ -95,17 +95,19 @@ func Document(r io.Reader, c *keys.Criterion, depthLimit int) (*Report, error) {
 		top.children++
 	}
 
+	var dec xmltok.Decoder
 	for {
-		tok, err := parser.Next()
+		v, err := parser.NextEncoded()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, err
 		}
-		if tok, err = annot.Annotate(tok); err != nil {
+		if v, err = annot.Annotate(v); err != nil {
 			return nil, err
 		}
+		tok := dec.Decode(v)
 		switch tok.Kind {
 		case xmltok.KindStart:
 			rep.Elements++

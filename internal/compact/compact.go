@@ -18,9 +18,13 @@
 //     of open tag names, the "structure similar to the path stack" the
 //     paper describes for regenerating end tags during output.
 //
-// Both transforms are stream codecs over xmltok.Token and compose with any
-// token pipeline; core.Options.Compact threads them around NEXSORT's data
-// stack and runs.
+// Both transforms are stream codecs over encoded tokens (xmltok.Encoded
+// views) that compose with any encoded-token pipeline: each reads a view
+// and appends the transformed token's encoding. core.Options.Compact
+// threads them around NEXSORT's data stack and runs, and
+// extsort.XMLOptions.Compact around the baseline's key-path records. A
+// dictionary lookup indexes its map with the name's bytes, which allocates
+// nothing, so a stream of known names is transformed without allocating.
 //
 // The paper's stronger variant, which drops end tags entirely by keeping
 // level numbers with start tags, is not built: in the binary token form an
@@ -29,6 +33,7 @@
 package compact
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 
@@ -39,31 +44,33 @@ import (
 // decimal form of dense integer IDs, so a name costs 1-3 bytes in the
 // working structures regardless of its length.
 type Dictionary struct {
-	toAlias map[string]string
-	toName  []string
+	toAlias map[string][]byte
+	toName  [][]byte
 }
 
 // NewDictionary returns an empty dictionary.
 func NewDictionary() *Dictionary {
-	return &Dictionary{toAlias: make(map[string]string)}
+	return &Dictionary{toAlias: make(map[string][]byte)}
 }
 
 // Alias returns the alias for name, assigning the next ID on first sight.
-func (d *Dictionary) Alias(name string) string {
-	if a, ok := d.toAlias[name]; ok {
+// The alias belongs to the dictionary.
+func (d *Dictionary) Alias(name []byte) []byte {
+	if a, ok := d.toAlias[string(name)]; ok {
 		return a
 	}
-	a := strconv.Itoa(len(d.toName))
-	d.toAlias[name] = a
-	d.toName = append(d.toName, name)
+	a := strconv.AppendInt(nil, int64(len(d.toName)), 10)
+	d.toAlias[string(name)] = a
+	d.toName = append(d.toName, bytes.Clone(name))
 	return a
 }
 
-// Name resolves an alias back to the original name.
-func (d *Dictionary) Name(alias string) (string, error) {
-	id, err := strconv.Atoi(alias)
+// Name resolves an alias back to the original name, which belongs to the
+// dictionary.
+func (d *Dictionary) Name(alias []byte) ([]byte, error) {
+	id, err := strconv.Atoi(string(alias))
 	if err != nil || id < 0 || id >= len(d.toName) {
-		return "", fmt.Errorf("compact: unknown name alias %q", alias)
+		return nil, fmt.Errorf("compact: unknown name alias %q", alias)
 	}
 	return d.toName[id], nil
 }
@@ -75,46 +82,44 @@ func (d *Dictionary) Len() int { return len(d.toName) }
 // end-tag names are elided. Attribute values, text and ordering keys pass
 // through unchanged.
 type Encoder struct {
-	dict *Dictionary
+	dict  *Dictionary
+	alias func([]byte) ([]byte, error)
+	enc   []byte
+	view  xmltok.Encoded
 }
 
 // NewEncoder returns an encoder over dict.
-func NewEncoder(dict *Dictionary) *Encoder { return &Encoder{dict: dict} }
+func NewEncoder(dict *Dictionary) *Encoder {
+	return &Encoder{dict: dict, alias: func(name []byte) ([]byte, error) { return dict.Alias(name), nil }}
+}
 
-// Encode compacts one token. The returned token shares the input's value
-// strings.
-func (e *Encoder) Encode(tok xmltok.Token) xmltok.Token {
-	switch tok.Kind {
+// Encode compacts one token. The result is tok itself for a text token,
+// and otherwise a view of the encoder's that is valid until the next call.
+func (e *Encoder) Encode(tok *xmltok.Encoded) (*xmltok.Encoded, error) {
+	var name []byte
+	switch tok.Kind() {
 	case xmltok.KindStart:
-		out := tok
-		out.Name = e.dict.Alias(tok.Name)
-		if len(tok.Attrs) > 0 {
-			out.Attrs = make([]xmltok.Attr, len(tok.Attrs))
-			for i, a := range tok.Attrs {
-				out.Attrs[i] = xmltok.Attr{Name: e.dict.Alias(a.Name), Value: a.Value}
-			}
-		}
-		return out
+		name = e.dict.Alias(tok.Name())
 	case xmltok.KindEnd:
-		out := tok
-		out.Name = "" // restored from the open-tag stack on decode
-		return out
+		// Elided: restored from the open-tag stack on decode.
 	case xmltok.KindRunPtr:
-		out := tok
-		if tok.Name != "" {
-			out.Name = e.dict.Alias(tok.Name)
+		if len(tok.Name()) > 0 {
+			name = e.dict.Alias(tok.Name())
 		}
-		return out
 	default:
-		return tok
+		return tok, nil
 	}
+	e.enc, _ = tok.AppendRenamed(e.enc[:0], name, e.alias)
+	return scan(&e.view, e.enc)
 }
 
 // Decoder restores a compacted token stream. It keeps the stack of open
 // (original) tag names needed to regenerate end tags.
 type Decoder struct {
 	dict *Dictionary
-	open []string
+	open [][]byte
+	enc  []byte
+	view xmltok.Encoded
 }
 
 // NewDecoder returns a decoder over dict.
@@ -123,47 +128,42 @@ func NewDecoder(dict *Dictionary) *Decoder { return &Decoder{dict: dict} }
 // Depth returns the number of currently open elements.
 func (d *Decoder) Depth() int { return len(d.open) }
 
-// Decode restores one token.
-func (d *Decoder) Decode(tok xmltok.Token) (xmltok.Token, error) {
-	switch tok.Kind {
+// Decode restores one token. The result is tok itself for a text token,
+// and otherwise a view of the decoder's that is valid until the next call.
+func (d *Decoder) Decode(tok *xmltok.Encoded) (*xmltok.Encoded, error) {
+	var name []byte
+	var err error
+	switch tok.Kind() {
 	case xmltok.KindStart:
-		out := tok
-		name, err := d.dict.Name(tok.Name)
-		if err != nil {
-			return tok, err
-		}
-		out.Name = name
-		if len(tok.Attrs) > 0 {
-			out.Attrs = make([]xmltok.Attr, len(tok.Attrs))
-			for i, a := range tok.Attrs {
-				an, err := d.dict.Name(a.Name)
-				if err != nil {
-					return tok, err
-				}
-				out.Attrs[i] = xmltok.Attr{Name: an, Value: a.Value}
-			}
+		if name, err = d.dict.Name(tok.Name()); err != nil {
+			return nil, err
 		}
 		d.open = append(d.open, name)
-		return out, nil
 	case xmltok.KindEnd:
 		if len(d.open) == 0 {
-			return tok, fmt.Errorf("compact: end tag with no open element")
+			return nil, fmt.Errorf("compact: end tag with no open element")
 		}
-		out := tok
-		out.Name = d.open[len(d.open)-1]
+		name = d.open[len(d.open)-1]
 		d.open = d.open[:len(d.open)-1]
-		return out, nil
 	case xmltok.KindRunPtr:
-		out := tok
-		if tok.Name != "" {
-			name, err := d.dict.Name(tok.Name)
-			if err != nil {
-				return tok, err
+		if len(tok.Name()) > 0 {
+			if name, err = d.dict.Name(tok.Name()); err != nil {
+				return nil, err
 			}
-			out.Name = name
 		}
-		return out, nil
 	default:
 		return tok, nil
 	}
+	if d.enc, err = tok.AppendRenamed(d.enc[:0], name, d.dict.Name); err != nil {
+		return nil, err
+	}
+	return scan(&d.view, d.enc)
+}
+
+// scan points v at the token in b.
+func scan(v *xmltok.Encoded, b []byte) (*xmltok.Encoded, error) {
+	if _, ok := v.Scan(b); !ok {
+		return nil, fmt.Errorf("compact: corrupt token of %d bytes", len(b))
+	}
+	return v, nil
 }

@@ -1,6 +1,7 @@
 package compact
 
 import (
+	"bytes"
 	"io"
 	"math/rand"
 	"reflect"
@@ -13,26 +14,49 @@ import (
 
 func TestDictionary(t *testing.T) {
 	d := NewDictionary()
-	a1 := d.Alias("employee")
-	a2 := d.Alias("region")
-	if a1 != "0" || a2 != "1" {
+	a1 := d.Alias([]byte("employee"))
+	a2 := d.Alias([]byte("region"))
+	if string(a1) != "0" || string(a2) != "1" {
 		t.Errorf("aliases = %q, %q", a1, a2)
 	}
-	if d.Alias("employee") != "0" {
+	if string(d.Alias([]byte("employee"))) != "0" {
 		t.Error("alias not stable")
 	}
-	if n, err := d.Name("0"); err != nil || n != "employee" {
+	if n, err := d.Name([]byte("0")); err != nil || string(n) != "employee" {
 		t.Errorf("Name(0) = %q, %v", n, err)
 	}
-	if _, err := d.Name("7"); err == nil {
+	if _, err := d.Name([]byte("7")); err == nil {
 		t.Error("unknown alias should fail")
 	}
-	if _, err := d.Name("x"); err == nil {
+	if _, err := d.Name([]byte("x")); err == nil {
 		t.Error("non-numeric alias should fail")
 	}
 	if d.Len() != 2 {
 		t.Errorf("Len = %d", d.Len())
 	}
+}
+
+// view returns a view of tok's encoding.
+func view(tok xmltok.Token) *xmltok.Encoded {
+	var v xmltok.Encoded
+	v.Scan(xmltok.AppendToken(nil, tok))
+	return &v
+}
+
+// roundTrip compacts tok, checks the compacted bytes decode to a token, and
+// restores it.
+func roundTrip(t *testing.T, enc *Encoder, dec *Decoder, tok *xmltok.Encoded) (compacted, restored []byte) {
+	t.Helper()
+	ctok, err := enc.Encode(tok)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compacted = bytes.Clone(ctok.Bytes())
+	back, err := dec.Decode(ctok)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return compacted, bytes.Clone(back.Bytes())
 }
 
 func TestEncodeDecodeStream(t *testing.T) {
@@ -41,31 +65,27 @@ func TestEncodeDecodeStream(t *testing.T) {
 	dict := NewDictionary()
 	enc := NewEncoder(dict)
 	dec := NewDecoder(dict)
-	var orig, roundTripped []xmltok.Token
 	var compactBytes, plainBytes int
 	for {
-		tok, err := p.Next()
+		tok, err := p.NextEncoded()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		orig = append(orig, tok)
-		plainBytes += xmltok.EncodedSize(tok)
-		ctok := enc.Encode(tok)
-		compactBytes += xmltok.EncodedSize(ctok)
-		if ctok.Kind == xmltok.KindEnd && ctok.Name != "" {
+		plainBytes += len(tok.Bytes())
+		orig := bytes.Clone(tok.Bytes())
+		compacted, restored := roundTrip(t, enc, dec, tok)
+		compactBytes += len(compacted)
+		var ctok xmltok.Encoded
+		ctok.Scan(compacted)
+		if ctok.Kind() == xmltok.KindEnd && len(ctok.Name()) != 0 {
 			t.Error("end tag name not elided")
 		}
-		back, err := dec.Decode(ctok)
-		if err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(restored, orig) {
+			t.Errorf("round trip mismatch: got %x, want %x", restored, orig)
 		}
-		roundTripped = append(roundTripped, back)
-	}
-	if !reflect.DeepEqual(orig, roundTripped) {
-		t.Errorf("round trip mismatch:\n got %v\nwant %v", roundTripped, orig)
 	}
 	if compactBytes >= plainBytes {
 		t.Errorf("compaction grew the stream: %d >= %d", compactBytes, plainBytes)
@@ -78,11 +98,15 @@ func TestEncodeDecodeStream(t *testing.T) {
 func TestDecoderErrors(t *testing.T) {
 	dict := NewDictionary()
 	dec := NewDecoder(dict)
-	if _, err := dec.Decode(xmltok.Token{Kind: xmltok.KindEnd}); err == nil {
+	if _, err := dec.Decode(view(xmltok.Token{Kind: xmltok.KindEnd})); err == nil {
 		t.Error("end with nothing open should fail")
 	}
-	if _, err := dec.Decode(xmltok.Token{Kind: xmltok.KindStart, Name: "9"}); err == nil {
+	if _, err := dec.Decode(view(xmltok.Token{Kind: xmltok.KindStart, Name: "9"})); err == nil {
 		t.Error("unknown alias should fail")
+	}
+	dict.Alias([]byte("a"))
+	if _, err := dec.Decode(view(xmltok.Token{Kind: xmltok.KindStart, Name: "0", Attrs: []xmltok.Attr{{Name: "9", Value: "v"}}})); err == nil {
+		t.Error("unknown attribute alias should fail")
 	}
 }
 
@@ -91,21 +115,22 @@ func TestRunPtrPassThrough(t *testing.T) {
 	enc := NewEncoder(dict)
 	dec := NewDecoder(dict)
 	ptr := xmltok.Token{Kind: xmltok.KindRunPtr, Run: 5, Name: "collapsed", Key: "k", HasKey: true}
-	cp := enc.Encode(ptr)
-	if cp.Run != 5 || cp.Key != "k" {
-		t.Errorf("encode mangled run ptr: %+v", cp)
-	}
-	back, err := dec.Decode(cp)
+	compacted, restored := roundTrip(t, enc, dec, view(ptr))
+	var d xmltok.Decoder
+	cp, err := d.DecodeToken(compacted)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(back, ptr) {
-		t.Errorf("round trip: %+v vs %+v", back, ptr)
+	if cp.Run != 5 || cp.Key != "k" {
+		t.Errorf("encode mangled run ptr: %+v", cp)
+	}
+	if !bytes.Equal(restored, xmltok.AppendToken(nil, ptr)) {
+		t.Errorf("round trip: %x vs %x", restored, xmltok.AppendToken(nil, ptr))
 	}
 }
 
-// Property: encode/decode round-trips random well-formed streams and the
-// decoder's stack stays balanced.
+// Property: encode/decode round-trips random well-formed streams, keys
+// included, and the decoder's stack stays balanced.
 func TestCompactQuick(t *testing.T) {
 	names := []string{"alpha", "beta-element", "g", "delta.longish_name"}
 	f := func(seed int64) bool {
@@ -130,8 +155,19 @@ func TestCompactQuick(t *testing.T) {
 				tok = xmltok.Token{Kind: xmltok.KindEnd, Name: stack[len(stack)-1]}
 				stack = stack[:len(stack)-1]
 			}
-			back, err := dec.Decode(enc.Encode(tok))
-			if err != nil || !reflect.DeepEqual(back, tok) {
+			if tok.Kind != xmltok.KindText && rng.Intn(2) == 0 {
+				tok.Key, tok.HasKey = "k", true
+			}
+			ctok, err := enc.Encode(view(tok))
+			if err != nil {
+				return false
+			}
+			back, err := dec.Decode(ctok)
+			if err != nil {
+				return false
+			}
+			var d xmltok.Decoder
+			if got := d.Decode(back); !reflect.DeepEqual(got, tok) {
 				return false
 			}
 		}

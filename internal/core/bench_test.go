@@ -29,6 +29,7 @@ func benchCriterion() *keys.Criterion {
 func BenchmarkNEXSORTEndToEnd(b *testing.B) {
 	doc := benchWorkload(b)
 	b.SetBytes(int64(len(doc)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		env, err := em.NewEnv(em.Config{BlockSize: 4096, MemBlocks: 48})
@@ -47,6 +48,7 @@ func BenchmarkNEXSORTEndToEnd(b *testing.B) {
 func BenchmarkNEXSORTCompact(b *testing.B) {
 	doc := benchWorkload(b)
 	b.SetBytes(int64(len(doc)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		env, err := em.NewEnv(em.Config{BlockSize: 4096, MemBlocks: 48})
@@ -69,6 +71,7 @@ func BenchmarkNEXSORTDegenerateFlat(b *testing.B) {
 	}
 	doc := sb.String()
 	b.SetBytes(int64(len(doc)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		env, err := em.NewEnv(em.Config{BlockSize: 4096, MemBlocks: 48})

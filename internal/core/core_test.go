@@ -623,6 +623,27 @@ func TestRecordOrderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRecordOrderRefusesDuplicateAttribute: a start tag that already
+// carries the attribute RecordOrder stamps fails the sort, naming the
+// element and the attribute, instead of writing the attribute twice.
+func TestRecordOrderRefusesDuplicateAttribute(t *testing.T) {
+	doc := `<r><a key="2" seq="x"/><a key="1"/></r>`
+	c := &keys.Criterion{Rules: []keys.Rule{{Tag: "", Source: keys.ByAttr("key")}}}
+	for _, paper := range []bool{false, true} {
+		var out strings.Builder
+		_, err := Sort(newEnv(t, 256, 16), strings.NewReader(doc), &out, Options{Criterion: c, RecordOrder: "seq", PaperLayout: paper})
+		if err == nil {
+			t.Fatalf("paper layout %v: sorted to %s", paper, out.String())
+		}
+		if msg := err.Error(); !strings.Contains(msg, "<a>") || !strings.Contains(msg, "seq") {
+			t.Errorf("paper layout %v: error %q names neither the element nor the attribute", paper, msg)
+		}
+		if out.Len() != 0 {
+			t.Errorf("paper layout %v: wrote %d bytes before failing", paper, out.Len())
+		}
+	}
+}
+
 // randomElemXML is randomXML without text nodes.
 func randomElemXML(rng *rand.Rand, maxElems int) string {
 	var sb strings.Builder

@@ -51,8 +51,7 @@ func keyPathSortTokens(env *em.Env, r io.ByteReader, sidecar *keySidecar, relLim
 				key, rekey = nil, true
 			}
 			if rekey {
-				tokBuf = tok.AppendWithKey(tokBuf[:0], key)
-				rekeyed.Scan(tokBuf)
+				tokBuf = rekeyed.Rekey(tokBuf[:0], tok, key)
 				tok = &rekeyed
 			} else if !tok.HasKey() {
 				return fmt.Errorf("core: external subtree sort saw a keyless start tag <%s>", tok.Name())
@@ -191,9 +190,9 @@ func appendChildRecord(dst []byte, t *tokenTree, i int32, seq int64) ([]byte, er
 	dst = binary.AppendUvarint(dst, uint64(len(key)))
 	dst = append(dst, key...)
 	dst = binary.AppendUvarint(dst, uint64(seq))
-	sink := recordSink{b: dst}
-	err := t.emit(i, &sink)
-	return sink.b, err
+	t.record.b = dst
+	err := t.emit(i, &t.record)
+	return t.record.b, err
 }
 
 // newChildRecordSorter builds the merger for graceful degeneration using

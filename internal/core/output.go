@@ -74,13 +74,11 @@ type outputSink struct {
 	store  *runstore.Store
 	oStack *xstack.RecordStack
 	xw     *xmltok.Writer
-	// With compaction, each token is decoded — through one token decoder
-	// for the whole phase, whose name interning carries across tokens —
-	// and its names restored by dec before it is written.
-	dec    *compact.Decoder
-	tokDec xmltok.Decoder
-	view   xmltok.Encoded
-	loc    [outLocSize]byte
+	// With compaction, dec restores each token's names into new bytes
+	// before it is written.
+	dec  *compact.Decoder
+	view xmltok.Encoded
+	loc  [outLocSize]byte
 }
 
 // Append writes one encoded token, or the run tree a run pointer leads to.
@@ -96,14 +94,13 @@ func (o *outputSink) Append(tok []byte) error {
 
 // write serializes one token that is not a run pointer.
 func (o *outputSink) write(tok *xmltok.Encoded) error {
-	if o.dec == nil {
-		return o.xw.WriteEncoded(tok)
+	if o.dec != nil {
+		var err error
+		if tok, err = o.dec.Decode(tok); err != nil {
+			return err
+		}
 	}
-	t, err := o.dec.Decode(o.tokDec.Decode(tok))
-	if err != nil {
-		return err
-	}
-	return o.xw.WriteToken(t)
+	return o.xw.WriteEncoded(tok)
 }
 
 // follow writes the run tree under run id: a depth-first traversal made

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"strconv"
 
 	"nexsort/internal/compact"
 	"nexsort/internal/em"
@@ -123,7 +125,7 @@ func Sort(env *em.Env, in io.Reader, out io.Writer, opts Options) (*Report, erro
 type docRoot struct {
 	run   runstore.RunID // the root run; -1 when the root streams
 	start int64          // the root's data-stack start location
-	end   xmltok.Token   // the root's end tag
+	end   []byte         // the root's encoded end tag
 }
 
 // sortDocument runs both phases of Figure 4 over one data stack, which
@@ -206,8 +208,11 @@ func (s *sorter) sortingPhase(in io.Reader) (root *docRoot, err error) {
 		stamper = newOrderStamper(s.opts.RecordOrder)
 	}
 
+	// Every token moves as its encoding: the parser's view, stamped,
+	// annotated and compacted by stages that each append a new encoding
+	// only when they change the token, is pushed as it stands.
 	for {
-		tok, err := parser.Next()
+		tok, err := parser.NextEncoded()
 		if err == io.EOF {
 			break
 		}
@@ -215,7 +220,9 @@ func (s *sorter) sortingPhase(in io.Reader) (root *docRoot, err error) {
 			return nil, err
 		}
 		if stamper != nil {
-			tok = stamper.stamp(tok)
+			if tok, err = stamper.stamp(tok); err != nil {
+				return nil, err
+			}
 		}
 		if tok, err = s.annot.Annotate(tok); err != nil {
 			return nil, err
@@ -223,17 +230,19 @@ func (s *sorter) sortingPhase(in io.Reader) (root *docRoot, err error) {
 		if s.enc != nil {
 			// Ordering keys were evaluated on the original names above;
 			// only the stored representation is compacted.
-			tok = s.enc.Encode(tok)
+			if tok, err = s.enc.Encode(tok); err != nil {
+				return nil, err
+			}
 		}
 
-		switch tok.Kind {
+		switch tok.Kind() {
 		case xmltok.KindStart:
 			s.report.Elements++
 			if d := s.annot.Depth(); d > s.report.Height {
 				s.report.Height = d
 			}
 			rec := pathRec{start: s.data.Size()}
-			if err := s.pushToken(tok); err != nil {
+			if err := s.pushToken(tok.Bytes()); err != nil {
 				return nil, err
 			}
 			rec.cutMark = s.data.Size()
@@ -244,7 +253,7 @@ func (s *sorter) sortingPhase(in io.Reader) (root *docRoot, err error) {
 
 		case xmltok.KindText:
 			s.report.TextNodes++
-			if err := s.pushToken(tok); err != nil {
+			if err := s.pushToken(tok.Bytes()); err != nil {
 				return nil, err
 			}
 			if err := s.maybeCutIncomplete(); err != nil {
@@ -267,20 +276,21 @@ func (s *sorter) sortingPhase(in io.Reader) (root *docRoot, err error) {
 					return nil, err
 				}
 			}
-			if err := s.pushToken(tok); err != nil {
+			end := tok.Bytes()
+			if err := s.pushToken(end); err != nil {
 				return nil, err
 			}
 			if ds == 1 && !s.opts.PaperLayout {
 				// The root streams into the output phase, but only once
 				// the scan has ended: a second root element or text
 				// after this one must fail before any output is written.
-				root = &docRoot{run: -1, start: rec.start, end: tok}
+				root = &docRoot{run: -1, start: rec.start, end: bytes.Clone(end)}
 				continue
 			}
 			size := s.data.Size() - rec.start
 			withinDepth := s.opts.DepthLimit == 0 || ds <= s.opts.DepthLimit+1
 			if ds == 1 || hasIncomplete || (size >= s.threshold && withinDepth) {
-				runID, err := s.sortSubtree(rec.start, tok, ds)
+				runID, err := s.sortSubtree(rec.start, end, ds)
 				if err != nil {
 					return nil, err
 				}
@@ -302,18 +312,17 @@ func (s *sorter) sortingPhase(in io.Reader) (root *docRoot, err error) {
 	return root, nil
 }
 
-// pushToken appends a token to the data stack. While blocks are lent out
-// of its window, a push that could grow the window past its shrunk size
-// first takes them back: at the shrunk size it would evict a block the
+// pushToken appends an encoded token to the data stack. While blocks are
+// lent out of its window, a push that could grow the window past its shrunk
+// size first takes them back: at the shrunk size it would evict a block the
 // sequential run keeps resident.
-func (s *sorter) pushToken(tok xmltok.Token) error {
-	s.encBuf = xmltok.AppendToken(s.encBuf[:0], tok)
-	if s.par.lent > 0 && s.data.Held()+len(s.encBuf)/s.env.Conf.BlockSize+1 > s.data.Resident() {
+func (s *sorter) pushToken(tok []byte) error {
+	if s.par.lent > 0 && s.data.Held()+len(tok)/s.env.Conf.BlockSize+1 > s.data.Resident() {
 		if err := s.drainWorkers(); err != nil {
 			return err
 		}
 	}
-	return s.data.Push(s.encBuf)
+	return s.data.Push(tok)
 }
 
 // orderStamper implements the paper's order-preservation device: each
@@ -323,28 +332,43 @@ func (s *sorter) pushToken(tok xmltok.Token) error {
 // attribute restores the original document. The per-open-element counters
 // are O(height) bookkeeping, like the parser's well-formedness stack.
 type orderStamper struct {
-	attr     string
+	attr     []byte
 	counters []int64
+	seq      []byte // the zero-padded sequence number
+	enc      []byte // the stamped start tag
+	view     xmltok.Encoded
 }
+
+// seqDigits is the width sequence numbers are zero-padded to.
+const seqDigits = 12
 
 func newOrderStamper(attr string) *orderStamper {
-	return &orderStamper{attr: attr, counters: make([]int64, 1, 16)}
+	return &orderStamper{attr: []byte(attr), counters: make([]int64, 1, 16)}
 }
 
-func (o *orderStamper) stamp(tok xmltok.Token) xmltok.Token {
-	switch tok.Kind {
+// stamp returns tok with a start tag stamped, in a view of the stamper's
+// that is valid until the next call. A start tag that already carries the
+// attribute is an error: stamping it would write the attribute twice.
+func (o *orderStamper) stamp(tok *xmltok.Encoded) (*xmltok.Encoded, error) {
+	switch tok.Kind() {
 	case xmltok.KindStart:
+		if _, ok := tok.Attr(string(o.attr)); ok {
+			return nil, fmt.Errorf("core: element <%s> already has the attribute %s that RecordOrder stamps", tok.Name(), o.attr)
+		}
 		seq := o.counters[len(o.counters)-1]
 		o.counters[len(o.counters)-1]++
-		attrs := make([]xmltok.Attr, 0, len(tok.Attrs)+1)
-		attrs = append(attrs, tok.Attrs...)
-		attrs = append(attrs, xmltok.Attr{Name: o.attr, Value: fmt.Sprintf("%012d", seq)})
-		tok.Attrs = attrs
+		pad := max(0, seqDigits-len(strconv.AppendInt(o.seq[:0], seq, 10)))
+		o.seq = strconv.AppendInt(append(o.seq[:0], "000000000000"[:pad]...), seq, 10)
+		o.enc = tok.AppendAttr(o.enc[:0], o.attr, o.seq)
 		o.counters = append(o.counters, 0)
+		if _, ok := o.view.Scan(o.enc); !ok {
+			return nil, fmt.Errorf("core: corrupt start tag <%s>", tok.Name())
+		}
+		return &o.view, nil
 	case xmltok.KindText:
 		o.counters[len(o.counters)-1]++
 	case xmltok.KindEnd:
 		o.counters = o.counters[:len(o.counters)-1]
 	}
-	return tok
+	return tok, nil
 }

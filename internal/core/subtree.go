@@ -59,7 +59,7 @@ func (s *sorter) planSort(start int64, ds int) (sortPlan, error) {
 // a run-pointer token (carrying the subtree root's ordering key from its end
 // tag) back in its place. ds is the subtree root's level, used by
 // depth-limited sorting.
-func (s *sorter) sortSubtree(start int64, endTok xmltok.Token, ds int) (runstore.RunID, error) {
+func (s *sorter) sortSubtree(start int64, end []byte, ds int) (runstore.RunID, error) {
 	p, err := s.planSort(start, ds)
 	if err != nil {
 		return 0, err
@@ -78,7 +78,7 @@ func (s *sorter) sortSubtree(start int64, endTok xmltok.Token, ds int) (runstore
 		}
 		if ok {
 			s.report.InternalSorts++
-			return s.collapseSubtree(start, endTok, runID)
+			return s.collapseSubtree(start, end, runID)
 		}
 		// Pool busy, or no room to lend: fall through to the sequential
 		// path below.
@@ -95,14 +95,14 @@ func (s *sorter) sortSubtree(start int64, endTok xmltok.Token, ds int) (runstore
 	if err != nil {
 		return 0, err
 	}
-	err = s.sortInto(p, start, endTok, w)
+	err = s.sortInto(p, start, end, w)
 	if cerr := w.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
 		return 0, err
 	}
-	return s.collapseSubtree(start, endTok, runID)
+	return s.collapseSubtree(start, end, runID)
 }
 
 // sortRoot is the default layout's root sort: the branch sortSubtree would
@@ -116,8 +116,9 @@ func (s *sorter) sortRoot(root *docRoot, sink tokenSink) error {
 	return s.sortInto(p, root.start, root.end, sink)
 }
 
-// sortInto sorts the subtree at start along plan p into w.
-func (s *sorter) sortInto(p sortPlan, start int64, endTok xmltok.Token, w tokenSink) (err error) {
+// sortInto sorts the subtree at start, whose encoded end tag is end, along
+// plan p into w.
+func (s *sorter) sortInto(p sortPlan, start int64, end []byte, w tokenSink) (err error) {
 	// In the default layout, a subtree that does not sort in place — one
 	// whose children were cut into incomplete runs, or one whose tags
 	// outgrow the window's slack — gets the sort area the paper's layout
@@ -143,7 +144,7 @@ func (s *sorter) sortInto(p sortPlan, start int64, endTok xmltok.Token, w tokenS
 	switch {
 	case len(p.incRuns) > 0:
 		s.report.MergedSubtrees++
-		return s.mergedSubtreeSort(start, endTok, p.incRuns, w)
+		return s.mergedSubtreeSort(start, end, p.incRuns, w)
 	case p.noSort:
 		s.report.UnsortedRuns++
 		return s.copySubtree(start, w)
@@ -162,22 +163,20 @@ func (s *sorter) sortInto(p sortPlan, start int64, endTok xmltok.Token, w tokenS
 }
 
 // collapseSubtree replaces the subtree's bytes on the data stack with a
-// run-pointer token carrying the root's ordering key — the common tail of
-// both the sequential and the dispatched sort. For a dispatched sort the
-// worker owns the token tree it was handed loaded, so truncating here is
-// safe even while the sort is in flight.
-func (s *sorter) collapseSubtree(start int64, endTok xmltok.Token, runID runstore.RunID) (runstore.RunID, error) {
+// run-pointer token carrying the root's name and ordering key from its end
+// tag — the common tail of both the sequential and the dispatched sort. For
+// a dispatched sort the worker owns the token tree it was handed loaded, so
+// truncating here is safe even while the sort is in flight.
+func (s *sorter) collapseSubtree(start int64, end []byte, runID runstore.RunID) (runstore.RunID, error) {
+	var endTok xmltok.Encoded
+	if _, ok := endTok.Scan(end); !ok {
+		return 0, fmt.Errorf("core: corrupt end tag of a sorted subtree")
+	}
 	if err := s.data.Truncate(start); err != nil {
 		return 0, err
 	}
-	ptr := xmltok.Token{
-		Kind:   xmltok.KindRunPtr,
-		Run:    int64(runID),
-		Name:   endTok.Name,
-		Key:    endTok.Key,
-		HasKey: true,
-	}
-	if err := s.pushToken(ptr); err != nil {
+	s.encBuf = endTok.AppendRunPtr(s.encBuf[:0], int64(runID))
+	if err := s.pushToken(s.encBuf); err != nil {
 		return 0, err
 	}
 	return runID, nil
@@ -281,7 +280,7 @@ func (s *sorter) externalSubtreeSort(start int64, relLimit int, w tokenSink) err
 // end tag: only its start and end tags are left on the data stack. It
 // merges the runs into the element's sorted child list and writes that
 // between the two tags. The caller has lent it the data stack's window.
-func (s *sorter) mergedSubtreeSort(start int64, endTok xmltok.Token, incRuns []*em.Stream, w tokenSink) error {
+func (s *sorter) mergedSubtreeSort(start int64, end []byte, incRuns []*em.Stream, w tokenSink) error {
 	// The start tag is read and its reader closed before the merger takes
 	// every free block.
 	reader, err := s.data.ReadRange(s.env.Budget, start)
@@ -317,6 +316,5 @@ func (s *sorter) mergedSubtreeSort(start int64, endTok xmltok.Token, incRuns []*
 	if err := drainChildRecords(sorter, w); err != nil {
 		return err
 	}
-	s.encBuf = xmltok.AppendToken(s.encBuf[:0], xmltok.Token{Kind: xmltok.KindEnd, Name: endTok.Name, Key: endTok.Key, HasKey: endTok.HasKey})
-	return w.Append(s.encBuf)
+	return w.Append(end)
 }

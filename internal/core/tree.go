@@ -43,6 +43,7 @@ type tokenTree struct {
 	open    []openElem // elements open while indexing, the virtual root first
 	pending []int32    // children of open elements, not yet closed into kids
 	scratch []byte     // one re-encoded token being emitted
+	record  recordSink // the child record being emitted, held here so it is not allocated per record
 }
 
 // treeNode is one indexed node. tok and key alias the tree's buffer.

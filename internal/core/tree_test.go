@@ -88,7 +88,7 @@ func subtreeStreams(t *testing.T, rng *rand.Rand, c treeCase) [][]byte {
 	var starts []int
 	var subtrees [][]byte
 	for run := int64(0); ; {
-		tok, err := p.Next()
+		tok, err := p.NextEncoded()
 		if err == io.EOF {
 			return subtrees
 		}
@@ -99,22 +99,22 @@ func subtreeStreams(t *testing.T, rng *rand.Rand, c treeCase) [][]byte {
 			t.Fatal(err)
 		}
 		if enc != nil {
-			tok = enc.Encode(tok)
+			if tok, err = enc.Encode(tok); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if tok.Kind == xmltok.KindStart {
+		if tok.Kind() == xmltok.KindStart {
 			starts = append(starts, len(stack))
 		}
-		stack = xmltok.AppendToken(stack, tok)
-		if tok.Kind != xmltok.KindEnd {
+		stack = append(stack, tok.Bytes()...)
+		if tok.Kind() != xmltok.KindEnd {
 			continue
 		}
 		start := starts[len(starts)-1]
 		starts = starts[:len(starts)-1]
 		subtrees = append(subtrees, bytes.Clone(stack[start:]))
 		if len(starts) > 0 && rng.Intn(4) == 0 {
-			stack = xmltok.AppendToken(stack[:start], xmltok.Token{
-				Kind: xmltok.KindRunPtr, Run: run, Name: tok.Name, Key: tok.Key, HasKey: true,
-			})
+			stack = tok.AppendRunPtr(stack[:start], run)
 			run++
 		}
 	}
@@ -278,6 +278,7 @@ func TestTokenTreeRejectsMalformed(t *testing.T) {
 		return b
 	}
 	start := func(name string) xmltok.Token { return xmltok.Token{Kind: xmltok.KindStart, Name: name} }
+	keyed := func(tok xmltok.Token) xmltok.Token { tok.HasKey = true; return tok }
 	end := func(name string) xmltok.Token { return xmltok.Token{Kind: xmltok.KindEnd, Name: name} }
 	text := xmltok.Token{Kind: xmltok.KindText, Text: "t"}
 	cases := map[string][]byte{
@@ -302,7 +303,7 @@ func TestTokenTreeRejectsMalformed(t *testing.T) {
 		t.Errorf("elided end-tag names: %v", err)
 	}
 	if want := fmt.Sprintf("%x", enc(
-		start("a").WithKey(""), start("b").WithKey(""), end("b"), end("a"),
+		keyed(start("a")), keyed(start("b")), end("b"), end("a"),
 	)); fmt.Sprintf("%x", out.b) != want {
 		t.Errorf("elided end-tag names: wrote %x, want %s", out.b, want)
 	}

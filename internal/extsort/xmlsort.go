@@ -109,12 +109,16 @@ func SortXML(env *em.Env, c *keys.Criterion, in io.Reader, out io.Writer, opts X
 	for _, tag := range opts.SortChildrenOf {
 		targets[tag] = true
 	}
-	var openTags []string // XSort parent tracking (in-memory, like the path)
+	// XSort parent tracking: whether each open element is a target
+	// (in-memory, like the path).
+	var openTargets []bool
 
+	// The parser's view, annotated, re-keyed where a key is degraded and
+	// compacted, goes to the extractor as it stands.
 	var encBuf, tokBuf []byte
-	var view xmltok.Encoded
+	var rekeyed xmltok.Encoded
 	for {
-		tok, err := parser.Next()
+		tok, err := parser.NextEncoded()
 		if err == io.EOF {
 			break
 		}
@@ -124,34 +128,34 @@ func SortXML(env *em.Env, c *keys.Criterion, in io.Reader, out io.Writer, opts X
 		if tok, err = annot.Annotate(tok); err != nil {
 			return nil, err
 		}
-		if tok.Kind == xmltok.KindStart {
+		switch tok.Kind() {
+		case xmltok.KindStart:
 			report.Elements++
 			// Below the depth limit no reordering happens, so the path
 			// component degrades to (“”, seq) and document order wins.
-			if opts.DepthLimit > 0 && extract.Depth()+1 > opts.DepthLimit+1 {
-				tok = tok.WithKey("")
-			}
+			degrade := opts.DepthLimit > 0 && extract.Depth()+1 > opts.DepthLimit+1
 			if len(targets) > 0 {
 				// XSort: a real key only for direct children of target
 				// elements.
-				if len(openTags) == 0 || !targets[openTags[len(openTags)-1]] {
-					tok = tok.WithKey("")
-				}
-				openTags = append(openTags, tok.Name)
+				degrade = degrade || len(openTargets) == 0 || !openTargets[len(openTargets)-1]
+				openTargets = append(openTargets, targets[string(tok.Name())])
+			}
+			if degrade {
+				tokBuf = rekeyed.Rekey(tokBuf[:0], tok, nil)
+				tok = &rekeyed
+			}
+		case xmltok.KindEnd:
+			if len(targets) > 0 {
+				openTargets = openTargets[:len(openTargets)-1]
 			}
 		}
-		if tok.Kind == xmltok.KindEnd && len(targets) > 0 {
-			openTags = openTags[:len(openTags)-1]
-		}
 		if enc != nil {
-			tok = enc.Encode(tok)
-		}
-		tokBuf = xmltok.AppendToken(tokBuf[:0], tok)
-		if _, ok := view.Scan(tokBuf); !ok {
-			return nil, fmt.Errorf("extsort: %v token too large to encode", tok.Kind)
+			if tok, err = enc.Encode(tok); err != nil {
+				return nil, err
+			}
 		}
 		var ok bool
-		if encBuf, ok, err = extract.Append(encBuf[:0], &view); err != nil {
+		if encBuf, ok, err = extract.Append(encBuf[:0], tok); err != nil {
 			return nil, err
 		}
 		if !ok {
@@ -180,15 +184,13 @@ func SortXML(env *em.Env, c *keys.Criterion, in io.Reader, out io.Writer, opts X
 	}
 	emit := w.WriteEncoded
 	if dec != nil {
-		// Compaction: restore the names through one token decoder for
-		// the whole output.
-		var tokDec xmltok.Decoder
+		// Compaction: restore the names into new bytes.
 		emit = func(v *xmltok.Encoded) error {
-			tok, err := dec.Decode(tokDec.Decode(v))
+			v, err := dec.Decode(v)
 			if err != nil {
 				return err
 			}
-			return w.WriteToken(tok)
+			return w.WriteEncoded(v)
 		}
 	}
 	builder := keypath.NewBuilder(emit)

@@ -59,17 +59,19 @@ func extractEncoded(tb testing.TB, doc string, c *keys.Criterion) [][]byte {
 		seqs[len(seqs)-1]++
 		return seqs[len(seqs)-1] - 1
 	}
+	var dec xmltok.Decoder
 	for {
-		tok, err := p.Next()
+		v, err := p.NextEncoded()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			tb.Fatal(err)
 		}
-		if tok, err = a.Annotate(tok); err != nil {
+		if v, err = a.Annotate(v); err != nil {
 			tb.Fatal(err)
 		}
+		tok := dec.Decode(v)
 		var want []byte
 		switch tok.Kind {
 		case xmltok.KindStart:
@@ -82,7 +84,7 @@ func extractEncoded(tb testing.TB, doc string, c *keys.Criterion) [][]byte {
 		case xmltok.KindEnd:
 			path, seqs = path[:len(path)-1], seqs[:len(seqs)-1]
 		}
-		rec, ok, err := e.Append(nil, view(tok))
+		rec, ok, err := e.Append(nil, v)
 		if err != nil {
 			tb.Fatal(err)
 		}

@@ -22,6 +22,12 @@ type SpillStack interface {
 // paper's "result can be pushed onto the data stack with the end tag and
 // used for sorting".
 //
+// The annotator works on encoded tokens: it reads names, attributes and
+// text from the parser's views, and re-keys a tag by appending its bytes
+// with the key (Encoded.Rekey). Each matcher copies its key into a buffer
+// the annotator recycles, so annotation allocates nothing per token once
+// the buffers exist.
+//
 // The annotator holds matchers for the innermost W open elements in memory,
 // where W ≥ MaxPathDepth()+1 — by construction, no token can affect a
 // matcher further than MaxPathDepth()+1 levels above it, so matchers below
@@ -35,7 +41,10 @@ type Annotator struct {
 	wcap   int
 	depth  int // total open elements (window + spilled)
 	spill  SpillStack
-	buf    []byte // scratch record for spill transfers
+	buf    []byte   // scratch record for spill transfers
+	keys   [][]byte // key buffers of matchers that are gone, for reuse
+	enc    []byte   // the re-keyed token
+	view   xmltok.Encoded
 }
 
 // minAnnotatorWindow keeps spill traffic negligible for shallow criteria.
@@ -53,44 +62,45 @@ func NewAnnotator(c *Criterion, spill SpillStack) *Annotator {
 // Depth returns the number of currently open elements.
 func (a *Annotator) Depth() int { return a.depth }
 
-// Annotate processes one token and returns it, annotated. Tokens must form
-// a well-formed stream (the parser guarantees this).
-func (a *Annotator) Annotate(tok xmltok.Token) (xmltok.Token, error) {
-	switch tok.Kind {
+// Annotate processes one token and returns it annotated: a tag whose key is
+// known is returned re-keyed, in a view of the annotator's that is valid
+// until the next call; any other token is returned as it is. Tokens must
+// form a well-formed stream (the parser guarantees this).
+func (a *Annotator) Annotate(tok *xmltok.Encoded) (*xmltok.Encoded, error) {
+	switch tok.Kind() {
 	case xmltok.KindStart:
 		// Feed ancestors: the new element sits at relative depth j for
 		// the ancestor j levels up; only j ≤ MaxPathDepth can matter.
+		name := tok.Name()
 		for j := 1; j <= len(a.window); j++ {
-			a.window[len(a.window)-j].OnStart(a.c, tok.Name, j)
+			a.window[len(a.window)-j].OnStart(a.c, name, j)
 		}
-		m := a.c.NewMatcher(tok)
+		m := a.c.NewMatcher(tok, a.keyBuf())
 		if err := a.push(m); err != nil {
-			return tok, err
+			return nil, err
 		}
-		if src, ok := a.c.SourceFor(tok.Name); !ok {
-			// No rule applies: the key is known (empty) already.
-			tok = tok.WithKey("")
-		} else if src.StartResolvable() {
-			key, _ := m.Key()
-			tok = tok.WithKey(key)
+		if !m.startResolved(a.c) {
+			return tok, nil
 		}
-		return tok, nil
+		// The key is known (empty when no rule applies).
+		return a.rekey(tok, m.key), nil
 
 	case xmltok.KindText:
 		// Text is a direct child of the innermost element: r = j-1 open
 		// descendants separate it from the ancestor j levels up.
+		text := tok.Text()
 		for j := 1; j <= len(a.window); j++ {
-			a.window[len(a.window)-j].OnText(a.c, tok.Text, j-1)
+			a.window[len(a.window)-j].OnText(a.c, text, j-1)
 		}
 		return tok, nil
 
 	case xmltok.KindEnd:
 		if a.depth == 0 {
-			return tok, fmt.Errorf("keys: end tag </%s> with no open element", tok.Name)
+			return nil, fmt.Errorf("keys: end tag </%s> with no open element", tok.Name())
 		}
 		m, err := a.pop()
 		if err != nil {
-			return tok, err
+			return nil, err
 		}
 		key := m.Finalize()
 		// The closing element is at relative depth j for each remaining
@@ -98,11 +108,31 @@ func (a *Annotator) Annotate(tok xmltok.Token) (xmltok.Token, error) {
 		for j := 1; j <= len(a.window); j++ {
 			a.window[len(a.window)-j].OnEnd(j)
 		}
-		return tok.WithKey(key), nil
+		v := a.rekey(tok, key)
+		a.keys = append(a.keys, key)
+		return v, nil
 
 	default:
 		return tok, nil
 	}
+}
+
+// rekey returns a view of tok carrying key.
+func (a *Annotator) rekey(tok *xmltok.Encoded, key []byte) *xmltok.Encoded {
+	a.enc = a.view.Rekey(a.enc[:0], tok, key)
+	return &a.view
+}
+
+// keyBuf returns a key buffer for a new matcher, reusing one a finished or
+// spilled matcher gave back.
+func (a *Annotator) keyBuf() []byte {
+	n := len(a.keys)
+	if n == 0 {
+		return make([]byte, 0, a.c.keyCap())
+	}
+	b := a.keys[n-1]
+	a.keys = a.keys[:n-1]
+	return b
 }
 
 func (a *Annotator) push(m Matcher) error {
@@ -121,6 +151,7 @@ func (a *Annotator) push(m Matcher) error {
 			if err := a.spill.Push(a.buf); err != nil {
 				return fmt.Errorf("keys: spilling matcher: %w", err)
 			}
+			a.keys = append(a.keys, a.window[0].key)
 			copy(a.window, a.window[1:])
 			a.window = a.window[:len(a.window)-1]
 		}
@@ -140,7 +171,7 @@ func (a *Annotator) pop() (Matcher, error) {
 		if err := a.spill.Pop(a.buf); err != nil {
 			return m, fmt.Errorf("keys: unspilling matcher: %w", err)
 		}
-		um, err := UnmarshalMatcher(a.c, a.buf)
+		um, err := UnmarshalMatcher(a.c, a.buf, a.keyBuf())
 		if err != nil {
 			return m, err
 		}

@@ -141,12 +141,12 @@ func (c *Criterion) keyCap() int {
 }
 
 // ruleIndex returns the index of the first rule matching tag, or -1.
-func (c *Criterion) ruleIndex(tag string) int {
+func (c *Criterion) ruleIndex(tag []byte) int {
 	if c == nil {
 		return -1
 	}
 	for i, r := range c.Rules {
-		if r.Tag == "" || r.Tag == tag {
+		if r.Tag == "" || r.Tag == string(tag) {
 			return i
 		}
 	}
@@ -156,7 +156,7 @@ func (c *Criterion) ruleIndex(tag string) int {
 // SourceFor returns the key source used for elements with the given tag,
 // and whether any rule applies.
 func (c *Criterion) SourceFor(tag string) (Source, bool) {
-	i := c.ruleIndex(tag)
+	i := c.ruleIndex([]byte(tag))
 	if i < 0 {
 		return Source{}, false
 	}
@@ -181,8 +181,12 @@ func (c *Criterion) MaxPathDepth() int {
 }
 
 // Clip truncates key to the criterion's key capacity.
-func (c *Criterion) Clip(key string) string {
-	if cap := c.keyCap(); len(key) > cap {
+func (c *Criterion) Clip(key string) string { return clip(key, c.keyCap()) }
+
+func (c *Criterion) clip(key []byte) []byte { return clip(key, c.keyCap()) }
+
+func clip[K string | []byte](key K, cap int) K {
+	if len(key) > cap {
 		return key[:cap]
 	}
 	return key

@@ -3,6 +3,7 @@ package keys
 import (
 	"io"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -105,7 +106,7 @@ func annotateDoc(t *testing.T, c *Criterion, doc string, spill SpillStack) []str
 	p := xmltok.NewParser(strings.NewReader(doc), xmltok.DefaultParserOptions())
 	var endKeys []string
 	for {
-		tok, err := p.Next()
+		tok, err := p.NextEncoded()
 		if err == io.EOF {
 			break
 		}
@@ -116,19 +117,26 @@ func annotateDoc(t *testing.T, c *Criterion, doc string, spill SpillStack) []str
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tok.Kind == xmltok.KindEnd {
-			if !tok.HasKey {
-				t.Fatalf("end tag </%s> missing key annotation", tok.Name)
+		if tok.Kind() == xmltok.KindEnd {
+			if !tok.HasKey() {
+				t.Fatalf("end tag </%s> missing key annotation", tok.Name())
 			}
-			endKeys = append(endKeys, tok.Name+"="+tok.Key)
+			endKeys = append(endKeys, string(tok.Name())+"="+string(tok.Key()))
 		}
-		if tok.Kind == xmltok.KindStart {
-			if src, ok := c.SourceFor(tok.Name); ok && src.StartResolvable() && !tok.HasKey {
-				t.Fatalf("start tag <%s> missing resolvable key", tok.Name)
+		if tok.Kind() == xmltok.KindStart {
+			if src, ok := c.SourceFor(string(tok.Name())); ok && src.StartResolvable() && !tok.HasKey() {
+				t.Fatalf("start tag <%s> missing resolvable key", tok.Name())
 			}
 		}
 	}
 	return endKeys
+}
+
+// view returns a view of tok's encoding.
+func view(tok xmltok.Token) *xmltok.Encoded {
+	var v xmltok.Encoded
+	v.Scan(xmltok.AppendToken(nil, tok))
+	return &v
 }
 
 func TestAnnotatorAttrKeys(t *testing.T) {
@@ -199,7 +207,7 @@ func TestAnnotatorKeyCapTruncation(t *testing.T) {
 
 func TestAnnotatorMismatchedEnd(t *testing.T) {
 	a := NewAnnotator(ByAttrOrTag("x"), nil)
-	if _, err := a.Annotate(xmltok.Token{Kind: xmltok.KindEnd, Name: "ghost"}); err == nil {
+	if _, err := a.Annotate(view(xmltok.Token{Kind: xmltok.KindEnd, Name: "ghost"})); err == nil {
 		t.Error("end without start should fail")
 	}
 }
@@ -281,7 +289,7 @@ func collectKeys(c *Criterion, doc string, spill SpillStack) []string {
 	p := xmltok.NewParser(strings.NewReader(doc), xmltok.DefaultParserOptions())
 	var out []string
 	for {
-		tok, err := p.Next()
+		tok, err := p.NextEncoded()
 		if err != nil {
 			return out
 		}
@@ -289,8 +297,8 @@ func collectKeys(c *Criterion, doc string, spill SpillStack) []string {
 		if err != nil {
 			return nil
 		}
-		if tok.Kind == xmltok.KindEnd {
-			out = append(out, tok.Name+"="+tok.Key)
+		if tok.Kind() == xmltok.KindEnd {
+			out = append(out, string(tok.Name())+"="+string(tok.Key()))
 		}
 	}
 }
@@ -333,40 +341,40 @@ func randomDoc(rng *rand.Rand, maxElems int) string {
 
 func TestMatcherMarshalRoundTrip(t *testing.T) {
 	c := &Criterion{Rules: []Rule{{Tag: "e", Source: ByPath("a", "b")}}, KeyCap: 16}
-	m := c.NewMatcher(xmltok.Token{Kind: xmltok.KindStart, Name: "e"})
-	m.OnStart(c, "a", 1)
+	m := c.NewMatcher(view(xmltok.Token{Kind: xmltok.KindStart, Name: "e"}), nil)
+	m.OnStart(c, []byte("a"), 1)
 	buf := make([]byte, c.StateSize())
 	if err := m.MarshalTo(c, buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalMatcher(c, buf)
+	got, err := UnmarshalMatcher(c, buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != m {
+	if !reflect.DeepEqual(got, m) {
 		t.Errorf("round trip: got %+v, want %+v", got, m)
 	}
 	// Continue evaluation on the unmarshalled matcher.
-	got.OnStart(c, "b", 2)
-	got.OnText(c, "found", 2)
-	if key, ok := got.Key(); !ok || key != "found" {
+	got.OnStart(c, []byte("b"), 2)
+	got.OnText(c, []byte("found"), 2)
+	if key, ok := got.Key(); !ok || string(key) != "found" {
 		t.Errorf("key after resume = %q, %v", key, ok)
 	}
 	if err := m.MarshalTo(c, buf[:3]); err == nil {
 		t.Error("short buffer should fail")
 	}
-	if _, err := UnmarshalMatcher(c, buf[:3]); err == nil {
+	if _, err := UnmarshalMatcher(c, buf[:3], nil); err == nil {
 		t.Error("short unmarshal should fail")
 	}
 }
 
 func TestMatcherNoRule(t *testing.T) {
 	c := &Criterion{Rules: []Rule{{Tag: "only", Source: ByTag()}}}
-	m := c.NewMatcher(xmltok.Token{Kind: xmltok.KindStart, Name: "other"})
+	m := c.NewMatcher(view(xmltok.Token{Kind: xmltok.KindStart, Name: "other"}), nil)
 	if !m.done {
 		t.Error("no-rule matcher should be done immediately")
 	}
-	if key := m.Finalize(); key != "" {
+	if key := m.Finalize(); len(key) != 0 {
 		t.Errorf("no-rule key = %q", key)
 	}
 }

@@ -18,30 +18,36 @@ import (
 // chain, in document order, then stops. Relative depths are supplied by the
 // caller (they are implicit in its element stack, so the matcher need not
 // store them).
+//
+// The key is copied into the matcher's own buffer, so the tokens it came
+// from may be reused at once; the buffer never grows past the criterion's
+// key capacity.
 type Matcher struct {
 	ruleIdx int // index into Criterion.Rules; -1 when no rule applies
 	matched int // leading path components matched by the open chain
 	done    bool
 	found   bool
-	key     string
+	key     []byte
 }
 
-// NewMatcher creates the matcher for an element from its start token. For
+// NewMatcher creates the matcher for an element from its start tag. For
 // start-resolvable sources (tag, attribute) the matcher completes
-// immediately.
-func (c *Criterion) NewMatcher(start xmltok.Token) Matcher {
-	idx := c.ruleIndex(start.Name)
-	m := Matcher{ruleIdx: idx}
+// immediately. The matcher keeps its key in buf's array, from length 0,
+// and owns it from then on: a caller that recycles matchers passes the
+// array of one it is done with, and nil allocates on demand.
+func (c *Criterion) NewMatcher(start *xmltok.Encoded, buf []byte) Matcher {
+	idx := c.ruleIndex(start.Name())
+	m := Matcher{ruleIdx: idx, key: buf[:0]}
 	if idx < 0 {
 		m.done = true
 		return m
 	}
 	switch src := c.Rules[idx].Source; src.Kind {
 	case SrcTag:
-		m.key, m.found, m.done = c.Clip(start.Name), true, true
+		m.key, m.found, m.done = append(m.key, c.clip(start.Name())...), true, true
 	case SrcAttr:
 		if v, ok := start.Attr(src.Attr); ok {
-			m.key, m.found = c.Clip(v), true
+			m.key, m.found = append(m.key, c.clip(v)...), true
 		}
 		m.done = true
 	}
@@ -56,9 +62,15 @@ func (m *Matcher) source(c *Criterion) Source {
 	return c.Rules[m.ruleIdx].Source
 }
 
+// startResolved reports whether the key was final at the start tag: a tag
+// or attribute source, or no rule at all (the empty key).
+func (m *Matcher) startResolved(c *Criterion) bool {
+	return m.ruleIdx < 0 || c.Rules[m.ruleIdx].Source.StartResolvable()
+}
+
 // OnStart observes a descendant start tag at relative depth r (r=1 is a
 // direct child of the matcher's element).
-func (m *Matcher) OnStart(c *Criterion, name string, r int) {
+func (m *Matcher) OnStart(c *Criterion, name []byte, r int) {
 	if m.done {
 		return
 	}
@@ -66,21 +78,21 @@ func (m *Matcher) OnStart(c *Criterion, name string, r int) {
 	if src.Kind != SrcPath {
 		return
 	}
-	if r <= len(src.Path) && m.matched == r-1 && src.Path[r-1] == name {
+	if r <= len(src.Path) && m.matched == r-1 && src.Path[r-1] == string(name) {
 		m.matched = r
 	}
 }
 
 // OnText observes descendant text with r open descendant elements (r=0
 // means the text is a direct child of the matcher's element).
-func (m *Matcher) OnText(c *Criterion, text string, r int) {
+func (m *Matcher) OnText(c *Criterion, text []byte, r int) {
 	if m.done {
 		return
 	}
 	src := m.source(c)
 	L := src.depth()
 	if r == L && m.matched == L {
-		m.key, m.found, m.done = c.Clip(text), true, true
+		m.key, m.found, m.done = append(m.key[:0], c.clip(text)...), true, true
 	}
 }
 
@@ -97,13 +109,13 @@ func (m *Matcher) OnEnd(r int) {
 
 // Finalize completes evaluation at the element's own end tag and returns
 // the key (empty if the source never produced a value).
-func (m *Matcher) Finalize() string {
+func (m *Matcher) Finalize() []byte {
 	m.done = true
 	return m.key
 }
 
 // Key returns the current key and whether a value was found.
-func (m *Matcher) Key() (string, bool) { return m.key, m.found }
+func (m *Matcher) Key() ([]byte, bool) { return m.key, m.found }
 
 // Matcher state serialization: matchers for elements deeper than the active
 // window are spilled to an external-memory stack alongside the path stack,
@@ -138,8 +150,8 @@ func (m *Matcher) MarshalTo(c *Criterion, dst []byte) error {
 }
 
 // UnmarshalMatcher reconstructs a matcher from a record written by
-// MarshalTo.
-func UnmarshalMatcher(c *Criterion, src []byte) (Matcher, error) {
+// MarshalTo. Like NewMatcher, it keeps the key in buf's array.
+func UnmarshalMatcher(c *Criterion, src, buf []byte) (Matcher, error) {
 	if len(src) != c.StateSize() {
 		return Matcher{}, fmt.Errorf("keys: unmarshal buffer is %d bytes, want %d", len(src), c.StateSize())
 	}
@@ -153,6 +165,6 @@ func UnmarshalMatcher(c *Criterion, src []byte) (Matcher, error) {
 	if keyLen > c.keyCap() {
 		return Matcher{}, fmt.Errorf("keys: corrupt matcher record: key length %d exceeds cap %d", keyLen, c.keyCap())
 	}
-	m.key = string(src[matcherHeaderSize : matcherHeaderSize+keyLen])
+	m.key = append(buf[:0], src[matcherHeaderSize:matcherHeaderSize+keyLen]...)
 	return m, nil
 }

@@ -414,14 +414,16 @@ type parserStream struct {
 func newParserStream(r io.Reader, c *keys.Criterion, elements *int64) *parserStream {
 	p := xmltok.NewParser(r, xmltok.DefaultParserOptions())
 	a := keys.NewAnnotator(c, nil)
+	var dec xmltok.Decoder
 	fetch := func() (xmltok.Token, error) {
-		tok, err := p.Next()
+		v, err := p.NextEncoded()
 		if err != nil {
 			return xmltok.Token{}, err
 		}
-		if tok, err = a.Annotate(tok); err != nil {
+		if v, err = a.Annotate(v); err != nil {
 			return xmltok.Token{}, err
 		}
+		tok := dec.Decode(v)
 		if tok.Kind == xmltok.KindStart {
 			*elements++
 		}

@@ -22,10 +22,31 @@ func benchDoc() string {
 	return sb.String()
 }
 
-// BenchmarkParserThroughput measures the streaming tokenizer.
+// BenchmarkParserThroughput measures the streaming tokenizer as the sorters
+// run it: each token's encoding, as a view.
 func BenchmarkParserThroughput(b *testing.B) {
 	doc := benchDoc()
 	b.SetBytes(int64(len(doc)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := NewParser(strings.NewReader(doc), DefaultParserOptions())
+		for {
+			if _, err := p.NextEncoded(); err == io.EOF {
+				break
+			} else if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkParserTokens measures the tokenizer with every view decoded
+// into a Token, as Next's callers run it.
+func BenchmarkParserTokens(b *testing.B) {
+	doc := benchDoc()
+	b.SetBytes(int64(len(doc)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := NewParser(strings.NewReader(doc), DefaultParserOptions())

@@ -260,8 +260,13 @@ func mid(err error) error {
 	return err
 }
 
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
+// appendString appends s as a length-prefixed string.
+func appendString[S string | []byte](dst []byte, s S) []byte {
+	if len(s) < 0x80 {
+		dst = append(dst, byte(len(s)))
+	} else {
+		dst = binary.AppendUvarint(dst, uint64(len(s)))
+	}
 	return append(dst, s...)
 }
 
@@ -277,7 +282,9 @@ func uvarintSize(v uint64) int {
 }
 
 // maxStringLen bounds decoded string lengths so that corrupt or hostile
-// input cannot trigger enormous allocations.
+// input cannot trigger enormous allocations. The parser holds every name,
+// attribute value and text to it (ErrTooLong), so every token it writes
+// decodes.
 const maxStringLen = 1 << 26 // 64 MiB
 
 // readString decodes one length-prefixed string into the decoder's scratch
@@ -327,3 +334,32 @@ func (d *Decoder) readString(r io.ByteReader) (string, error) {
 
 // stringChunk is the first size readString's scratch grows to.
 const stringChunk = 512
+
+// interner hands out one string per distinct tag or attribute name, since
+// names repeat throughout a document. It is a direct-mapped cache: a slot
+// chosen by the name's length and end bytes holds the last name seen there,
+// so it is bounded at internSlots names of at most maxInternedLen bytes,
+// and a lookup costs one comparison instead of a hash.
+type interner struct {
+	slots *[internSlots]string
+}
+
+const (
+	internSlots    = 256
+	maxInternedLen = 64
+)
+
+func (in *interner) intern(b []byte) string {
+	n := len(b)
+	if n == 0 || n > maxInternedLen {
+		return string(b)
+	}
+	if in.slots == nil {
+		in.slots = new([internSlots]string)
+	}
+	slot := &in.slots[(n*37+int(b[0])*7+int(b[n-1]))%internSlots]
+	if *slot != string(b) {
+		*slot = string(b)
+	}
+	return *slot
+}

@@ -6,10 +6,11 @@ import (
 )
 
 // Encoded is a view of one binary token in place: its bytes, and where its
-// fields lie in them. After the parser, NEXSORT moves tokens in this form
-// only — the subtree sorts, the key-path records and the output phase read
-// names, keys and run IDs out of the bytes instead of decoding a Token with
-// new strings.
+// fields lie in them. From the parser on, the sorters move tokens in this
+// form only — the annotator, the subtree sorts, the key-path records and
+// the output phase read names, attributes, keys and run IDs out of the
+// bytes, and re-encode a token by appending new bytes, instead of decoding
+// a Token with new strings.
 //
 // A view aliases the bytes it was scanned from. It is valid only as long as
 // they are, and a caller that keeps anything copies the bytes.
@@ -39,7 +40,7 @@ func (e *Encoded) Scan(buf []byte) (n int, ok bool) {
 }
 
 // scan is Scan with the length limit as a parameter: the writer scans
-// tokens it has just encoded, whose strings the parser does not bound.
+// tokens it has just encoded from a Token, whose strings nothing bounds.
 func (e *Encoded) scan(buf []byte, limit uint64) (n int, ok bool) {
 	if len(buf) == 0 {
 		return 0, false
@@ -85,6 +86,15 @@ func (e *Encoded) scan(buf []byte, limit uint64) (n int, ok bool) {
 	return c.i, true
 }
 
+// set makes e the view of the key-less token in b, whose fields the parser
+// has just written: str is its name or text, and a start tag's nAttrs
+// attribute pairs lie in attrs.
+func (e *Encoded) set(b []byte, kind Kind, str, attrs span, nAttrs int) {
+	e.b, e.kind, e.flags = b, kind, 0
+	e.str, e.attrs, e.nAttrs, e.run = str, attrs, nAttrs, 0
+	e.fields, e.key = len(b), span{len(b), len(b)}
+}
+
 // Bytes returns the token's encoding.
 func (e *Encoded) Bytes() []byte { return e.b }
 
@@ -121,18 +131,93 @@ func (e *Encoded) Key() []byte { return e.b[e.key.off:e.key.end] }
 // with Key = key and HasKey set.
 func (e *Encoded) AppendWithKey(dst, key []byte) []byte {
 	dst = append(dst, byte(e.kind)|flagHasKey)
-	dst = append(dst, e.b[1:e.fields]...)
-	dst = binary.AppendUvarint(dst, uint64(len(key)))
-	return append(dst, key...)
+	return appendString(append(dst, e.b[1:e.fields]...), key)
+}
+
+// Rekey appends tok re-keyed to dst, as AppendWithKey does, makes e a view
+// of the appended token without scanning it, and returns the extended dst,
+// which must not share tok's bytes.
+func (e *Encoded) Rekey(dst []byte, tok *Encoded, key []byte) []byte {
+	start := len(dst)
+	dst = tok.AppendWithKey(dst, key)
+	*e = *tok
+	e.b, e.flags = dst[start:], flagHasKey
+	e.key = span{len(e.b) - len(key), len(e.b)}
+	return dst
 }
 
 // AppendEnd appends the key-less end tag that closes a start tag: the bytes
 // AppendToken writes for Token{Kind: KindEnd, Name: name}.
 func (e *Encoded) AppendEnd(dst []byte) []byte {
-	name := e.Name()
-	dst = append(dst, byte(KindEnd))
-	dst = binary.AppendUvarint(dst, uint64(len(name)))
-	return append(dst, name...)
+	return appendString(append(dst, byte(KindEnd)), e.Name())
+}
+
+// AppendRunPtr appends the run pointer that replaces a tag's element once
+// its subtree is sorted into the run with ID run: the bytes AppendToken
+// writes for Token{Kind: KindRunPtr, Run: run, Name: name, Key: key,
+// HasKey: true}, with the tag's name and key.
+func (e *Encoded) AppendRunPtr(dst []byte, run int64) []byte {
+	dst = append(dst, byte(KindRunPtr)|flagHasKey)
+	dst = binary.AppendUvarint(dst, uint64(run))
+	return appendString(appendString(dst, e.Name()), e.Key())
+}
+
+// Attr returns the value of a start tag's first attribute with the given
+// name, and whether it has one.
+func (e *Encoded) Attr(name string) ([]byte, bool) {
+	c := e.attrCursor()
+	for range e.nAttrs {
+		n, v := c.bytes(), c.bytes()
+		if string(n) == name {
+			return v, true
+		}
+	}
+	return nil, false
+}
+
+// AppendAttr appends a start tag with one more attribute, name="value",
+// after its others; its key, if any, is kept.
+func (e *Encoded) AppendAttr(dst, name, value []byte) []byte {
+	dst = append(dst, e.b[:e.str.end]...)
+	dst = binary.AppendUvarint(dst, uint64(e.nAttrs+1))
+	dst = append(dst, e.b[e.attrs.off:e.attrs.end]...)
+	dst = appendString(appendString(dst, name), value)
+	return append(dst, e.b[e.fields:]...)
+}
+
+// AppendRenamed appends the token with its name replaced by name and, for a
+// start tag, each attribute's name a replaced by attrName(a), which may
+// fail. Attribute values, the run ID and the key are copied as they are; a
+// text token is copied whole.
+func (e *Encoded) AppendRenamed(dst, name []byte, attrName func([]byte) ([]byte, error)) ([]byte, error) {
+	if e.kind == KindText {
+		return append(dst, e.b...), nil
+	}
+	// The name's length prefix starts after the kind byte and, in a run
+	// pointer, the run ID.
+	pre := 1
+	if e.kind == KindRunPtr {
+		_, n := binary.Uvarint(e.b[1:])
+		pre += n
+	}
+	dst = appendString(append(dst, e.b[:pre]...), name)
+	if e.kind == KindStart {
+		dst = append(dst, e.b[e.str.end:e.attrs.off]...)
+		c := e.attrCursor()
+		for range e.nAttrs {
+			a, err := attrName(c.bytes())
+			if err != nil {
+				return dst, err
+			}
+			dst = appendString(appendString(dst, a), c.bytes())
+		}
+	}
+	return append(dst, e.b[e.fields:]...), nil
+}
+
+// attrCursor reads a start tag's attribute pairs.
+func (e *Encoded) attrCursor() cursor {
+	return cursor{b: e.b[:e.attrs.end], i: e.attrs.off, limit: ^uint64(0)}
 }
 
 // Decode materializes a view as a Token, interning names.
@@ -142,7 +227,7 @@ func (d *Decoder) Decode(e *Encoded) Token {
 	case KindStart:
 		t.Name = d.names.intern(e.Name())
 		if e.nAttrs > 0 {
-			c := cursor{b: e.b[:e.attrs.end], i: e.attrs.off, limit: maxStringLen}
+			c := e.attrCursor()
 			t.Attrs = make([]Attr, e.nAttrs)
 			for i := range t.Attrs {
 				t.Attrs[i].Name = d.names.intern(c.bytes())

@@ -7,6 +7,7 @@ import (
 	"io"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -174,7 +175,12 @@ func encodedSeedTokens() []Token {
 // length; an accepted view must have the decoded kind, key and run ID; the
 // writer must serialize it exactly as it serializes the decoded token with
 // the key dropped, compact and indented; and the view's two re-encodings
-// must be AppendToken's for the correspondingly edited token. Non-minimal
+// must be AppendToken's for the correspondingly edited token, as must the
+// re-encodings the sort stages use: a run pointer for a tag, the token
+// renamed, a start tag with one more attribute. Rekey's view must be the
+// one Scan makes of its bytes, and Attr must find each attribute's first
+// value.
+// Non-minimal
 // varints are accepted by both the decoder and the view and are copied by
 // the re-encodings, so for a token AppendToken would not write byte for
 // byte, the re-encodings must decode to the edited token instead.
@@ -227,9 +233,48 @@ func FuzzEncoded(f *testing.F) {
 			rekeyed := tok
 			rekeyed.Key, rekeyed.HasKey = "new&key", true
 			checkReencoding(t, "AppendWithKey", v.AppendWithKey(nil, []byte(rekeyed.Key)), rekeyed, canonical)
+			var rv Encoded
+			rb := rv.Rekey([]byte("prefix"), &v, []byte(rekeyed.Key))
+			var scanned Encoded
+			if _, ok := scanned.Scan(rb[len("prefix"):]); !ok || !reflect.DeepEqual(rv, scanned) {
+				t.Fatalf("at byte %d: Rekey's view %+v, scanning its bytes gives %+v", off, rv, scanned)
+			}
+			if tok.Kind != KindText {
+				ptr := Token{Kind: KindRunPtr, Run: 1 << 40, Name: tok.Name, Key: tok.Key, HasKey: true}
+				checkReencoding(t, "AppendRunPtr", v.AppendRunPtr(nil, ptr.Run), ptr, true)
+			}
+			renamed := tok
+			if tok.Kind != KindText {
+				renamed.Name = "N"
+			}
+			renamed.Attrs = nil
+			for _, a := range tok.Attrs {
+				renamed.Attrs = append(renamed.Attrs, Attr{"x" + a.Name, a.Value})
+			}
+			got, err := v.AppendRenamed(nil, []byte("N"), func(a []byte) ([]byte, error) { return append([]byte("x"), a...), nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkReencoding(t, "AppendRenamed", got, renamed, canonical)
 			if tok.Kind == KindStart {
 				end := Token{Kind: KindEnd, Name: tok.Name}
 				checkReencoding(t, "AppendEnd", v.AppendEnd(nil), end, true)
+				stamped := tok
+				stamped.Attrs = append(tok.Attrs[:len(tok.Attrs):len(tok.Attrs)], Attr{"stamp", "007"})
+				checkReencoding(t, "AppendAttr", v.AppendAttr(nil, []byte("stamp"), []byte("007")), stamped, canonical)
+				absent := "absent"
+				for slices.ContainsFunc(tok.Attrs, func(b Attr) bool { return b.Name == absent }) {
+					absent += "x"
+				}
+				if _, ok := v.Attr(absent); ok {
+					t.Fatalf("at byte %d: Attr found the absent attribute %q", off, absent)
+				}
+				for i, a := range tok.Attrs {
+					first := slices.IndexFunc(tok.Attrs, func(b Attr) bool { return b.Name == a.Name }) == i
+					if got, ok := v.Attr(a.Name); !ok || first && string(got) != a.Value {
+						t.Fatalf("at byte %d: Attr(%q) = %q, %v, want %q", off, a.Name, got, ok, a.Value)
+					}
+				}
 			}
 			off += n
 		}

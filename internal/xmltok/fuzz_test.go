@@ -2,6 +2,7 @@ package xmltok
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -89,12 +90,18 @@ func dropWhitespaceText(toks []Token) []Token {
 // whose windows end every k bytes (k taken from the input), through
 // iotest.OneByteReader (one-byte windows via the bufio adapter), and
 // through a single window holding the whole input. All three must yield
-// the same tokens and the same error, since a token that straddles a
-// window edge takes a different path than one that does not. Accepted
+// the same views, byte for byte, and the same error, since a token that
+// straddles a window edge takes a different path than one that does not.
+// Each view must be AppendToken's encoding of its own decode. Accepted
 // documents must also tokenize as encoding/xml does.
 func FuzzParserWindows(f *testing.F) {
 	f.Add(`<a k="v">x&amp;y<![CDATA[z]]><!--c--></a>`, uint8(7))
 	f.Add(`<a><b/></a>`, uint8(0))
+	f.Add(`<a k="x&amp;y&#65;" j='&lt;'>t</a>`, uint8(9))
+	f.Add(manyAttrs(130), uint8(63))
+	f.Add(`<r><b k="v"/></r>`, uint8(11))       // the window edge falls inside "/>"
+	f.Add(`<a><![CDATA[x<y]]>z</a>`, uint8(14)) // and inside the CDATA section
+	f.Add(`<a><!x "q>" <y><!--z>-->>t</a>`, uint8(6))
 	f.Fuzz(func(t *testing.T, doc string, kRaw uint8) {
 		k := 1 + int(kRaw)%64
 		opts := ParserOptions{SkipWhitespaceText: kRaw&0x80 != 0, ValidateNesting: true}
@@ -106,8 +113,20 @@ func FuzzParserWindows(f *testing.F) {
 				k, chunkedErr, oneByteErr, wholeErr)
 		}
 		if !reflect.DeepEqual(chunked, whole) || !reflect.DeepEqual(oneByte, whole) {
-			t.Fatalf("tokens differ:\n %d-byte windows %v\n one-byte reader %v\n whole buffer %v",
+			t.Fatalf("views differ:\n %d-byte windows %x\n one-byte reader %x\n whole buffer %x",
 				k, chunked, oneByte, whole)
+		}
+		toks := make([]Token, len(whole))
+		for i, view := range whole {
+			var d Decoder
+			tok, err := d.DecodeToken(view)
+			if err != nil {
+				t.Fatalf("view %x does not decode: %v", view, err)
+			}
+			if enc := AppendToken(nil, tok); !bytes.Equal(enc, view) {
+				t.Fatalf("view %x of %+v, AppendToken writes %x", view, tok, enc)
+			}
+			toks[i] = tok
 		}
 		if wholeErr != nil || opts.SkipWhitespaceText || strings.Contains(doc, "\r") {
 			// encoding/xml folds CR and CRLF into LF; this parser keeps them.
@@ -117,26 +136,37 @@ func FuzzParserWindows(f *testing.F) {
 		if err != nil {
 			return // the standard library is stricter in places
 		}
-		if !sameTokensAsEncodingXML(whole, std) {
-			t.Fatalf("differs from encoding/xml:\n mine %v\n  std %v", coalesce(whole), coalesce(std))
+		if !sameTokensAsEncodingXML(toks, std) {
+			t.Fatalf("differs from encoding/xml:\n mine %v\n  std %v", coalesce(toks), coalesce(std))
 		}
 	})
 }
 
-// parseVia parses the whole document from r, returning the tokens up to
-// the first error and that error (nil at a clean end).
-func parseVia(r io.Reader, opts ParserOptions) ([]Token, error) {
+// manyAttrs is a self-closing tag with n attributes.
+func manyAttrs(n int) string {
+	var sb strings.Builder
+	sb.WriteString("<a")
+	for i := range n {
+		fmt.Fprintf(&sb, ` a%d="%d"`, i, i)
+	}
+	sb.WriteString("/>")
+	return sb.String()
+}
+
+// parseVia parses the whole document from r, returning a copy of each
+// view's bytes up to the first error and that error (nil at a clean end).
+func parseVia(r io.Reader, opts ParserOptions) ([][]byte, error) {
 	p := NewParser(r, opts)
-	var toks []Token
+	var views [][]byte
 	for {
-		tok, err := p.Next()
+		e, err := p.NextEncoded()
 		if err == io.EOF {
-			return toks, nil
+			return views, nil
 		}
 		if err != nil {
-			return toks, err
+			return views, err
 		}
-		toks = append(toks, tok)
+		views = append(views, bytes.Clone(e.Bytes()))
 	}
 }
 

@@ -2,6 +2,7 @@ package xmltok
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"strconv"
 	"strings"
@@ -29,13 +30,15 @@ func DefaultParserOptions() ParserOptions {
 }
 
 // Parser is a streaming, event-based XML reader. Create one with NewParser
-// and call Next until it returns io.EOF.
+// and call NextEncoded (or Next) until it returns io.EOF.
 //
-// The parser scans inside its source's window (see WindowReader): a token
-// that lies wholly in the window is found with bytes.IndexByte and copied
-// out once, and the window is advanced past it when Next returns. Only a
-// token that straddles a window boundary, and entity references, take the
-// byte-at-a-time path.
+// The parser writes each token's binary encoding — the bytes AppendToken
+// writes for it — straight from its source's window (see WindowReader)
+// into one reusable buffer, and returns a view of it. A token that lies
+// wholly in the window is found with bytes.IndexByte and copied once;
+// entity references and a token that straddles a window boundary take a
+// byte-at-a-time path into the same buffer. Nothing is allocated per token
+// once the buffers have grown to the document's largest token.
 type Parser struct {
 	src WindowReader
 	// buf is the source's current window and pos the bytes of it the
@@ -46,13 +49,21 @@ type Parser struct {
 	depth   int
 	started bool // a root element has been seen
 	done    bool // the root element has been closed
-	// pendingEnd names the self-closing tag whose end tag the next call
-	// returns; empty when there is none.
-	pendingEnd string
-	openNames  []string // only when ValidateNesting
-	// scratch accumulates whatever takes the byte-at-a-time path.
+	// enc holds the current token's encoding, which view describes.
+	// After a self-closing tag it also holds the end tag the next call
+	// returns, from offset pendingEnd; pendingEnd is 0 when there is none.
+	enc        []byte
+	view       Encoded
+	pendingEnd int
+	// openNames holds the names of the open elements back to back, and
+	// openStarts where each begins; only when ValidateNesting.
+	openNames  []byte
+	openStarts []int
+	// scratch holds the tail of a comment or processing instruction that
+	// runs past the window.
 	scratch []byte
-	names   interner
+	// dec decodes views into Tokens for Next.
+	dec Decoder
 }
 
 // NewParser reads a document from r with the given options. A reader that
@@ -120,26 +131,42 @@ func (p *Parser) commit() {
 	p.buf, p.pos = nil, 0
 }
 
-// Next returns the next token, or io.EOF when the document is exhausted.
-func (p *Parser) Next() (Token, error) {
-	if name := p.pendingEnd; name != "" {
-		p.pendingEnd = ""
-		p.closeElement(name)
-		return Token{Kind: KindEnd, Name: name}, nil
+// NextEncoded returns a view of the next token's encoding, or io.EOF when
+// the document is exhausted. The view and its bytes belong to the parser
+// and are valid only until the next call; a caller that keeps anything
+// copies it.
+func (p *Parser) NextEncoded() (*Encoded, error) {
+	if end := p.pendingEnd; end > 0 {
+		p.pendingEnd = 0
+		b := p.enc[end:]
+		n, k := binary.Uvarint(b[1:])
+		name := span{1 + k, 1 + k + int(n)}
+		p.view.set(b, KindEnd, name, span{}, 0)
+		p.closeElement(b[name.off:name.end])
+		return &p.view, nil
 	}
-	var tok Token
-	err := p.next(&tok)
+	p.enc = p.enc[:0]
+	err := p.next()
 	p.commit()
+	if err != nil {
+		return nil, err
+	}
+	return &p.view, nil
+}
+
+// Next returns the next token, or io.EOF when the document is exhausted.
+// It is NextEncoded's view decoded, with names interned.
+func (p *Parser) Next() (Token, error) {
+	e, err := p.NextEncoded()
 	if err != nil {
 		return Token{}, err
 	}
-	return tok, nil
+	return p.dec.Decode(e), nil
 }
 
-// next scans the next token into tok. The parse functions below fill in a
-// *Token rather than return one, because copying the struct through every
-// level costs more than scanning a short tag.
-func (p *Parser) next(tok *Token) error {
+// next encodes the next token into enc, which is empty on entry and stays
+// empty for a construct that yields no token, and sets view to it.
+func (p *Parser) next() error {
 	for {
 		b, err := p.readByte()
 		if err == io.EOF {
@@ -153,7 +180,7 @@ func (p *Parser) next(tok *Token) error {
 		}
 		var skip bool
 		if b == '<' {
-			skip, err = p.parseMarkup(tok)
+			skip, err = p.parseMarkup()
 		} else if p.depth == 0 {
 			// Text outside the root must be whitespace.
 			if !isXMLSpace(b) {
@@ -162,7 +189,7 @@ func (p *Parser) next(tok *Token) error {
 			skip = true
 		} else {
 			p.unread()
-			skip, err = p.parseText(tok)
+			skip, err = p.parseText()
 		}
 		if err != nil || !skip {
 			return err
@@ -170,23 +197,55 @@ func (p *Parser) next(tok *Token) error {
 	}
 }
 
-// parseText reads character data up to (not including) the next '<'.
+// beginString reserves a one-byte length prefix in enc for a string whose
+// length is not known yet, and returns the offset its bytes start at.
+func (p *Parser) beginString() int {
+	p.enc = append(p.enc, 0)
+	return len(p.enc)
+}
+
+// endString completes the string begun at off, which runs to the end of
+// enc: it writes the length prefix, moving the bytes up when the length
+// needs more than the one byte reserved, and returns the string's span.
+func (p *Parser) endString(off int) span {
+	n := len(p.enc) - off
+	if n < 0x80 {
+		p.enc[off-1] = byte(n)
+		return span{off, off + n}
+	}
+	extra := uvarintSize(uint64(n)) - 1
+	p.enc = append(p.enc, make([]byte, extra)...)
+	copy(p.enc[off+extra:], p.enc[off:off+n])
+	binary.PutUvarint(p.enc[off-1:], uint64(n))
+	return span{off + extra, off + extra + n}
+}
+
+// overLimit reports whether a string begun at off has grown past
+// maxStringLen.
+func (p *Parser) overLimit(off int) bool { return len(p.enc)-off > maxStringLen }
+
+// parseText encodes character data up to (not including) the next '<'.
 // skip=true means the text is whitespace-only and SkipWhitespaceText drops
 // it.
-func (p *Parser) parseText(tok *Token) (skip bool, err error) {
+func (p *Parser) parseText() (skip bool, err error) {
 	rest := p.buf[p.pos:]
 	if j := bytes.IndexByte(rest, '<'); j >= 0 {
 		if run := rest[:j]; bytes.IndexByte(run, '&') < 0 {
 			p.pos += j
+			if len(run) > maxStringLen {
+				return false, tooLong("text")
+			}
 			if p.opts.SkipWhitespaceText && isSpaceOnly(run) {
 				return true, nil
 			}
-			tok.Kind, tok.Text = KindText, string(run)
+			p.enc = appendString(append(p.enc, byte(KindText)), run)
+			p.view.set(p.enc, KindText, span{len(p.enc) - len(run), len(p.enc)}, span{}, 0)
 			return false, nil
 		}
 	}
 	// The text holds an entity or runs past the window.
-	p.scratch = p.scratch[:0]
+	p.enc = append(p.enc, byte(KindText))
+	off := p.beginString()
 	for {
 		if p.pos == len(p.buf) {
 			if _, err := p.readByte(); err == io.EOF {
@@ -201,8 +260,11 @@ func (p *Parser) parseText(tok *Token) (skip bool, err error) {
 		for k < len(rest) && rest[k] != '<' && rest[k] != '&' {
 			k++
 		}
-		p.scratch = append(p.scratch, rest[:k]...)
+		p.enc = append(p.enc, rest[:k]...)
 		p.pos += k
+		if p.overLimit(off) {
+			return false, tooLong("text")
+		}
 		if k == len(rest) {
 			continue
 		}
@@ -210,41 +272,45 @@ func (p *Parser) parseText(tok *Token) (skip bool, err error) {
 			break
 		}
 		p.pos++ // the '&'
-		if p.scratch, err = p.appendEntity(p.scratch); err != nil {
+		if p.enc, err = p.appendEntity(p.enc); err != nil {
 			return false, err
 		}
 	}
-	if p.opts.SkipWhitespaceText && isSpaceOnly(p.scratch) {
+	if p.overLimit(off) {
+		return false, tooLong("text")
+	}
+	if p.opts.SkipWhitespaceText && isSpaceOnly(p.enc[off:]) {
+		p.enc = p.enc[:0]
 		return true, nil
 	}
-	tok.Kind, tok.Text = KindText, string(p.scratch)
+	text := p.endString(off)
+	p.view.set(p.enc, KindText, text, span{}, 0)
 	return false, nil
 }
 
 // parseMarkup handles everything after a '<'. skip=true means the construct
 // produces no token (comment, PI, doctype) — unless it is a CDATA section,
 // which yields a text token.
-func (p *Parser) parseMarkup(tok *Token) (skip bool, err error) {
+func (p *Parser) parseMarkup() (skip bool, err error) {
 	b, err := p.readByte()
 	if err != nil {
 		return false, truncated(err, "truncated markup")
 	}
 	switch {
 	case b == '?':
-		_, err := p.readUntil("?>", false)
-		return true, err
+		return true, p.readUntil("?>", false)
 	case b == '!':
-		return p.parseBang(tok)
+		return p.parseBang()
 	case b == '/':
-		return false, p.parseEndTag(tok)
+		return false, p.parseEndTag()
 	default:
 		p.unread()
-		return false, p.parseStartTag(tok)
+		return false, p.parseStartTag()
 	}
 }
 
 // parseBang handles <!-- comments, <![CDATA[ sections and <!DOCTYPE.
-func (p *Parser) parseBang(tok *Token) (skip bool, err error) {
+func (p *Parser) parseBang() (skip bool, err error) {
 	b, err := p.readByte()
 	if err != nil {
 		return false, truncated(err, "truncated <! construct")
@@ -254,8 +320,7 @@ func (p *Parser) parseBang(tok *Token) (skip bool, err error) {
 		if b2, err := p.readByte(); err != nil || b2 != '-' {
 			return false, truncated(err, "expected <!--")
 		}
-		_, err := p.readUntil("-->", false)
-		return true, err
+		return true, p.readUntil("-->", false)
 	case '[':
 		// <![CDATA[ ... ]]>
 		const open = "CDATA["
@@ -268,104 +333,167 @@ func (p *Parser) parseBang(tok *Token) (skip bool, err error) {
 		if p.depth == 0 {
 			return false, malformed("CDATA outside the root element")
 		}
-		text, err := p.readUntil("]]>", true)
-		if err != nil {
+		p.enc = append(p.enc, byte(KindText))
+		off := p.beginString()
+		if err := p.readUntil("]]>", true); err != nil {
 			return false, err
 		}
-		if p.opts.SkipWhitespaceText && isSpaceOnly(text) {
+		if p.opts.SkipWhitespaceText && isSpaceOnly(p.enc[off:]) {
+			p.enc = p.enc[:0]
 			return true, nil
 		}
-		tok.Kind, tok.Text = KindText, string(text)
+		text := p.endString(off)
+		p.view.set(p.enc, KindText, text, span{}, 0)
 		return false, nil
 	default:
-		// <!DOCTYPE ...> possibly with an internal subset in [...].
-		inSubset := false
-		cur := b
+		// A declaration such as <!DOCTYPE ...>, skipped where encoding/xml
+		// ends the same directive: the byte after "<!" is taken as it is,
+		// and a '>' inside quotes or closing a nested '<' (as in an
+		// internal subset) does not end it; a nested comment is skipped
+		// whole.
+		var quote byte
+		depth := 0
 		for {
-			if cur == '[' {
-				inSubset = true
-			} else if cur == ']' {
-				inSubset = false
-			} else if cur == '>' && !inSubset {
-				return true, nil
-			}
-			cur, err = p.readByte()
+			b, err := p.readByte()
 			if err != nil {
 				return false, truncated(err, "truncated <! declaration")
+			}
+			switch {
+			case quote != 0:
+				if b == quote {
+					quote = 0
+				}
+			case b == '"' || b == '\'':
+				quote = b
+			case b == '>':
+				if depth == 0 {
+					return true, nil
+				}
+				depth--
+			case b == '<':
+				const comment = "!--"
+				n := 0
+				for ; n < len(comment); n++ {
+					if b, err = p.readByte(); err != nil {
+						return false, truncated(err, "truncated <! declaration")
+					}
+					if b != comment[n] {
+						break
+					}
+				}
+				if n == len(comment) {
+					if err := p.readUntil("-->", false); err != nil {
+						return false, err
+					}
+					continue
+				}
+				// Any other '<' nests; the byte after it is read again.
+				depth++
+				p.unread()
 			}
 		}
 	}
 }
 
-func (p *Parser) parseStartTag(tok *Token) error {
+// parseStartTag encodes a start tag. A self-closing tag's end tag is
+// encoded after it, for the next call to return.
+func (p *Parser) parseStartTag() error {
 	if p.done {
 		return malformed("second root element")
 	}
-	name, err := p.readName()
+	p.enc = append(p.enc, byte(KindStart))
+	name, err := p.appendName()
 	if err != nil {
 		return err
 	}
-	tok.Kind, tok.Name = KindStart, name
+	count := len(p.enc)
+	p.enc = append(p.enc, 0) // the attribute count, written at the '>'
+	n := 0
 	for {
 		b, err := p.skipSpace()
 		if err != nil {
-			return truncated(err, "truncated start tag <%s", name)
+			return truncated(err, "truncated start tag <%s", p.bytes(name))
 		}
 		switch b {
 		case '>':
+			attrs := p.endAttrs(count, n)
+			p.view.set(p.enc, KindStart, name, attrs, n)
 			p.openElement(name)
 			return nil
 		case '/':
 			if b2, err := p.readByte(); err != nil || b2 != '>' {
-				return truncated(err, "expected /> in <%s", name)
+				return truncated(err, "expected /> in <%s", p.bytes(name))
 			}
+			attrs := p.endAttrs(count, n)
 			p.openElement(name)
-			p.pendingEnd = name
+			p.pendingEnd = len(p.enc)
+			p.enc = appendString(append(p.enc, byte(KindEnd)), p.bytes(name))
+			p.view.set(p.enc[:p.pendingEnd], KindStart, name, attrs, n)
 			return nil
 		default:
 			p.unread()
-			tok.Attrs = append(tok.Attrs, Attr{})
-			if err := p.readAttr(&tok.Attrs[len(tok.Attrs)-1]); err != nil {
+			if err := p.readAttr(); err != nil {
 				return err
+			}
+			if n++; n > maxStringLen {
+				return tooLong("attribute count of <%s>", p.bytes(name))
 			}
 		}
 	}
 }
 
-func (p *Parser) parseEndTag(tok *Token) error {
-	name, err := p.readName()
+// endAttrs writes a start tag's attribute count n into the byte reserved
+// at count, moving the attributes up when n needs more than one byte, and
+// returns the span of the attribute pairs.
+func (p *Parser) endAttrs(count, n int) span {
+	if n < 0x80 {
+		p.enc[count] = byte(n)
+		return span{count + 1, len(p.enc)}
+	}
+	extra := uvarintSize(uint64(n)) - 1
+	p.enc = append(p.enc, make([]byte, extra)...)
+	copy(p.enc[count+1+extra:], p.enc[count+1:len(p.enc)-extra])
+	binary.PutUvarint(p.enc[count:], uint64(n))
+	return span{count + 1 + extra, len(p.enc)}
+}
+
+func (p *Parser) parseEndTag() error {
+	p.enc = append(p.enc, byte(KindEnd))
+	name, err := p.appendName()
 	if err != nil {
 		return err
 	}
 	b, err := p.skipSpace()
 	if err != nil || b != '>' {
-		return truncated(err, "malformed end tag </%s", name)
+		return truncated(err, "malformed end tag </%s", p.bytes(name))
 	}
 	if p.depth == 0 {
-		return malformed("end tag </%s> with no open element", name)
+		return malformed("end tag </%s> with no open element", p.bytes(name))
 	}
-	if err := p.closeElement(name); err != nil {
-		return err
-	}
-	tok.Kind, tok.Name = KindEnd, name
-	return nil
+	p.view.set(p.enc, KindEnd, name, span{}, 0)
+	return p.closeElement(p.bytes(name))
 }
 
-func (p *Parser) openElement(name string) {
+// bytes returns the bytes of a span of enc.
+func (p *Parser) bytes(s span) []byte { return p.enc[s.off:s.end] }
+
+func (p *Parser) openElement(name span) {
 	p.depth++
 	p.started = true
 	if p.opts.ValidateNesting {
-		p.openNames = append(p.openNames, name)
+		p.openStarts = append(p.openStarts, len(p.openNames))
+		p.openNames = append(p.openNames, p.bytes(name)...)
 	}
 }
 
-func (p *Parser) closeElement(name string) error {
+func (p *Parser) closeElement(name []byte) error {
 	if p.opts.ValidateNesting {
-		want := p.openNames[len(p.openNames)-1]
-		if want != name {
+		top := p.openStarts[len(p.openStarts)-1]
+		if want := p.openNames[top:]; !bytes.Equal(want, name) {
 			return malformed("end tag </%s> does not match open <%s>", name, want)
 		}
-		p.openNames = p.openNames[:len(p.openNames)-1]
+		p.openNames = p.openNames[:top]
+		p.openStarts = p.openStarts[:len(p.openStarts)-1]
 	}
 	p.depth--
 	if p.depth == 0 {
@@ -374,11 +502,12 @@ func (p *Parser) closeElement(name string) error {
 	return nil
 }
 
-// readName reads an XML name (first byte already positioned at its start).
-func (p *Parser) readName() (string, error) {
+// appendName encodes an XML name (first byte already positioned at its
+// start) and returns the span of its bytes in enc.
+func (p *Parser) appendName() (span, error) {
 	b, err := p.readByte()
 	if err != nil || !isNameStart(b) {
-		return "", truncated(err, "expected a name")
+		return span{}, truncated(err, "expected a name")
 	}
 	start, i := p.pos-1, p.pos
 	for i < len(p.buf) && isNameByte(p.buf[i]) {
@@ -386,10 +515,16 @@ func (p *Parser) readName() (string, error) {
 	}
 	p.pos = i
 	if i < len(p.buf) {
-		return p.names.intern(p.buf[start:i]), nil
+		name := p.buf[start:i]
+		if len(name) > maxStringLen {
+			return span{}, tooLong("name")
+		}
+		p.enc = appendString(p.enc, name)
+		return span{len(p.enc) - len(name), len(p.enc)}, nil
 	}
 	// The name may run on into the next window.
-	p.scratch = append(p.scratch[:0], p.buf[start:i]...)
+	off := p.beginString()
+	p.enc = append(p.enc, p.buf[start:i]...)
 	for {
 		b, err = p.readByte()
 		if err != nil {
@@ -399,58 +534,75 @@ func (p *Parser) readName() (string, error) {
 			p.unread()
 			break
 		}
-		p.scratch = append(p.scratch, b)
+		p.enc = append(p.enc, b)
+		if p.overLimit(off) {
+			return span{}, tooLong("name")
+		}
 	}
-	return p.names.intern(p.scratch), nil
+	return p.endString(off), nil
 }
 
-// readAttr reads name="value" (either quote style) into a, entity-decoding
-// the value.
-func (p *Parser) readAttr(a *Attr) error {
-	name, err := p.readName()
+// readAttr encodes name="value" (either quote style), entity-decoding the
+// value.
+func (p *Parser) readAttr() error {
+	name, err := p.appendName()
 	if err != nil {
 		return err
 	}
 	b, err := p.skipSpace()
 	if err != nil || b != '=' {
-		return truncated(err, "attribute %s missing '='", name)
+		return truncated(err, "attribute %s missing '='", p.bytes(name))
 	}
 	quote, err := p.skipSpace()
 	if err != nil || (quote != '"' && quote != '\'') {
-		return truncated(err, "attribute %s missing quote", name)
+		return truncated(err, "attribute %s missing quote", p.bytes(name))
 	}
-	a.Name = name
 	rest := p.buf[p.pos:]
 	if j := bytes.IndexByte(rest, quote); j >= 0 {
 		if run := rest[:j]; bytes.IndexByte(run, '&') < 0 && bytes.IndexByte(run, '<') < 0 {
 			p.pos += j + 1
-			a.Value = string(run)
+			if len(run) > maxStringLen {
+				return tooLong("value of attribute %s", p.bytes(name))
+			}
+			p.enc = appendString(p.enc, run)
 			return nil
 		}
 	}
 	// The value holds an entity or a stray '<', or runs past the window.
-	p.scratch = p.scratch[:0]
+	off := p.beginString()
 	for {
-		b, err := p.readByte()
-		if err != nil {
-			return truncated(err, "unterminated value for attribute %s", name)
-		}
-		if b == quote {
-			break
-		}
-		if b == '&' {
-			if p.scratch, err = p.appendEntity(p.scratch); err != nil {
-				return err
+		if p.pos == len(p.buf) {
+			if _, err := p.readByte(); err != nil {
+				return truncated(err, "unterminated value for attribute %s", p.bytes(name))
 			}
+			p.unread()
+		}
+		rest := p.buf[p.pos:]
+		k := 0
+		for k < len(rest) && rest[k] != quote && rest[k] != '&' && rest[k] != '<' {
+			k++
+		}
+		p.enc = append(p.enc, rest[:k]...)
+		p.pos += k
+		if p.overLimit(off) {
+			return tooLong("value of attribute %s", p.bytes(name))
+		}
+		if k == len(rest) {
 			continue
 		}
-		if b == '<' {
-			return malformed("raw '<' in value of attribute %s", name)
+		p.pos++
+		switch rest[k] {
+		case quote:
+			p.endString(off)
+			return nil
+		case '&':
+			if p.enc, err = p.appendEntity(p.enc); err != nil {
+				return err
+			}
+		default:
+			return malformed("raw '<' in value of attribute %s", p.bytes(name))
 		}
-		p.scratch = append(p.scratch, b)
 	}
-	a.Value = string(p.scratch)
-	return nil
 }
 
 // appendEntity decodes an entity reference whose '&' has been consumed and
@@ -511,68 +663,52 @@ func (p *Parser) skipSpace() (byte, error) {
 	}
 }
 
-// readUntil consumes input through the first occurrence of the marker and,
-// when keep is set, returns what came before it; otherwise it returns nil.
-// The result aliases the window or the scratch buffer, so it is valid only
-// until the next read.
-func (p *Parser) readUntil(marker string, keep bool) ([]byte, error) {
+// readUntil consumes input through the first occurrence of the marker.
+// When keep is set, what came before it is appended to enc as the body of
+// a string begun there, which must stay within maxStringLen.
+func (p *Parser) readUntil(marker string, keep bool) error {
 	rest := p.buf[p.pos:]
 	if j := bytes.Index(rest, []byte(marker)); j >= 0 {
 		p.pos += j + len(marker)
-		if !keep {
-			return nil, nil
+		if keep {
+			if j > maxStringLen {
+				return tooLong("CDATA section")
+			}
+			p.enc = append(p.enc, rest[:j]...)
 		}
-		return rest[:j], nil
+		return nil
 	}
-	// The construct runs past the window: scan byte by byte, holding the
-	// last len(marker)-1 bytes when the body is not kept.
-	p.scratch = p.scratch[:0]
+	// The construct runs past the window: scan byte by byte. A kept body
+	// grows in enc, which holds the marker's bytes until it completes;
+	// otherwise scratch holds just the last len(marker)-1 bytes.
+	dst, off := p.scratch[:0], 0
+	if keep {
+		dst, off = p.enc, len(p.enc)
+	}
 	for {
 		b, err := p.readByte()
 		if err != nil {
-			return nil, truncated(err, "missing %q terminator", marker)
+			return truncated(err, "missing %q terminator", marker)
 		}
-		p.scratch = append(p.scratch, b)
-		if n := len(p.scratch); n >= len(marker) && string(p.scratch[n-len(marker):]) == marker {
-			if !keep {
-				return nil, nil
-			}
-			return p.scratch[:n-len(marker)], nil
+		dst = append(dst, b)
+		if n := len(dst); n-off >= len(marker) && string(dst[n-len(marker):]) == marker {
+			dst = dst[:n-len(marker)]
+			break
 		}
-		if !keep && len(p.scratch) >= 64 {
+		if keep && len(dst)-off > maxStringLen+len(marker)-1 {
+			return tooLong("CDATA section")
+		}
+		if !keep && len(dst) >= 64 {
 			tail := len(marker) - 1
-			p.scratch = append(p.scratch[:0], p.scratch[len(p.scratch)-tail:]...)
+			dst = append(dst[:0], dst[len(dst)-tail:]...)
 		}
 	}
-}
-
-// interner hands out one string per distinct tag or attribute name, since
-// names repeat throughout a document. It is a direct-mapped cache: a slot
-// chosen by the name's length and end bytes holds the last name seen there,
-// so it is bounded at internSlots names of at most maxInternedLen bytes,
-// and a lookup costs one comparison instead of a hash.
-type interner struct {
-	slots *[internSlots]string
-}
-
-const (
-	internSlots    = 256
-	maxInternedLen = 64
-)
-
-func (in *interner) intern(b []byte) string {
-	n := len(b)
-	if n == 0 || n > maxInternedLen {
-		return string(b)
+	if keep {
+		p.enc = dst
+	} else {
+		p.scratch = dst
 	}
-	if in.slots == nil {
-		in.slots = new([internSlots]string)
-	}
-	slot := &in.slots[(n*37+int(b[0])*7+int(b[n-1]))%internSlots]
-	if *slot != string(b) {
-		*slot = string(b)
-	}
-	return *slot
+	return nil
 }
 
 func isSpaceOnly(b []byte) bool {

@@ -258,9 +258,12 @@ func coalesce(toks []Token) []Token {
 	return out
 }
 
+// TestTokenAttrLookup: a start tag's view finds the first attribute of a
+// name, and reports a missing one absent.
 func TestTokenAttrLookup(t *testing.T) {
-	tok := Token{Kind: KindStart, Name: "e", Attrs: []Attr{{"a", "1"}, {"b", "2"}}}
-	if v, ok := tok.Attr("b"); !ok || v != "2" {
+	var tok Encoded
+	tok.Scan(AppendToken(nil, Token{Kind: KindStart, Name: "e", Attrs: []Attr{{"a", "1"}, {"b", "2"}, {"b", "3"}}}))
+	if v, ok := tok.Attr("b"); !ok || string(v) != "2" {
 		t.Errorf("Attr(b) = %q, %v", v, ok)
 	}
 	if _, ok := tok.Attr("missing"); ok {

@@ -89,7 +89,7 @@ func (w *Writer) WriteEncoded(e *Encoded) error {
 		b = w.appendNewlineIndent(b, w.depth)
 		b = append(b, '<')
 		b = append(b, e.Name()...)
-		c := cursor{b: e.b[:e.attrs.end], i: e.attrs.off, limit: ^uint64(0)}
+		c := e.attrCursor()
 		for range e.nAttrs {
 			b = append(b, ' ')
 			b = append(b, c.bytes()...)

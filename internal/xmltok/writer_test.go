@@ -194,7 +194,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		// exercising the optional-key flag for every kind.
 		for i := range toks {
 			if rng.Intn(3) == 0 {
-				toks[i] = toks[i].WithKey(toks[i].Name + "-key")
+				toks[i].Key, toks[i].HasKey = toks[i].Name+"-key", true
 			}
 		}
 		toks = append(toks, Token{Kind: KindRunPtr, Run: rng.Int63(), Name: "sub"})

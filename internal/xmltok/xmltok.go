@@ -3,10 +3,13 @@
 // Line 2 "loop ... can be implemented using a simple event-based XML parser"
 // calls for), a serializer that turns the event stream back into a textual
 // document, and a compact binary codec used to spool events through
-// external-memory structures (the data stack and sorted runs). After the
-// parser, tokens move as their encoding: Encoded is a view of one encoded
-// token in place, which the sorters index, re-key and copy, and which the
-// writer serializes, without decoding it into a Token.
+// external-memory structures (the data stack and sorted runs). Tokens move
+// as their encoding from the parser on: the parser writes each token's
+// binary encoding straight from its input window and returns an Encoded
+// view of it, which the sorters annotate, re-key, index and copy, and which
+// the writer serializes, without decoding it into a Token. Token, and the
+// parser's Next that decodes a view into one, serve the callers that want
+// strings: the structural merge, the in-memory oracle and tests.
 //
 // The parser handles the XML subset relevant to data-centric documents:
 // elements, attributes with single- or double-quoted values, character data,
@@ -84,25 +87,19 @@ type Token struct {
 	HasKey bool   // whether Key is meaningful
 }
 
-// WithKey returns a copy of t carrying the given ordering key.
-func (t Token) WithKey(key string) Token {
-	t.Key, t.HasKey = key, true
-	return t
-}
-
-// Attr returns the value of the named attribute and whether it is present.
-func (t Token) Attr(name string) (string, bool) {
-	for _, a := range t.Attrs {
-		if a.Name == name {
-			return a.Value, true
-		}
-	}
-	return "", false
-}
-
 // ErrMalformed wraps well-formedness failures found while parsing.
 var ErrMalformed = errors.New("xmltok: malformed XML")
 
 func malformed(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrMalformed, fmt.Sprintf(format, args...))
+}
+
+// ErrTooLong is the parser's error for a name, attribute value, text or
+// attribute count over the token codec's limit, which no token can hold.
+// It is reported where the string outgrows the limit, before the token is
+// returned.
+var ErrTooLong = fmt.Errorf("xmltok: over the token codec's limit of %d MiB", maxStringLen>>20)
+
+func tooLong(format string, args ...any) error {
+	return fmt.Errorf("%w: %s", ErrTooLong, fmt.Sprintf(format, args...))
 }

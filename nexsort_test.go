@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"nexsort/internal/em"
+	"nexsort/internal/xmltok"
 )
 
 const apiDoc = `<company>
@@ -355,4 +357,67 @@ func TestSortContextCancellation(t *testing.T) {
 	if res.NEXSORT.ScratchBlocks <= 0 {
 		t.Errorf("ScratchBlocks = %d", res.NEXSORT.ScratchBlocks)
 	}
+}
+
+// TestOverlongStringFailsEveryAlgorithm: a text node or attribute value
+// longer than the token codec's 64 MiB limit fails every algorithm with
+// the parser's xmltok.ErrTooLong, before any output is written. The value
+// comes from a generating reader, so the document is never held whole.
+func TestOverlongStringFailsEveryAlgorithm(t *testing.T) {
+	if testing.Short() {
+		t.Skip("parses a 65 MiB value")
+	}
+	const n = 65 << 20
+	docs := map[string]func() io.Reader{
+		"text": func() io.Reader {
+			return io.MultiReader(strings.NewReader("<r><a>"), io.LimitReader(repeatByte('x'), n), strings.NewReader("</a></r>"))
+		},
+		"attribute": func() io.Reader {
+			return io.MultiReader(strings.NewReader(`<r><a k="`), io.LimitReader(repeatByte('x'), n), strings.NewReader(`"/></r>`))
+		},
+	}
+	cfg := Config{BlockSize: 4096, MemoryBytes: 4096 * 64, InMemory: true}
+	runs := []struct {
+		name string
+		opts Options
+	}{
+		{"nexsort", Options{}},
+		{"nexsort-paper-layout", Options{PaperLayout: true}},
+		{"mergesort", Options{Algorithm: MergeSort}},
+		{"inmemory", Options{Algorithm: InMemory}},
+	}
+	for doc, open := range docs {
+		for _, run := range runs {
+			if doc == "attribute" && run.name != "nexsort" {
+				continue // one algorithm shows the attribute path; the parser is shared
+			}
+			run.opts.Criterion = ByAttrOrTag("k")
+			var out countingWriter
+			_, err := Sort(open(), &out, cfg, run.opts)
+			if !errors.Is(err, xmltok.ErrTooLong) {
+				t.Errorf("%s, %s: error %v, want xmltok.ErrTooLong", doc, run.name, err)
+			}
+			if out.n != 0 {
+				t.Errorf("%s, %s: wrote %d bytes before failing", doc, run.name, out.n)
+			}
+		}
+	}
+}
+
+// repeatByte is an endless reader of one byte.
+type repeatByte byte
+
+func (r repeatByte) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(r)
+	}
+	return len(p), nil
+}
+
+// countingWriter counts the bytes written to it.
+type countingWriter struct{ n int }
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.n += len(p)
+	return len(p), nil
 }
