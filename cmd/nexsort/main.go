@@ -33,7 +33,7 @@ func main() {
 		threshold = flag.Int("threshold", 0, "NEXSORT sort threshold t in bytes (0 = 2 blocks)")
 		depth     = flag.Int("depth", 0, "depth limit (0 = sort head to toe)")
 		compactF  = flag.Bool("compact", false, "enable Section 3.2 compaction")
-		paperLay  = flag.Bool("paper-layout", false, "run NEXSORT in the paper's Section 3.1 layout (one resident data-stack block, no graceful degeneration)")
+		paperLay  = flag.Bool("paper-layout", false, "run NEXSORT in the paper's Section 3.1 layout (one resident data-stack block, no graceful degeneration), and merge sort with the paper's materialized final merge")
 		xsort     = flag.String("xsort", "", "XSort mode: only sort the child lists of these comma-separated tags (mergesort algorithm only)")
 		recSeq    = flag.String("record-order", "", "stamp each element with this attribute holding its original sibling position (nexsort only)")
 		indent    = flag.String("indent", "", "pretty-print output with this unit")

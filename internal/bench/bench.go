@@ -101,7 +101,9 @@ type Params struct {
 	DepthLimit int
 	Compact    bool
 	// PaperLayout runs NEXSORT in the paper's Section 3.1 layout, the one
-	// its figures measure; the default is graceful degeneration.
+	// its figures measure, and merge sort with the paper's materialized
+	// final merge; the defaults are graceful degeneration and a streamed
+	// final merge.
 	PaperLayout bool
 	ScratchDir  string // empty = in-memory scratch device
 }
@@ -183,8 +185,9 @@ func Run(w *Workload, p Params) (*Result, error) {
 		res.RunBlocks = rep.RunBlocks
 	case AlgoMergeSort:
 		rep, err := extsort.SortXML(env, w.Criterion, in, io.Discard, extsort.XMLOptions{
-			DepthLimit: p.DepthLimit,
-			Compact:    p.Compact,
+			DepthLimit:  p.DepthLimit,
+			Compact:     p.Compact,
+			PaperLayout: p.PaperLayout,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("bench: merge sort on %s: %w", w.Path, err)

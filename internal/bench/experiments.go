@@ -92,7 +92,7 @@ func Fig5(cfg Fig5Config) ([]Fig5Row, *Workload, error) {
 		if row.Nex, err = Run(w, Params{Algo: AlgoNEXSORT, PaperLayout: true, BlockSize: DefaultBlockSize, MemBlocks: m, Compact: true, ScratchDir: cfg.ScratchDir}); err != nil {
 			return nil, nil, err
 		}
-		if row.Merge, err = Run(w, Params{Algo: AlgoMergeSort, BlockSize: DefaultBlockSize, MemBlocks: m, Compact: true, ScratchDir: cfg.ScratchDir}); err != nil {
+		if row.Merge, err = Run(w, Params{Algo: AlgoMergeSort, PaperLayout: true, BlockSize: DefaultBlockSize, MemBlocks: m, Compact: true, ScratchDir: cfg.ScratchDir}); err != nil {
 			return nil, nil, err
 		}
 		rows = append(rows, row)
@@ -155,7 +155,7 @@ func Fig6(cfg Fig6Config) ([]Fig6Row, error) {
 		if row.Nex, err = Run(w, Params{Algo: AlgoNEXSORT, PaperLayout: true, BlockSize: DefaultBlockSize, MemBlocks: mem, Compact: true, ScratchDir: cfg.ScratchDir}); err != nil {
 			return nil, err
 		}
-		if row.Merge, err = Run(w, Params{Algo: AlgoMergeSort, BlockSize: DefaultBlockSize, MemBlocks: mem, Compact: true, ScratchDir: cfg.ScratchDir}); err != nil {
+		if row.Merge, err = Run(w, Params{Algo: AlgoMergeSort, PaperLayout: true, BlockSize: DefaultBlockSize, MemBlocks: mem, Compact: true, ScratchDir: cfg.ScratchDir}); err != nil {
 			return nil, err
 		}
 		w.Close()
@@ -212,7 +212,7 @@ func Fig7(cfg Fig7Config) ([]Fig7Row, error) {
 		if row.Nex, err = Run(w, Params{Algo: AlgoNEXSORT, PaperLayout: true, BlockSize: DefaultBlockSize, MemBlocks: mem, Compact: true, ScratchDir: cfg.ScratchDir}); err != nil {
 			return nil, err
 		}
-		if row.Merge, err = Run(w, Params{Algo: AlgoMergeSort, BlockSize: DefaultBlockSize, MemBlocks: mem, Compact: true, ScratchDir: cfg.ScratchDir}); err != nil {
+		if row.Merge, err = Run(w, Params{Algo: AlgoMergeSort, PaperLayout: true, BlockSize: DefaultBlockSize, MemBlocks: mem, Compact: true, ScratchDir: cfg.ScratchDir}); err != nil {
 			return nil, err
 		}
 		w.Close()

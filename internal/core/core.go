@@ -29,9 +29,11 @@
 // resident window, and when the open element's accumulated children fill
 // it they are cut into an incomplete sorted run, as are its last children
 // at its end tag, so a flat document needs no more passes than external
-// merge sort. Options.PaperLayout selects the layout of Section 3.1 that
-// the paper evaluates instead: one resident data-stack block, no cuts, and
-// a root run. The output is the same either way.
+// merge sort. The merge of those runs is deferred to the output phase: the
+// element becomes a pointer, and the sink runs the merge into the output
+// when it reaches it. Options.PaperLayout selects the layout of Section 3.1
+// that the paper evaluates instead: one resident data-stack block, no cuts,
+// and a root run. The output is the same either way.
 //
 // The other extensions of Section 3.2 are available through Options:
 // depth-limited sorting, complex (subtree-pass) ordering criteria via the
@@ -53,11 +55,12 @@ import (
 // paper's layout keeps one window block and leaves at least four blocks of
 // sort area so the external fallback's merge makes progress. The default
 // layout gives the window all but eight blocks, so at the floor a cut
-// sorts three blocks of children, and an element's incomplete-run merge,
-// which takes the window back, has five blocks. The root's merge runs
-// after the scan, when the path stack, the spill stack and the input
-// buffer have given their blocks to the output phase's three, and has
-// eight.
+// sorts three blocks of children. An element's incomplete-run merge that
+// runs at its end tag, which takes the window back, has five blocks. The
+// deferred merges and the root's sort run after the scan, when the path
+// stack, the spill stack and the input buffer have given their blocks to
+// the output phase's three, and share eight: a deferred merge inside the
+// root's sort holds at least three, and the root's merger at least one.
 const MinMemBlocks = 12
 
 // Options configures a sort.
@@ -93,8 +96,9 @@ type Options struct {
 	// resident, and when the open element's accumulated children fill that
 	// window they are sorted into an incomplete run at once instead of
 	// riding the stack to disk and back; the element's end tag cuts its
-	// last children the same way and merges its incomplete runs. The root
-	// is sorted straight into the output phase once the scan has ended.
+	// last children the same way, and the output phase merges its
+	// incomplete runs straight into the output. The root is sorted
+	// straight into the output phase once the scan has ended.
 	// Output bytes are identical in both layouts; the I/O ledger is not.
 	PaperLayout bool
 	// RecordOrder, when non-empty, stamps every element with an attribute
@@ -140,7 +144,8 @@ type Report struct {
 	// degeneration, including the cut of an element's last children at
 	// its end tag.
 	IncompleteRuns int
-	// MergedSubtrees counts subtree sorts that merged incomplete runs.
+	// MergedSubtrees counts subtree sorts that merged incomplete runs,
+	// those deferred to the output phase included.
 	MergedSubtrees int
 
 	// MaxSubtreeBytes is the largest subtree handed to a single sort; the
@@ -148,7 +153,8 @@ type Report struct {
 	MaxSubtreeBytes int64
 	// RunBlocks is the total number of device blocks occupied by sorted
 	// runs (Lemma 4.8 bounds it by O(N/B)). The default layout writes no
-	// root run, so a document whose only sort is the root's has none.
+	// root run, so a document whose only sort is the root's has none, and
+	// an element whose merge is deferred has a run of its two tags only.
 	RunBlocks int
 	// ScratchBlocks is the total scratch-device footprint (runs plus
 	// paged-out stack blocks) — the disk space a capacity planner must

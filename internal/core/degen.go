@@ -1,10 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"nexsort/internal/em"
 	"nexsort/internal/extsort"
+	"nexsort/internal/runstore"
 )
 
 // Graceful degeneration into external merge sort (Section 3.2).
@@ -21,6 +24,14 @@ import (
 // incorporated the first step of creating initial sorted runs for external
 // merge sort into the loop of Line 2" — so a flat document completes with
 // the same number of passes as external merge sort.
+//
+// In the default layout that merge is deferred to the output phase: the
+// end tag leaves the element a pointer, and the output sink runs the merge
+// straight into the output when it reaches the pointer, so the merged child
+// list is never written to a run and read back. A merge runs inside another
+// only under the root: an element whose runs lead to a deferred merge is
+// merged at its end tag, and the root's sort leaves the merges it leads to
+// their blocks (sortRoot).
 
 // maybeCutIncomplete fires the degeneration trigger: when the deepest open
 // element's uncut child region reaches the sort area, cut it into an
@@ -85,7 +96,7 @@ func (s *sorter) cutIncompleteRun(rec pathRec, ds int) (pathRec, error) {
 	for i, c := range nodes {
 		t.nodes[c].seq = int32(i)
 		if !listSorted {
-			t.nodes[c].key = nil
+			t.nodes[c].key = span32{}
 		}
 	}
 	t.sortKids(0)
@@ -117,6 +128,63 @@ func (s *sorter) cutIncompleteRun(rec pathRec, ds int) (pathRec, error) {
 	}
 	rec.childBase += int64(len(nodes))
 	return rec, nil
+}
+
+// deferMerge completes an element whose children were all cut into
+// incomplete runs, the last of them at its end tag, without merging them:
+// its start and end tags, the only bytes of it left on the data stack, go
+// to a run of their own, which the element collapses to a pointer to, as
+// to the run its merge would have written. The output phase merges the
+// runs when it reaches the pointer (outputSink.merge).
+func (s *sorter) deferMerge(start int64, end []byte, ds int) (runstore.RunID, error) {
+	p, err := s.planSort(start, ds)
+	if err != nil {
+		return 0, err
+	}
+	s.report.MergedSubtrees++
+	if err := s.drainWorkers(); err != nil {
+		return 0, err
+	}
+	if err := s.readStartTag(start); err != nil {
+		return 0, err
+	}
+	id, w, err := s.store.Create(em.CatSubtreeSort, s.env.Budget)
+	if err != nil {
+		return 0, err
+	}
+	err = w.Append(s.encBuf)
+	if err == nil {
+		err = w.Append(end)
+	}
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return 0, err
+	}
+	s.deferred = append(s.deferred, deferredMerge{tags: id, runs: p.incRuns})
+	return s.collapseSubtree(start, end, id)
+}
+
+// deferredMerge is a merge left to the output phase: the tag run its
+// element's pointer leads to, and the incomplete runs to merge. The sorter
+// appends them as their tag runs are created, so in the order of the runs'
+// IDs, which grow.
+type deferredMerge struct {
+	tags runstore.RunID
+	runs []*em.Stream
+}
+
+// findDeferred returns the runs of the merge deferred under tag run id, if
+// one is.
+func findDeferred(deferred []deferredMerge, id runstore.RunID) ([]*em.Stream, bool) {
+	i, ok := slices.BinarySearchFunc(deferred, id, func(m deferredMerge, id runstore.RunID) int {
+		return cmp.Compare(m.tags, id)
+	})
+	if !ok {
+		return nil, false
+	}
+	return deferred[i].runs, true
 }
 
 // relLimitAt returns the subtree-relative depth limit for an element at

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -9,7 +10,9 @@ import (
 	"testing/quick"
 
 	"nexsort/internal/em"
+	"nexsort/internal/extsort"
 	"nexsort/internal/keys"
+	"nexsort/internal/runstore"
 	"nexsort/internal/xmltree"
 )
 
@@ -222,4 +225,137 @@ func layoutsAgree(seed int64, thrRaw, depthRaw uint8) error {
 		}
 	}
 	return nil
+}
+
+// bigRootDoc draws a document whose root has a start tag of up to 900
+// bytes, so that at 128-byte blocks its sort takes any route: in place,
+// merged, or, once the tag outgrows the window's slack, the internal or the
+// external one. Its children are rows and flat elements of up to 60
+// children, which graceful degeneration cuts into incomplete runs and whose
+// merges it defers to the output phase, inside the root's sort.
+func bigRootDoc(rng *rand.Rand) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, `<root key="r" blob="%s">`, strings.Repeat("x", rng.Intn(900)))
+	for i := rng.Intn(12); i >= 0; i-- {
+		if rng.Intn(3) == 0 {
+			fmt.Fprintf(&sb, `<row key="%d"><v>k%d</v></row>`, rng.Intn(100), rng.Intn(100))
+			continue
+		}
+		fmt.Fprintf(&sb, `<f key="%d"><v>k%d</v>`, rng.Intn(100), rng.Intn(100))
+		for j := rng.Intn(60); j >= 0; j-- {
+			fmt.Fprintf(&sb, `<c key="%d"><v>k%d</v>t%d</c>`, rng.Intn(1000), rng.Intn(1000), j)
+		}
+		sb.WriteString(`</f>`)
+	}
+	sb.WriteString("</root>")
+	return sb.String()
+}
+
+// TestDeferredMergesInsideEveryRootRoute: a deferred merge runs inside the
+// root's sort whichever route that takes, down to the 12-block floor, with
+// attribute and path criteria (the external route's key sidecar), depth
+// limits and compaction: the output matches the oracle at P = 1 and 8, and
+// every block comes back.
+func TestDeferredMergesInsideEveryRootRoute(t *testing.T) {
+	crits := []*keys.Criterion{
+		flatCriterion(),
+		{Rules: []keys.Rule{{Tag: "", Source: keys.ByPath("v")}}, KeyCap: 12},
+	}
+	routes := map[string]bool{}
+	for seed := int64(0); seed < 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		doc := bigRootDoc(rng)
+		c := crits[seed%2]
+		mem := MinMemBlocks + rng.Intn(6)
+		opts := Options{Criterion: c, Threshold: []int{0, 300, 5000}[rng.Intn(3)], DepthLimit: rng.Intn(4), Compact: rng.Intn(2) == 0}
+		want := oracle(t, doc, c, opts.DepthLimit)
+		for _, par := range []int{1, 8} {
+			env, err := em.NewEnv(em.Config{BlockSize: 128, MemBlocks: mem, Parallelism: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out strings.Builder
+			rep, err := Sort(env, strings.NewReader(doc), &out, opts)
+			inUse := env.Budget.InUse()
+			env.Close()
+			if err != nil || out.String() != want || inUse != 0 {
+				t.Fatalf("seed %d M=%d %+v P=%d: err=%v, output differs %v, %d blocks granted",
+					seed, mem, opts, par, err, out.String() != want, inUse)
+			}
+			if rep.MergedSubtrees > 0 {
+				routes[fmt.Sprintf("external=%v internal=%v", rep.ExternalSorts > 0, rep.InternalSorts > 0)] = true
+			}
+		}
+	}
+	if len(routes) < 4 {
+		t.Errorf("deferred merges ran under the root routes %v only", routes)
+	}
+}
+
+// TestRootLeave: a merged root takes one more pass over its few runs so
+// that a dozen deferred merges stream, but none over a flat root's many,
+// whose one wide child takes a pass of its own; with nothing to gain it
+// takes no pass. The pass counts its rule assumes are extsort's.
+func TestRootLeave(t *testing.T) {
+	merges := func(n, runs int) []deferredMerge {
+		m := make([]deferredMerge, n)
+		for i := range m {
+			m[i] = deferredMerge{tags: runstore.RunID(i), runs: make([]*em.Stream, runs)}
+		}
+		return m
+	}
+	for _, c := range []struct {
+		free, rootRuns int
+		deferred       []deferredMerge
+		want           int
+	}{
+		{8, 5, merges(12, 4), 7},   // 5 runs merged into 1: the merges get 7 blocks
+		{8, 150, merges(1, 30), 4}, // 150 → 22 → 4 runs, as without merges
+		{12, 66, merges(1, 14), 6}, // 66 → 6 runs
+		{8, 5, merges(3, 2), 3},    // the merges stream beside 5 runs
+	} {
+		if got := rootLeave(c.free, c.rootRuns, c.deferred); got != c.want {
+			t.Errorf("rootLeave(%d, %d runs, %d merges of %d runs) = %d, want %d",
+				c.free, c.rootRuns, len(c.deferred), len(c.deferred[0].runs), got, c.want)
+		}
+	}
+
+	env, err := em.NewEnv(em.Config{BlockSize: 128, MemBlocks: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	for runs := 1; runs <= 40; runs++ {
+		for blocks := extsort.MinMemBlocks; blocks <= 9; blocks++ {
+			s, err := extsort.New(env, em.CatSubtreeSort, bytes.Compare, blocks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range runs {
+				run := em.NewStream(env.Dev, em.CatSubtreeSort)
+				w, err := extsort.NewRunWriter(run, env.Budget)
+				if err == nil {
+					err = w.Write([]byte{byte(i)})
+				}
+				if cerr := w.Close(); err == nil {
+					err = cerr
+				}
+				if err == nil {
+					err = s.AddPresortedRun(run)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			it, err := s.SortStream()
+			if err != nil {
+				t.Fatal(err)
+			}
+			it.Close()
+			if got, want := s.Stats().MergePasses, mergePassesFor(runs, blocks); got != want {
+				t.Errorf("%d runs, %d blocks: extsort took %d passes, mergePassesFor says %d", runs, blocks, got, want)
+			}
+			s.Close()
+		}
+	}
 }

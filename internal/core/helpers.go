@@ -19,7 +19,10 @@ import (
 // re-keys every start tag in preorder. relLimit > 0 bounds sorting to the
 // top relLimit levels: deeper elements degrade to the empty key, so the
 // (key, seq) order reduces to document order there.
-func keyPathSortTokens(env *em.Env, r io.ByteReader, sidecar *keySidecar, relLimit int, w tokenSink) error {
+//
+// leave is sortPlan.leave: the blocks the sort leaves free once its input
+// is spent, for the deferred merges its output leads to.
+func keyPathSortTokens(env *em.Env, r io.ByteReader, sidecar *keySidecar, relLimit, leave int, w tokenSink) error {
 	sorter, err := extsort.NewKernel(env, em.CatSubtreeSort, sortkey.KeyPath(), env.Budget.Free())
 	if err != nil {
 		return err
@@ -68,7 +71,16 @@ func keyPathSortTokens(env *em.Env, r io.ByteReader, sidecar *keySidecar, relLim
 			return err
 		}
 	}
-
+	// The input is spent: its reader's and the sidecar's blocks go back
+	// now, for the deferred merges the output leads to. Both closes are
+	// idempotent, so the caller's deferred ones stay.
+	if c, ok := r.(io.Closer); ok {
+		c.Close()
+	}
+	if sidecar != nil {
+		sidecar.Close()
+	}
+	sorter.LeaveFree(leave)
 	it, err := sorter.Sort()
 	if err != nil {
 		return err
@@ -186,7 +198,7 @@ func (k *keySidecar) Close() {
 //
 // appendChildRecord appends the record of node i of t.
 func appendChildRecord(dst []byte, t *tokenTree, i int32, seq int64) ([]byte, error) {
-	key := t.nodes[i].key
+	key := t.key(i)
 	dst = binary.AppendUvarint(dst, uint64(len(key)))
 	dst = append(dst, key...)
 	dst = binary.AppendUvarint(dst, uint64(seq))
@@ -195,19 +207,30 @@ func appendChildRecord(dst []byte, t *tokenTree, i int32, seq int64) ([]byte, er
 	return t.record.b, err
 }
 
-// newChildRecordSorter builds the merger for graceful degeneration using
-// all remaining budget. The (key, seq) header is exactly sortkey's KeySeq
-// format, so the sorter compares child records without decoding them.
-func newChildRecordSorter(env *em.Env) (*extsort.Sorter, error) {
-	return extsort.NewKernel(env, em.CatSubtreeSort, sortkey.KeySeq(), env.Budget.Free())
-}
-
-// drainChildRecords streams sorted child records into w, stripping the
-// (key, seq) header and copying each child's tokens. The sorter's final
-// merge feeds w directly (SortStream): the merged child records are never
-// written to scratch and read back. Every token is scanned, so a
-// corrupt record fails here as the decoder would fail it.
-func drainChildRecords(sorter *extsort.Sorter, w tokenSink) error {
+// mergeChildRecords writes an element whose children were all cut into
+// runs of child records to w: its start tag, the runs merged into its
+// sorted child list, and its end tag. The merger takes every free block; a
+// leave above 0 has it leave that many free while it streams
+// (extsort.Sorter.LeaveFree). The (key, seq) header is exactly sortkey's
+// KeySeq format, so the merger compares child records without decoding
+// them. Its final merge feeds w directly (SortStream): the merged child
+// records are never written to scratch and read back. Every token is
+// scanned, so a corrupt record fails here as the decoder would fail it.
+func mergeChildRecords(env *em.Env, start, end []byte, runs []*em.Stream, leave int, w tokenSink) error {
+	sorter, err := extsort.NewKernel(env, em.CatSubtreeSort, sortkey.KeySeq(), env.Budget.Free())
+	if err != nil {
+		return err
+	}
+	defer sorter.Close()
+	for _, run := range runs {
+		if err := sorter.AddPresortedRun(run); err != nil {
+			return err
+		}
+	}
+	sorter.LeaveFree(leave)
+	if err := w.Append(start); err != nil {
+		return err
+	}
 	it, err := sorter.SortStream()
 	if err != nil {
 		return err
@@ -217,7 +240,7 @@ func drainChildRecords(sorter *extsort.Sorter, w tokenSink) error {
 	for {
 		raw, err := it.Next()
 		if err == io.EOF {
-			return nil
+			return w.Append(end)
 		}
 		if err != nil {
 			return err

@@ -67,6 +67,13 @@ type sorter struct {
 	// handles are bookkeeping, not data; the runs themselves are on disk.
 	incomplete map[int][]*em.Stream
 
+	// deferred holds the merges graceful degeneration leaves to the output
+	// phase; leads marks the open element depths whose bytes or runs lead
+	// to a deferred merge, directly or through runs. Both are bookkeeping
+	// like incomplete: handles and flags.
+	deferred []deferredMerge
+	leads    map[int]bool
+
 	// cutCap is the degeneration trigger: when the deepest open element's
 	// uncut child region reaches this many bytes, it is cut into an
 	// incomplete sorted run. It is sized so the region always fits in the
@@ -99,6 +106,7 @@ func Sort(env *em.Env, in io.Reader, out io.Writer, opts Options) (*Report, erro
 		threshold:  int64(threshold),
 		store:      runstore.New(env.Dev),
 		incomplete: map[int][]*em.Stream{},
+		leads:      map[int]bool{},
 		report:     &Report{Threshold: threshold},
 		pathBuf:    make([]byte, pathRecSize),
 	}
@@ -126,6 +134,7 @@ type docRoot struct {
 	run   runstore.RunID // the root run; -1 when the root streams
 	start int64          // the root's data-stack start location
 	end   []byte         // the root's encoded end tag
+	leads bool           // as sorter.leads, for the root
 }
 
 // sortDocument runs both phases of Figure 4 over one data stack, which
@@ -280,26 +289,39 @@ func (s *sorter) sortingPhase(in io.Reader) (root *docRoot, err error) {
 			if err := s.pushToken(end); err != nil {
 				return nil, err
 			}
+			leads := s.leads[ds]
+			delete(s.leads, ds)
 			if ds == 1 && !s.opts.PaperLayout {
 				// The root streams into the output phase, but only once
 				// the scan has ended: a second root element or text
 				// after this one must fail before any output is written.
-				root = &docRoot{run: -1, start: rec.start, end: bytes.Clone(end)}
+				root = &docRoot{run: -1, start: rec.start, end: bytes.Clone(end), leads: leads}
 				continue
 			}
 			size := s.data.Size() - rec.start
 			withinDepth := s.opts.DepthLimit == 0 || ds <= s.opts.DepthLimit+1
 			if ds == 1 || hasIncomplete || (size >= s.threshold && withinDepth) {
-				runID, err := s.sortSubtree(rec.start, end, ds)
+				var runID runstore.RunID
+				if hasIncomplete && !leads {
+					// No deferred merge can start inside this one: the
+					// element's runs lead to none.
+					leads = true
+					runID, err = s.deferMerge(rec.start, end, ds)
+				} else {
+					runID, err = s.sortSubtree(rec.start, end, ds)
+				}
 				if err != nil {
 					return nil, err
 				}
 				if ds == 1 {
 					root = &docRoot{run: runID}
-				} else if err := s.maybeCutIncomplete(); err != nil {
-					return nil, err
+					continue
 				}
-			} else if err := s.maybeCutIncomplete(); err != nil {
+			}
+			if leads {
+				s.leads[ds-1] = true
+			}
+			if err := s.maybeCutIncomplete(); err != nil {
 				return nil, err
 			}
 		}

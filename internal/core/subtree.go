@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"nexsort/internal/em"
+	"nexsort/internal/extsort"
 	"nexsort/internal/runstore"
 	"nexsort/internal/xmltok"
 )
@@ -28,6 +29,10 @@ type sortPlan struct {
 	inPlace bool
 	// incRuns are the element's incomplete runs, to be merged.
 	incRuns []*em.Stream
+	// leave is what the root's sort leaves free for the deferred merges
+	// its output leads to, which run one at a time inside it (sortRoot);
+	// 0 for every other sort.
+	leave int
 }
 
 // planSort routes the sort of the complete subtree starting at start,
@@ -107,11 +112,25 @@ func (s *sorter) sortSubtree(start int64, end []byte, ds int) (runstore.RunID, e
 
 // sortRoot is the default layout's root sort: the branch sortSubtree would
 // take, written to the output sink instead of a run. It runs once the scan
-// has ended and its workers have drained, and never on a worker.
+// has ended and its workers have drained, and never on a worker. The sink
+// runs the deferred merges the root's output leads to while the sort holds
+// its blocks, so a root that leads to one leaves the blocks a merge starts
+// with free; the merge takes every block free then. An in-place sort holds
+// the window's frames: the window shrinks to them, which evicts nothing and
+// frees the rest of it for those merges. Every other route leaves them
+// their blocks in sortInto.
 func (s *sorter) sortRoot(root *docRoot, sink tokenSink) error {
 	p, err := s.planSort(root.start, 1)
 	if err != nil {
 		return err
+	}
+	if root.leads {
+		p.leave = extsort.MinMemBlocks
+	}
+	if p.inPlace && len(p.incRuns) == 0 {
+		if err := s.data.SetResident(s.data.Held()); err != nil {
+			return err
+		}
 	}
 	return s.sortInto(p, root.start, root.end, sink)
 }
@@ -144,21 +163,22 @@ func (s *sorter) sortInto(p sortPlan, start int64, end []byte, w tokenSink) (err
 	switch {
 	case len(p.incRuns) > 0:
 		s.report.MergedSubtrees++
-		return s.mergedSubtreeSort(start, end, p.incRuns, w)
+		return s.mergedSubtreeSort(start, end, p.incRuns, p.leave, w)
 	case p.noSort:
 		s.report.UnsortedRuns++
 		return s.copySubtree(start, w)
 	case p.inPlace:
 		s.report.InternalSorts++
 		return s.internalSubtreeSort(start, 0, p.relLimit, w)
-	case p.size <= int64(s.env.Budget.Free()-1)*bs:
+	case p.size <= int64(s.env.Budget.Free()-max(1, p.leave))*bs:
 		// The encoded subtree fits in the remaining sort area (one block
-		// stays reserved for the range reader): in-memory recursive sort.
+		// stays reserved for the range reader, whose block is free again
+		// while the sorted tree is written): in-memory recursive sort.
 		s.report.InternalSorts++
 		return s.internalSubtreeSort(start, p.size, p.relLimit, w)
 	default:
 		s.report.ExternalSorts++
-		return s.externalSubtreeSort(start, p.relLimit, w)
+		return s.externalSubtreeSort(start, p.relLimit, p.leave, w)
 	}
 }
 
@@ -250,7 +270,7 @@ func (s *sorter) loadTree(budget *em.Budget, start int64) (*tokenTree, error) {
 // tags — as (preorder index, key) records, sorts them back into preorder,
 // and zips them with a second scan so that start tags carry keys before
 // key-path extraction.
-func (s *sorter) externalSubtreeSort(start int64, relLimit int, w tokenSink) error {
+func (s *sorter) externalSubtreeSort(start int64, relLimit, leave int, w tokenSink) error {
 	allSimple := true
 	for _, r := range s.crit.Rules {
 		if !r.Source.StartResolvable() {
@@ -272,7 +292,7 @@ func (s *sorter) externalSubtreeSort(start int64, relLimit int, w tokenSink) err
 		return err
 	}
 	defer reader.Close()
-	return keyPathSortTokens(s.env, reader, sidecar, relLimit, w)
+	return keyPathSortTokens(s.env, reader, sidecar, relLimit, leave, w)
 }
 
 // mergedSubtreeSort completes a subtree whose children were all cut into
@@ -280,41 +300,82 @@ func (s *sorter) externalSubtreeSort(start int64, relLimit int, w tokenSink) err
 // end tag: only its start and end tags are left on the data stack. It
 // merges the runs into the element's sorted child list and writes that
 // between the two tags. The caller has lent it the data stack's window.
-func (s *sorter) mergedSubtreeSort(start int64, end []byte, incRuns []*em.Stream, w tokenSink) error {
+// leave is sortPlan.leave; a root that leads to deferred merges weighs its
+// merge's passes against theirs (rootLeave).
+func (s *sorter) mergedSubtreeSort(start int64, end []byte, incRuns []*em.Stream, leave int, w tokenSink) error {
 	// The start tag is read and its reader closed before the merger takes
 	// every free block.
+	if err := s.readStartTag(start); err != nil {
+		return err
+	}
+	if leave > 0 {
+		leave = rootLeave(s.env.Budget.Free(), len(incRuns), s.deferred)
+	}
+	return mergeChildRecords(s.env, s.encBuf, end, incRuns, leave, w)
+}
+
+// rootLeave is how many of the free blocks a merged root's merger, which
+// takes them all, leaves free for the deferred merges that run inside it,
+// one at a time. The merges compete for those blocks: the root's merge
+// holds a reader block for each run left after its passes and gives the
+// rest back, and a deferred merge with more runs than it gets blocks takes
+// passes of its own. Every incomplete run holds about the cut capacity, so
+// a pass costs about as many runs' worth of transfers as its merge started
+// with. Of the root's pass counts that leave a merge at least
+// extsort.MinMemBlocks, rootLeave takes the one that costs the fewest passes
+// over the root and every deferred merge together, the fewest root passes
+// on a tie.
+func rootLeave(free, rootRuns int, deferred []deferredMerge) int {
+	left := rootRuns
+	for left > max(free-extsort.MinMemBlocks, 1) {
+		left = mergePass(left, free)
+	}
+	best, bestCost := 0, -1
+	for extra := 0; ; extra++ {
+		cost := extra * rootRuns
+		for _, m := range deferred {
+			cost += mergePassesFor(len(m.runs), free-left) * len(m.runs)
+		}
+		if bestCost < 0 || cost < bestCost {
+			best, bestCost = free-left, cost
+		}
+		if left == 1 {
+			return best
+		}
+		left = mergePass(left, free)
+	}
+}
+
+// mergePass is the number of runs a merge pass of an extsort.Sorter
+// granted blocks blocks leaves of runs runs.
+func mergePass(runs, blocks int) int {
+	return (runs + blocks - 2) / (blocks - 1)
+}
+
+// mergePassesFor counts the passes a streamed merge of runs runs takes
+// with blocks blocks.
+func mergePassesFor(runs, blocks int) (passes int) {
+	for ; runs > blocks; passes++ {
+		runs = mergePass(runs, blocks)
+	}
+	return passes
+}
+
+// readStartTag reads the start tag at start on the data stack into encBuf.
+func (s *sorter) readStartTag(start int64) error {
 	reader, err := s.data.ReadRange(s.env.Budget, start)
 	if err != nil {
 		return err
 	}
+	defer reader.Close()
 	var dec xmltok.Decoder
-	startTok, err := dec.ReadEncoded(reader)
-	if err == nil && startTok.Kind() != xmltok.KindStart {
-		err = fmt.Errorf("core: merged subtree does not begin with a start tag")
-	}
-	if err == nil {
-		s.encBuf = append(s.encBuf[:0], startTok.Bytes()...)
-	}
-	reader.Close()
+	tok, err := dec.ReadEncoded(reader)
 	if err != nil {
 		return err
 	}
-
-	sorter, err := newChildRecordSorter(s.env)
-	if err != nil {
-		return err
+	if tok.Kind() != xmltok.KindStart {
+		return fmt.Errorf("core: merged subtree does not begin with a start tag")
 	}
-	defer sorter.Close()
-	for _, run := range incRuns {
-		if err := sorter.AddPresortedRun(run); err != nil {
-			return err
-		}
-	}
-	if err := w.Append(s.encBuf); err != nil {
-		return err
-	}
-	if err := drainChildRecords(sorter, w); err != nil {
-		return err
-	}
-	return w.Append(end)
+	s.encBuf = append(s.encBuf[:0], tok.Bytes()...)
+	return nil
 }

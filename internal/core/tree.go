@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -25,8 +27,8 @@ import (
 //   - an element's key comes from its end tag when that has one, else from
 //     its start tag (xmltree.FromFirst); a run pointer keeps its own key;
 //     text has the empty key;
-//   - child lists are sorted stably by key in byte order (keys.Compare on
-//     (key, position)), down to the depth limit;
+//   - child lists are sorted by (key, position), keys in byte order
+//     (keys.Compare), down to the depth limit;
 //   - each start tag is re-keyed with its element's key and its level
 //     dropped, and its end tag is the key-less end tag built from the start
 //     tag's name; text is copied, and each run pointer is re-keyed with its
@@ -40,27 +42,41 @@ type tokenTree struct {
 	nodes []treeNode // nodes[0] is a virtual root holding the top-level nodes
 	kids  []int32
 
-	open    []openElem // elements open while indexing, the virtual root first
-	pending []int32    // children of open elements, not yet closed into kids
-	scratch []byte     // one re-encoded token being emitted
-	record  recordSink // the child record being emitted, held here so it is not allocated per record
+	open    []openElem  // elements open while indexing, the virtual root first
+	pending []int32     // children of open elements, not yet closed into kids
+	sorting []kidPrefix // one child list being sorted
+	scratch []byte      // one re-encoded token being emitted
+	record  recordSink  // the child record being emitted, held here so it is not allocated per record
 }
 
-// treeNode is one indexed node. tok and key alias the tree's buffer.
+// treeNode is one indexed node: what index found in its token, as offsets
+// into the tree's buffer, so that emission re-encodes it without scanning
+// it again.
 type treeNode struct {
-	tok   []byte // the token; for an element, its start tag
-	key   []byte
-	kind  xmltok.Kind
-	seq   int32 // position among its siblings, set for top-level nodes
-	first int32 // an element's child list is kids[first : first+n]
-	n     int32
+	off, head, end int32 // the token (an element's start tag) is buf[off:end]; its key begins at head
+	name           span32
+	key            span32 // an element's key: its end tag's when that has one
+	kind           xmltok.Kind
+	seq            int32 // position among its siblings, set for top-level nodes
+	first          int32 // an element's child list is kids[first : first+n]
+	n              int32
 }
+
+// span32 is a byte range of the tree's buffer.
+type span32 struct{ off, end int32 }
 
 type openElem struct {
 	node    int32
-	name    []byte
 	pending int // len(pending) when the element opened
 	level   int
+}
+
+// kidPrefix is a child being sorted, with its key's first 8 bytes, zero
+// padded, as a big-endian integer: ordering those decides most comparisons
+// as bytes.Compare on the keys would.
+type kidPrefix struct {
+	prefix uint64
+	node   int32
 }
 
 // sortLevels is the deepest level, counting the subtree's root as level 1,
@@ -101,31 +117,35 @@ func (t *tokenTree) index(base, maxLevel int) error {
 		if !ok {
 			return fmt.Errorf("core: corrupt token at byte %d of a subtree", p)
 		}
-		tok := t.buf[p : p+n : p+n]
+		nd := treeNode{off: int32(p), head: int32(p + v.HeadLen()), end: int32(p + n), kind: v.Kind()}
+		nameOff, nameEnd := v.NameSpan()
+		nd.name = span32{int32(p + nameOff), int32(p + nameEnd)}
+		nd.key = span32{nd.head, nd.end}
+		if v.HasKey() {
+			nd.key.off = nd.end - int32(len(v.Key()))
+		}
 		p += n
 		idx := int32(len(t.nodes))
 		switch v.Kind() {
 		case xmltok.KindStart:
-			t.nodes = append(t.nodes, treeNode{tok: tok, key: v.Key(), kind: xmltok.KindStart})
+			t.nodes = append(t.nodes, nd)
 			t.pending = append(t.pending, idx)
 			level := t.open[len(t.open)-1].level + 1
-			t.open = append(t.open, openElem{node: idx, name: v.Name(), pending: len(t.pending), level: level})
-		case xmltok.KindText:
-			t.nodes = append(t.nodes, treeNode{tok: tok, kind: xmltok.KindText})
-			t.pending = append(t.pending, idx)
-		case xmltok.KindRunPtr:
-			t.nodes = append(t.nodes, treeNode{tok: tok, key: v.Key(), kind: xmltok.KindRunPtr})
+			t.open = append(t.open, openElem{node: idx, pending: len(t.pending), level: level})
+		case xmltok.KindText, xmltok.KindRunPtr:
+			t.nodes = append(t.nodes, nd)
 			t.pending = append(t.pending, idx)
 		case xmltok.KindEnd:
 			if len(t.open) == 1 {
 				return fmt.Errorf("core: end tag </%s> with no open element", v.Name())
 			}
 			el := t.open[len(t.open)-1]
-			if name := v.Name(); len(name) > 0 && !bytes.Equal(name, el.name) {
-				return fmt.Errorf("core: end tag </%s> does not match <%s>", name, el.name)
+			elName := t.bytes(t.nodes[el.node].name)
+			if name := v.Name(); len(name) > 0 && !bytes.Equal(name, elName) {
+				return fmt.Errorf("core: end tag </%s> does not match <%s>", name, elName)
 			}
 			if v.HasKey() {
-				t.nodes[el.node].key = v.Key()
+				t.nodes[el.node].key = nd.key
 			}
 			t.close(el)
 			if el.level <= maxLevel {
@@ -156,14 +176,40 @@ func (t *tokenTree) children(i int32) []int32 {
 	return t.kids[nd.first : nd.first+nd.n]
 }
 
-// sortKids sorts node i's child list stably by key, which is (key,
-// position) order.
+// bytes returns a span of the buffer.
+func (t *tokenTree) bytes(s span32) []byte { return t.buf[s.off:s.end:s.end] }
+
+// key returns node i's ordering key.
+func (t *tokenTree) key(i int32) []byte { return t.bytes(t.nodes[i].key) }
+
+// sortKids sorts node i's child list by (key, position). Node indices
+// follow document order, so ordering equal keys by index gives the order a
+// stable sort would, and the comparison is a total order that an unstable
+// sort settles in O(n log n).
 func (t *tokenTree) sortKids(i int32) {
-	if kids := t.children(i); len(kids) > 1 {
-		slices.SortStableFunc(kids, func(a, b int32) int {
-			return bytes.Compare(t.nodes[a].key, t.nodes[b].key)
-		})
+	kids := t.children(i)
+	if len(kids) < 2 {
+		return
 	}
+	s := t.sorting[:0]
+	for _, c := range kids {
+		var pre [8]byte
+		copy(pre[:], t.key(c))
+		s = append(s, kidPrefix{prefix: binary.BigEndian.Uint64(pre[:]), node: c})
+	}
+	slices.SortFunc(s, func(a, b kidPrefix) int {
+		if a.prefix != b.prefix {
+			return cmp.Compare(a.prefix, b.prefix)
+		}
+		if c := bytes.Compare(t.key(a.node), t.key(b.node)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.node, b.node)
+	})
+	for j, k := range s {
+		kids[j] = k.node
+	}
+	t.sorting = s
 }
 
 // indexSubtree indexes the buffer as one subtree rooted at level 1 and
@@ -207,11 +253,9 @@ func (t *tokenTree) emit(i int32, w tokenSink) error {
 	if nd.kind == xmltok.KindText {
 		// Text enters the data stack with neither key nor level, so its
 		// bytes are already AppendToken's.
-		return w.Append(nd.tok)
+		return w.Append(t.buf[nd.off:nd.end])
 	}
-	var v xmltok.Encoded
-	v.Scan(nd.tok)
-	t.scratch = v.AppendWithKey(t.scratch[:0], nd.key)
+	t.scratch = xmltok.AppendRekeyed(t.scratch[:0], t.buf[nd.off:nd.head], t.bytes(nd.key))
 	if err := w.Append(t.scratch); err != nil || nd.kind == xmltok.KindRunPtr {
 		return err
 	}
@@ -220,7 +264,7 @@ func (t *tokenTree) emit(i int32, w tokenSink) error {
 			return err
 		}
 	}
-	t.scratch = v.AppendEnd(t.scratch[:0])
+	t.scratch = xmltok.AppendEndTag(t.scratch[:0], t.bytes(t.nodes[i].name))
 	return w.Append(t.scratch)
 }
 

@@ -239,7 +239,7 @@ func TestTokenTreeChildRecords(t *testing.T) {
 						switch {
 						case noSort:
 							ref.Key = ""
-							tree.nodes[child].key = nil
+							tree.nodes[child].key = span32{}
 						case relLimit == 0:
 							ref.SortRecursive()
 						case relLimit > 1:

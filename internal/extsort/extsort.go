@@ -85,6 +85,7 @@ type Sorter struct {
 	totalRecords  int64
 	totalBytes    int64
 	streamFinal   bool // SortStream: never materialize the final merge
+	leave         int  // LeaveFree: blocks of the budget the caller needs free while draining
 	streamedFinal bool
 	sorted        bool
 	closed        bool
@@ -104,10 +105,13 @@ type Stats struct {
 	StreamedFinalMerge bool
 }
 
+// MinMemBlocks is the smallest grant a sorter takes: two input/buffer
+// blocks plus one output block is the smallest merge that makes progress.
+const MinMemBlocks = 3
+
 // New creates a sorter that may use memBlocks blocks of main memory,
-// granted from env's budget immediately. memBlocks must be at least 3 (two
-// input/buffer blocks plus one output block is the smallest merge that
-// makes progress). Every comparison goes through cmp; callers with an
+// granted from env's budget immediately; memBlocks must be at least
+// MinMemBlocks. Every comparison goes through cmp; callers with an
 // order-preserving normalized-key encoding should prefer NewKernel, which
 // turns most comparisons into inline-prefix memcmps.
 func New(env *em.Env, cat em.Category, cmp Compare, memBlocks int) (*Sorter, error) {
@@ -121,8 +125,8 @@ func New(env *em.Env, cat em.Category, cmp Compare, memBlocks int) (*Sorter, err
 // changes how comparisons execute, never their outcome, so output bytes
 // and I/O counts are identical to a plain New sorter with the same order.
 func NewKernel(env *em.Env, cat em.Category, k sortkey.Kernel, memBlocks int) (*Sorter, error) {
-	if memBlocks < 3 {
-		return nil, fmt.Errorf("extsort: need at least 3 memory blocks, got %d", memBlocks)
+	if memBlocks < MinMemBlocks {
+		return nil, fmt.Errorf("extsort: need at least %d memory blocks, got %d", MinMemBlocks, memBlocks)
 	}
 	if err := env.Budget.Grant(memBlocks); err != nil {
 		return nil, fmt.Errorf("extsort: %w", err)
@@ -286,6 +290,26 @@ func (s *Sorter) SortStream() (*Iterator, error) {
 	return s.Sort()
 }
 
+// LeaveFree asks Sort or SortStream to leave at least n blocks of the
+// budget free while the caller drains the iterator, for a caller that needs
+// them then. The sorter keeps what its grant can spare of that: records
+// that never left memory stay there if they fit in it, and the merge passes
+// use the whole grant until the runs left fit one reader block each in it
+// (one run, unless the final merge streams). Every block of the grant the
+// iterator does not hold then goes back to the budget.
+func (s *Sorter) LeaveFree(n int) {
+	s.leave = n
+}
+
+// lend gives back every block of the grant beyond the held blocks the
+// iterator needs, when LeaveFree asked for blocks.
+func (s *Sorter) lend(held int) {
+	if s.leave > 0 && held < s.memBlocks {
+		s.env.Budget.Release(s.memBlocks - held)
+		s.memBlocks = held
+	}
+}
+
 // Sort finishes run formation, runs the merge passes, and returns an
 // iterator over the sorted records. The iterator becomes invalid once the
 // sorter is closed.
@@ -301,9 +325,21 @@ func (s *Sorter) Sort() (*Iterator, error) {
 	if err := s.env.Dev.Interrupted(); err != nil {
 		return nil, err
 	}
-	// Fast path: everything fit in memory, no run was ever cut.
-	if len(s.runs) == 0 {
+	// keep is what the sorter may hold while its output is drained.
+	keep := s.memBlocks
+	if s.leave > 0 {
+		keep -= max(0, s.leave-s.env.Budget.Free())
+		if keep < 1 {
+			return nil, fmt.Errorf("extsort: cannot leave %d blocks free holding %d", s.leave, s.memBlocks)
+		}
+	}
+	// Fast path: everything fit in memory, no run was ever cut. The records
+	// hold their arena's frames, and their bytes' worth of blocks when
+	// oversized ones were allocated apart.
+	bs := s.env.Conf.BlockSize
+	if held := max((s.bufBytes+bs-1)/bs, len(s.arena.frames)); len(s.runs) == 0 && held <= keep {
 		s.sortEntries(s.entries)
+		s.lend(held)
 		return &Iterator{mem: s.entries}, nil
 	}
 	if err := s.cutRun(); err != nil {
@@ -320,7 +356,8 @@ func (s *Sorter) Sort() (*Iterator, error) {
 		// would have cost the full data size in writes (plus rereads)
 		// costs nothing — the last scratch the run needed was the runs it
 		// already has.
-		if (s.streamFinal || s.env.Dev.NearFull()) && len(s.runs) <= s.memBlocks {
+		if (s.streamFinal || s.env.Dev.NearFull()) && len(s.runs) <= keep {
+			s.lend(len(s.runs))
 			m, err := newStreamMerger(s, s.runs)
 			if err != nil {
 				return nil, err
@@ -335,6 +372,7 @@ func (s *Sorter) Sort() (*Iterator, error) {
 		s.runs = next
 		s.mergePasses++
 	}
+	s.lend(1)
 	r, err := newRunReader(s.runs[0])
 	if err != nil {
 		return nil, err

@@ -205,6 +205,80 @@ func TestSorterBudget(t *testing.T) {
 	}
 }
 
+// TestSorterLeaveFree: a sorter asked to leave blocks free gives back
+// every block its output does not hold once its merge passes are done,
+// before its output is drained, streamed or not, spilled or not, empty or
+// not, and its output is unchanged. Blocks already free count toward the
+// request, and a request the grant cannot meet fails.
+func TestSorterLeaveFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var recs []string
+	for range 400 {
+		recs = append(recs, fmt.Sprintf("r%06d", rng.Intn(1e6)))
+	}
+	for _, stream := range []bool{false, true} {
+		for _, n := range []int{0, 10, 400} {
+			for _, spare := range []int{0, 2} {
+				want := append([]string(nil), recs[:n]...)
+				sort.Strings(want)
+				env := newEnv(t, 128, 8+spare)
+				s, err := New(env, em.CatMergeRun, bytesCompare, 8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.LeaveFree(5)
+				for _, r := range recs[:n] {
+					if err := s.Add([]byte(r)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				sortFn := s.Sort
+				if stream {
+					sortFn = s.SortStream
+				}
+				it, err := sortFn()
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("stream=%v n=%d spare=%d", stream, n, spare)
+				if free := env.Budget.Free(); free < 5 {
+					t.Errorf("%s: %d blocks free while draining, want at least 5", name, free)
+				}
+				var got []string
+				for {
+					rec, err := it.Next()
+					if err == io.EOF {
+						break
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					got = append(got, string(rec))
+				}
+				it.Close()
+				s.Close()
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("%s: output differs from sort.Strings", name)
+				}
+				if env.Budget.InUse() != 0 {
+					t.Errorf("%s: leaked %d blocks", name, env.Budget.InUse())
+				}
+			}
+		}
+	}
+
+	env := newEnv(t, 128, 8)
+	s, err := New(env, em.CatMergeRun, bytesCompare, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.LeaveFree(8)
+	if _, err := s.Sort(); err == nil {
+		t.Error("leaving the whole grant free should fail")
+	}
+}
+
 func TestSorterMisuse(t *testing.T) {
 	env := newEnv(t, 128, 6)
 	s, _ := New(env, em.CatMergeRun, bytesCompare, 3)

@@ -57,11 +57,17 @@ type XMLOptions struct {
 	// Indent pretty-prints the output with the given unit; empty writes
 	// compact XML.
 	Indent string
+	// PaperLayout keeps the paper's baseline: the final merge is written
+	// as one more run and read back for reconstruction. By default the
+	// final merge streams straight into reconstruction, as NEXSORT's
+	// default layout streams its own final merges.
+	PaperLayout bool
 }
 
 // SortXML sorts an XML document with the paper's competitor: generate the
 // key-path representation, run external merge sort over the records, and
-// reconstruct the document from the sorted stream. The criterion must be
+// reconstruct the document from the sorted stream — the final merge itself
+// unless opts.PaperLayout asks for the merged run. The criterion must be
 // start-resolvable (attribute or tag-name keys); see
 // keypath.ErrKeyNotResolvable.
 //
@@ -168,7 +174,11 @@ func SortXML(env *em.Env, c *keys.Criterion, in io.Reader, out io.Writer, opts X
 	cr.Finish()
 	report.InputBytes = cr.BytesRead()
 
-	it, err := sorter.Sort()
+	sort := sorter.SortStream
+	if opts.PaperLayout {
+		sort = sorter.Sort
+	}
+	it, err := sort()
 	if err != nil {
 		return nil, err
 	}

@@ -130,8 +130,28 @@ func (e *Encoded) Key() []byte { return e.b[e.key.off:e.key.end] }
 // For a token AppendToken wrote, the bytes are AppendToken's for the token
 // with Key = key and HasKey set.
 func (e *Encoded) AppendWithKey(dst, key []byte) []byte {
-	dst = append(dst, byte(e.kind)|flagHasKey)
-	return appendString(append(dst, e.b[1:e.fields]...), key)
+	return AppendRekeyed(dst, e.b[:e.fields], key)
+}
+
+// HeadLen returns the length of the token's bytes before its key: its kind
+// byte and its kind-specific fields.
+func (e *Encoded) HeadLen() int { return e.fields }
+
+// NameSpan returns where the name of a start tag, end tag or run pointer
+// lies in the token's bytes.
+func (e *Encoded) NameSpan() (off, end int) { return e.str.off, e.str.end }
+
+// AppendRekeyed is AppendWithKey for a token whose view is gone: head is
+// the token's bytes before its key, as HeadLen measures them.
+func AppendRekeyed(dst, head, key []byte) []byte {
+	dst = append(dst, head[0]&kindMask|flagHasKey)
+	return appendString(append(dst, head[1:]...), key)
+}
+
+// AppendEndTag appends the key-less end tag named name: the bytes
+// AppendToken writes for Token{Kind: KindEnd, Name: name}.
+func AppendEndTag(dst, name []byte) []byte {
+	return appendString(append(dst, byte(KindEnd)), name)
 }
 
 // Rekey appends tok re-keyed to dst, as AppendWithKey does, makes e a view
@@ -149,7 +169,7 @@ func (e *Encoded) Rekey(dst []byte, tok *Encoded, key []byte) []byte {
 // AppendEnd appends the key-less end tag that closes a start tag: the bytes
 // AppendToken writes for Token{Kind: KindEnd, Name: name}.
 func (e *Encoded) AppendEnd(dst []byte) []byte {
-	return appendString(append(dst, byte(KindEnd)), e.Name())
+	return AppendEndTag(dst, e.Name())
 }
 
 // AppendRunPtr appends the run pointer that replaces a tag's element once

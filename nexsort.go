@@ -255,7 +255,10 @@ type Options struct {
 	// open element's accumulated children into incomplete sorted runs, and
 	// sorts the root straight into the output once the input has been
 	// read, so a flat document needs no more passes than merge sort.
-	// Output bytes are the same either way; block transfers are not.
+	// For merge sort, PaperLayout keeps the paper's baseline, which writes
+	// its final merge as one more run and reads it back to rebuild the
+	// document; by default that merge streams into the rebuild. Output
+	// bytes are the same either way; block transfers are not.
 	PaperLayout bool
 	// RecordOrder, when non-empty, stamps each output element with an
 	// attribute of this name holding its original sibling position
@@ -383,6 +386,7 @@ func sortInEnv(env *em.Env, in io.Reader, out io.Writer, opts Options) (*Result,
 			Compact:        opts.Compact,
 			Indent:         opts.Indent,
 			SortChildrenOf: opts.SortChildrenOf,
+			PaperLayout:    opts.PaperLayout,
 		})
 		if err != nil {
 			return nil, err
