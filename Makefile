@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test vet vet-concurrency nexvet race bench
+.PHONY: check build test vet nexvet race bench
 
 # check is the pre-PR gate: vet, build everything, the full test suite,
 # then the suite again under the race detector in short mode (the soak
@@ -9,18 +9,12 @@ check: ; ./scripts/check.sh
 
 build: ; $(GO) build ./...
 
-# vet runs the toolchain's vet, then the project analyzers (NV001-NV008)
+# vet runs the toolchain's vet, then the project analyzers (nexvet -codes)
 # through both the -vettool protocol and the standalone stale-baseline run.
 vet: nexvet
 	$(GO) vet ./...
 	$(GO) vet -vettool=bin/nexvet ./...
 	./bin/nexvet ./...
-
-# vet-concurrency runs only the concurrency-discipline analyzers (goroutine
-# lifecycle, channel ownership, lock-guard consistency) — the fast loop
-# while working on goroutine code, without the frame/I-O/determinism sweeps.
-vet-concurrency: nexvet
-	./bin/nexvet -only NV006,NV007,NV008 ./...
 
 # nexvet builds the invariant checker; the Go build cache keeps this
 # incremental, so repeated `make vet` pays nothing when it is unchanged.

@@ -1,15 +1,16 @@
-// nexvet statically enforces NEXSORT's frame, budget, I/O-accounting, and
-// concurrency invariants (see DESIGN.md §11 and §15). It runs two ways:
+// nexvet statically enforces NEXSORT's frame, budget, I/O-accounting,
+// determinism, context and lock-guard invariants (see DESIGN.md §11). It
+// runs two ways:
 //
 //	go vet -vettool=$(command -v nexvet) ./...   # unit-checker mode, per package
 //	nexvet ./...                                 # standalone: whole tree + stale-baseline check
 //
 // Diagnostics print as "file:line:col: [CODE] message (hint)" — clickable
 // in CI logs. Codes: NV001 framebalance, NV002 iopurity, NV003 statsatomic,
-// NV004 detptr, NV005 ctxflow, NV006 goleak, NV007 chandisc, NV008
-// lockguard (`nexvet -codes` prints the full reference). Intentional
-// exceptions live in internal/analysis/baseline.txt; the standalone run
-// fails on entries that no longer match anything, and
+// NV004 detptr, NV005 ctxflow, NV008 lockguard (`nexvet -codes` prints the
+// full reference). Intentional exceptions live in
+// internal/analysis/baseline.txt; the standalone run fails on entries that
+// no longer match anything, and
 // `nexvet -fix-baseline ./...` regenerates the file, keeping existing
 // justifications and writing rejected-until-edited TODO placeholders for
 // new findings.
@@ -43,7 +44,7 @@ func main() {
 	baselineFlag := flag.String("baseline", "", "baseline file (default: internal/analysis/baseline.txt under the module root)")
 	listCodes := flag.Bool("codes", false, "print the diagnostic-code reference and exit")
 	jsonOut := flag.Bool("json", false, "emit one JSON object per diagnostic on stdout (baselined findings included, marked)")
-	onlyFlag := flag.String("only", "", "comma-separated NV codes to run (e.g. NV006,NV007,NV008); default all")
+	onlyFlag := flag.String("only", "", "comma-separated NV codes to run (e.g. NV001,NV008); default all")
 	fixBaseline := flag.Bool("fix-baseline", false, "regenerate the baseline file from the current findings, preserving justifications; fails on stale entries instead of dropping them")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: nexvet [-baseline file] [-only CODES] [-json] [-fix-baseline] [packages]\n")

@@ -14,16 +14,12 @@
 //	NV005 ctxflow      — library packages neither manufacture root contexts
 //	       (context.Background/TODO) nor store a context.Context in a
 //	       struct field
-//	NV006 goleak       — every goroutine launched by a library package has
-//	       a statically provable join or drain path (WaitGroup pairing,
-//	       close-drained worker, done-channel, producer close, or Pool
-//	       ownership)
-//	NV007 chandisc     — one closer per channel, no send after a reachable
-//	       close, no close of receive-only/nil channels, and bounded
-//	       capacity for the device layer's data queues
 //	NV008 lockguard    — struct fields accessed repeatedly under a sibling
 //	       mutex are inferred guarded; unguarded or atomic-mixed accesses
 //	       are reported
+//
+// NV006 (goleak) and NV007 (chandisc) are retired (DESIGN.md §14); their
+// codes are not reused.
 //
 // Analyzers run in two harnesses (cmd/nexvet): standalone over `go list`
 // metadata, and as a `go vet -vettool` unit checker. Intentional exceptions
@@ -57,7 +53,7 @@ type Analyzer struct {
 
 // All returns the full nexvet suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{FrameBalance, IOPurity, StatsAtomic, DetPtr, CtxFlow, GoLeak, ChanDisc, LockGuard}
+	return []*Analyzer{FrameBalance, IOPurity, StatsAtomic, DetPtr, CtxFlow, LockGuard}
 }
 
 // Pass holds one analyzer's view of one type-checked package.

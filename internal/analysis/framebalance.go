@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 	"strconv"
 	"strings"
 )
@@ -13,8 +12,8 @@ import (
 // Budget.Grant/MustGrant, Budget.AcquireFrames, FramePool.Acquire — must be
 // matched, on every path that can reach a return (error unwinds included),
 // by its release, a defer of its release, or an explicit transfer of
-// ownership (the budget/frames stored into a returned object, handed to a
-// worker closure that releases them, or passed to another owner).
+// ownership (the budget/frames stored into a returned object, captured by a
+// worker closure, or passed to another owner).
 //
 // The check is intra-procedural and path-sensitive over the function's
 // statement structure. It recognizes the repo's idioms:
@@ -24,14 +23,10 @@ import (
 //   - `defer b.Release(n)` and `defer func() { ... b.Release(n) ... }()`;
 //   - constructors that grant and then return an object owning the budget
 //     (`&StreamWriter{budget: budget, ...}`);
-//   - worker dispatch, where the spawned closure — or a same-package
-//     function/method launched by name — is sub-analyzed as the new owner:
-//     the obligation transfers only when the worker provably releases it
-//     (or hands it onward) on every path. Frames passed as arguments are
-//     bound to the worker's parameters, so `go s.flush(fr)` and
-//     `go func(fr em.Frame) { defer pool.Release(fr) }(fr)` are both
-//     tracked across the goroutine boundary; a worker that merely reads
-//     the frame leaks it and the launch is reported.
+//   - worker dispatch: a `go` launch hands over what it visibly passes —
+//     a release in the launched call, an argument, or a resource the
+//     launched closure mentions — and everything else stays on the
+//     launcher's books.
 //
 // Grant-only wrappers (a function whose contract is that the caller
 // releases) are intentional exceptions: baseline them.
@@ -83,32 +78,9 @@ type fbFunc struct {
 	pass     *Pass
 	aliases  map[*ast.Object]string // budget/pool local aliases → canonical chain
 	reported map[*oblig]bool
-	// decls indexes the package's function declarations so `go f(...)` /
-	// `go x.m(...)` launches can be sub-analyzed like literals.
-	decls map[types.Object]*ast.FuncDecl
-	// leaked, when non-nil, puts the walk in collect mode: checkReturn
-	// records still-live obligations here instead of reporting, so a
-	// spawned worker's analysis feeds the launcher rather than the user.
-	leaked map[*oblig]bool
-	// depth counts nested spawn sub-analyses (recursion guard).
-	depth int
 }
 
-// maxSpawnDepth bounds spawn sub-analysis nesting; a worker chain deeper
-// than this (or a recursive launch) falls back to escape semantics.
-const maxSpawnDepth = 8
-
 func runFrameBalance(pass *Pass) {
-	decls := map[types.Object]*ast.FuncDecl{}
-	for _, file := range pass.Files {
-		for _, d := range file.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				if obj := pass.Info.Defs[fd.Name]; obj != nil {
-					decls[obj] = fd
-				}
-			}
-		}
-	}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			var body *ast.BlockStmt
@@ -123,7 +95,7 @@ func runFrameBalance(pass *Pass) {
 			if body == nil {
 				return true
 			}
-			fb := &fbFunc{pass: pass, aliases: map[*ast.Object]string{}, reported: map[*oblig]bool{}, decls: decls}
+			fb := &fbFunc{pass: pass, aliases: map[*ast.Object]string{}, reported: map[*oblig]bool{}}
 			st := &fbState{live: map[*oblig]bool{}}
 			if !fb.walkStmts(body.List, st) {
 				fb.checkReturn(st, body.End())
@@ -174,21 +146,11 @@ func (f *fbFunc) walkStmt(s ast.Stmt, st *fbState) (terminated bool) {
 	case *ast.DeferStmt:
 		// A deferred release runs at every subsequent exit of this path, so
 		// it discharges the obligation outright.
-		f.processCallDischarges(x.Call, st)
-		for _, a := range x.Call.Args {
-			f.processExpr(a, st)
-		}
-		if lit, ok := x.Call.Fun.(*ast.FuncLit); ok {
-			f.closureScan(lit, st)
-		}
+		f.handOff(x.Call, st)
 
 	case *ast.GoStmt:
-		// NV001v2: a spawned worker is a new owner, not a black hole — its
-		// body is sub-analyzed, so only obligations it provably releases
-		// (or hands onward) on every path are discharged; what it can leak
-		// stays on the launcher's books and is reported at the launcher's
-		// return.
-		f.spawnDispatch(x.Call, st)
+		// A launched worker is a new owner of what the launch hands it.
+		f.handOff(x.Call, st)
 
 	case *ast.IfStmt:
 		return f.walkIf(x, st)
@@ -581,182 +543,22 @@ func (f *fbFunc) escapeChain(chain string, st *fbState) {
 	}
 }
 
-// spawnDispatch analyzes a `go` launch as an ownership transfer. When the
-// target body is in reach — a function literal, or a same-package
-// function/method — obligations the worker captures (or receives as frame
-// arguments) are threaded through a sub-analysis of that body in collect
-// mode: fully-discharged obligations leave the launcher's state, leaked
-// ones stay live and surface at the launcher's return. Unresolvable
-// targets (another package, a func value) fall back to argument-escape
-// semantics: what the launcher visibly hands over is transferred, the
-// rest remains the launcher's problem.
-func (f *fbFunc) spawnDispatch(call *ast.CallExpr, st *fbState) {
-	ftype, body, resolvable := f.goTarget(call)
-	if !resolvable || f.depth >= maxSpawnDepth {
-		f.processCallDischarges(call, st)
-		for _, a := range call.Args {
-			f.processExpr(a, st)
-		}
-		if lit, ok := call.Fun.(*ast.FuncLit); ok {
-			// Depth exhausted on a literal: the old blanket scan is the
-			// conservative fallback (mention discharges, no sub-analysis).
-			f.closureScan(lit, st)
-		}
-		return
+// handOff applies a deferred or launched call: its own release, escape
+// semantics for its arguments, and a scan of a function literal it runs.
+func (f *fbFunc) handOff(call *ast.CallExpr, st *fbState) {
+	f.processCallDischarges(call, st)
+	for _, a := range call.Args {
+		f.processExpr(a, st)
 	}
-
-	// Bind arguments to the worker's parameters: a frame argument extends
-	// the obligation's alias set into the worker's scope, a budget/pool
-	// chain argument becomes a canonical alias there. Unbound arguments
-	// keep ordinary escape semantics.
-	subAliases := make(map[*ast.Object]string, len(f.aliases))
-	for k, v := range f.aliases {
-		subAliases[k] = v
+	if lit, ok := call.Fun.(*ast.FuncLit); ok {
+		f.closureScan(lit, st)
 	}
-	params := flattenParams(ftype)
-	for i, a := range call.Args {
-		bound := false
-		if i < len(params) && params[i] != nil && params[i].Obj != nil {
-			pobj := params[i].Obj
-			if obj := identObj(a); obj != nil {
-				for o := range st.live {
-					if o.frameVars[obj] {
-						o.frameVars[pobj] = true
-						bound = true
-					}
-				}
-			}
-			if t, ok := f.pass.Info.Types[a]; ok &&
-				(isEMType(t.Type, "Budget") || isEMType(t.Type, "FramePool")) {
-				if chain, ok := chainText(a); ok {
-					subAliases[pobj] = f.canonical(chain)
-					bound = true
-				}
-			}
-		}
-		if !bound {
-			f.processExpr(a, st)
-		}
-	}
-
-	sub := &fbFunc{
-		pass:     f.pass,
-		aliases:  subAliases,
-		reported: f.reported,
-		decls:    f.decls,
-		leaked:   map[*oblig]bool{},
-		depth:    f.depth + 1,
-	}
-	var captured []*oblig
-	for o := range st.live {
-		if sub.mentionsOblig(body, o) {
-			captured = append(captured, o)
-		}
-	}
-	if len(captured) == 0 {
-		return
-	}
-	subSt := &fbState{live: make(map[*oblig]bool, len(captured))}
-	for _, o := range captured {
-		subSt.live[o] = true
-	}
-	if !sub.walkStmts(body.List, subSt) {
-		sub.checkReturn(subSt, body.End())
-	}
-	for _, o := range captured {
-		if !sub.leaked[o] {
-			delete(st.live, o) // the worker provably releases it on every path
-		}
-	}
-}
-
-// goTarget resolves the function type and body behind a go launch: a
-// literal's own, or the same-package declaration behind `go f()` /
-// `go x.m()`.
-func (f *fbFunc) goTarget(call *ast.CallExpr) (*ast.FuncType, *ast.BlockStmt, bool) {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.FuncLit:
-		return fun.Type, fun.Body, true
-	case *ast.Ident:
-		if decl, ok := f.decls[f.pass.Info.Uses[fun]]; ok {
-			return decl.Type, decl.Body, true
-		}
-	case *ast.SelectorExpr:
-		if obj, ok := f.pass.Info.Uses[fun.Sel]; ok {
-			if decl, ok := f.decls[obj]; ok {
-				return decl.Type, decl.Body, true
-			}
-		}
-	}
-	return nil, nil, false
-}
-
-// mentionsOblig reports whether body touches o at all — a frame variable
-// (original or parameter-bound), or the canonical root/owner chain of a
-// budget obligation. Untouched obligations stay out of the sub-analysis so
-// the launcher's later paths can still discharge them.
-func (f *fbFunc) mentionsOblig(body ast.Node, o *oblig) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch x := n.(type) {
-		case *ast.Ident:
-			if x.Obj != nil && o.frameVars[x.Obj] {
-				found = true
-				break
-			}
-			if o.root != "" {
-				c := x.Name
-				if x.Obj != nil {
-					if canon, ok := f.aliases[x.Obj]; ok {
-						c = canon
-					}
-				}
-				if c == o.root || c == o.owner {
-					found = true
-				}
-			}
-		case *ast.SelectorExpr:
-			if o.root != "" {
-				if chain, ok := chainText(x); ok {
-					c := f.canonical(chain)
-					if c == o.root || c == o.owner {
-						found = true
-					}
-				}
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// flattenParams lists a function type's parameter idents positionally
-// (nil for unnamed parameters).
-func flattenParams(ft *ast.FuncType) []*ast.Ident {
-	var out []*ast.Ident
-	if ft == nil || ft.Params == nil {
-		return out
-	}
-	for _, fld := range ft.Params.List {
-		if len(fld.Names) == 0 {
-			out = append(out, nil)
-			continue
-		}
-		for _, nm := range fld.Names {
-			out = append(out, nm)
-		}
-	}
-	return out
 }
 
 // closureScan treats a function literal as a potential new owner: any
 // release call or captured mention of an obligation's resources inside it
-// discharges the obligation (the closure — deferred or stored — is now
-// responsible). `go` launches get the stricter spawnDispatch sub-analysis
-// instead.
+// discharges the obligation (the closure — deferred, launched or stored —
+// is now responsible).
 func (f *fbFunc) closureScan(lit *ast.FuncLit, st *fbState) {
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
@@ -776,15 +578,8 @@ func (f *fbFunc) closureScan(lit *ast.FuncLit, st *fbState) {
 }
 
 // checkReturn reports every obligation still live when a return (or the
-// end of the function body) is reachable. In collect mode (a spawn
-// sub-analysis) it records the leak for the launcher instead.
+// end of the function body) is reachable.
 func (f *fbFunc) checkReturn(st *fbState, ret token.Pos) {
-	if f.leaked != nil {
-		for o := range st.live {
-			f.leaked[o] = true
-		}
-		return
-	}
 	for o := range st.live {
 		if f.reported[o] {
 			continue

@@ -28,14 +28,6 @@ func TestCtxFlowGolden(t *testing.T) {
 	runGolden(t, CtxFlow, "./internal/ctxviol") // library: roots and stored ctx flagged
 	runGolden(t, CtxFlow, "./internal/ctxmain") // package main: must stay silent
 }
-func TestGoLeakGolden(t *testing.T) {
-	runGolden(t, GoLeak, "./internal/leak")     // library: lifecycle proofs required
-	runGolden(t, GoLeak, "./internal/leakmain") // package main: must stay silent
-}
-func TestChanDiscGolden(t *testing.T) {
-	runGolden(t, ChanDisc, "./internal/chans")    // ownership and close discipline
-	runGolden(t, ChanDisc, "./internal/em/queue") // bounded-capacity rule in the device layer
-}
 func TestLockGuardGolden(t *testing.T) { runGolden(t, LockGuard, "./internal/locks") }
 
 // want is one expected diagnostic.

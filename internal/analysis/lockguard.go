@@ -16,9 +16,9 @@ import (
 // sibling mutex of the same struct is held — in the struct's defining
 // package — is considered guarded by that mutex, and every other access
 // must hold it too. That automatically covers the device's allocation
-// state (Device.mu), the streams' extent tables (Stream.mu), the worker
-// pools' in-flight tallies, and whatever job tables nexsortd adds later,
-// with no per-struct configuration.
+// state (Device.mu), the streams' extent tables (Stream.mu), the budget's
+// counters (Budget.mu), the frame pool's free list and the run store's
+// run table, with no per-struct configuration.
 //
 // The walk recognizes the repo's locking idioms:
 //
@@ -30,8 +30,7 @@ import (
 //   - functions whose name ends in "Locked" document that the caller
 //     holds the lock; their accesses are neither counted nor flagged;
 //   - channel-typed fields are exempt (send/receive are internally
-//     synchronized; close/send ordering is NV007's domain), as are
-//     sync.* / sync/atomic fields themselves.
+//     synchronized), as are sync.* / sync/atomic fields themselves.
 //
 // It also flags mixed disciplines: a field reached both through
 // sync/atomic calls and through mutex-guarded plain accesses has two
@@ -358,7 +357,7 @@ func (w *lgWalk) recordAccess(sel *ast.SelectorExpr, held map[string]bool) {
 		return // the primitives themselves are not guarded data
 	}
 	if _, isChan := field.Type().Underlying().(*types.Chan); isChan {
-		return // channel ops synchronize themselves; discipline is NV007's
+		return // channel ops synchronize themselves
 	}
 	ownerChain, ok := chainText(sel.X)
 	if !ok {
@@ -468,6 +467,50 @@ func isOwnStructLiteral(pass *Pass, e ast.Expr) bool {
 		return false
 	}
 	return len(mutexFieldsOf(named)) > 0
+}
+
+// isSyncType reports whether t (or its pointee) is the named sync type
+// (e.g. "Mutex", "RWMutex").
+func isSyncType(t types.Type, name string) bool {
+	named := namedOrPointee(t)
+	if named == nil {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == "sync"
+}
+
+// isSyncFamilyType reports whether t is declared in sync or sync/atomic —
+// synchronization primitives are not data fields for guard inference.
+func isSyncFamilyType(t types.Type) bool {
+	named := namedOrPointee(t)
+	if named == nil {
+		return false
+	}
+	obj := named.Obj()
+	if obj.Pkg() == nil {
+		return false
+	}
+	path := obj.Pkg().Path()
+	return path == "sync" || path == "sync/atomic"
+}
+
+// forEachFuncUnit visits every function body in the package — declarations
+// and function literals alike — each as its own analysis unit.
+func forEachFuncUnit(pass *Pass, visit func(body *ast.BlockStmt)) {
+	for _, file := range pass.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch fn := n.(type) {
+			case *ast.FuncDecl:
+				if fn.Body != nil {
+					visit(fn.Body)
+				}
+			case *ast.FuncLit:
+				visit(fn.Body)
+			}
+			return true
+		})
+	}
 }
 
 // enclosingDeclName returns the name of the FuncDecl whose body is body

@@ -2,7 +2,7 @@ package analysis
 
 // Edge cases of the `go vet -vettool` unit-checker protocol and of the
 // standalone loader: cache-key behavior of -V=full, testdata/vendor
-// skipping, and an end-to-end proof that a seeded concurrency defect fails
+// skipping, and an end-to-end proof that a seeded budget leak fails
 // BOTH drive modes — go vet's per-package protocol and nexvet's own
 // whole-tree loader must agree on what is red.
 
@@ -70,7 +70,7 @@ func TestSkipListedPackage(t *testing.T) {
 		{"normal package", listedPackage{Dir: "/home/u/src/m/internal/em", Module: mod}, false},
 		{"testdata below module root", listedPackage{Dir: "/home/u/src/m/internal/analysis/testdata/internal/fb", Module: mod}, true},
 		{"vendor below module root", listedPackage{Dir: "/home/u/src/m/vendor/example.com/dep", Module: mod}, true},
-		{"module rooted inside a testdata dir", listedPackage{Dir: "/repo/internal/analysis/testdata/internal/leak", Module: fixtureMod}, false},
+		{"module rooted inside a testdata dir", listedPackage{Dir: "/repo/internal/analysis/testdata/internal/fb", Module: fixtureMod}, false},
 		{"no module info, testdata in path", listedPackage{Dir: "/tmp/x/testdata/y"}, true},
 	}
 	for _, tc := range cases {
@@ -96,23 +96,37 @@ func buildNexvet(t *testing.T, dir string) string {
 	return bin
 }
 
+// fakeBudget is the fake em package's Budget: NV001 keys on the type's name
+// and on its package path ending in internal/em, not on its behavior.
+const fakeBudget = `package em
+
+type Budget struct{ used int }
+
+func (b *Budget) Grant(n int) error { b.used += n; return nil }
+func (b *Budget) Release(n int)     { b.used -= n }
+`
+
+// leakyFill is the seeded defect: a grant that reaches a return with no
+// release, no defer and no ownership transfer — what NV001 exists to catch.
+const leakyFill = `package em
+
+func Fill(b *Budget) error {
+	if err := b.Grant(1); err != nil {
+		return err
+	}
+	return nil
+}
+`
+
 // writeFakeModule lays out a minimal external module whose em package has a
-// seeded fire-and-forget goroutine — the defect NV006 exists to catch.
+// seeded budget leak.
 func writeFakeModule(t *testing.T) string {
 	t.Helper()
 	mod := t.TempDir()
 	files := map[string]string{
-		"go.mod": "module fakeem.example\n\ngo 1.22\n",
-		"em/em.go": `package em
-
-// Start leaks a worker: no WaitGroup, no drained channel, no quit signal.
-func Start() {
-	go func() {
-		for {
-		}
-	}()
-}
-`,
+		"go.mod":                "module fakeem.example\n\ngo 1.22\n",
+		"internal/em/budget.go": fakeBudget,
+		"internal/em/fill.go":   leakyFill,
 	}
 	for name, content := range files {
 		path := filepath.Join(mod, name)
@@ -127,7 +141,7 @@ func Start() {
 }
 
 // TestSeededLeakFailsBothModes proves the two drive modes agree: the same
-// fire-and-forget goroutine is red under `go vet -vettool=nexvet` (the
+// leaked budget grant is red under `go vet -vettool=nexvet` (the
 // protocol path through .cfg files and export data) and under standalone
 // `nexvet ./...` (the go list loader), and the standalone -json stream
 // carries the finding in machine-readable form.
@@ -143,10 +157,10 @@ func TestSeededLeakFailsBothModes(t *testing.T) {
 	standalone.Dir = mod
 	out, err := standalone.CombinedOutput()
 	if err == nil {
-		t.Fatalf("standalone nexvet passed on a seeded goroutine leak:\n%s", out)
+		t.Fatalf("standalone nexvet passed on a seeded budget leak:\n%s", out)
 	}
-	if !strings.Contains(string(out), "NV006") || !strings.Contains(string(out), "fire-and-forget") {
-		t.Fatalf("standalone output lacks the NV006 finding:\n%s", out)
+	if !strings.Contains(string(out), "NV001") || !strings.Contains(string(out), "can reach the return") {
+		t.Fatalf("standalone output lacks the NV001 finding:\n%s", out)
 	}
 
 	// go vet -vettool mode.
@@ -154,10 +168,10 @@ func TestSeededLeakFailsBothModes(t *testing.T) {
 	vet.Dir = mod
 	out, err = vet.CombinedOutput()
 	if err == nil {
-		t.Fatalf("go vet -vettool passed on a seeded goroutine leak:\n%s", out)
+		t.Fatalf("go vet -vettool passed on a seeded budget leak:\n%s", out)
 	}
-	if !strings.Contains(string(out), "NV006") {
-		t.Fatalf("vettool output lacks the NV006 finding:\n%s", out)
+	if !strings.Contains(string(out), "NV001") {
+		t.Fatalf("vettool output lacks the NV001 finding:\n%s", out)
 	}
 
 	// -json mode: every line parses, and the finding is present, not baselined.
@@ -182,13 +196,13 @@ func TestSeededLeakFailsBothModes(t *testing.T) {
 		if err := json.Unmarshal(sc.Bytes(), &d); err != nil {
 			t.Fatalf("non-JSON line in -json output: %q (%v)", sc.Text(), err)
 		}
-		if d.Code == "NV006" && d.Analyzer == "goleak" && !d.Baselined && d.Line > 0 &&
-			strings.HasSuffix(d.File, "em/em.go") {
+		if d.Code == "NV001" && d.Analyzer == "framebalance" && !d.Baselined && d.Line > 0 &&
+			strings.HasSuffix(d.File, "internal/em/fill.go") {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("-json stream lacks the NV006 diagnostic:\n%s", stdout.String())
+		t.Fatalf("-json stream lacks the NV001 diagnostic:\n%s", stdout.String())
 	}
 }
 
@@ -203,20 +217,17 @@ func TestVettoolCacheInvalidation(t *testing.T) {
 	}
 	bin := buildNexvet(t, t.TempDir())
 	mod := writeFakeModule(t)
-	src := filepath.Join(mod, "em", "em.go")
+	src := filepath.Join(mod, "internal", "em", "fill.go")
 
-	// First: make the module clean (join the goroutine), vet passes and caches.
+	// First: make the module clean (release the grant), vet passes and caches.
 	clean := `package em
 
-import "sync"
-
-func Start() {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-	}()
-	wg.Wait()
+func Fill(b *Budget) error {
+	if err := b.Grant(1); err != nil {
+		return err
+	}
+	defer b.Release(1)
+	return nil
 }
 `
 	if err := os.WriteFile(src, []byte(clean), 0o644); err != nil {
@@ -230,16 +241,7 @@ func Start() {
 
 	// Then: seed the leak back in. A stale cache would replay the green
 	// result; the content-addressed key must force re-analysis.
-	leaky := `package em
-
-func Start() {
-	go func() {
-		for {
-		}
-	}()
-}
-`
-	if err := os.WriteFile(src, []byte(leaky), 0o644); err != nil {
+	if err := os.WriteFile(src, []byte(leakyFill), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	vet = exec.Command("go", "vet", "-vettool="+bin, "./...")
@@ -248,7 +250,7 @@ func Start() {
 	if err == nil {
 		t.Fatalf("stale vet cache replayed a green result after the source changed:\n%s", out)
 	}
-	if !strings.Contains(string(out), "NV006") {
-		t.Fatalf("re-vet after edit lacks the NV006 finding:\n%s", out)
+	if !strings.Contains(string(out), "NV001") {
+		t.Fatalf("re-vet after edit lacks the NV001 finding:\n%s", out)
 	}
 }

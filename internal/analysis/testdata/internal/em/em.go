@@ -27,7 +27,6 @@ func (p *FramePool) ReleaseFrames(fs []Frame) {}
 // Budget meters main-memory blocks.
 type Budget struct {
 	used, total int
-	pool        *FramePool
 }
 
 func (b *Budget) Grant(n int) error {
@@ -57,17 +56,6 @@ func (b *Budget) AcquireFrames(n int) ([]Frame, error) {
 func (b *Budget) ReleaseFrames(fs []Frame) {
 	b.used -= len(fs)
 }
-
-func (b *Budget) Frames() *FramePool { return b.pool }
-
-// Pool is the bounded worker-admission semaphore: a goroutine that
-// releases a slot ties its lifetime to the pool.
-type Pool struct {
-	slots chan struct{}
-}
-
-func (p *Pool) TryAcquire() bool { return true }
-func (p *Pool) Release()         {}
 
 // Backend is the positional-I/O substrate beneath the Device.
 type Backend interface {

@@ -1,7 +1,7 @@
 // Package fb exercises framebalance (NV001): acquisitions that leak on
 // some path are flagged at the acquire site; releases, deferred releases,
-// error-guarded acquisitions, ownership transfers, and worker closures are
-// recognized as discharges.
+// error-guarded acquisitions, ownership transfers, and what a `go` launch
+// hands its worker are recognized as discharges.
 package fb
 
 import "nexvet.example/internal/em"
@@ -58,6 +58,15 @@ func switchLeak(b *em.Budget, mode int) {
 var _ = func(b *em.Budget) {
 	b.MustGrant(1) // want "can reach the return"
 }
+
+// a launch that hands the worker nothing leaves the grant on the
+// launcher's books.
+func launchLeak(b *em.Budget) {
+	b.MustGrant(2) // want "can reach the return"
+	go idle()
+}
+
+func idle() {}
 
 // --- negatives: every path discharges ---
 
@@ -117,6 +126,16 @@ func worker(b *em.Budget) error {
 		defer b.Release(8)
 	}()
 	return nil
+}
+
+// a frame passed to a launched worker as an argument goes with it.
+func launchArg(p *em.FramePool) {
+	f := p.Acquire()
+	go settle(p, f)
+}
+
+func settle(p *em.FramePool, f em.Frame) {
+	p.Release(f)
 }
 
 // env-style indirection: an alias of the canonical chain releases it.

@@ -15,6 +15,7 @@
 package check
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 
@@ -53,14 +54,19 @@ type Report struct {
 	Violation *Violation
 }
 
-// frame is the per-open-element state: the last sibling key seen and the
-// running child count.
+// frame is the per-open-element state: the element's name, the last
+// sibling key seen and the running child count. The name and key buffers
+// are reused by every element that opens at the same level, so the scan
+// allocates per open level, not per token.
 type frame struct {
-	name     string
-	lastKey  string
+	name     []byte
+	lastKey  []byte
 	children int64
 	sawChild bool
 }
+
+// textElement names a text node in a Violation.
+var textElement = []byte("#text")
 
 // Document scans the document from r and verifies sortedness under c down
 // to depthLimit (0 = every level). The scan always completes (counting
@@ -72,30 +78,32 @@ func Document(r io.Reader, c *keys.Criterion, depthLimit int) (*Report, error) {
 	annot := keys.NewAnnotator(c, nil)
 	rep := &Report{Sorted: true}
 
+	// stack[:depth] are the open elements; the frames above depth keep
+	// their buffers for the next element to open at their level.
 	var stack []frame
-	observe := func(name, key string) {
-		if len(stack) == 0 {
+	depth := 0
+	observe := func(name, key []byte) {
+		if depth == 0 {
 			return
 		}
-		top := &stack[len(stack)-1]
-		checked := depthLimit == 0 || len(stack) <= depthLimit
-		if checked && top.sawChild && rep.Sorted && key < top.lastKey {
+		top := &stack[depth-1]
+		checked := depthLimit == 0 || depth <= depthLimit
+		if checked && top.sawChild && rep.Sorted && bytes.Compare(key, top.lastKey) < 0 {
 			rep.Sorted = false
 			rep.Violation = &Violation{
-				Element: name,
-				Key:     key,
-				PrevKey: top.lastKey,
-				Parent:  top.name,
-				Level:   len(stack),
+				Element: string(name),
+				Key:     string(key),
+				PrevKey: string(top.lastKey),
+				Parent:  string(top.name),
+				Level:   depth,
 				Ordinal: top.children,
 			}
 		}
-		top.lastKey = key
+		top.lastKey = append(top.lastKey[:0], key...)
 		top.sawChild = true
 		top.children++
 	}
 
-	var dec xmltok.Decoder
 	for {
 		v, err := parser.NextEncoded()
 		if err == io.EOF {
@@ -107,20 +115,25 @@ func Document(r io.Reader, c *keys.Criterion, depthLimit int) (*Report, error) {
 		if v, err = annot.Annotate(v); err != nil {
 			return nil, err
 		}
-		tok := dec.Decode(v)
-		switch tok.Kind {
+		switch v.Kind() {
 		case xmltok.KindStart:
 			rep.Elements++
 			// The key may resolve only at the end tag (path criteria);
-			// record a placeholder frame and order-check at the end tag,
-			// where the final key is known.
-			stack = append(stack, frame{name: tok.Name})
+			// open the frame here and order-check at the end tag, where
+			// the final key is known.
+			if depth == len(stack) {
+				stack = append(stack, frame{})
+			}
+			f := &stack[depth]
+			f.name = append(f.name[:0], v.Name()...)
+			f.children, f.sawChild = 0, false
+			depth++
 		case xmltok.KindText:
 			rep.TextNodes++
-			observe("#text", "")
+			observe(textElement, nil)
 		case xmltok.KindEnd:
-			stack = stack[:len(stack)-1]
-			observe(tok.Name, tok.Key)
+			depth--
+			observe(v.Name(), v.Key())
 		}
 	}
 	return rep, nil

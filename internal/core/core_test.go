@@ -395,6 +395,9 @@ func TestDispatchUnderBudgetPressure(t *testing.T) {
 // subtree sorts reach the worker pool on blocks lent out of the data
 // stack's window, the paper's layout sorts every subtree on the scanning
 // goroutine, and each layout's output and ledger are those of P = 1.
+// Every worker returns its pool slot before it signals done, and the sort
+// waits for its workers, so afterwards the pool admits all P − 1 workers
+// again: a leaked slot would silently stop dispatch after P − 1 sorts.
 func TestDefaultLayoutDispatches(t *testing.T) {
 	var sb strings.Builder
 	if _, err := (gen.IBMSpec{Height: 7, MaxFanout: 6, MaxElements: 3000, Seed: 5}).Write(&sb); err != nil {
@@ -422,6 +425,13 @@ func TestDefaultLayoutDispatches(t *testing.T) {
 				defer env.Close()
 				dispatched = 0
 				out, rep := nexsort(t, env, doc, Options{Criterion: c, PaperLayout: tc.paper})
+				free := 0
+				for env.Pool().TryAcquire() {
+					free++
+				}
+				if free != par-1 {
+					t.Errorf("after the sort at P=%d the pool admits %d workers, want %d", par, free, par-1)
+				}
 				return out, env.Stats.Snapshot(), rep
 			}
 			wantOut, wantIOs, _ := sortAt(1)

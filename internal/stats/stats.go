@@ -60,14 +60,14 @@ func Scan(r io.Reader) (*Document, error) {
 	}
 
 	for {
-		tok, err := p.Next()
+		tok, err := p.NextEncoded()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, err
 		}
-		switch tok.Kind {
+		switch tok.Kind() {
 		case xmltok.KindStart:
 			bump()
 			fanouts = append(fanouts, 0)

@@ -15,7 +15,7 @@ fi
 echo "==> go vet ./..."
 go vet ./...
 
-# nexvet: the project's own invariant analyzers (NV001-NV008). The binary
+# nexvet: the project's own invariant analyzers (nexvet -codes). The binary
 # build is incremental — the Go build cache makes this a no-op when
 # cmd/nexvet and internal/analysis are unchanged. Two runs on purpose:
 # the -vettool run proves the unit-checker protocol works per package, the
