@@ -116,8 +116,7 @@ func (s *sorter) buildKeySidecar(start int64) (*keySidecar, error) {
 		return nil, err
 	}
 	// The sidecar sorts on the first 8 raw bytes — the big-endian preorder
-	// index — which is already a normalized key, so the kernel is a pure
-	// fixed-prefix memcmp.
+	// index — so each record's head word is its whole key.
 	sorter, err := extsort.NewKernel(s.env, em.CatSubtreeSort, sortkey.FixedPrefix(8), sidecarBlocks)
 	if err != nil {
 		reader.Close()
@@ -214,8 +213,10 @@ func appendChildRecord(dst []byte, t *tokenTree, i int32, seq int64) ([]byte, er
 // (extsort.Sorter.LeaveFree). The (key, seq) header is exactly sortkey's
 // KeySeq format, so the merger compares child records without decoding
 // them. Its final merge feeds w directly (SortStream): the merged child
-// records are never written to scratch and read back. Every token is
-// scanned, so a corrupt record fails here as the decoder would fail it.
+// records are never written to scratch and read back. Each record's
+// payload goes to w whole, unscanned: the output sink scans every token it
+// writes, and a run's tokens are scanned when the run is read, so a
+// corrupt token fails the sort there.
 func mergeChildRecords(env *em.Env, start, end []byte, runs []*em.Stream, leave int, w tokenSink) error {
 	sorter, err := extsort.NewKernel(env, em.CatSubtreeSort, sortkey.KeySeq(), env.Budget.Free())
 	if err != nil {
@@ -236,7 +237,6 @@ func mergeChildRecords(env *em.Env, start, end []byte, runs []*em.Stream, leave 
 		return err
 	}
 	defer it.Close()
-	var tok xmltok.Encoded
 	for {
 		raw, err := it.Next()
 		if err == io.EOF {
@@ -249,15 +249,8 @@ func mergeChildRecords(env *em.Env, start, end []byte, runs []*em.Stream, leave 
 		if err != nil {
 			return fmt.Errorf("core: corrupt child record: %w", err)
 		}
-		for pos < len(raw) {
-			n, ok := tok.Scan(raw[pos:])
-			if !ok {
-				return fmt.Errorf("core: corrupt child record: token at byte %d", pos)
-			}
-			if err := w.Append(raw[pos : pos+n]); err != nil {
-				return err
-			}
-			pos += n
+		if err := w.Append(raw[pos:]); err != nil {
+			return err
 		}
 	}
 }

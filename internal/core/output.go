@@ -88,19 +88,31 @@ type outputSink struct {
 	loc  [outLocSize]byte
 }
 
-// Append writes one encoded token, or what a pointer leads to.
-func (o *outputSink) Append(tok []byte) error {
-	if _, ok := o.view.Scan(tok); !ok {
-		return fmt.Errorf("core: corrupt token in the output phase")
-	}
-	if o.view.Kind() == xmltok.KindRunPtr {
-		id := runstore.RunID(o.view.Run())
-		if runs, ok := findDeferred(o.deferred, id); ok {
-			return o.merge(id, runs)
+// Append writes encoded tokens, scanning each once, and for a pointer what
+// it leads to.
+func (o *outputSink) Append(toks []byte) error {
+	for len(toks) > 0 {
+		n, ok := o.view.Scan(toks)
+		if !ok {
+			return fmt.Errorf("core: corrupt token in the output phase")
 		}
-		return o.follow(id)
+		var err error
+		if o.view.Kind() == xmltok.KindRunPtr {
+			id := runstore.RunID(o.view.Run())
+			if runs, ok := findDeferred(o.deferred, id); ok {
+				err = o.merge(id, runs)
+			} else {
+				err = o.follow(id)
+			}
+		} else {
+			err = o.write(&o.view)
+		}
+		if err != nil {
+			return err
+		}
+		toks = toks[n:]
 	}
-	return o.write(&o.view)
+	return nil
 }
 
 // merge runs the deferred merge of the tag run id into the sink: the

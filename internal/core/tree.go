@@ -241,10 +241,10 @@ func (t *tokenTree) sortSubtree(relLimit int, w tokenSink) error {
 	return t.emit(root, w)
 }
 
-// tokenSink receives emitted tokens, one encoded token per call; the bytes
-// are valid only for the call.
+// tokenSink receives emitted tokens: each call one or more whole encoded
+// tokens, back to back. The bytes are valid only for the call.
 type tokenSink interface {
-	Append(tok []byte) error
+	Append(toks []byte) error
 }
 
 // emit writes node i's subtree to w in its sorted order.
@@ -271,7 +271,7 @@ func (t *tokenTree) emit(i int32, w tokenSink) error {
 // recordSink appends emitted tokens to a byte slice.
 type recordSink struct{ b []byte }
 
-func (r *recordSink) Append(tok []byte) error {
-	r.b = append(r.b, tok...)
+func (r *recordSink) Append(toks []byte) error {
+	r.b = append(r.b, toks...)
 	return nil
 }

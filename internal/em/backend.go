@@ -80,9 +80,7 @@ func (b *FileBackend) ReadAt(p []byte, off int64) (int, error) {
 		n += m
 		switch {
 		case err == io.EOF || err == io.ErrUnexpectedEOF:
-			for i := n; i < len(p); i++ {
-				p[i] = 0
-			}
+			clear(p[n:])
 			return len(p), nil
 		case err != nil:
 			return n, err

@@ -141,9 +141,7 @@ func (w *StreamWriter) Close() error {
 		}
 	}()
 	if w.used > 0 {
-		for i := w.used; i < len(w.buf); i++ {
-			w.buf[i] = 0
-		}
+		clear(w.buf[w.used:])
 		used := w.used
 		w.used = 0
 		if err := w.flushBlock(); err != nil {

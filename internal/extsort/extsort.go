@@ -18,11 +18,9 @@
 package extsort
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"slices"
 
 	"nexsort/internal/em"
 	"nexsort/internal/sortkey"
@@ -31,31 +29,9 @@ import (
 // Compare is a total order over encoded records.
 type Compare func(a, b []byte) int
 
-// keyPrefixLen is the inline normalized-key prefix kept next to every
-// buffered record and merge cursor. Comparisons hit this fixed-size,
-// zero-padded array first — one memcmp, no pointer chase — and fall back
-// to the full comparator only on a prefix tie; the zero padding keeps the
-// truncated comparison decisive (a differing padded prefix always agrees
-// with the full key order, see internal/sortkey).
-//
-// The prefix decides comparisons on shallow keys, such as the
-// two-component paths of a flat document, where about 16% of run
-// formation's comparisons tie. Deep key paths tie far more often, because
-// records that meet in a sort share their leading components and any
-// prefix that starts at byte 0 holds only those: 97% of merge sort's
-// run-formation comparisons tie on the benchmark's hier document, 89% on
-// its site document, and 36% of NEXSORT's on site. Those ties are the
-// comparator's job, which starts at the first differing byte.
-const keyPrefixLen = 16
-
-// entry is one buffered record: the normalized-key prefix inline, then
-// the record bytes in the batch arena. Run formation sorts a flat []entry
-// with slices.SortFunc — cache-friendly sequential key access, no
-// reflection-based swapping.
-type entry struct {
-	key [keyPrefixLen]byte
-	rec []byte
-}
+// entry is one buffered record, its bytes in the batch arena, with its LCP
+// slot. Run formation sorts the batch's indices, so the entries never move.
+type entry = sortkey.Rec
 
 // Sorter sorts byte records within a fixed block budget. Create with New,
 // feed with Add, then call Sort once; the returned iterator yields records
@@ -66,19 +42,18 @@ type entry struct {
 type Sorter struct {
 	env *em.Env
 	cat em.Category
-	cmp Compare
-	// keyer generates normalized-key prefixes (sortkey.Kernel.AppendKey);
-	// nil means every comparison goes through cmp directly.
-	keyer func(dst, rec []byte, max int) []byte
+	k   sortkey.Kernel
 
 	memBlocks int
 	bufLimit  int // record bytes buffered before a run is cut
 
-	entries  []entry
-	keyBuf   []byte    // reused normalized-key scratch for Add
-	arena    *recArena // frame-backed storage behind entry records
-	bufBytes int
-	runs     []*em.Stream
+	entries []entry
+	// order and aux are run formation's index arrays, reused across
+	// batches (sortEntries).
+	order, aux []int32
+	arena      *recArena // frame-backed storage behind entry records
+	bufBytes   int
+	runs       []*em.Stream
 
 	initialRuns   int
 	mergePasses   int
@@ -111,19 +86,17 @@ const MinMemBlocks = 3
 
 // New creates a sorter that may use memBlocks blocks of main memory,
 // granted from env's budget immediately; memBlocks must be at least
-// MinMemBlocks. Every comparison goes through cmp; callers with an
-// order-preserving normalized-key encoding should prefer NewKernel, which
-// turns most comparisons into inline-prefix memcmps.
+// MinMemBlocks. Every comparison goes through cmp (sortkey.Order); callers
+// whose record format has a kernel should prefer NewKernel, whose LCPs
+// decide most comparisons without reading a record.
 func New(env *em.Env, cat em.Category, cmp Compare, memBlocks int) (*Sorter, error) {
-	return NewKernel(env, cat, sortkey.Kernel{Compare: cmp}, memBlocks)
+	return NewKernel(env, cat, sortkey.Order(cmp), memBlocks)
 }
 
-// NewKernel creates a sorter driven by a comparison kernel: k.Compare is
-// the record order, and k.AppendKey (when non-nil) supplies the
-// order-preserving normalized keys whose first keyPrefixLen bytes are
-// cached inline with every buffered record and merge cursor. The kernel
-// changes how comparisons execute, never their outcome, so output bytes
-// and I/O counts are identical to a plain New sorter with the same order.
+// NewKernel creates a sorter driven by a comparison kernel: k's order is
+// the record order, and run formation and the merges run on its LCPs (see
+// internal/sortkey). The kernel changes how comparisons execute, never
+// their outcome, so output bytes and I/O counts depend only on the order.
 func NewKernel(env *em.Env, cat em.Category, k sortkey.Kernel, memBlocks int) (*Sorter, error) {
 	if memBlocks < MinMemBlocks {
 		return nil, fmt.Errorf("extsort: need at least %d memory blocks, got %d", MinMemBlocks, memBlocks)
@@ -134,8 +107,7 @@ func NewKernel(env *em.Env, cat em.Category, k sortkey.Kernel, memBlocks int) (*
 	return &Sorter{
 		env:       env,
 		cat:       cat,
-		cmp:       k.Compare,
-		keyer:     k.AppendKey,
+		k:         k,
 		memBlocks: memBlocks,
 		bufLimit:  (memBlocks - 1) * env.Conf.BlockSize,
 		arena:     newRecArena(env.Dev.Frames(), memBlocks-1),
@@ -149,12 +121,10 @@ func (s *Sorter) Add(rec []byte) error {
 	if s.sorted {
 		return fmt.Errorf("extsort: Add after Sort")
 	}
-	e := entry{rec: s.arena.alloc(rec)}
-	if s.keyer != nil {
-		s.keyBuf = s.keyer(s.keyBuf[:0], rec, keyPrefixLen)
-		copy(e.key[:], s.keyBuf) // zero-padded when the key is shorter
+	if len(rec) > sortkey.MaxRecordLen {
+		return fmt.Errorf("extsort: a record of %d bytes is over the %d-byte limit", len(rec), sortkey.MaxRecordLen)
 	}
-	s.entries = append(s.entries, e)
+	s.entries = append(s.entries, entry{Bytes: s.arena.alloc(rec)})
 	s.bufBytes += len(rec)
 	s.totalRecords++
 	s.totalBytes += int64(len(rec))
@@ -217,7 +187,7 @@ func (s *Sorter) cutRun() error {
 	if len(s.entries) == 0 {
 		return nil
 	}
-	s.sortEntries(s.entries)
+	order := s.sortEntries()
 	run := em.NewStream(s.env.Dev, s.cat)
 	w, err := NewRunWriter(run, nil) // accounted under this sorter's grant
 	if err != nil {
@@ -226,8 +196,8 @@ func (s *Sorter) cutRun() error {
 	// Close on every path: the writer's buffer frame must go back to the
 	// pool even when the spill fails mid-run.
 	defer w.Close()
-	for _, e := range s.entries {
-		if err := w.Write(e.rec); err != nil {
+	for _, i := range order {
+		if err := w.Write(s.entries[i].Bytes); err != nil {
 			return err
 		}
 	}
@@ -242,23 +212,55 @@ func (s *Sorter) cutRun() error {
 	return nil
 }
 
-// sortEntries orders one batch in place. With a keyer, most comparisons
-// resolve on the inline prefixes — a fixed-size memcmp over data the sort
-// is already touching — and only prefix ties pay for the full comparator.
-// Without one, the order is cmp alone. Either way the order is the total
-// order of the kernel, so run contents are independent of which path
-// resolved each comparison.
-func (s *Sorter) sortEntries(entries []entry) {
-	if s.keyer == nil {
-		slices.SortFunc(entries, func(a, b entry) int { return s.cmp(a.rec, b.rec) })
-		return
+// sortEntries orders the batch by a binary LCP merge sort (Ng & Kakehi,
+// "Merging string sequences by longest common prefixes") and returns its
+// indices in order. Every record starts with its LCP against nothing
+// (Kernel.Start). Each merge outputs the smaller head, whose LCP is then
+// against the record before it in the merged run; the next record of its
+// input holds its LCP against the same record, its predecessor there; and
+// the other head's LCP became one against it in the match. So every match
+// is between two records with LCPs against the last output, which
+// Kernel.Less decides mostly without reading either. Ties go to the left
+// input, so the sort is stable. The entries stay where Add put them and
+// carry their LCPs; only indices move, between two arrays kept across
+// batches.
+func (s *Sorter) sortEntries() []int32 {
+	n := len(s.entries)
+	if cap(s.order) < n {
+		s.order = make([]int32, n, cap(s.entries))
+		s.aux = make([]int32, n, cap(s.entries))
 	}
-	slices.SortFunc(entries, func(a, b entry) int {
-		if c := bytes.Compare(a.key[:], b.key[:]); c != 0 {
-			return c
+	src, dst := s.order[:n], s.aux[:n]
+	for i := range s.entries {
+		e := &s.entries[i]
+		e.LCP = s.k.Start(e.Bytes)
+		src[i] = int32(i)
+	}
+	for w := 1; w < n; w *= 2 {
+		for lo := 0; lo < n; lo += 2 * w {
+			mid, hi := min(lo+w, n), min(lo+2*w, n)
+			s.merge(src[lo:mid], src[mid:hi], dst[lo:hi])
 		}
-		return s.cmp(a.rec, b.rec)
-	})
+		src, dst = dst, src
+	}
+	return src
+}
+
+// merge merges the sorted index runs a and b into out.
+func (s *Sorter) merge(a, b, out []int32) {
+	i, j, o := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		if s.k.Less(&s.entries[a[i]], &s.entries[b[j]], true) {
+			out[o] = a[i]
+			i++
+		} else {
+			out[o] = b[j]
+			j++
+		}
+		o++
+	}
+	o += copy(out[o:], a[i:])
+	copy(out[o:], b[j:])
 }
 
 // AddPresortedRun registers an externally produced, already-sorted run of
@@ -338,9 +340,9 @@ func (s *Sorter) Sort() (*Iterator, error) {
 	// oversized ones were allocated apart.
 	bs := s.env.Conf.BlockSize
 	if held := max((s.bufBytes+bs-1)/bs, len(s.arena.frames)); len(s.runs) == 0 && held <= keep {
-		s.sortEntries(s.entries)
+		order := s.sortEntries()
 		s.lend(held)
-		return &Iterator{mem: s.entries}, nil
+		return &Iterator{mem: s.entries, order: order}, nil
 	}
 	if err := s.cutRun(); err != nil {
 		return nil, err
@@ -380,14 +382,12 @@ func (s *Sorter) Sort() (*Iterator, error) {
 	return &Iterator{run: r}, nil
 }
 
-// mergeCursor tracks one input run during a k-way merge: its reader, the
-// current record, and that record's normalized-key prefix cached inline so
-// the loser tree's matches are one memcmp over data already in the cursor
-// slice — no pointer chase into the run buffers on the compare path.
+// mergeCursor tracks one input run during a k-way merge: its reader and
+// its current record with that record's LCP against the merge's last
+// output, or against nothing before the first.
 type mergeCursor struct {
-	key    [keyPrefixLen]byte
+	sortkey.Rec
 	r      *runReader
-	rec    []byte
 	idx    int
 	eof    bool
 	closed bool
@@ -397,14 +397,22 @@ type mergeCursor struct {
 // by record, without materializing the merged run. mergeRuns pumps one
 // into a run writer during ordinary merge passes; the graceful-degradation
 // path hands one directly to the Iterator as the final merge, spending k
-// reader blocks and zero scratch writes. Selection order — comparator,
-// then run index on ties — is identical either way, so which path
+// reader blocks and zero scratch writes. Selection order — the kernel's
+// order, then run index on ties — is identical either way, so which path
 // delivered a record can never change the output bytes.
+//
+// The tree is an LCP tree of losers (Bingmann, Eberle & Sanders,
+// "Engineering parallel string sorting"): every match on the path a new
+// record replays is between two records with LCPs against the winner just
+// output. The new record's LCP is against its predecessor in its run,
+// which is that winner; each loser on the path lost to that winner and
+// holds its LCP against it. So Kernel.Less decides most matches without
+// reading a record, and the loser keeps its LCP against the match's
+// winner. LCPs live in memory only, so runs hold the records' bytes alone.
 type streamMerger struct {
 	s       *Sorter
 	cursors []mergeCursor
 	tree    *sortkey.LoserTree
-	kbuf    []byte
 	started bool
 	closed  bool
 }
@@ -432,52 +440,43 @@ func newStreamMerger(s *Sorter, runs []*em.Stream) (*streamMerger, error) {
 	return m, nil
 }
 
-// load advances a cursor to its run's next record, refreshing the inline
-// key prefix; at EOF the reader is closed immediately (its buffer frame
-// goes back to the pool while the merge continues) and the cursor is
-// marked exhausted.
+// load advances a cursor to its run's next record and sets the record's
+// LCP: against nothing before the merge starts, and afterwards against the
+// record it replaces, the winner just output. At EOF the reader is closed
+// immediately (its buffer frame goes back to the pool while the merge
+// continues) and the cursor is marked exhausted.
 func (m *streamMerger) load(cur *mergeCursor) error {
 	rec, err := cur.r.next()
 	if err == io.EOF {
 		cur.r.close()
 		cur.closed = true
 		cur.eof = true
-		cur.rec = nil
+		cur.Bytes = nil
 		return nil
 	}
 	if err != nil {
 		return err
 	}
-	cur.rec = rec
-	if m.s.keyer != nil {
-		m.kbuf = m.s.keyer(m.kbuf[:0], rec, keyPrefixLen)
-		n := copy(cur.key[:], m.kbuf)
-		for i := n; i < keyPrefixLen; i++ {
-			cur.key[i] = 0
-		}
+	if m.started {
+		cur.LCP = m.s.k.Next(cur.Bytes, rec)
+	} else {
+		cur.LCP = m.s.k.Start(rec)
 	}
+	cur.Bytes = rec
 	return nil
 }
 
 // less ranks cursors for the loser tree: exhausted runs after every live
-// one, then key prefix, then full comparator, then run index.
+// one, then the kernel's order, then run index.
 func (m *streamMerger) less(a, b int32) bool {
 	ca, cb := &m.cursors[a], &m.cursors[b]
-	if ca.eof != cb.eof {
-		return !ca.eof
-	}
-	if ca.eof {
+	if ca.eof || cb.eof {
+		if ca.eof != cb.eof {
+			return !ca.eof
+		}
 		return ca.idx < cb.idx
 	}
-	if m.s.keyer != nil {
-		if c := bytes.Compare(ca.key[:], cb.key[:]); c != 0 {
-			return c < 0
-		}
-	}
-	if c := m.s.cmp(ca.rec, cb.rec); c != 0 {
-		return c < 0
-	}
-	return ca.idx < cb.idx
+	return m.s.k.Less(&ca.Rec, &cb.Rec, ca.idx < cb.idx)
 }
 
 // next returns the merge's next record, or io.EOF when every run is
@@ -499,7 +498,7 @@ func (m *streamMerger) next() ([]byte, error) {
 	if cur.eof {
 		return nil, io.EOF
 	}
-	return cur.rec, nil
+	return cur.Bytes, nil
 }
 
 // close releases every still-open reader so their buffer frames return to
@@ -607,11 +606,13 @@ type recordSource interface {
 	close()
 }
 
-// Iterator yields sorted records. Exactly one of mem/run is set.
+// Iterator yields sorted records: the batch's entries in order, or a
+// record source.
 type Iterator struct {
-	mem []entry
-	i   int
-	run recordSource
+	mem   []entry
+	order []int32
+	i     int
+	run   recordSource
 }
 
 // Next returns the next record, or io.EOF. The returned slice is valid
@@ -620,10 +621,10 @@ func (it *Iterator) Next() ([]byte, error) {
 	if it.run != nil {
 		return it.run.next()
 	}
-	if it.i >= len(it.mem) {
+	if it.i >= len(it.order) {
 		return nil, io.EOF
 	}
-	rec := it.mem[it.i].rec
+	rec := it.mem[it.order[it.i]].Bytes
 	it.i++
 	return rec, nil
 }
@@ -669,11 +670,13 @@ func (w *RunWriter) Write(rec []byte) error {
 // called again after a failure; later calls do nothing.
 func (w *RunWriter) Close() error { return w.w.Close() }
 
-// runReader streams framed records out of a run.
+// runReader streams framed records out of a run. It reads into two
+// buffers in turn, so a record stays valid until the call after next: the
+// merge reads each record's LCP against the one before it.
 type runReader struct {
-	src  *em.StreamReader
-	size int64 // the run's length in bytes
-	buf  []byte
+	src       *em.StreamReader
+	size      int64 // the run's length in bytes
+	buf, prev []byte
 }
 
 func newRunReader(run *em.Stream) (*runReader, error) {
@@ -694,6 +697,10 @@ func (r *runReader) next() ([]byte, error) {
 	if left := r.size - r.src.Offset(); n > uint64(left) {
 		return nil, fmt.Errorf("extsort: corrupt run: record length %d with %d bytes left", n, left)
 	}
+	if n > sortkey.MaxRecordLen {
+		return nil, fmt.Errorf("extsort: a record of %d bytes is over the %d-byte limit", n, sortkey.MaxRecordLen)
+	}
+	r.buf, r.prev = r.prev, r.buf
 	if cap(r.buf) < int(n) {
 		r.buf = make([]byte, n)
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -54,20 +55,6 @@ func drainSorted(t *testing.T, s *Sorter) []string {
 	}
 }
 
-// identityKernel normalizes a record to itself: bytes.Compare order with the
-// prefix-caching machinery fully engaged.
-func identityKernel() sortkey.Kernel {
-	return sortkey.Kernel{
-		Compare: bytesCompare,
-		AppendKey: func(dst, rec []byte, max int) []byte {
-			if max > 0 && len(rec) > max {
-				rec = rec[:max]
-			}
-			return append(dst, rec...)
-		},
-	}
-}
-
 // TestLoserMergeBoundaryFanIns drives the merge at the fan-ins where the
 // tournament tree degenerates: a single run (no merge at all), two runs
 // (one internal node), and the full memBlocks-1 fan-in, with duplicate
@@ -80,8 +67,9 @@ func TestLoserMergeBoundaryFanIns(t *testing.T) {
 			name string
 			k    sortkey.Kernel
 		}{
-			{"cmp-only", sortkey.Kernel{Compare: bytesCompare}},
-			{"with-keyer", identityKernel()},
+			{"cmp-only", sortkey.Order(bytesCompare)},
+			// Byte order on records under 64 bytes, keyed by head words.
+			{"with-keyer", sortkey.FixedPrefix(64)},
 		} {
 			t.Run(fmt.Sprintf("fanin=%d/%s", k, kernel.name), func(t *testing.T) {
 				env := newEnv(t, 64, 16)
@@ -140,74 +128,96 @@ func TestLoserMergeBoundaryFanIns(t *testing.T) {
 
 // TestLoserMergeDeterministicTies pins the tie-break discipline across the
 // heap→loser-tree swap: records that compare equal pop in run-index order.
-// The comparator looks only at the first byte, so the trailing run tag
-// records which cursor each pop came from.
+// The order looks only at the first byte, so the trailing run tag records
+// which cursor each pop came from. With head words (FixedPrefix(1)) equal
+// records take Equal LCPs, which must keep the same discipline.
 func TestLoserMergeDeterministicTies(t *testing.T) {
-	firstByte := sortkey.Kernel{
-		Compare: func(a, b []byte) int {
-			if a[0] != b[0] {
-				if a[0] < b[0] {
-					return -1
-				}
-				return 1
+	firstByte := func(a, b []byte) int {
+		if a[0] != b[0] {
+			if a[0] < b[0] {
+				return -1
 			}
-			return 0
-		},
-		AppendKey: func(dst, rec []byte, max int) []byte { return append(dst, rec[0]) },
+			return 1
+		}
+		return 0
 	}
-	env := newEnv(t, 64, 16)
-	s, err := NewKernel(env, em.CatMergeRun, firstByte, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	// Three runs, each holding key 'a' then key 'b', tagged by run.
-	for i := 0; i < 3; i++ {
-		recs := [][]byte{[]byte(fmt.Sprintf("a%d", i)), []byte(fmt.Sprintf("b%d", i))}
-		if err := s.AddPresortedRun(writePresortedRun(t, env, recs)); err != nil {
+	for name, k := range map[string]sortkey.Kernel{"order": sortkey.Order(firstByte), "heads": sortkey.FixedPrefix(1)} {
+		env := newEnv(t, 64, 16)
+		s, err := NewKernel(env, em.CatMergeRun, k, 5)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	got := strings.Join(drainSorted(t, s), " ")
-	want := "a0 a1 a2 b0 b1 b2"
-	if got != want {
-		t.Errorf("tie order = %q, want %q", got, want)
+		defer s.Close()
+		// Three runs, each holding key 'a' then key 'b', tagged by run.
+		for i := 0; i < 3; i++ {
+			recs := [][]byte{[]byte(fmt.Sprintf("a%d", i)), []byte(fmt.Sprintf("b%d", i))}
+			if err := s.AddPresortedRun(writePresortedRun(t, env, recs)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := strings.Join(drainSorted(t, s), " ")
+		want := "a0 a1 a2 b0 b1 b2"
+		if got != want {
+			t.Errorf("%s: tie order = %q, want %q", name, got, want)
+		}
 	}
 }
 
-// TestLoserMergePrefixTieFallsBackToCmp forces prefix collisions: records
-// share their first keyPrefixLen bytes and differ only beyond the inline
-// prefix, so every merge decision must fall through the memcmp to the full
-// comparator.
-func TestLoserMergePrefixTieFallsBackToCmp(t *testing.T) {
+// TestLoserMergeHeadTieFallsBackToWalk forces head-word ties: key-path
+// records whose keys share their first eight bytes and differ only beyond
+// them, spread over three runs, so the merge's matches on equal LCPs must
+// fall through to the kernel's component walk.
+func TestLoserMergeHeadTieFallsBackToWalk(t *testing.T) {
 	env := newEnv(t, 64, 16)
-	s, err := NewKernel(env, em.CatMergeRun, identityKernel(), 5)
+	k := sortkey.KeyPath()
+	walks := 0
+	walk := k.Walk
+	k.Walk = func(a, b []byte, la, lb sortkey.LCP) (int, sortkey.LCP, sortkey.LCP) {
+		walks++
+		return walk(a, b, la, lb)
+	}
+	s, err := NewKernel(env, em.CatMergeRun, k, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	prefix := strings.Repeat("p", keyPrefixLen)
-	var want []string
+	var want [][]byte
 	for i := 0; i < 3; i++ {
 		var recs [][]byte
 		for j := 0; j < 4; j++ {
-			rec := fmt.Sprintf("%s-%02d-%02d", prefix, j, i)
-			recs = append(recs, []byte(rec))
+			rec := keyPathRec("", 0, "prefix--"+fmt.Sprintf("%02d-%02d", j, i), 0)
+			recs = append(recs, rec)
 			want = append(want, rec)
 		}
 		if err := s.AddPresortedRun(writePresortedRun(t, env, recs)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	slices.SortStableFunc(want, sortkey.CompareKeyPath)
 	got := drainSorted(t, s)
-	for i := 1; i < len(got); i++ {
-		if got[i-1] > got[i] {
-			t.Fatalf("output out of order at %d: %q > %q", i, got[i-1], got[i])
-		}
-	}
 	if len(got) != len(want) {
 		t.Fatalf("merged %d records, want %d", len(got), len(want))
 	}
+	for i := range want {
+		if got[i] != string(want[i]) {
+			t.Fatalf("record %d = %x, want %x", i, got[i], want[i])
+		}
+	}
+	if walks == 0 {
+		t.Error("no match fell back to the component walk")
+	}
+}
+
+// keyPathRec encodes a key path of (key, seq) pairs.
+func keyPathRec(comps ...any) []byte {
+	rec := binary.AppendUvarint(nil, uint64(len(comps)/2))
+	for i := 0; i < len(comps); i += 2 {
+		key := comps[i].(string)
+		rec = binary.AppendUvarint(rec, uint64(len(key)))
+		rec = append(rec, key...)
+		rec = binary.AppendUvarint(rec, uint64(comps[i+1].(int)))
+	}
+	return rec
 }
 
 // TestLoserMergeReaderErrorReleasesFrames corrupts a presorted run so the

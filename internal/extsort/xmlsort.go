@@ -88,9 +88,8 @@ func SortXML(env *em.Env, c *keys.Criterion, in io.Reader, out io.Writer, opts X
 	}
 	defer env.Budget.Release(2)
 
-	// The key-path kernel: record order via the normalized-key comparator,
-	// with inline key prefixes accelerating both run formation and the
-	// k-way merge (see internal/sortkey).
+	// The key-path kernel: run formation and the k-way merge decide most
+	// comparisons on the records' LCPs (see internal/sortkey).
 	sorter, err := NewKernel(env, em.CatMergeRun, sortkey.KeyPath(), env.Budget.Free())
 	if err != nil {
 		return nil, err

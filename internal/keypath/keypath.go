@@ -179,9 +179,8 @@ func ReadRecord(r io.ByteReader) (Record, error) {
 }
 
 // CompareEncoded orders two encoded records without decoding their tokens.
-// It is the comparator handed to the external sorter. The order is defined
-// by internal/sortkey's comparison kernel, whose normalized keys compare
-// identically under bytes.Compare; records that do not decode (truncated or
+// The order is internal/sortkey's key-path kernel, which the external
+// sorter runs on; records that do not decode (truncated or
 // overlong fields) get a defined total order — they sort after every valid
 // continuation at the point of damage instead of silently aliasing to an
 // empty key (see sortkey.CompareKeyPath).

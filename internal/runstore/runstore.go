@@ -116,21 +116,14 @@ func (s *Store) OpenCat(id RunID, budget *em.Budget, off int64, cat em.Category)
 
 // Writer appends encoded tokens to a run.
 type Writer struct {
-	w      *em.StreamWriter
-	tokens int64
+	w *em.StreamWriter
 }
 
-// Append appends one token; tok holds exactly its encoding.
-func (w *Writer) Append(tok []byte) error {
-	if _, err := w.w.Write(tok); err != nil {
-		return err
-	}
-	w.tokens++
-	return nil
+// Append appends one or more whole encoded tokens, back to back.
+func (w *Writer) Append(toks []byte) error {
+	_, err := w.w.Write(toks)
+	return err
 }
-
-// Tokens returns the number of tokens written so far.
-func (w *Writer) Tokens() int64 { return w.tokens }
 
 // Close seals the run and releases the buffer grant.
 func (w *Writer) Close() error { return w.w.Close() }

@@ -33,9 +33,6 @@ func TestWriteReadRun(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w.Tokens() != int64(len(toks)) {
-		t.Errorf("Tokens = %d", w.Tokens())
-	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}

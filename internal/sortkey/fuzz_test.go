@@ -11,8 +11,8 @@ import (
 //	bytes.Compare(Normalize(a), Normalize(b)) == CompareKeyPath(a, b)
 //
 // plus the properties the sorter builds on: antisymmetry, reflexivity,
-// and that a max-limited key is a true prefix of the full key whose
-// zero-padded fixed-size comparison never contradicts the full order.
+// and the kernel's LCPs (checkLCPs): differing head words agree with the
+// full order, and a walk from where the records part gives it too.
 func FuzzKeyPathOrder(f *testing.F) {
 	// Hand-encoded seeds: valid one- and two-component paths, path
 	// prefixes, seq ties, the historic truncation hole (header promising
@@ -42,8 +42,8 @@ func FuzzKeyPathOrder(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		got := sign(CompareKeyPath(a, b))
-		ka := AppendKeyPathKey(nil, a, 0)
-		kb := AppendKeyPathKey(nil, b, 0)
+		ka := appendKeyPathKey(nil, a)
+		kb := appendKeyPathKey(nil, b)
 		if want := sign(bytes.Compare(ka, kb)); got != want {
 			t.Fatalf("CompareKeyPath(%x, %x) = %d, normalized keys order %d\n ka=%x\n kb=%x",
 				a, b, got, want, ka, kb)
@@ -54,26 +54,11 @@ func FuzzKeyPathOrder(f *testing.F) {
 		if sign(CompareKeyPath(a, a)) != 0 {
 			t.Fatalf("CompareKeyPath(a, a) != 0 for a=%x", a)
 		}
-		for _, max := range []int{1, 8, 16} {
-			pa := AppendKeyPathKey(nil, a, max)
-			if !bytes.HasPrefix(ka, pa) {
-				t.Fatalf("max=%d key %x is not a prefix of full key %x (rec %x)", max, pa, ka, a)
-			}
-			// The sorter's inline prefix: clamp to max, zero-pad. When the
-			// padded prefixes differ they must agree with the full order.
-			pb := AppendKeyPathKey(nil, b, max)
-			fixA, fixB := make([]byte, max), make([]byte, max)
-			copy(fixA, pa)
-			copy(fixB, pb)
-			if c := sign(bytes.Compare(fixA, fixB)); c != 0 && c != got {
-				t.Fatalf("max=%d padded prefixes order %d but records order %d (a=%x b=%x)",
-					max, c, got, a, b)
-			}
-		}
+		checkLCPs(t, KeyPath(), a, b, got)
 	})
 }
 
-// FuzzKeySeqOrder checks the same normalization contract for the
+// FuzzKeySeqOrder checks the same normalization contract and LCPs for the
 // (key, seq)-headed child-record format.
 func FuzzKeySeqOrder(f *testing.F) {
 	seeds := [][]byte{
@@ -94,13 +79,14 @@ func FuzzKeySeqOrder(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		got := sign(CompareKeySeq(a, b))
-		ka := AppendKeySeqKey(nil, a, 0)
-		kb := AppendKeySeqKey(nil, b, 0)
+		ka := appendKeySeqKey(nil, a)
+		kb := appendKeySeqKey(nil, b)
 		if want := sign(bytes.Compare(ka, kb)); got != want {
 			t.Fatalf("CompareKeySeq(%x, %x) = %d, normalized keys order %d", a, b, got, want)
 		}
 		if back := sign(CompareKeySeq(b, a)); back != -got {
 			t.Fatalf("antisymmetry: cmp(a,b)=%d cmp(b,a)=%d for a=%x b=%x", got, back, a, b)
 		}
+		checkLCPs(t, KeySeq(), a, b, got)
 	})
 }

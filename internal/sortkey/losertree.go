@@ -8,7 +8,9 @@ package sortkey
 // level. The caller owns the leaf items and the order; the tree stores
 // only int32 leaf indices in one flat array — no interface dispatch, no
 // per-node pointers — and the caller's less function closes over whatever
-// inline state (cached normalized-key prefixes) makes a match one memcmp.
+// state decides a match; the external sorter's keeps LCPs (Kernel.Less),
+// and since a match's loser may stay stored at its node, less may update
+// the loser's state as it decides.
 //
 // Protocol: build with NewLoserTree, then loop { w := Winner(); consume
 // leaf w; advance leaf w (or mark it exhausted, ordering it after every

@@ -41,26 +41,61 @@ func sign(c int) int {
 
 // checkAgreement asserts the central kernel property for one pair: the
 // comparator, bytes.Compare over full normalized keys, and antisymmetry
-// all agree.
-func checkAgreement(t *testing.T, cmp func(a, b []byte) int, norm func(dst, rec []byte, max int) []byte, a, b []byte) int {
+// all agree, and so do the kernel's LCPs (checkLCPs).
+func checkAgreement(t *testing.T, k Kernel, norm func(dst, rec []byte) []byte, a, b []byte) int {
 	t.Helper()
-	c := sign(cmp(a, b))
-	if rc := sign(cmp(b, a)); rc != -c {
+	c := sign(k.Compare(a, b))
+	if rc := sign(k.Compare(b, a)); rc != -c {
 		t.Errorf("antisymmetry broken: cmp(a,b)=%d cmp(b,a)=%d\na=%x\nb=%x", c, rc, a, b)
 	}
-	na := norm(nil, a, 0)
-	nb := norm(nil, b, 0)
+	na := norm(nil, a)
+	nb := norm(nil, b)
 	if nc := sign(bytes.Compare(na, nb)); nc != c {
 		t.Errorf("normalized keys disagree: cmp=%d bytes.Compare=%d\na=%x → %x\nb=%x → %x", c, nc, a, na, b, nb)
 	}
-	// A max-limited key must be a prefix of the full key.
-	for _, max := range []int{1, 8, 16} {
-		p := norm(nil, a, max)
-		if !bytes.HasPrefix(na, p) {
-			t.Errorf("max=%d key %x is not a prefix of full key %x", max, p, na)
-		}
-	}
+	checkLCPs(t, k, a, b, c)
 	return c
+}
+
+// checkLCPs asserts what an LCP sort relies on for one pair whose order is
+// c: heads that differ agree with the order, a walk from the start agrees
+// with it and returns the same N for both records, and a walk restarted
+// from the LCPs it returned reaches the same order.
+func checkLCPs(t *testing.T, k Kernel, a, b []byte, c int) {
+	t.Helper()
+	sa, sb := k.Start(a), k.Start(b)
+	if sa.N != 0 || sb.N != 0 {
+		t.Fatalf("Start N = %d, %d, want 0 (a=%x b=%x)", sa.N, sb.N, a, b)
+	}
+	if h := sign(cmpUint(sa.Head, sb.Head)); h != 0 && h != c {
+		t.Fatalf("start heads %#x, %#x order %d but records order %d (a=%x b=%x)", sa.Head, sb.Head, h, c, a, b)
+	}
+	w, ta, tb := k.Walk(a, b, sa, sb)
+	if sign(w) != c {
+		t.Fatalf("walk orders %d, records order %d (a=%x b=%x)", sign(w), c, a, b)
+	}
+	if ta.N != tb.N || (c == 0) != (ta.N == Equal) {
+		t.Fatalf("walk LCPs %+v, %+v for order %d (a=%x b=%x)", ta, tb, c, a, b)
+	}
+	if c == 0 {
+		return
+	}
+	if h := sign(cmpUint(ta.Head, tb.Head)); h != 0 && h != c {
+		t.Fatalf("heads %#x, %#x at N=%d order %d but records order %d (a=%x b=%x)", ta.Head, tb.Head, ta.N, h, c, a, b)
+	}
+	if again, _, _ := k.Walk(a, b, ta, tb); sign(again) != c {
+		t.Fatalf("walk from %+v, %+v orders %d, records order %d (a=%x b=%x)", ta, tb, sign(again), c, a, b)
+	}
+}
+
+func cmpUint(x, y uint64) int {
+	switch {
+	case x < y:
+		return -1
+	case x > y:
+		return 1
+	}
+	return 0
 }
 
 func TestCompareKeyPathValidOrder(t *testing.T) {
@@ -81,7 +116,7 @@ func TestCompareKeyPathValidOrder(t *testing.T) {
 	}
 	for i := range ordered {
 		for j := range ordered {
-			c := checkAgreement(t, CompareKeyPath, AppendKeyPathKey, ordered[i], ordered[j])
+			c := checkAgreement(t, KeyPath(), appendKeyPathKey, ordered[i], ordered[j])
 			if want := sign(i - j); c != want {
 				t.Errorf("cmp(%d,%d) = %d, want %d", i, j, c, want)
 			}
@@ -97,7 +132,7 @@ func TestCompareKeyPathSeqOrder(t *testing.T) {
 		for j, sb := range seqs {
 			a := encodePath("k", sa)
 			b := encodePath("k", sb)
-			if c := checkAgreement(t, CompareKeyPath, AppendKeyPathKey, a, b); c != sign(i-j) {
+			if c := checkAgreement(t, KeyPath(), appendKeyPathKey, a, b); c != sign(i-j) {
 				t.Errorf("seq %d vs %d: cmp = %d", sa, sb, c)
 			}
 		}
@@ -125,7 +160,7 @@ func TestCompareKeyPathMalformed(t *testing.T) {
 
 	for _, m := range [][]byte{truncated, overrun, seqCut, badHeader} {
 		for _, v := range [][]byte{valid, validChild, validEmpty} {
-			checkAgreement(t, CompareKeyPath, AppendKeyPathKey, m, v)
+			checkAgreement(t, KeyPath(), appendKeyPathKey, m, v)
 		}
 		if c := CompareKeyPath(m, m); c != 0 {
 			t.Errorf("corrupt record not equal to itself: %d", c)
@@ -147,13 +182,13 @@ func TestCompareKeyPathMalformed(t *testing.T) {
 	if c := CompareKeyPath(truncated, aliased); c == 0 {
 		t.Error("truncated record still aliases an empty-key extension")
 	}
-	checkAgreement(t, CompareKeyPath, AppendKeyPathKey, truncated, aliased)
+	checkAgreement(t, KeyPath(), appendKeyPathKey, truncated, aliased)
 
 	// Corrupt vs corrupt with different tails orders by tail bytes: both
 	// records have key "a" and a seq varint that never terminates.
 	m1 := []byte{1, 1, 'a', 0x80, 0x80}
 	m2 := []byte{1, 1, 'a', 0x80, 0x81}
-	if c := checkAgreement(t, CompareKeyPath, AppendKeyPathKey, m1, m2); c >= 0 {
+	if c := checkAgreement(t, KeyPath(), appendKeyPathKey, m1, m2); c >= 0 {
 		t.Errorf("corrupt tails must order by raw bytes, got %d", c)
 	}
 }
@@ -177,7 +212,7 @@ func TestCompareKeySeq(t *testing.T) {
 	}
 	for i := range ordered {
 		for j := range ordered {
-			c := checkAgreement(t, CompareKeySeq, AppendKeySeqKey, ordered[i], ordered[j])
+			c := checkAgreement(t, KeySeq(), appendKeySeqKey, ordered[i], ordered[j])
 			if want := sign(i - j); c != want {
 				t.Errorf("cmp(%d,%d) = %d, want %d", i, j, c, want)
 			}
@@ -192,7 +227,7 @@ func TestCompareKeySeq(t *testing.T) {
 	if c := CompareKeySeq(cut, enc("k", 1<<40, "")); c <= 0 {
 		t.Errorf("truncated seq must sort after valid seqs, got %d", c)
 	}
-	checkAgreement(t, CompareKeySeq, AppendKeySeqKey, cut, enc("k", 3, ""))
+	checkAgreement(t, KeySeq(), appendKeySeqKey, cut, enc("k", 3, ""))
 }
 
 func TestCompareKeys(t *testing.T) {
@@ -208,13 +243,84 @@ func TestFixedPrefixKernel(t *testing.T) {
 	if k.Compare(a, b) >= 0 || k.Compare(b, a) <= 0 || k.Compare(a, a) != 0 {
 		t.Error("FixedPrefix order broken")
 	}
-	if got := k.AppendKey(nil, b, 0); !bytes.Equal(got, b[:8]) {
-		t.Errorf("AppendKey = %x, want %x", got, b[:8])
+	if got := k.Start(b).Head; got != 9 {
+		t.Errorf("head = %#x, want the big-endian prefix 9", got)
 	}
 	// Records shorter than the prefix clamp instead of panicking: a
-	// one-byte record is a strict prefix of a's first 8 bytes here.
+	// one-byte record is a strict prefix of a's first 8 bytes here. The
+	// heads tie, so the walk decides.
 	if k.Compare([]byte{0}, a) >= 0 {
 		t.Error("short record must sort by its clamped prefix")
+	}
+	for _, x := range [][]byte{{}, {0}, a, b, append(a[:8:8], 0), {0, 0, 0, 0, 0, 0, 0, 5}} {
+		for _, y := range [][]byte{{}, {0}, a, b} {
+			checkLCPs(t, k, x, y, sign(k.Compare(x, y)))
+		}
+	}
+}
+
+// TestLCPRule pins Kernel.Less's three cases on key paths against one
+// reference: the larger N goes first without a walk, differing heads
+// decide on equal N, and equal heads (keys equal in their first eight
+// bytes) fall back to the component walk, which leaves the loser its LCP
+// against the winner.
+func TestLCPRule(t *testing.T) {
+	k := KeyPath()
+	walks := 0
+	walk := k.Walk
+	k.Walk = func(a, b []byte, la, lb LCP) (int, LCP, LCP) {
+		walks++
+		return walk(a, b, la, lb)
+	}
+	// rec is a record with its LCP against ref.
+	rec := func(ref []byte, comps ...any) *Rec {
+		b := encodePath(comps...)
+		return &Rec{Bytes: b, LCP: k.Next(ref, b)}
+	}
+	// less runs the rule and counts the walks it took.
+	less := func(a, b *Rec) (bool, int) {
+		before := walks
+		return k.Less(a, b, false), walks - before
+	}
+	ref := encodePath("", 0, "region-0001", 3, "a", 1)
+
+	deep := rec(ref, "", 0, "region-0001", 3, "b", 0)
+	shallow := rec(ref, "", 0, "region-0002", 0)
+	if deep.LCP.N != 2 || shallow.LCP.N != 1 {
+		t.Fatalf("N = %d, %d, want 2, 1", deep.LCP.N, shallow.LCP.N)
+	}
+	if ok, w := less(deep, shallow); !ok || w != 0 {
+		t.Errorf("larger N: less = %v after %d walks, want true after none", ok, w)
+	}
+	if ok, w := less(shallow, deep); ok || w != 0 {
+		t.Errorf("smaller N: less = %v after %d walks, want false after none", ok, w)
+	}
+
+	// Equal N, heads that differ in the first eight key bytes.
+	deep = rec(ref, "", 0, "region-0001", 3, "b", 0)
+	c := rec(ref, "", 0, "region-0001", 3, "c", 0)
+	if ok, w := less(deep, c); !ok || w != 0 {
+		t.Errorf("differing heads: less = %v after %d walks, want true after none", ok, w)
+	}
+
+	// Equal N and equal heads: the keys share their first eight bytes.
+	p := rec(ref, "", 0, "region-0001", 3, "abcdefgh-1", 0)
+	q := rec(ref, "", 0, "region-0001", 3, "abcdefgh-2", 0)
+	if p.LCP.N != q.LCP.N || p.LCP.Head != q.LCP.Head {
+		t.Fatalf("LCPs %+v, %+v, want equal N and heads", p.LCP, q.LCP)
+	}
+	if ok, w := less(p, q); !ok || w != 1 {
+		t.Errorf("equal heads: less = %v after %d walks, want true after one", ok, w)
+	}
+	if want := k.Next(p.Bytes, q.Bytes); q.LCP != want {
+		t.Errorf("loser's LCP = %+v, want its LCP against the winner %+v", q.LCP, want)
+	}
+
+	// A record equal to the reference goes before every other.
+	same := rec(ref, "", 0, "region-0001", 3, "a", 1)
+	deep = rec(ref, "", 0, "region-0001", 3, "b", 0)
+	if ok, _ := less(same, deep); same.LCP.N != Equal || !ok {
+		t.Errorf("a record equal to the reference (LCP %+v) must go first", same.LCP)
 	}
 }
 
@@ -246,7 +352,7 @@ func TestKeyPathRandomPairs(t *testing.T) {
 		return rec
 	}
 	for i := 0; i < 3000; i++ {
-		checkAgreement(t, CompareKeyPath, AppendKeyPathKey, randRec(), randRec())
+		checkAgreement(t, KeyPath(), appendKeyPathKey, randRec(), randRec())
 	}
 }
 
@@ -269,8 +375,8 @@ func TestKeyPathTransitivity(t *testing.T) {
 	}
 }
 
-// TestKernelsDoNotAllocate: the comparators allocate nothing, and neither
-// do the normalized-key encoders appending into a buffer already grown.
+// TestKernelsDoNotAllocate: the comparators, the kernels' Start and Walk,
+// and the LCP rule allocate nothing.
 func TestKernelsDoNotAllocate(t *testing.T) {
 	paths := benchRecords()
 	rng := rand.New(rand.NewSource(5))
@@ -282,21 +388,31 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 		rec = binary.AppendUvarint(rec, uint64(rng.Intn(1000)))
 		seqs[i] = append(rec, "payload"...)
 	}
-	var buf []byte
-	for i := range paths {
-		buf = AppendKeyPathKey(buf[:0], paths[i], 0)
-		buf = AppendKeySeqKey(buf[:0], seqs[i], 0)
-	}
 	var i int
 	next := func(recs [][]byte) ([]byte, []byte) {
 		i++
 		return recs[i%len(recs)], recs[(i+1)%len(recs)]
 	}
 	kernels := map[string]func(){
-		"CompareKeyPath":   func() { CompareKeyPath(next(paths)) },
-		"CompareKeySeq":    func() { CompareKeySeq(next(seqs)) },
-		"AppendKeyPathKey": func() { a, _ := next(paths); buf = AppendKeyPathKey(buf[:0], a, 0) },
-		"AppendKeySeqKey":  func() { a, _ := next(seqs); buf = AppendKeySeqKey(buf[:0], a, 0) },
+		"CompareKeyPath": func() { CompareKeyPath(next(paths)) },
+		"CompareKeySeq":  func() { CompareKeySeq(next(seqs)) },
+	}
+	for name, k := range map[string]struct {
+		k    Kernel
+		recs [][]byte
+	}{"KeyPath": {KeyPath(), paths}, "KeySeq": {KeySeq(), seqs}, "FixedPrefix": {FixedPrefix(8), seqs}} {
+		k := k
+		kernels[name+".Start"] = func() { a, _ := next(k.recs); k.k.Start(a) }
+		kernels[name+".Walk"] = func() {
+			a, b := next(k.recs)
+			k.k.Walk(a, b, k.k.Start(a), k.k.Start(b))
+		}
+		kernels[name+".Less"] = func() {
+			a, b := next(k.recs)
+			ra, rb := Rec{a, k.k.Start(a)}, Rec{b, k.k.Start(b)}
+			k.k.Less(&ra, &rb, true)
+		}
+		kernels[name+".Next"] = func() { k.k.Next(next(k.recs)) }
 	}
 	for name, f := range kernels {
 		if n := testing.AllocsPerRun(len(paths), f); n != 0 {
@@ -311,29 +427,6 @@ func BenchmarkCompareKeyPath(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		CompareKeyPath(recs[i%len(recs)], recs[(i+1)%len(recs)])
-	}
-}
-
-func BenchmarkNormalizedCompare(b *testing.B) {
-	recs := benchRecords()
-	keys := make([][]byte, len(recs))
-	for i, r := range recs {
-		keys[i] = AppendKeyPathKey(nil, r, 0)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bytes.Compare(keys[i%len(keys)], keys[(i+1)%len(keys)])
-	}
-}
-
-func BenchmarkAppendKeyPathKey(b *testing.B) {
-	recs := benchRecords()
-	var buf []byte
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = AppendKeyPathKey(buf[:0], recs[i%len(recs)], 16)
 	}
 }
 

@@ -42,7 +42,11 @@ func DefaultParserOptions() ParserOptions {
 type Parser struct {
 	src WindowReader
 	// buf is the source's current window and pos the bytes of it the
-	// parser has consumed; nil after every Advance.
+	// parser has consumed. The parser keeps the window across tokens and
+	// advances the source once per window: when it is used up, once the
+	// root has closed, and at the end of the input or an error. Nothing
+	// reads the source while the parser is inside the root, so no one sees
+	// the position in between.
 	buf     []byte
 	pos     int
 	opts    ParserOptions
@@ -123,7 +127,9 @@ func (p *Parser) nextWindow() (byte, error) {
 	return buf[0], nil
 }
 
-// commit advances the source past everything the parser has consumed.
+// commit advances the source past everything the parser has consumed, so
+// that a caller reading the source's position after the last token (a
+// counting reader's BytesRead) sees every byte the parser consumed.
 func (p *Parser) commit() {
 	if p.pos > 0 {
 		p.src.Advance(p.pos)
@@ -143,13 +149,17 @@ func (p *Parser) NextEncoded() (*Encoded, error) {
 		name := span{1 + k, 1 + k + int(n)}
 		p.view.set(b, KindEnd, name, span{}, 0)
 		p.closeElement(b[name.off:name.end])
-		return &p.view, nil
+	} else {
+		p.enc = p.enc[:0]
+		if err := p.next(); err != nil {
+			p.commit()
+			return nil, err
+		}
 	}
-	p.enc = p.enc[:0]
-	err := p.next()
-	p.commit()
-	if err != nil {
-		return nil, err
+	if p.done {
+		// The root has closed, and a caller may stop reading here (the
+		// in-memory sort's tree builder does).
+		p.commit()
 	}
 	return &p.view, nil
 }
