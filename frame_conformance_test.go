@@ -34,7 +34,7 @@ func TestFrameConformanceSorters(t *testing.T) {
 	}
 	for _, algo := range chaostest.Algorithms {
 		t.Run(algo.String(), func(t *testing.T) {
-			cfg := em.Config{BlockSize: 512, MemBlocks: 20, InMemory: true, Parallelism: 2}
+			cfg := em.Config{BlockSize: 512, MemBlocks: 20, Parallelism: 2}
 			env, err := em.NewEnv(cfg)
 			if err != nil {
 				t.Fatal(err)

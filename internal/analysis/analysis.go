@@ -3,12 +3,10 @@
 // repo cannot vendor — stdlib only) plus the project analyzers that
 // turn NEXSORT's runtime invariants into compile-time checks:
 //
-//	NV001 framebalance — every Budget.Grant/AcquireFrames and
-//	       FramePool.Acquire is matched by a Release on every return path
+//	NV001 framebalance — every Budget.Grant and FramePool.Acquire is
+//	       matched by a Release on every return path
 //	NV002 iopurity     — outside internal/em, block traffic may not bypass
 //	       em.Device's accounting (no raw Backend/os/syscall I/O)
-//	NV003 statsatomic  — em.Stats counters are touched only through the
-//	       atomic accessor methods
 //	NV004 detptr       — the deterministic sort/merge paths use no wall
 //	       clock, no global rand, and no map-iteration-ordered output
 //	NV005 ctxflow      — library packages neither manufacture root contexts
@@ -18,14 +16,13 @@
 //	       mutex are inferred guarded; unguarded or atomic-mixed accesses
 //	       are reported
 //
-// NV006 (goleak) and NV007 (chandisc) are retired (DESIGN.md §14); their
-// codes are not reused.
+// NV003 (statsatomic), NV006 (goleak) and NV007 (chandisc) are retired
+// (DESIGN.md §14); their codes are not reused.
 //
-// Analyzers run in two harnesses (cmd/nexvet): standalone over `go list`
-// metadata, and as a `go vet -vettool` unit checker. Intentional exceptions
-// live in baseline.txt with a mandatory justification; stale entries fail
-// the standalone run, so the exception list can only shrink silently, never
-// grow.
+// cmd/nexvet runs the analyzers over packages loaded from `go list`
+// metadata. Intentional exceptions live in baseline.txt with a mandatory
+// justification; stale entries fail a run over the whole tree, so the
+// exception list can only shrink silently, never grow.
 package analysis
 
 import (
@@ -53,7 +50,7 @@ type Analyzer struct {
 
 // All returns the full nexvet suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{FrameBalance, IOPurity, StatsAtomic, DetPtr, CtxFlow, LockGuard}
+	return []*Analyzer{FrameBalance, IOPurity, DetPtr, CtxFlow, LockGuard}
 }
 
 // Pass holds one analyzer's view of one type-checked package.
@@ -78,8 +75,6 @@ type Diagnostic struct {
 	// Func is the enclosing function or method name ("" at package scope);
 	// baseline entries match on it.
 	Func string
-	// Pkg is the import path of the package the finding is in.
-	Pkg string
 }
 
 // String renders the diagnostic in the CI-clickable form
@@ -106,7 +101,6 @@ func (p *Pass) Report(pos token.Pos, msg, hint string) {
 		Message: msg,
 		Hint:    hint,
 		Func:    p.enclosingFunc(pos),
-		Pkg:     p.Pkg.Path(),
 	})
 }
 

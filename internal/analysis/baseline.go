@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -14,8 +13,8 @@ import (
 // (matched by path suffix, so absolute and relative spellings agree) and
 // the enclosing function (stable across line drift), and MUST carry a
 // justification after " -- ". Entries that stop matching anything are
-// themselves errors in the standalone run: the list can never silently
-// accumulate dead exceptions.
+// themselves errors in a run over the whole tree: the list can never
+// silently accumulate dead exceptions.
 //
 //	NV004 internal/em/stats.go String -- keys are sorted before rendering
 //
@@ -38,35 +37,9 @@ type Baseline struct {
 }
 
 // LoadBaseline parses path. A missing file is an empty baseline, not an
-// error, so fresh checkouts and the testdata module need no stub file.
-// "TODO"-prefixed justifications — the placeholders -fix-baseline writes
-// for new findings — are rejected: the gate stays red until a human
-// replaces the placeholder with a real reason.
+// error, so fresh checkouts and the testdata module need no stub file. A
+// "TODO"-prefixed justification is rejected: a placeholder is not a reason.
 func LoadBaseline(path string) (*Baseline, error) {
-	b, err := loadBaseline(path)
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range b.Entries {
-		if strings.HasPrefix(e.Justification, "TODO") {
-			return nil, fmt.Errorf("%s:%d: placeholder justification %q — replace the TODO with the reason the exception is safe",
-				path, e.Line, e.Justification)
-		}
-	}
-	return b, nil
-}
-
-// LoadBaselineLenient parses path accepting TODO-placeholder
-// justifications. It exists for -fix-baseline, which must be able to
-// re-read its own output to converge; every enforcement path goes through
-// the strict LoadBaseline instead.
-func LoadBaselineLenient(path string) (*Baseline, error) {
-	return loadBaseline(path)
-}
-
-// loadBaseline is the lenient parser: format errors are still errors, but
-// TODO placeholders pass, so -fix-baseline can re-read its own output.
-func loadBaseline(path string) (*Baseline, error) {
 	b := &Baseline{Path: path}
 	f, err := os.Open(path)
 	if err != nil {
@@ -86,8 +59,13 @@ func loadBaseline(path string) (*Baseline, error) {
 			continue
 		}
 		entry, justification, ok := strings.Cut(line, " -- ")
-		if !ok || strings.TrimSpace(justification) == "" {
+		justification = strings.TrimSpace(justification)
+		if !ok || justification == "" {
 			return nil, fmt.Errorf("%s:%d: baseline entry lacks a ' -- justification' (exceptions must be annotated)", path, lineno)
+		}
+		if strings.HasPrefix(justification, "TODO") {
+			return nil, fmt.Errorf("%s:%d: placeholder justification %q — replace the TODO with the reason the exception is safe",
+				path, lineno, justification)
 		}
 		fields := strings.Fields(entry)
 		if len(fields) != 3 {
@@ -97,7 +75,7 @@ func loadBaseline(path string) (*Baseline, error) {
 			Code:          fields[0],
 			FileSuffix:    fields[1],
 			Func:          fields[2],
-			Justification: strings.TrimSpace(justification),
+			Justification: justification,
 			Line:          lineno,
 		})
 	}
@@ -148,21 +126,11 @@ func (b *Baseline) Filter(diags []Diagnostic) (kept, suppressed []Diagnostic) {
 }
 
 // Stale returns the entries no diagnostic used, as rendered errors. Call
-// it only after filtering a whole-tree run: a per-package unit-checker
-// invocation legitimately leaves most entries untouched.
+// it only after filtering a run over the whole tree: a narrower run
+// legitimately leaves other packages' entries unused.
 func (b *Baseline) Stale() []string {
-	return b.StaleIn(nil)
-}
-
-// StaleIn is Stale restricted to entries whose code is in codes (nil
-// means every code): a run that executed only a subset of the analyzers
-// can only judge that subset's entries.
-func (b *Baseline) StaleIn(codes map[string]bool) []string {
 	var out []string
 	for _, e := range b.Entries {
-		if codes != nil && !codes[e.Code] {
-			continue
-		}
 		if !e.used {
 			out = append(out, fmt.Sprintf("%s:%d: stale baseline entry %s %s %s (nothing matches it — delete the line)",
 				b.Path, e.Line, e.Code, e.FileSuffix, e.Func))
@@ -171,60 +139,9 @@ func (b *Baseline) StaleIn(codes map[string]bool) []string {
 	return out
 }
 
-// Regenerate builds fresh baseline-file content covering every diagnostic
-// in diags: an entry that already covers a diagnostic keeps its
-// justification verbatim, a new finding gets a "TODO:" placeholder (which
-// LoadBaseline rejects, keeping the gate red until a human justifies it).
-// Entries that no longer match anything are returned as stale — the
-// caller must fail WITHOUT writing, because rewriting would drop their
-// justifications silently; delete the dead lines first, then rerun.
-// relTo makes new entries' file suffixes module-relative.
-func (b *Baseline) Regenerate(diags []Diagnostic, relTo string) (content string, stale []string) {
-	type key struct{ code, file, fn string }
-	seen := map[key]bool{}
-	var lines []string
-	for _, d := range diags {
-		file := filepath.ToSlash(d.Pos.Filename)
-		if r, err := filepath.Rel(relTo, d.Pos.Filename); err == nil && !strings.HasPrefix(r, "..") {
-			file = filepath.ToSlash(r)
-		}
-		fn := d.Func
-		if fn == "" {
-			fn = "-"
-		}
-		k := key{d.Code, file, fn}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		justification := "TODO: justify this exception or fix the finding"
-		for _, e := range b.Entries {
-			if e.matches(d) {
-				justification = e.Justification
-				e.used = true
-				break
-			}
-		}
-		lines = append(lines, fmt.Sprintf("%s %s %s -- %s", d.Code, file, fn, justification))
-	}
-	stale = b.Stale()
-	sort.Strings(lines)
-	var sb strings.Builder
-	sb.WriteString("# nexvet baseline: intentional exceptions to the NV invariants.\n")
-	sb.WriteString("# Format:  CODE file-suffix funcName -- justification\n")
-	sb.WriteString("# Regenerated by `nexvet -fix-baseline ./...`; replace every TODO with\n")
-	sb.WriteString("# the reason the invariant still holds, or fix the finding instead.\n\n")
-	for _, l := range lines {
-		sb.WriteString(l)
-		sb.WriteString("\n")
-	}
-	return sb.String(), stale
-}
-
 // FindBaseline walks up from dir looking for internal/analysis/baseline.txt
-// beside a go.mod, returning "" when no module root is found. This lets the
-// unit checker locate the allowlist from the package directory the driver
-// hands it.
+// beside a go.mod, returning "" when no module root is found, so nexvet
+// finds the allowlist from any directory of the module.
 func FindBaseline(dir string) string {
 	dir, err := filepath.Abs(dir)
 	if err != nil {

@@ -9,8 +9,7 @@ import (
 
 // FrameBalance (NV001) enforces the frame-containment invariant of
 // DESIGN.md §10 at compile time: every memory acquisition —
-// Budget.Grant/MustGrant, Budget.AcquireFrames, FramePool.Acquire — must be
-// matched, on every path that can reach a return (error unwinds included),
+// Budget.Grant, FramePool.Acquire — must be matched, on every path that can reach a return (error unwinds included),
 // by its release, a defer of its release, or an explicit transfer of
 // ownership (the budget/frames stored into a returned object, captured by a
 // worker closure, or passed to another owner).
@@ -46,8 +45,8 @@ type oblig struct {
 	// one-shorter prefix ("" for frame obligations).
 	root  string
 	owner string
-	// frameVars: idents bound to the acquired Frame / []Frame (aliases
-	// accumulate); a mention in value position transfers ownership.
+	// frameVars: idents bound to the acquired Frame (aliases accumulate);
+	// a mention in value position transfers ownership.
 	frameVars map[*ast.Object]bool
 	// errVar: the error ident guarding a conditional acquisition; until the
 	// `err != nil` check resolves, the obligation is conditional.
@@ -299,8 +298,7 @@ func (f *fbFunc) walkCases(body *ast.BlockStmt, st *fbState) bool {
 // processAssign records acquisitions bound to variables, budget/pool
 // aliases, and escapes on the right-hand sides.
 func (f *fbFunc) processAssign(x *ast.AssignStmt, st *fbState) {
-	// Acquisition forms: `err := B.Grant(n)`, `frames, err := B.AcquireFrames(n)`,
-	// `f := P.Acquire()`.
+	// Acquisition forms: `err := B.Grant(n)`, `f := P.Acquire()`.
 	if len(x.Rhs) == 1 {
 		if call, ok := x.Rhs[0].(*ast.CallExpr); ok {
 			if f.acquireAssign(call, x.Lhs, st) {
@@ -353,17 +351,6 @@ func (f *fbFunc) acquireAssign(call *ast.CallExpr, lhs []ast.Expr, st *fbState) 
 			o.errVar = identObj(lhs[0])
 		}
 		st.live[o] = true
-	case "MustGrant":
-		st.live[f.newBudgetOblig(call, root)] = true
-	case "AcquireFrames":
-		o := f.newBudgetOblig(call, root)
-		if len(lhs) == 2 {
-			if obj := identObj(lhs[0]); obj != nil {
-				o.frameVars[obj] = true
-			}
-			o.errVar = identObj(lhs[1])
-		}
-		st.live[o] = true
 	case "Acquire":
 		o := &oblig{pos: call.Pos(), call: renderCall(call), frameVars: map[*ast.Object]bool{}}
 		if len(lhs) == 1 {
@@ -390,7 +377,7 @@ func (f *fbFunc) acquisition(call *ast.CallExpr) (kind, root string) {
 		return "", ""
 	}
 	switch sel.Sel.Name {
-	case "Grant", "MustGrant", "AcquireFrames":
+	case "Grant":
 		if !isEMType(recv.Type, "Budget") {
 			return "", ""
 		}
@@ -398,7 +385,7 @@ func (f *fbFunc) acquisition(call *ast.CallExpr) (kind, root string) {
 		if !ok {
 			return "", "" // unstable receiver spelling: not trackable
 		}
-		return sel.Sel.Name, f.canonical(chain)
+		return "Grant", f.canonical(chain)
 	case "Acquire":
 		if !isEMType(recv.Type, "FramePool") {
 			return "", ""
@@ -409,13 +396,7 @@ func (f *fbFunc) acquisition(call *ast.CallExpr) (kind, root string) {
 }
 
 func (f *fbFunc) newBudgetOblig(call *ast.CallExpr, root string) *oblig {
-	return &oblig{
-		pos:       call.Pos(),
-		call:      renderCall(call),
-		root:      root,
-		owner:     chainOwner(root),
-		frameVars: map[*ast.Object]bool{},
-	}
+	return &oblig{pos: call.Pos(), call: renderCall(call), root: root, owner: chainOwner(root)}
 }
 
 // canonical resolves a leading alias in chain to its canonical spelling.
@@ -432,7 +413,7 @@ func (f *fbFunc) canonical(chain string) string {
 	return chain
 }
 
-// processCallDischarges applies Release/ReleaseFrames semantics of a call.
+// processCallDischarges applies the Release semantics of a call.
 func (f *fbFunc) processCallDischarges(call *ast.CallExpr, st *fbState) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -443,7 +424,7 @@ func (f *fbFunc) processCallDischarges(call *ast.CallExpr, st *fbState) {
 		return
 	}
 	switch {
-	case (sel.Sel.Name == "Release" || sel.Sel.Name == "ReleaseFrames") && isEMType(recv.Type, "Budget"):
+	case sel.Sel.Name == "Release" && isEMType(recv.Type, "Budget"):
 		if chain, ok := chainText(sel.X); ok {
 			root := f.canonical(chain)
 			for o := range st.live {
@@ -453,14 +434,6 @@ func (f *fbFunc) processCallDischarges(call *ast.CallExpr, st *fbState) {
 			}
 		}
 	case sel.Sel.Name == "Release" && isEMType(recv.Type, "FramePool") && len(call.Args) == 1:
-		if obj := identObj(call.Args[0]); obj != nil {
-			for o := range st.live {
-				if o.frameVars[obj] {
-					delete(st.live, o)
-				}
-			}
-		}
-	case sel.Sel.Name == "ReleaseFrames" && len(call.Args) == 1:
 		if obj := identObj(call.Args[0]); obj != nil {
 			for o := range st.live {
 				if o.frameVars[obj] {

@@ -16,10 +16,6 @@ import (
 
 func TestFrameBalanceGolden(t *testing.T) { runGolden(t, FrameBalance, "./internal/fb") }
 func TestIOPurityGolden(t *testing.T)     { runGolden(t, IOPurity, "./internal/ioviol") }
-func TestStatsAtomicGolden(t *testing.T) {
-	runGolden(t, StatsAtomic, "./internal/em")       // in-package misuse, accessor exemption
-	runGolden(t, StatsAtomic, "./internal/statsuse") // cross-package misuse
-}
 func TestDetPtrGolden(t *testing.T) {
 	runGolden(t, DetPtr, "./internal/core")  // in scope
 	runGolden(t, DetPtr, "./internal/plain") // out of scope: must stay silent

@@ -12,6 +12,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 )
 
@@ -36,8 +37,7 @@ type listedPackage struct {
 // Load type-checks the packages matching patterns (as `go list` resolves
 // them, relative to dir) and returns them ready for analysis. Dependencies
 // are imported from compiler export data — `go list -export` builds it —
-// so the target packages are the only ones parsed from source, exactly as
-// the go vet driver arranges for a unit checker.
+// so the target packages are the only ones parsed from source.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	args := append([]string{"list", "-e", "-export", "-deps",
 		"-json=ImportPath,Name,Dir,Export,Standard,GoFiles,Module,Error,DepOnly"}, patterns...)
@@ -73,7 +73,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	}
 
 	fset := token.NewFileSet()
-	imp := exportImporter(fset, exports, nil)
+	imp := exportImporter(fset, exports)
 	var pkgs []*Package
 	for _, t := range targets {
 		pkg, err := typeCheck(fset, imp, t.ImportPath, t.Dir, t.GoFiles)
@@ -105,13 +105,10 @@ func skipListedPackage(p *listedPackage) bool {
 	return false
 }
 
-// exportImporter returns a types.Importer resolving import paths through
-// importMap (nil for the identity) to compiler export-data files.
-func exportImporter(fset *token.FileSet, exports map[string]string, importMap map[string]string) types.Importer {
+// exportImporter returns a types.Importer resolving import paths to
+// compiler export-data files.
+func exportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
 	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		if mapped, ok := importMap[path]; ok {
-			path = mapped
-		}
 		file, ok := exports[path]
 		if !ok {
 			return nil, fmt.Errorf("no export data for %q", path)
@@ -120,15 +117,12 @@ func exportImporter(fset *token.FileSet, exports map[string]string, importMap ma
 	})
 }
 
-// typeCheck parses and type-checks one package from source.
+// typeCheck parses and type-checks one package from the files goFiles
+// names in dir.
 func typeCheck(fset *token.FileSet, imp types.Importer, importPath, dir string, goFiles []string) (*Package, error) {
 	var files []*ast.File
 	for _, name := range goFiles {
-		path := name
-		if dir != "" && !strings.HasPrefix(name, "/") {
-			path = dir + "/" + name
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: %v", err)
 		}

@@ -11,11 +11,10 @@ import (
 
 // LockGuard (NV008) infers which struct fields a mutex guards from the
 // package's own access patterns, then flags the accesses that break the
-// inferred discipline. Where NV003 hand-lists em.Stats, this analyzer
-// generalizes: a field accessed at least lockGuardThreshold times while a
-// sibling mutex of the same struct is held — in the struct's defining
-// package — is considered guarded by that mutex, and every other access
-// must hold it too. That automatically covers the device's allocation
+// inferred discipline. A field accessed at least lockGuardThreshold times
+// while a sibling mutex of the same struct is held — in the struct's
+// defining package — is considered guarded by that mutex, and every other
+// access must hold it too. That automatically covers the device's allocation
 // state (Device.mu), the streams' extent tables (Stream.mu), the budget's
 // counters (Budget.mu), the frame pool's free list and the run store's
 // run table, with no per-struct configuration.

@@ -19,20 +19,9 @@ func leakOnEarlyReturn(b *em.Budget, cond bool) error {
 	return nil
 }
 
-func mustGrantLeak(b *em.Budget) {
-	b.MustGrant(1) // want "can reach the return"
-}
-
-func acquireFramesLeak(b *em.Budget, cond bool) error {
-	frames, err := b.AcquireFrames(3) // want "can reach the return"
-	if err != nil {
-		return err
-	}
-	if cond {
-		return nil // leaks the frames and their grant
-	}
-	b.ReleaseFrames(frames)
-	return nil
+// a grant whose error is dropped is held from the call on.
+func droppedErrorLeak(b *em.Budget) {
+	b.Grant(1) // want "can reach the return"
 }
 
 func poolLeak(p *em.FramePool, cond bool) {
@@ -43,8 +32,10 @@ func poolLeak(p *em.FramePool, cond bool) {
 	p.Release(f)
 }
 
-func switchLeak(b *em.Budget, mode int) {
-	b.MustGrant(2) // want "can reach the return"
+func switchLeak(b *em.Budget, mode int) error {
+	if err := b.Grant(2); err != nil { // want "can reach the return"
+		return err
+	}
 	switch mode {
 	case 0:
 		b.Release(2)
@@ -53,17 +44,24 @@ func switchLeak(b *em.Budget, mode int) {
 	default:
 		b.Release(2)
 	}
+	return nil
 }
 
-var _ = func(b *em.Budget) {
-	b.MustGrant(1) // want "can reach the return"
+var _ = func(b *em.Budget) error {
+	if err := b.Grant(1); err != nil { // want "can reach the return"
+		return err
+	}
+	return nil
 }
 
 // a launch that hands the worker nothing leaves the grant on the
 // launcher's books.
-func launchLeak(b *em.Budget) {
-	b.MustGrant(2) // want "can reach the return"
+func launchLeak(b *em.Budget) error {
+	if err := b.Grant(2); err != nil { // want "can reach the return"
+		return err
+	}
 	go idle()
+	return nil
 }
 
 func idle() {}
@@ -87,16 +85,6 @@ func deferred(b *em.Budget) error {
 		return err
 	}
 	defer b.Release(2)
-	return nil
-}
-
-func deferredFrames(b *em.Budget) error {
-	frames, err := b.AcquireFrames(3)
-	if err != nil {
-		return err
-	}
-	defer b.ReleaseFrames(frames)
-	_ = frames
 	return nil
 }
 
@@ -159,10 +147,13 @@ func handOff(p *em.FramePool) em.Frame {
 }
 
 // panic path needs no release: it never returns.
-func panicPath(b *em.Budget, cond bool) {
-	b.MustGrant(1)
+func panicPath(b *em.Budget, cond bool) error {
+	if err := b.Grant(1); err != nil {
+		return err
+	}
 	if cond {
 		panic("structural invariant broken")
 	}
 	b.Release(1)
+	return nil
 }

@@ -147,7 +147,6 @@ func Run(w *Workload, p Params) (*Result, error) {
 		BlockSize:       p.BlockSize,
 		MemBlocks:       p.MemBlocks,
 		ScratchDir:      p.ScratchDir,
-		InMemory:        p.ScratchDir == "",
 		VerifyChecksums: Hardening.VerifyChecksums,
 		Retry:           Hardening.Retry,
 	}

@@ -10,10 +10,10 @@ import "sync"
 // already spilled even when it can spill nothing more.
 //
 // It models the bounded scratch partition a multi-tenant deployment
-// assigns each job (ROADMAP item 3): NewEnv installs one under the
-// hardening layers when Config.ScratchQuotaBlocks is set, and the
-// cancel-anywhere chaos harness drives Exhaust directly to make the
-// device fill up at an exact operation count.
+// assigns each job: NewEnv installs one under the hardening layers when
+// Config.ScratchQuotaBlocks is set, and the cancel-anywhere chaos harness
+// drives Exhaust directly to make the device fill up at an exact
+// operation count.
 type CapacityBackend struct {
 	inner Backend
 	limit int64 // bytes; <= 0 means unlimited until Exhaust

@@ -19,8 +19,6 @@ type Config struct {
 	// ScratchDir, if non-empty, places the scratch device file there and
 	// selects the file backend. If empty, an in-memory backend is used.
 	ScratchDir string
-	// InMemory forces the in-memory backend even if ScratchDir is set.
-	InMemory bool
 
 	// Parallelism bounds how many goroutines NEXSORT may use: the main
 	// scanning goroutine plus Parallelism-1 pooled workers that sort and
@@ -131,7 +129,7 @@ func newEnv(cfg Config, life *Lifecycle) (*Env, error) {
 	}
 	stats := NewStats()
 	var backend Backend
-	if cfg.ScratchDir != "" && !cfg.InMemory {
+	if cfg.ScratchDir != "" {
 		b, err := NewFileBackend(scratchPath(cfg.ScratchDir))
 		if err != nil {
 			return nil, err

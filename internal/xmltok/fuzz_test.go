@@ -53,7 +53,7 @@ func FuzzParser(f *testing.F) {
 		if err := w.Close(); err != nil {
 			t.Fatalf("accepted document unbalanced: %v", err)
 		}
-		p2 := NewParser(&buf, ParserOptions{SkipWhitespaceText: false, ValidateNesting: true})
+		p2 := NewParser(&buf, ParserOptions{SkipWhitespaceText: false})
 		var back []Token
 		for {
 			tok, err := p2.Next()
@@ -104,7 +104,7 @@ func FuzzParserWindows(f *testing.F) {
 	f.Add(`<a><!x "q>" <y><!--z>-->>t</a>`, uint8(6))
 	f.Fuzz(func(t *testing.T, doc string, kRaw uint8) {
 		k := 1 + int(kRaw)%64
-		opts := ParserOptions{SkipWhitespaceText: kRaw&0x80 != 0, ValidateNesting: true}
+		opts := ParserOptions{SkipWhitespaceText: kRaw&0x80 != 0}
 		chunked, chunkedErr := parseVia(&chunkWindow{data: []byte(doc), k: k}, opts)
 		oneByte, oneByteErr := parseVia(iotest.OneByteReader(strings.NewReader(doc)), opts)
 		whole, wholeErr := parseVia(&chunkWindow{data: []byte(doc), k: len(doc) + 1}, opts)

@@ -16,17 +16,11 @@ type ParserOptions struct {
 	// every sorter here — enable it so that pretty-printing never
 	// influences sort behaviour.
 	SkipWhitespaceText bool
-	// ValidateNesting checks that every end tag matches the most recent
-	// open start tag. It costs an in-memory name stack proportional to
-	// document depth; disable it to honour the constant-space SAX
-	// assumption of the external-memory model on adversarially deep
-	// inputs.
-	ValidateNesting bool
 }
 
-// DefaultParserOptions skips whitespace-only text and validates nesting.
+// DefaultParserOptions skips whitespace-only text.
 func DefaultParserOptions() ParserOptions {
-	return ParserOptions{SkipWhitespaceText: true, ValidateNesting: true}
+	return ParserOptions{SkipWhitespaceText: true}
 }
 
 // Parser is a streaming, event-based XML reader. Create one with NewParser
@@ -60,7 +54,7 @@ type Parser struct {
 	view       Encoded
 	pendingEnd int
 	// openNames holds the names of the open elements back to back, and
-	// openStarts where each begins; only when ValidateNesting.
+	// openStarts where each begins.
 	openNames  []byte
 	openStarts []int
 	// scratch holds the tail of a comment or processing instruction that
@@ -490,21 +484,17 @@ func (p *Parser) bytes(s span) []byte { return p.enc[s.off:s.end] }
 func (p *Parser) openElement(name span) {
 	p.depth++
 	p.started = true
-	if p.opts.ValidateNesting {
-		p.openStarts = append(p.openStarts, len(p.openNames))
-		p.openNames = append(p.openNames, p.bytes(name)...)
-	}
+	p.openStarts = append(p.openStarts, len(p.openNames))
+	p.openNames = append(p.openNames, p.bytes(name)...)
 }
 
 func (p *Parser) closeElement(name []byte) error {
-	if p.opts.ValidateNesting {
-		top := p.openStarts[len(p.openStarts)-1]
-		if want := p.openNames[top:]; !bytes.Equal(want, name) {
-			return malformed("end tag </%s> does not match open <%s>", name, want)
-		}
-		p.openNames = p.openNames[:top]
-		p.openStarts = p.openStarts[:len(p.openStarts)-1]
+	top := p.openStarts[len(p.openStarts)-1]
+	if want := p.openNames[top:]; !bytes.Equal(want, name) {
+		return malformed("end tag </%s> does not match open <%s>", name, want)
 	}
+	p.openNames = p.openNames[:top]
+	p.openStarts = p.openStarts[:len(p.openStarts)-1]
 	p.depth--
 	if p.depth == 0 {
 		p.done = true

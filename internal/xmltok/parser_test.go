@@ -62,7 +62,7 @@ func TestParserBasic(t *testing.T) {
 
 func TestParserEntitiesAndCDATA(t *testing.T) {
 	doc := `<a x="1 &amp; 2&#33;&#x21;"><![CDATA[raw <stuff> & more]]>a &lt;b&gt; &quot;c&quot; &apos;d&apos;</a>`
-	got := parseAll(t, doc, ParserOptions{SkipWhitespaceText: false, ValidateNesting: true})
+	got := parseAll(t, doc, ParserOptions{SkipWhitespaceText: false})
 	want := []Token{
 		{Kind: KindStart, Name: "a", Attrs: []Attr{{"x", "1 & 2!!"}}},
 		{Kind: KindText, Text: "raw <stuff> & more"},
@@ -92,7 +92,7 @@ func TestParserCommentsPIDoctype(t *testing.T) {
 
 func TestParserWhitespaceHandling(t *testing.T) {
 	doc := "<a>\n  <b> </b>\n</a>"
-	withWS := parseAll(t, doc, ParserOptions{SkipWhitespaceText: false, ValidateNesting: true})
+	withWS := parseAll(t, doc, ParserOptions{SkipWhitespaceText: false})
 	if len(withWS) != 7 {
 		t.Errorf("with whitespace: %d tokens, want 7: %v", len(withWS), withWS)
 	}
@@ -177,7 +177,7 @@ func TestParserAgainstEncodingXML(t *testing.T) {
 		`<deep><a><b><c><d><e>leaf</e></d></c></b></a></deep>`,
 	}
 	for _, doc := range docs {
-		mine := parseAll(t, doc, ParserOptions{SkipWhitespaceText: false, ValidateNesting: true})
+		mine := parseAll(t, doc, ParserOptions{SkipWhitespaceText: false})
 		std, err := encodingXMLTokens(doc)
 		if err != nil {
 			t.Fatalf("encoding/xml on %q: %v", doc, err)

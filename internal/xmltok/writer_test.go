@@ -143,7 +143,7 @@ func TestWriterParserRoundTrip(t *testing.T) {
 		if err := w.Close(); err != nil {
 			return false
 		}
-		p := NewParser(&buf, ParserOptions{SkipWhitespaceText: indented, ValidateNesting: true})
+		p := NewParser(&buf, ParserOptions{SkipWhitespaceText: indented})
 		var got []Token
 		for {
 			tok, err := p.Next()

@@ -16,9 +16,7 @@
 // CDATA sections, comments, processing instructions, the XML declaration,
 // DOCTYPE declarations (skipped, including an internal subset), and the five
 // predefined entities plus numeric character references. It is deliberately
-// not a validating parser; it checks well-formedness (tag balance) unless
-// that is turned off to honour the constant-space SAX assumption of the
-// paper's model.
+// not a validating parser; it checks well-formedness (tag balance).
 package xmltok
 
 import (

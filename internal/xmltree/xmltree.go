@@ -141,10 +141,20 @@ func appendChild(parent, child *Node) {
 	parent.Children = append(parent.Children, child)
 }
 
-// Parse builds a tree from textual XML.
+// Parse builds a tree from textual XML. It reads on to the end of the
+// input, so what follows the root element fails as the parser fails it.
 func Parse(r io.Reader) (*Node, error) {
 	p := xmltok.NewParser(r, xmltok.DefaultParserOptions())
-	return FromTokens(parserSource{p})
+	root, err := FromTokens(parserSource{p})
+	if err != nil {
+		return nil, err
+	}
+	// After the root the parser returns no token: io.EOF, or the error
+	// that rejects what follows the root.
+	if _, err := p.Next(); err != io.EOF {
+		return nil, err
+	}
+	return root, nil
 }
 
 type parserSource struct{ p *xmltok.Parser }

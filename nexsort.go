@@ -181,11 +181,12 @@ type Config struct {
 	// buys wall-clock time only.
 	Parallelism int
 	// ScratchQuotaBlocks caps the scratch device at this many blocks.
-	// Writes past the quota fail with ErrScratchExhausted (IsExhausted);
-	// as the device approaches the cap the sorters degrade gracefully
-	// first — the merge-sort baseline streams its final merge instead of
-	// materializing one more run. Default 0 (unlimited), the paper's
-	// model.
+	// Writes past the quota fail with ErrScratchExhausted (IsExhausted).
+	// As the device nears the cap, an external sort that would write its
+	// final merge as one more run streams it instead. Merge sort streams
+	// its final merge anyway unless Options.PaperLayout is set, so this
+	// reaches the paper layout's merge sort and NEXSORT's key-path
+	// fallback and key sidecar. Default 0 (unlimited), the paper's model.
 	ScratchQuotaBlocks int64
 }
 
@@ -210,14 +211,15 @@ func (c Config) normalize() (em.Config, error) {
 	}
 	blocks := int(memBytes / int64(bs))
 	dir := c.ScratchDir
-	if dir == "" && !c.InMemory {
+	if c.InMemory {
+		dir = ""
+	} else if dir == "" {
 		dir = os.TempDir()
 	}
 	cfg := em.Config{
 		BlockSize:          bs,
 		MemBlocks:          blocks,
 		ScratchDir:         dir,
-		InMemory:           c.InMemory,
 		VerifyChecksums:    c.VerifyChecksums,
 		Retry:              c.Retry,
 		Parallelism:        c.Parallelism,

@@ -421,3 +421,45 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 	w.n += len(p)
 	return len(p), nil
 }
+
+// TestContentAfterRootAgrees: what follows the root element is judged the
+// same by all three algorithms. Character data after the root fails every
+// one; a comment and whitespace after it are accepted, and every algorithm
+// reads them, so InputBytes is the whole document's length.
+func TestContentAfterRootAgrees(t *testing.T) {
+	cfg := Config{BlockSize: 256, MemoryBytes: 256 * 20, InMemory: true}
+	cases := []struct {
+		name, doc, fail string // fail is the error text every algorithm gives, "" for none
+	}{
+		{"junk", `<r><a key="2"/><a key="1"/></r>junk<x/>`, "character data outside the root element"},
+		{"comment", "<r><a key=\"2\"/><a key=\"1\"/></r>\n<!-- trailer -->\n  ", ""},
+	}
+	for _, tc := range cases {
+		var first *Result
+		var firstOut string
+		for _, algo := range []Algorithm{NEXSORT, MergeSort, InMemory} {
+			var out strings.Builder
+			res, err := Sort(strings.NewReader(tc.doc), &out, cfg, Options{Criterion: ByAttrOrTag("key"), Algorithm: algo})
+			if tc.fail != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.fail) {
+					t.Errorf("%s, %v: error %v, want %q", tc.name, algo, err, tc.fail)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s, %v: %v", tc.name, algo, err)
+			}
+			if res.InputBytes != int64(len(tc.doc)) {
+				t.Errorf("%s, %v: InputBytes = %d, want %d", tc.name, algo, res.InputBytes, len(tc.doc))
+			}
+			if first == nil {
+				first, firstOut = res, out.String()
+				continue
+			}
+			if out.String() != firstOut || res.Elements != first.Elements || res.InputBytes != first.InputBytes {
+				t.Errorf("%s, %v: output %q, %d elements, %d input bytes; NEXSORT gave %q, %d, %d",
+					tc.name, algo, out.String(), res.Elements, res.InputBytes, firstOut, first.Elements, first.InputBytes)
+			}
+		}
+	}
+}

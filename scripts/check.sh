@@ -15,14 +15,12 @@ fi
 echo "==> go vet ./..."
 go vet ./...
 
-# nexvet: the project's own invariant analyzers (nexvet -codes). The binary
-# build is incremental — the Go build cache makes this a no-op when
-# cmd/nexvet and internal/analysis are unchanged. Two runs on purpose:
-# the -vettool run proves the unit-checker protocol works per package, the
-# standalone run adds the whole-tree stale-baseline check.
+# nexvet: the project's own invariant analyzers (DESIGN.md §11), which also
+# fail on stale baseline entries. The binary build is incremental — the Go
+# build cache makes this a no-op when cmd/nexvet and internal/analysis are
+# unchanged.
 echo "==> nexvet (static invariants)"
 go build -o bin/nexvet ./cmd/nexvet
-go vet -vettool=bin/nexvet ./...
 ./bin/nexvet ./...
 
 echo "==> go build ./..."
