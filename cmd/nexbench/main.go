@@ -28,7 +28,12 @@ import (
 // jsonOut is set by -json: tables print as JSON objects instead of text.
 var jsonOut bool
 
-func main() {
+func main() { os.Exit(nexbench()) }
+
+// nexbench runs the experiments the flags ask for and returns the exit
+// code: 0, 1 when an experiment fails, 2 for an unknown experiment. Every
+// return removes the temporary workload directory.
+func nexbench() int {
 	var (
 		exp       = flag.String("exp", "all", "experiment: table1|table2|fig5|fig6|fig7|threshold|bounds|ablation|all")
 		scale     = flag.Float64("scale", 1.0, "input size multiplier (1.0 ≈ seconds per experiment)")
@@ -53,32 +58,31 @@ func main() {
 	if dir == "" {
 		d, err := os.MkdirTemp("", "nexbench-")
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer os.RemoveAll(d)
 		dir = d
 	}
 
 	s := bench.Scale(*scale)
-	want := func(name string) bool { return *exp == "all" || *exp == name }
-	ran := false
-
-	if want("table1") {
-		ran = true
-		rows, err := bench.Table1()
-		if err != nil {
-			fatal(err)
-		}
-		printTable(bench.Table1Render(rows))
-	}
-	if want("table2") {
-		ran = true
-		paper, scaled := bench.Table2(s)
-		printTable(bench.Table2Render(paper, scaled))
-	}
-	if want("fig5") {
-		ran = true
-		run("Figure 5 (memory sweep)", func() error {
+	// Each experiment prints its tables; one with a title also prints how
+	// long it took.
+	experiments := []struct {
+		name, title string
+		run         func() error
+	}{
+		{"table1", "", func() error {
+			rows, err := bench.Table1()
+			if err != nil {
+				return err
+			}
+			return printTable(bench.Table1Render(rows))
+		}},
+		{"table2", "", func() error {
+			paper, scaled := bench.Table2(s)
+			return printTable(bench.Table2Render(paper, scaled))
+		}},
+		{"fig5", "Figure 5 (memory sweep)", func() error {
 			rows, w, err := bench.Fig5(bench.Fig5Config{Scale: s, ScratchDir: dir, Seed: *seed})
 			if err != nil {
 				return err
@@ -86,99 +90,84 @@ func main() {
 			defer w.Close()
 			fmt.Printf("document: %d elements, %d bytes, height %d, max fan-out %d\n",
 				w.Stats.Elements, w.Stats.Bytes, w.Stats.Height, w.Stats.MaxFanout)
-			printTable(bench.Fig5Table(rows))
-			return nil
-		})
-	}
-	if want("fig6") {
-		ran = true
-		run("Figure 6 (input size sweep)", func() error {
+			return printTable(bench.Fig5Table(rows))
+		}},
+		{"fig6", "Figure 6 (input size sweep)", func() error {
 			rows, err := bench.Fig6(bench.Fig6Config{Scale: s, ScratchDir: dir, Seed: *seed})
 			if err != nil {
 				return err
 			}
-			printTable(bench.Fig6Table(rows))
-			return nil
-		})
-	}
-	if want("fig7") {
-		ran = true
-		run("Figure 7 (tree shape sweep)", func() error {
+			return printTable(bench.Fig6Table(rows))
+		}},
+		{"fig7", "Figure 7 (tree shape sweep)", func() error {
 			rows, err := bench.Fig7(bench.Fig7Config{Scale: s, ScratchDir: dir, Seed: *seed})
 			if err != nil {
 				return err
 			}
-			printTable(bench.Fig7Table(rows))
-			return nil
-		})
-	}
-	if want("threshold") {
-		ran = true
-		run("Sort-threshold sweep", func() error {
+			return printTable(bench.Fig7Table(rows))
+		}},
+		{"threshold", "Sort-threshold sweep", func() error {
 			rows, err := bench.Threshold(bench.ThresholdConfig{Scale: s, ScratchDir: dir, Seed: *seed})
 			if err != nil {
 				return err
 			}
-			printTable(bench.ThresholdTable(rows))
-			return nil
-		})
-	}
-	if want("bounds") {
-		ran = true
-		run("Theorem 4.4/4.5 bounds check", func() error {
+			return printTable(bench.ThresholdTable(rows))
+		}},
+		{"bounds", "Theorem 4.4/4.5 bounds check", func() error {
 			rows, err := bench.Bounds(bench.BoundsConfig{Scale: s, ScratchDir: dir, Seed: *seed})
 			if err != nil {
 				return err
 			}
-			printTable(bench.BoundsTable(rows))
-			return nil
-		})
-	}
-	if want("ablation") {
-		ran = true
-		run("Ablations (compaction, graceful degeneration)", func() error {
+			return printTable(bench.BoundsTable(rows))
+		}},
+		{"ablation", "Ablations (compaction, graceful degeneration)", func() error {
 			rows, err := bench.Ablation(bench.AblationConfig{Scale: s, ScratchDir: dir, Seed: *seed})
 			if err != nil {
 				return err
 			}
-			printTable(bench.AblationTable(rows))
-			return nil
-		})
+			return printTable(bench.AblationTable(rows))
+		}},
 	}
 
+	ran := false
+	for _, e := range experiments {
+		if *exp != "all" && *exp != e.name {
+			continue
+		}
+		ran = true
+		start := time.Now()
+		if err := e.run(); err != nil {
+			if e.title != "" {
+				err = fmt.Errorf("%s: %w", e.title, err)
+			}
+			return fail(err)
+		}
+		if e.title != "" && !jsonOut {
+			fmt.Printf("(%s completed in %.1fs)\n\n", e.title, time.Since(start).Seconds())
+		}
+	}
 	if !ran {
 		fmt.Fprintf(os.Stderr, "nexbench: unknown experiment %q\n", *exp)
 		flag.Usage()
-		os.Exit(2)
+		return 2
 	}
+	return 0
 }
 
-func run(title string, f func() error) {
-	start := time.Now()
-	if err := f(); err != nil {
-		fatal(fmt.Errorf("%s: %w", title, err))
-	}
-	if !jsonOut {
-		fmt.Printf("(%s completed in %.1fs)\n\n", title, time.Since(start).Seconds())
-	}
-}
-
-func printTable(t *bench.Table) {
+func printTable(t *bench.Table) error {
 	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		if err := enc.Encode(t); err != nil {
-			fatal(err)
-		}
-		return
+		return json.NewEncoder(os.Stdout).Encode(t)
 	}
 	fmt.Println(strings.Repeat("=", 72))
 	if err := t.Fprint(os.Stdout); err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Println()
+	return nil
 }
 
-func fatal(err error) {
+// fail prints err and returns the exit code of a failed run.
+func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "nexbench:", err)
-	os.Exit(1)
+	return 1
 }

@@ -263,8 +263,16 @@ func TestNexbenchTable1(t *testing.T) {
 			t.Errorf("table1 output missing %q:\n%s", want, out)
 		}
 	}
-	if _, _, code := run(t, "nexbench", "", "-exp", "wat"); code != 2 {
-		t.Errorf("unknown experiment: exit %d, want 2", code)
+	// The unknown experiment exits 2, and removes the temporary workload
+	// directory it made, as every exit does.
+	tmp := t.TempDir()
+	cmd := exec.Command(filepath.Join(binDir, "nexbench"), "-exp", "wat")
+	cmd.Env = append(os.Environ(), "TMPDIR="+tmp)
+	if err := cmd.Run(); cmd.ProcessState == nil || cmd.ProcessState.ExitCode() != 2 {
+		t.Errorf("unknown experiment: %v, want exit 2", err)
+	}
+	if left, err := os.ReadDir(tmp); err != nil || len(left) > 0 {
+		t.Errorf("nexbench left %v in its temp directory (%v)", left, err)
 	}
 }
 

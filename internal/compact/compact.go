@@ -14,9 +14,11 @@
 //   - End-tag elimination: "labels inside end tags can be eliminated since
 //     they merely repeat the same information in matching start tags".
 //     The encoder blanks end-tag names (an end token shrinks to its kind
-//     byte plus any ordering key); the decoder restores them from a stack
-//     of open tag names, the "structure similar to the path stack" the
-//     paper describes for regenerating end tags during output.
+//     byte plus any ordering key), and so does the decoder; xmltok.Writer
+//     restores them from its stack of open tag names, the "structure
+//     similar to the path stack" the paper describes for regenerating end
+//     tags during output. NEXSORT's default layout writes every end tag in
+//     its runs nameless, so the one stack serves both.
 //
 // Both transforms are stream codecs over encoded tokens (xmltok.Encoded
 // views) that compose with any encoded-token pipeline: each reads a view
@@ -101,7 +103,7 @@ func (e *Encoder) Encode(tok *xmltok.Encoded) (*xmltok.Encoded, error) {
 	case xmltok.KindStart:
 		name = e.dict.Alias(tok.Name())
 	case xmltok.KindEnd:
-		// Elided: restored from the open-tag stack on decode.
+		// Elided: xmltok.Writer restores it from its open elements.
 	case xmltok.KindRunPtr:
 		if len(tok.Name()) > 0 {
 			name = e.dict.Alias(tok.Name())
@@ -113,11 +115,11 @@ func (e *Encoder) Encode(tok *xmltok.Encoded) (*xmltok.Encoded, error) {
 	return scan(&e.view, e.enc)
 }
 
-// Decoder restores a compacted token stream. It keeps the stack of open
-// (original) tag names needed to regenerate end tags.
+// Decoder restores a compacted token stream for an xmltok.Writer: start
+// tags and run pointers get their names back, and end tags come out
+// nameless, for the writer to close with its open elements' names.
 type Decoder struct {
 	dict *Dictionary
-	open [][]byte
 	enc  []byte
 	view xmltok.Encoded
 }
@@ -125,11 +127,9 @@ type Decoder struct {
 // NewDecoder returns a decoder over dict.
 func NewDecoder(dict *Dictionary) *Decoder { return &Decoder{dict: dict} }
 
-// Depth returns the number of currently open elements.
-func (d *Decoder) Depth() int { return len(d.open) }
-
 // Decode restores one token. The result is tok itself for a text token,
 // and otherwise a view of the decoder's that is valid until the next call.
+// An end tag's name, elided or an alias, is dropped.
 func (d *Decoder) Decode(tok *xmltok.Encoded) (*xmltok.Encoded, error) {
 	var name []byte
 	var err error
@@ -138,13 +138,7 @@ func (d *Decoder) Decode(tok *xmltok.Encoded) (*xmltok.Encoded, error) {
 		if name, err = d.dict.Name(tok.Name()); err != nil {
 			return nil, err
 		}
-		d.open = append(d.open, name)
 	case xmltok.KindEnd:
-		if len(d.open) == 0 {
-			return nil, fmt.Errorf("compact: end tag with no open element")
-		}
-		name = d.open[len(d.open)-1]
-		d.open = d.open[:len(d.open)-1]
 	case xmltok.KindRunPtr:
 		if len(tok.Name()) > 0 {
 			if name, err = d.dict.Name(tok.Name()); err != nil {

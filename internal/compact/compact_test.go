@@ -59,12 +59,17 @@ func roundTrip(t *testing.T, enc *Encoder, dec *Decoder, tok *xmltok.Encoded) (c
 	return compacted, bytes.Clone(back.Bytes())
 }
 
+// TestEncodeDecodeStream: a compacted document restores to its own tokens,
+// except that end tags come out nameless, and an xmltok.Writer writes the
+// restored stream as the document.
 func TestEncodeDecodeStream(t *testing.T) {
-	doc := `<company><region name="NE"><branch name="Durham"/></region>text</company>`
+	doc := `<company><region name="NE"><branch name="Durham"></branch></region>text</company>`
 	p := xmltok.NewParser(strings.NewReader(doc), xmltok.DefaultParserOptions())
 	dict := NewDictionary()
 	enc := NewEncoder(dict)
 	dec := NewDecoder(dict)
+	var out strings.Builder
+	xw := xmltok.NewWriter(&out)
 	var compactBytes, plainBytes int
 	for {
 		tok, err := p.NextEncoded()
@@ -80,27 +85,35 @@ func TestEncodeDecodeStream(t *testing.T) {
 		compactBytes += len(compacted)
 		var ctok xmltok.Encoded
 		ctok.Scan(compacted)
-		if ctok.Kind() == xmltok.KindEnd && len(ctok.Name()) != 0 {
-			t.Error("end tag name not elided")
+		if ctok.Kind() == xmltok.KindEnd {
+			if len(ctok.Name()) != 0 {
+				t.Error("end tag name not elided")
+			}
+			orig = xmltok.AppendEndTag(nil, nil)
 		}
 		if !bytes.Equal(restored, orig) {
 			t.Errorf("round trip mismatch: got %x, want %x", restored, orig)
+		}
+		var back xmltok.Encoded
+		back.Scan(restored)
+		if err := xw.WriteEncoded(&back); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if compactBytes >= plainBytes {
 		t.Errorf("compaction grew the stream: %d >= %d", compactBytes, plainBytes)
 	}
-	if dec.Depth() != 0 {
-		t.Errorf("decoder left %d elements open", dec.Depth())
+	if err := xw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != doc {
+		t.Errorf("restored stream writes\n%s\nwant\n%s", out.String(), doc)
 	}
 }
 
 func TestDecoderErrors(t *testing.T) {
 	dict := NewDictionary()
 	dec := NewDecoder(dict)
-	if _, err := dec.Decode(view(xmltok.Token{Kind: xmltok.KindEnd})); err == nil {
-		t.Error("end with nothing open should fail")
-	}
 	if _, err := dec.Decode(view(xmltok.Token{Kind: xmltok.KindStart, Name: "9"})); err == nil {
 		t.Error("unknown alias should fail")
 	}
@@ -129,8 +142,28 @@ func TestRunPtrPassThrough(t *testing.T) {
 	}
 }
 
+// TestDecoderDropsEndTagNames: an end tag decodes nameless, with its key,
+// whether its name was elided or is an alias, as the key-path builder
+// writes a compacted start tag's end tag.
+func TestDecoderDropsEndTagNames(t *testing.T) {
+	dict := NewDictionary()
+	dict.Alias([]byte("a"))
+	dec := NewDecoder(dict)
+	want := xmltok.AppendToken(nil, xmltok.Token{Kind: xmltok.KindEnd, Key: "k", HasKey: true})
+	for _, name := range []string{"", "0"} {
+		got, err := dec.Decode(view(xmltok.Token{Kind: xmltok.KindEnd, Name: name, Key: "k", HasKey: true}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("end tag named %q decodes to %x, want %x", name, got.Bytes(), want)
+		}
+	}
+}
+
 // Property: encode/decode round-trips random well-formed streams, keys
-// included, and the decoder's stack stays balanced.
+// included, but for end-tag names, which an xmltok.Writer restores: it
+// writes the restored stream as it writes the original.
 func TestCompactQuick(t *testing.T) {
 	names := []string{"alpha", "beta-element", "g", "delta.longish_name"}
 	f := func(seed int64) bool {
@@ -138,6 +171,8 @@ func TestCompactQuick(t *testing.T) {
 		dict := NewDictionary()
 		enc := NewEncoder(dict)
 		dec := NewDecoder(dict)
+		var want, got strings.Builder
+		ww, gw := xmltok.NewWriter(&want), xmltok.NewWriter(&got)
 		var stack []string
 		steps := 5 + rng.Intn(60)
 		for i := 0; i < steps; i++ {
@@ -166,12 +201,19 @@ func TestCompactQuick(t *testing.T) {
 			if err != nil {
 				return false
 			}
+			restored := tok
+			if tok.Kind == xmltok.KindEnd {
+				restored.Name = ""
+			}
 			var d xmltok.Decoder
-			if got := d.Decode(back); !reflect.DeepEqual(got, tok) {
+			if !reflect.DeepEqual(d.Decode(back), restored) {
+				return false
+			}
+			if ww.WriteToken(tok) != nil || gw.WriteEncoded(back) != nil {
 				return false
 			}
 		}
-		return dec.Depth() == len(stack)
+		return got.String() == want.String()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

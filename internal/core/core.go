@@ -83,8 +83,9 @@ type Options struct {
 	// Compact enables the XML compaction techniques of Section 3.2 on the
 	// sorter's working structures: tag and attribute names are replaced
 	// by dictionary aliases and end-tag names are elided on the data
-	// stack and in sorted runs, then restored during the output phase —
-	// the setting the paper's own evaluation uses for both algorithms.
+	// stack (the default layout's runs hold none either way), then
+	// restored during the output phase — the setting the paper's own
+	// evaluation uses for both algorithms.
 	// Input and output documents are plain XML either way.
 	Compact bool
 	// PaperLayout selects the memory layout of Section 3.1, the one the

@@ -133,9 +133,9 @@ func (s *sorter) cutIncompleteRun(rec pathRec, ds int) (pathRec, error) {
 // deferMerge completes an element whose children were all cut into
 // incomplete runs, the last of them at its end tag, without merging them:
 // its start and end tags, the only bytes of it left on the data stack, go
-// to a run of their own, which the element collapses to a pointer to, as
-// to the run its merge would have written. The output phase merges the
-// runs when it reaches the pointer (outputSink.merge).
+// to a run of their own in the run format, which the element collapses to
+// a pointer to, as to the run its merge would have written. The output
+// phase merges the runs when it reaches the pointer (outputSink.merge).
 func (s *sorter) deferMerge(start int64, end []byte, ds int) (runstore.RunID, error) {
 	p, err := s.planSort(start, ds)
 	if err != nil {
@@ -154,7 +154,7 @@ func (s *sorter) deferMerge(start int64, end []byte, ds int) (runstore.RunID, er
 	}
 	err = w.Append(s.encBuf)
 	if err == nil {
-		err = w.Append(end)
+		err = w.Append(namelessEnd)
 	}
 	if cerr := w.Close(); err == nil {
 		err = cerr

@@ -14,7 +14,7 @@ import (
 
 // keyPathSortTokens runs a depth-aware key-path external merge sort over an
 // annotated token stream describing one subtree, read as views from r,
-// writing the sorted token stream to w. Start tags must carry keys:
+// handing the sorted token stream to write. Start tags must carry keys:
 // directly for start-resolvable criteria, or from the key sidecar, which
 // re-keys every start tag in preorder. relLimit > 0 bounds sorting to the
 // top relLimit levels: deeper elements degrade to the empty key, so the
@@ -22,7 +22,7 @@ import (
 //
 // leave is sortPlan.leave: the blocks the sort leaves free once its input
 // is spent, for the deferred merges its output leads to.
-func keyPathSortTokens(env *em.Env, r io.ByteReader, sidecar *keySidecar, relLimit, leave int, w tokenSink) error {
+func keyPathSortTokens(env *em.Env, r io.ByteReader, sidecar *keySidecar, relLimit, leave int, write func(*xmltok.Encoded) error) error {
 	sorter, err := extsort.NewKernel(env, em.CatSubtreeSort, sortkey.KeyPath(), env.Budget.Free())
 	if err != nil {
 		return err
@@ -86,7 +86,7 @@ func keyPathSortTokens(env *em.Env, r io.ByteReader, sidecar *keySidecar, relLim
 		return err
 	}
 	defer it.Close()
-	builder := keypath.NewBuilder(func(tok *xmltok.Encoded) error { return w.Append(tok.Bytes()) })
+	builder := keypath.NewBuilder(write)
 	for {
 		raw, err := it.Next()
 		if err == io.EOF {

@@ -17,12 +17,13 @@ import (
 const outLocSize = 16
 
 // outputPhase is lines 13-21 of Figure 4. Its blocks are the output
-// location stack, the output buffer and the one run reader the sink holds
-// open at a time. In the paper's layout the sink walks the run tree from
+// location stack, the output buffer and the one run reader the sink reads
+// with at a time. In the paper's layout the sink walks the run tree from
 // the root run. In the default layout the root is sorted into the sink,
 // which follows each run pointer and runs each deferred merge as it
 // arrives; the root's sort and those merges share what is left once those
-// three blocks are granted.
+// three blocks are granted, and the sink parks the readers of the runs it
+// leaves for a child run in what they leave free (outputSink.park).
 func (s *sorter) outputPhase(root *docRoot, out io.Writer) error {
 	budget := s.env.Budget
 
@@ -40,7 +41,7 @@ func (s *sorter) outputPhase(root *docRoot, out io.Writer) error {
 
 	cw := em.NewCountingWriter(out, s.env.Dev, em.CatOutput)
 	defer cw.Close()
-	sink := &outputSink{env: s.env, store: s.store, deferred: s.deferred, oStack: oStack}
+	sink := &outputSink{env: s.env, store: s.store, deferred: s.deferred, oStack: oStack, parks: !s.opts.PaperLayout}
 	if s.opts.Indent != "" {
 		sink.xw = xmltok.NewIndentWriter(cw, s.opts.Indent)
 	} else {
@@ -70,14 +71,21 @@ func (s *sorter) outputPhase(root *docRoot, out io.Writer) error {
 
 // outputSink is the output phase as a token sink: Append serializes a
 // token, a run pointer is followed into its run tree, and the pointer of a
-// deferred merge runs the merge into the sink. Its run readers are opened
-// under the one reader block outputPhase grants, one at a time.
+// deferred merge runs the merge into the sink. It reads under the one
+// reader block outputPhase grants, one run at a time; a parked reader
+// holds a block of its own.
 type outputSink struct {
 	env      *em.Env
 	store    *runstore.Store
 	deferred []deferredMerge
 	oStack   *xstack.RecordStack
-	xw       *xmltok.Writer
+	// parked holds, for each location follow pushed on oStack, the reader
+	// it left there if park kept it open, else nil; parks is set in the
+	// default layout, the only one that parks.
+	parked []*runstore.Reader
+	parks  bool
+	// xw restores each end tag's name from its open elements.
+	xw *xmltok.Writer
 	// With compaction, dec restores each token's names into new bytes
 	// before it is written.
 	dec *compact.Decoder
@@ -120,6 +128,8 @@ func (o *outputSink) Append(toks []byte) error {
 // reader block, which is free whenever a pointer reaches the sink, and its
 // incomplete runs are merged between them with every free block, where the
 // sink's reader block again serves the run pointers in the children. The
+// parked readers are closed first, so that the merge starts with the
+// blocks it would have had if none had been parked. The
 // rule at the end tag (sortingPhase) lets no deferred merge lead to
 // another, so merges never nest here, and the end tag waits in tags as the
 // root's waits in docRoot; the merges open at once are this one and at
@@ -128,6 +138,7 @@ func (o *outputSink) merge(id runstore.RunID, runs []*em.Stream) error {
 	if len(o.tags) > 0 {
 		return fmt.Errorf("core: deferred merge of run %d inside another", id)
 	}
+	o.unpark()
 	tags, err := o.store.OpenCat(id, nil, 0, em.CatRunRead)
 	if err != nil {
 		return err
@@ -171,7 +182,14 @@ func (o *outputSink) write(tok *xmltok.Encoded) error {
 // another (sortingPhase), so the calls nest at most follow, merge, follow,
 // under the root's sort, and the merges open at once are one deferred
 // merge of at least extsort.MinMemBlocks blocks and at most the root's.
-func (o *outputSink) follow(id runstore.RunID) error {
+// A failed follow closes every parked reader, so that its caller unwinds
+// with the blocks it had.
+func (o *outputSink) follow(id runstore.RunID) (err error) {
+	defer func() {
+		if err != nil {
+			o.unpark()
+		}
+	}()
 	base := o.oStack.Len()
 	cur, err := o.store.OpenCat(id, nil, 0, em.CatRunRead)
 	if err != nil {
@@ -210,7 +228,7 @@ func (o *outputSink) follow(id runstore.RunID) error {
 			cur.Close()
 			return err
 		}
-		cur.Close()
+		o.park(cur)
 		if runs, ok := findDeferred(o.deferred, next); ok {
 			if err := o.merge(next, runs); err != nil {
 				return err
@@ -227,13 +245,50 @@ func (o *outputSink) follow(id runstore.RunID) error {
 	}
 }
 
-// resume pops a location off the output location stack and reopens its
-// run there.
+// park leaves cur, whose location follow has just pushed, for a child run
+// or a deferred merge. In the default layout, when the budget grants it a
+// block, cur stays open with its current block resident, as a cache of
+// that location: once the child run is written, resume carries on with it
+// instead of reading the block again (the p(b) of Lemma 4.12). A merge
+// closes it first (unpark). Otherwise cur is closed, and resume reopens
+// the run at the location.
+func (o *outputSink) park(cur *runstore.Reader) {
+	if o.parks && o.env.Budget.Grant(1) == nil {
+		o.parked = append(o.parked, cur)
+		return
+	}
+	cur.Close()
+	o.parked = append(o.parked, nil)
+}
+
+// unpark closes every parked reader and returns its block, leaving its
+// location for resume to reopen.
+func (o *outputSink) unpark() {
+	for i, r := range o.parked {
+		if r != nil {
+			r.Close()
+			o.env.Budget.Release(1)
+			o.parked[i] = nil
+		}
+	}
+}
+
+// resume pops a location off the output location stack and goes on with
+// its run there: with the reader parked at it, which takes over the sink's
+// reader block that the child run's reader has given back, or else with
+// the run reopened there.
 func (o *outputSink) resume() (runstore.RunID, *runstore.Reader, error) {
 	if err := o.oStack.Pop(o.loc[:]); err != nil {
 		return 0, nil, err
 	}
 	id := runstore.RunID(binary.LittleEndian.Uint64(o.loc[0:]))
+	top := len(o.parked) - 1
+	cur := o.parked[top]
+	o.parked = o.parked[:top]
+	if cur != nil {
+		o.env.Budget.Release(1)
+		return id, cur, nil
+	}
 	off := int64(binary.LittleEndian.Uint64(o.loc[8:]))
 	cur, err := o.store.OpenCat(id, nil, off, em.CatRunRead)
 	return id, cur, err

@@ -75,13 +75,14 @@ func (s *sorter) grantWorker(n int) error {
 
 // takeTree returns a token tree for one in-memory sort, reusing one an
 // earlier sort returned, so that the tree's buffers are allocated once per
-// concurrent sort rather than once per subtree.
+// concurrent sort rather than once per subtree. It emits the layout's run
+// format.
 func (s *sorter) takeTree() *tokenTree {
 	s.par.mu.Lock()
 	defer s.par.mu.Unlock()
 	n := len(s.par.trees)
 	if n == 0 {
-		return new(tokenTree)
+		return &tokenTree{keyed: s.opts.PaperLayout}
 	}
 	t := s.par.trees[n-1]
 	s.par.trees = s.par.trees[:n-1]

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -95,6 +94,21 @@ type sorter struct {
 // memory budget and scratch device of env. The returned report carries the
 // cost breakdown of Section 4.2.
 func Sort(env *em.Env, in io.Reader, out io.Writer, opts Options) (*Report, error) {
+	s, err := newSorter(env, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.sortDocument(in, out); err != nil {
+		return nil, err
+	}
+	s.report.RunBlocks = s.store.TotalBlocks()
+	s.report.ScratchBlocks = env.Dev.Allocated()
+	s.report.IOs = env.Stats.Snapshot()
+	return s.report, nil
+}
+
+// newSorter validates opts and sets up one sort.
+func newSorter(env *em.Env, opts Options) (*sorter, error) {
 	crit, threshold, err := opts.validate(env)
 	if err != nil {
 		return nil, err
@@ -115,14 +129,7 @@ func Sort(env *em.Env, in io.Reader, out io.Writer, opts Options) (*Report, erro
 		s.enc = compact.NewEncoder(s.dict)
 	}
 	s.par.pool = env.Pool()
-
-	if err := s.sortDocument(in, out); err != nil {
-		return nil, err
-	}
-	s.report.RunBlocks = s.store.TotalBlocks()
-	s.report.ScratchBlocks = env.Dev.Allocated()
-	s.report.IOs = env.Stats.Snapshot()
-	return s.report, nil
+	return s, nil
 }
 
 // docRoot is what the sorting phase leaves the output phase. In the
@@ -133,7 +140,6 @@ func Sort(env *em.Env, in io.Reader, out io.Writer, opts Options) (*Report, erro
 type docRoot struct {
 	run   runstore.RunID // the root run; -1 when the root streams
 	start int64          // the root's data-stack start location
-	end   []byte         // the root's encoded end tag
 	leads bool           // as sorter.leads, for the root
 }
 
@@ -295,7 +301,7 @@ func (s *sorter) sortingPhase(in io.Reader) (root *docRoot, err error) {
 				// The root streams into the output phase, but only once
 				// the scan has ended: a second root element or text
 				// after this one must fail before any output is written.
-				root = &docRoot{run: -1, start: rec.start, end: bytes.Clone(end), leads: leads}
+				root = &docRoot{run: -1, start: rec.start, leads: leads}
 				continue
 			}
 			size := s.data.Size() - rec.start

@@ -100,7 +100,7 @@ func (s *sorter) sortSubtree(start int64, end []byte, ds int) (runstore.RunID, e
 	if err != nil {
 		return 0, err
 	}
-	err = s.sortInto(p, start, end, w)
+	err = s.sortInto(p, start, w)
 	if cerr := w.Close(); err == nil {
 		err = cerr
 	}
@@ -132,12 +132,11 @@ func (s *sorter) sortRoot(root *docRoot, sink tokenSink) error {
 			return err
 		}
 	}
-	return s.sortInto(p, root.start, root.end, sink)
+	return s.sortInto(p, root.start, sink)
 }
 
-// sortInto sorts the subtree at start, whose encoded end tag is end, along
-// plan p into w.
-func (s *sorter) sortInto(p sortPlan, start int64, end []byte, w tokenSink) (err error) {
+// sortInto sorts the subtree at start along plan p into w.
+func (s *sorter) sortInto(p sortPlan, start int64, w tokenSink) (err error) {
 	// In the default layout, a subtree that does not sort in place — one
 	// whose children were cut into incomplete runs, or one whose tags
 	// outgrow the window's slack — gets the sort area the paper's layout
@@ -163,7 +162,7 @@ func (s *sorter) sortInto(p sortPlan, start int64, end []byte, w tokenSink) (err
 	switch {
 	case len(p.incRuns) > 0:
 		s.report.MergedSubtrees++
-		return s.mergedSubtreeSort(start, end, p.incRuns, p.leave, w)
+		return s.mergedSubtreeSort(start, p.incRuns, p.leave, w)
 	case p.noSort:
 		s.report.UnsortedRuns++
 		return s.copySubtree(start, w)
@@ -202,14 +201,16 @@ func (s *sorter) collapseSubtree(start int64, end []byte, runID runstore.RunID) 
 	return runID, nil
 }
 
-// copySubtree writes the subtree's tokens to w verbatim (depth-limited
-// mode, subtree rooted exactly at level d+1).
+// copySubtree writes the subtree's tokens to w in document order, in the
+// layout's run format (depth-limited mode, subtree rooted exactly at level
+// d+1).
 func (s *sorter) copySubtree(start int64, w tokenSink) error {
 	reader, err := s.data.ReadRange(s.env.Budget, start)
 	if err != nil {
 		return err
 	}
 	defer reader.Close()
+	write := s.runTokens(w)
 	var dec xmltok.Decoder
 	for {
 		tok, err := dec.ReadEncoded(reader)
@@ -219,11 +220,41 @@ func (s *sorter) copySubtree(start int64, w tokenSink) error {
 		if err != nil {
 			return err
 		}
-		if err := w.Append(tok.Bytes()); err != nil {
+		if err := write(tok); err != nil {
 			return err
 		}
 	}
 }
+
+// runTokens returns a function that writes one data-stack token to w as
+// the layout's runs hold it: as it stands in the paper's layout, and in
+// the default layout as tokenTree.emit writes it (appendRunToken).
+func (s *sorter) runTokens(w tokenSink) func(*xmltok.Encoded) error {
+	if s.opts.PaperLayout {
+		return func(tok *xmltok.Encoded) error { return w.Append(tok.Bytes()) }
+	}
+	var buf []byte
+	return func(tok *xmltok.Encoded) error {
+		buf = appendRunToken(buf[:0], tok)
+		return w.Append(buf)
+	}
+}
+
+// appendRunToken appends tok in the default layout's run format: a start
+// tag or text without a key, an end tag without its name or key, and a run
+// pointer with its run ID alone.
+func appendRunToken(dst []byte, tok *xmltok.Encoded) []byte {
+	switch tok.Kind() {
+	case xmltok.KindEnd:
+		return xmltok.AppendEndTag(dst, nil)
+	case xmltok.KindRunPtr:
+		return xmltok.AppendBareRunPtr(dst, tok.Run())
+	}
+	return xmltok.AppendUnkeyed(dst, tok.Bytes()[:tok.HeadLen()])
+}
+
+// namelessEnd is the end tag of the default layout's run format.
+var namelessEnd = xmltok.AppendEndTag(nil, nil)
 
 // internalSubtreeSort is Line 11's common case: copy the subtree's tokens
 // into a token tree, sort it, and stream it into w. The tree's memory
@@ -292,17 +323,18 @@ func (s *sorter) externalSubtreeSort(start int64, relLimit, leave int, w tokenSi
 		return err
 	}
 	defer reader.Close()
-	return keyPathSortTokens(s.env, reader, sidecar, relLimit, leave, w)
+	return keyPathSortTokens(s.env, reader, sidecar, relLimit, leave, s.runTokens(w))
 }
 
 // mergedSubtreeSort completes a subtree whose children were all cut into
 // incomplete sorted runs by graceful degeneration, the last of them at its
 // end tag: only its start and end tags are left on the data stack. It
 // merges the runs into the element's sorted child list and writes that
-// between the two tags. The caller has lent it the data stack's window.
+// between the two tags, in the default layout's run format, the only one
+// that cuts. The caller has lent it the data stack's window.
 // leave is sortPlan.leave; a root that leads to deferred merges weighs its
 // merge's passes against theirs (rootLeave).
-func (s *sorter) mergedSubtreeSort(start int64, end []byte, incRuns []*em.Stream, leave int, w tokenSink) error {
+func (s *sorter) mergedSubtreeSort(start int64, incRuns []*em.Stream, leave int, w tokenSink) error {
 	// The start tag is read and its reader closed before the merger takes
 	// every free block.
 	if err := s.readStartTag(start); err != nil {
@@ -311,7 +343,7 @@ func (s *sorter) mergedSubtreeSort(start int64, end []byte, incRuns []*em.Stream
 	if leave > 0 {
 		leave = rootLeave(s.env.Budget.Free(), len(incRuns), s.deferred)
 	}
-	return mergeChildRecords(s.env, s.encBuf, end, incRuns, leave, w)
+	return mergeChildRecords(s.env, s.encBuf, namelessEnd, incRuns, leave, w)
 }
 
 // rootLeave is how many of the free blocks a merged root's merger, which
@@ -361,7 +393,9 @@ func mergePassesFor(runs, blocks int) (passes int) {
 	return passes
 }
 
-// readStartTag reads the start tag at start on the data stack into encBuf.
+// readStartTag reads the start tag at start on the data stack into encBuf,
+// in the default layout's run format: only graceful degeneration, which
+// the paper's layout never does, writes a start tag on its own.
 func (s *sorter) readStartTag(start int64) error {
 	reader, err := s.data.ReadRange(s.env.Budget, start)
 	if err != nil {
@@ -376,6 +410,6 @@ func (s *sorter) readStartTag(start int64) error {
 	if tok.Kind() != xmltok.KindStart {
 		return fmt.Errorf("core: merged subtree does not begin with a start tag")
 	}
-	s.encBuf = append(s.encBuf[:0], tok.Bytes()...)
+	s.encBuf = appendRunToken(s.encBuf[:0], tok)
 	return nil
 }

@@ -19,10 +19,10 @@ import (
 // reorders those segments; emission writes the tokens back out in the new
 // order. No token is decoded and no string is made.
 //
-// The emitted bytes are exactly what the reference — xmltree.FromTokens,
-// SortToDepth, EmitTokens, then xmltok.AppendToken — writes for the same
-// stream, so the runs, and with them the I/O ledger, do not depend on which
-// of the two sorted:
+// With keyed set, which the paper's layout sets, the emitted bytes are
+// exactly what the reference — xmltree.FromTokens, SortToDepth, EmitTokens,
+// then xmltok.AppendToken — writes for the same stream, so the runs, and
+// with them the I/O ledger, do not depend on which of the two sorted:
 //
 //   - an element's key comes from its end tag when that has one, else from
 //     its start tag (xmltree.FromFirst); a run pointer keeps its own key;
@@ -33,6 +33,12 @@ import (
 //     dropped, and its end tag is the key-less end tag built from the start
 //     tag's name; text is copied, and each run pointer is re-keyed with its
 //     own key.
+//
+// Without it, the default layout's run format, the bytes are the
+// reference's with what no reader of a run needs dropped: every start tag
+// without its key, every end tag without its name, and every run pointer
+// with its run ID alone. The output phase compares nothing in a run, and
+// xmltok.Writer restores each end tag's name from its open elements.
 //
 // The buffer and the index stand where the xmltree's grant stood: the
 // budget models them at the subtree's encoded size. A tree is reused across
@@ -47,6 +53,9 @@ type tokenTree struct {
 	sorting []kidPrefix // one child list being sorted
 	scratch []byte      // one re-encoded token being emitted
 	record  recordSink  // the child record being emitted, held here so it is not allocated per record
+
+	// keyed selects the paper layout's run format for emit.
+	keyed bool
 }
 
 // treeNode is one indexed node: what index found in its token, as offsets
@@ -255,7 +264,16 @@ func (t *tokenTree) emit(i int32, w tokenSink) error {
 		// bytes are already AppendToken's.
 		return w.Append(t.buf[nd.off:nd.end])
 	}
-	t.scratch = xmltok.AppendRekeyed(t.scratch[:0], t.buf[nd.off:nd.head], t.bytes(nd.key))
+	head := t.buf[nd.off:nd.head]
+	switch {
+	case t.keyed:
+		t.scratch = xmltok.AppendRekeyed(t.scratch[:0], head, t.bytes(nd.key))
+	case nd.kind == xmltok.KindRunPtr:
+		run, _ := binary.Uvarint(head[1:])
+		t.scratch = xmltok.AppendBareRunPtr(t.scratch[:0], int64(run))
+	default:
+		t.scratch = xmltok.AppendUnkeyed(t.scratch[:0], head)
+	}
 	if err := w.Append(t.scratch); err != nil || nd.kind == xmltok.KindRunPtr {
 		return err
 	}
@@ -264,7 +282,11 @@ func (t *tokenTree) emit(i int32, w tokenSink) error {
 			return err
 		}
 	}
-	t.scratch = xmltok.AppendEndTag(t.scratch[:0], t.bytes(t.nodes[i].name))
+	var name []byte
+	if t.keyed {
+		name = t.bytes(t.nodes[i].name)
+	}
+	t.scratch = xmltok.AppendEndTag(t.scratch[:0], name)
 	return w.Append(t.scratch)
 }
 

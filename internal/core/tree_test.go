@@ -150,11 +150,20 @@ func (s *sliceSource) Next() (xmltok.Token, error) {
 	return tok, nil
 }
 
-// referenceBytes encodes a tree as xmltree emits it.
-func referenceBytes(t *testing.T, n *xmltree.Node) []byte {
+// referenceBytes encodes a tree as xmltree emits it: as it stands for the
+// paper layout's run format (keyed), and for the default layout's without
+// what that drops: every key, and the name of every end tag and run
+// pointer.
+func referenceBytes(t *testing.T, n *xmltree.Node, keyed bool) []byte {
 	t.Helper()
 	var out []byte
 	err := n.EmitTokens(func(tok xmltok.Token) error {
+		if !keyed {
+			tok.HasKey, tok.Key = false, ""
+			if tok.Kind == xmltok.KindEnd || tok.Kind == xmltok.KindRunPtr {
+				tok.Name = ""
+			}
+		}
 		out = xmltok.AppendToken(out, tok)
 		return nil
 	})
@@ -167,7 +176,8 @@ func referenceBytes(t *testing.T, n *xmltree.Node) []byte {
 // TestTokenTreeMatchesXMLTree is the encoded sorter's property against the
 // reference: for every subtree stream of generated documents and every
 // depth limit relLimit in {0, 1, 2, 3}, the sorted bytes must equal
-// xmltree.FromTokens, SortToDepth(relLimit), EmitTokens and AppendToken.
+// xmltree.FromTokens, SortToDepth(relLimit), EmitTokens and AppendToken,
+// in both run formats.
 func TestTokenTreeMatchesXMLTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	var tree tokenTree
@@ -181,15 +191,17 @@ func TestTokenTreeMatchesXMLTree(t *testing.T) {
 						t.Fatal(err)
 					}
 					ref.SortToDepth(relLimit)
-					want := referenceBytes(t, ref)
-
-					var got recordSink
-					if err := sortBytes(&tree, sub, relLimit, &got); err != nil {
-						t.Fatalf("%s relLimit %d: %v", c.name, relLimit, err)
-					}
-					if !bytes.Equal(got.b, want) {
-						t.Fatalf("%s relLimit %d: sorted bytes differ from the reference\n got %x\nwant %x\n  in %x",
-							c.name, relLimit, got.b, want, sub)
+					for _, keyed := range []bool{true, false} {
+						want := referenceBytes(t, ref, keyed)
+						tree.keyed = keyed
+						var got recordSink
+						if err := sortBytes(&tree, sub, relLimit, &got); err != nil {
+							t.Fatalf("%s relLimit %d: %v", c.name, relLimit, err)
+						}
+						if !bytes.Equal(got.b, want) {
+							t.Fatalf("%s relLimit %d keyed %v: sorted bytes differ from the reference\n got %x\nwant %x\n  in %x",
+								c.name, relLimit, keyed, got.b, want, sub)
+						}
 					}
 				}
 			}
@@ -200,9 +212,9 @@ func TestTokenTreeMatchesXMLTree(t *testing.T) {
 // TestTokenTreeChildRecords checks degeneration's use of the sorter: the
 // children of each element, indexed as a sibling list at level 2 of the
 // element's frame, must each give a record that is its (key, seq) header
-// followed by the reference's bytes for that child interior-sorted — or,
-// below the depth limit, the child with the empty key and its interior
-// untouched.
+// followed by the reference's bytes for that child interior-sorted, in the
+// default layout's run format — or, below the depth limit, the child with
+// the empty key and its interior untouched.
 func TestTokenTreeChildRecords(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	var tree tokenTree
@@ -249,7 +261,7 @@ func TestTokenTreeChildRecords(t *testing.T) {
 						want := binary.AppendUvarint(nil, uint64(len(ref.Key)))
 						want = append(want, ref.Key...)
 						want = binary.AppendUvarint(want, uint64(seq))
-						want = append(want, referenceBytes(t, ref)...)
+						want = append(want, referenceBytes(t, ref, false)...)
 						got, err := appendChildRecord(nil, &tree, child, seq)
 						if err != nil {
 							t.Fatal(err)
@@ -268,7 +280,8 @@ func TestTokenTreeChildRecords(t *testing.T) {
 }
 
 // TestTokenTreeRejectsMalformed: the sorter keeps xmltree's structural
-// checks. Elided end-tag names (compaction) match any start tag.
+// checks. Elided end-tag names (compaction) match any start tag, and come
+// out named in the paper layout's run format.
 func TestTokenTreeRejectsMalformed(t *testing.T) {
 	enc := func(toks ...xmltok.Token) []byte {
 		var b []byte
@@ -290,7 +303,7 @@ func TestTokenTreeRejectsMalformed(t *testing.T) {
 		"two roots":          enc(start("a"), end("a"), start("b"), end("b")),
 		"corrupt token":      append(enc(start("a")), 0x7f),
 	}
-	var tree tokenTree
+	tree := tokenTree{keyed: true}
 	for name, in := range cases {
 		err := sortBytes(&tree, in, 0, &recordSink{})
 		if err == nil {

@@ -81,6 +81,41 @@ func TestChecksumDetectsBitRot(t *testing.T) {
 	}
 }
 
+// TestChecksumFailedReadsReleaseTheirFrame: a read whose inner read fails
+// and a read of a block with a bad CRC each return their error and give
+// back the physical-record frame they took from the backend's scratch pool.
+func TestChecksumFailedReadsReleaseTheirFrame(t *testing.T) {
+	inner := NewFaultBackend(NewMemBackend())
+	cb := NewChecksumBackend(inner, hbs, nil)
+	if _, err := cb.WriteAtCat(fillBlock(3), 0, CatRunRead); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, hbs)
+	failed := errors.New("injected read failure")
+	inner.FailReadAfter(1, failed)
+	if _, err := cb.ReadAtCat(got, 0, CatRunRead); !errors.Is(err, failed) {
+		t.Errorf("read with a failing inner read: error %v, want %v", err, failed)
+	}
+	if live := cb.scratch.Live(); live != 0 {
+		t.Errorf("a failed inner read left %d scratch frames live", live)
+	}
+	// Flip a bit of the stored CRC.
+	var b [1]byte
+	if _, err := inner.ReadAt(b[:], hbs); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x01
+	if _, err := inner.WriteAt(b[:], hbs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cb.ReadAtCat(got, 0, CatRunRead); !errors.Is(err, ErrCorruptBlock) {
+		t.Errorf("read of a bad CRC: error %v, want ErrCorruptBlock", err)
+	}
+	if live := cb.scratch.Live(); live != 0 {
+		t.Errorf("a bad CRC left %d scratch frames live", live)
+	}
+}
+
 func TestChecksumDetectsTornWrite(t *testing.T) {
 	inner := NewMemBackend()
 	cb := NewChecksumBackend(inner, hbs, nil)

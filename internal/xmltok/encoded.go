@@ -148,10 +148,27 @@ func AppendRekeyed(dst, head, key []byte) []byte {
 	return appendString(append(dst, head[1:]...), key)
 }
 
+// AppendUnkeyed is AppendRekeyed's key-less sibling: it appends the token
+// whose bytes before its key are head, as HeadLen measures them, without a
+// key. For a start tag that AppendToken wrote, the bytes are AppendToken's
+// for the tag with HasKey cleared.
+func AppendUnkeyed(dst, head []byte) []byte {
+	return append(append(dst, head[0]&kindMask), head[1:]...)
+}
+
 // AppendEndTag appends the key-less end tag named name: the bytes
-// AppendToken writes for Token{Kind: KindEnd, Name: name}.
+// AppendToken writes for Token{Kind: KindEnd, Name: name}. An empty name
+// gives the nameless end tag, which Writer writes under the name of the
+// element it closes.
 func AppendEndTag(dst, name []byte) []byte {
 	return appendString(append(dst, byte(KindEnd)), name)
+}
+
+// AppendBareRunPtr appends the run pointer to run with an empty name and
+// no key: the bytes AppendToken writes for Token{Kind: KindRunPtr, Run:
+// run}.
+func AppendBareRunPtr(dst []byte, run int64) []byte {
+	return append(binary.AppendUvarint(append(dst, byte(KindRunPtr)), uint64(run)), 0)
 }
 
 // Rekey appends tok re-keyed to dst, as AppendWithKey does, makes e a view

@@ -6,14 +6,20 @@ import (
 )
 
 // Writer serializes a token stream back into a textual XML document. It
-// tracks nesting so that optional indentation is correct, and escapes text
-// and attribute values so that Parse(Write(tokens)) round-trips. Each token
-// is built in one reusable buffer and handed to the underlying writer in a
-// single Write.
+// keeps the names of the open elements, so that optional indentation is
+// correct and an end tag without a name is written with its start tag's:
+// Section 3.2's end-tag elimination, which NEXSORT's runs and the
+// compaction codec use, is undone here, by the output's one O(height)
+// stack of open names. It escapes text and attribute values so that
+// Parse(Write(tokens)) round-trips. Each token is built in one reusable
+// buffer and handed to the underlying writer in a single Write.
 type Writer struct {
 	w      io.Writer
 	indent string // per-level indentation; empty means compact output
-	depth  int
+	// open holds the names of the open elements back to back; opens[i] is
+	// where the name of the element at depth i+1 begins.
+	open  []byte
+	opens []int
 	// lastWasStart tracks whether the previous token opened an element,
 	// so indented output can collapse <a>text</a> onto one line.
 	lastKind  Kind
@@ -78,15 +84,17 @@ func (w *Writer) WriteToken(t Token) error {
 
 // WriteEncoded appends one encoded token to the document, taking names,
 // attribute values and text straight from its bytes; ordering keys are
-// ignored. Run pointers are rejected, as by WriteToken.
+// ignored. An end tag with an empty name closes the innermost open element
+// under that element's name. Run pointers are rejected, as by WriteToken.
 func (w *Writer) WriteEncoded(e *Encoded) error {
 	if w.err != nil {
 		return w.err
 	}
 	b := w.buf[:0]
+	depth := len(w.opens)
 	switch e.Kind() {
 	case KindStart:
-		b = w.appendNewlineIndent(b, w.depth)
+		b = w.appendNewlineIndent(b, depth)
 		b = append(b, '<')
 		b = append(b, e.Name()...)
 		c := e.attrCursor()
@@ -98,20 +106,27 @@ func (w *Writer) WriteEncoded(e *Encoded) error {
 			b = append(b, '"')
 		}
 		b = append(b, '>')
-		w.depth++
+		w.opens = append(w.opens, len(w.open))
+		w.open = append(w.open, e.Name()...)
 	case KindEnd:
-		w.depth--
-		if w.depth < 0 {
+		if depth == 0 {
 			return fmt.Errorf("xmltok: end tag </%s> with no open element", e.Name())
 		}
+		depth--
 		// Keep </a> on the same line when the element contained only
 		// text (or nothing).
 		if w.lastKind != KindStart && !w.textInRow {
-			b = w.appendNewlineIndent(b, w.depth)
+			b = w.appendNewlineIndent(b, depth)
+		}
+		name := e.Name()
+		if len(name) == 0 {
+			name = w.open[w.opens[depth]:]
 		}
 		b = append(b, '<', '/')
-		b = append(b, e.Name()...)
+		b = append(b, name...)
 		b = append(b, '>')
+		w.open = w.open[:w.opens[depth]]
+		w.opens = w.opens[:depth]
 	case KindText:
 		b = appendEscaped(b, e.Text(), false)
 	default:
@@ -130,8 +145,8 @@ func (w *Writer) Close() error {
 	if w.err != nil {
 		return w.err
 	}
-	if w.depth != 0 {
-		return fmt.Errorf("xmltok: document closed with %d open elements", w.depth)
+	if len(w.opens) != 0 {
+		return fmt.Errorf("xmltok: document closed with %d open elements", len(w.opens))
 	}
 	if w.indent != "" && w.wroteAny {
 		w.flush(append(w.buf[:0], '\n'))

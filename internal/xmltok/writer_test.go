@@ -58,6 +58,38 @@ func TestWriterIndent(t *testing.T) {
 	}
 }
 
+// TestWriterRestoresEndTagNames: an end tag without a name is written
+// under the name of the element it closes; a named one as it is.
+func TestWriterRestoresEndTagNames(t *testing.T) {
+	for _, indent := range []string{"", "  "} {
+		var buf bytes.Buffer
+		w := NewIndentWriter(&buf, indent)
+		for _, tok := range []Token{
+			{Kind: KindStart, Name: "a"},
+			{Kind: KindStart, Name: "bb"},
+			{Kind: KindText, Text: "x"},
+			{Kind: KindEnd},
+			{Kind: KindStart, Name: "c"},
+			{Kind: KindEnd, Name: "c"},
+			{Kind: KindEnd},
+		} {
+			if err := w.WriteToken(tok); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		want := "<a><bb>x</bb><c></c></a>"
+		if indent != "" {
+			want = "<a>\n  <bb>x</bb>\n  <c></c>\n</a>\n"
+		}
+		if buf.String() != want {
+			t.Errorf("indent %q: wrote %q, want %q", indent, buf.String(), want)
+		}
+	}
+}
+
 func TestWriterErrors(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
