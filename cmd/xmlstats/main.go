@@ -54,9 +54,6 @@ func main() {
 		}
 	}
 
-	if d.Elements == 0 || d.AvgElementBytes == 0 {
-		return
-	}
 	b := int64(float64(*blockSize) / d.AvgElementBytes) // elements per block
 	if b < 1 {
 		b = 1

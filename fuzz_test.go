@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"nexsort"
+	"nexsort/internal/merge"
+	"nexsort/internal/xmltree"
 )
 
 // maxFuzzDoc caps FuzzSortAgrees' documents.
@@ -186,4 +188,67 @@ func TestSortAgreesSeeds(t *testing.T) {
 	if !cuts || !deferred || !nested {
 		t.Errorf("the seeds reach cuts %v, deferred merges %v, a nested run tree %v", cuts, deferred, nested)
 	}
+}
+
+// mergeSeeds seed FuzzMergeAgrees' corpus: pairs of documents whose roots
+// match, with matched, unmatched and duplicate keys at several levels,
+// text, unkeyed children, empty keys, keys equal only in their first 8
+// bytes (the criteria's cap) and attributes on both sides, some repeated;
+// and a pair whose roots do not match.
+var mergeSeeds = [][2]string{
+	{`<r><a k="1" x="l"><b k="2">t</b><b k="2"/>u</a><a k="3"/><c/></r>`,
+		`<r><a k="1" x="r" y="r"><b k="2"><d k="9"/></b><b k="5"/></a><a k="0"/>v<c/></r>`},
+	{`<r><a k="2"/><a k="1"><a k="1"/></a></r>`, `<r><a k="1"><a k="1"/><a k="1"/></a><b k="1"/></r>`},
+	{`<r k="x"><a k="1"/></r>`, `<r k="y"><a k="1"/></r>`},
+	{`<r>text<a k="1">x</a></r>`, `<r><a k="1">y</a>more</r>`},
+	{`<r><a k="1" x="1" x="2"/><a k=""/><a/></r>`, `<r><a k="1" x="3" x="4"/><a k=""/><a/></r>`},
+	{`<r><a k="abcdefgh1"/><a k="abcdefgh2"><![CDATA[x]]></a></r>`, `<r><a k="abcdefgh3">&amp;</a></r>`},
+}
+
+// FuzzMergeAgrees merges two documents, each sorted by NEXSORT under a
+// start-resolvable criterion, with Merge, and with merge.NestedLoop over
+// the two documents as parsed, sorted afterwards, as TestMergeQuick
+// compares them: both succeed and write the same bytes, or both fail. A
+// document that does not sort is skipped: FuzzSortAgrees covers it.
+func FuzzMergeAgrees(f *testing.F) {
+	for _, pair := range mergeSeeds {
+		for which := range 4 {
+			f.Add([]byte(pair[0]), []byte(pair[1]), uint8(which))
+		}
+	}
+	f.Fuzz(func(t *testing.T, left, right []byte, which uint8) {
+		if len(left) > maxFuzzDoc || len(right) > maxFuzzDoc {
+			return
+		}
+		// Merge takes start-resolvable criteria only: the attribute and
+		// tag orderings.
+		c := fuzzCriteria[which%2]
+		opts := nexsort.MergeOptions{PreferRight: which&2 != 0}
+		var sorted [2]bytes.Buffer
+		var trees [2]*xmltree.Node
+		for i, doc := range [][]byte{left, right} {
+			if _, err := nexsort.Sort(bytes.NewReader(doc), &sorted[i], fuzzConfig(c.crit, 1),
+				nexsort.Options{Criterion: c.crit}); err != nil {
+				return
+			}
+			tree, err := xmltree.Parse(bytes.NewReader(doc))
+			if err != nil {
+				t.Fatalf("%s: the document sorts, but does not parse: %v", c.name, err)
+			}
+			trees[i] = tree
+		}
+		var merged bytes.Buffer
+		_, mergeErr := nexsort.Merge(&sorted[0], &sorted[1], c.crit, &merged, opts)
+		naive, naiveErr := merge.NestedLoop(trees[0], trees[1], c.crit, opts)
+		if (mergeErr == nil) != (naiveErr == nil) {
+			t.Fatalf("%s, %+v: Merge %v, NestedLoop %v", c.name, opts, mergeErr, naiveErr)
+		}
+		if mergeErr != nil {
+			return
+		}
+		naive.SortRecursive()
+		if want := naive.XMLString(); merged.String() != want {
+			t.Fatalf("%s, %+v: Merge writes\n%s\nNestedLoop, sorted, writes\n%s", c.name, opts, merged.String(), want)
+		}
+	})
 }

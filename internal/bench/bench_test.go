@@ -59,7 +59,7 @@ func TestBothAlgosAgreeOnElements(t *testing.T) {
 }
 
 func TestFig5Shape(t *testing.T) {
-	rows, w, err := Fig5(Fig5Config{Scale: 0.2, ScratchDir: "", MemBlocks: []int{24, 48, 256}})
+	rows, w, err := Fig5(Fig5Config{Scale: 0.2, ScratchDir: t.TempDir(), MemBlocks: []int{24, 48, 256}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -253,6 +253,17 @@ func TestBadUsageExitCodes(t *testing.T) {
 	}
 }
 
+// TestNoRootElementFails: empty input has no root element, which xmlcheck
+// and xmlstats report as the input error it is, as the sorters do.
+func TestNoRootElementFails(t *testing.T) {
+	if _, stderr, code := run(t, "xmlcheck", "", "-by", "@key"); code != 2 || !strings.Contains(stderr, "no root element") {
+		t.Errorf("xmlcheck on empty stdin: exit %d, stderr %q", code, stderr)
+	}
+	if _, stderr, code := run(t, "xmlstats", ""); code == 0 || !strings.Contains(stderr, "no root element") {
+		t.Errorf("xmlstats on empty stdin: exit %d, stderr %q", code, stderr)
+	}
+}
+
 func TestNexbenchTable1(t *testing.T) {
 	out, stderr, code := run(t, "nexbench", "", "-exp", "table1")
 	if code != 0 {

@@ -334,9 +334,6 @@ func (s *sorter) sortingPhase(in io.Reader) (root *docRoot, err error) {
 	}
 	cr.Finish()
 	s.report.InputBytes = cr.BytesRead()
-	if root == nil {
-		return nil, fmt.Errorf("core: input document has no root element")
-	}
 	return root, nil
 }
 

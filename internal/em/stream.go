@@ -157,41 +157,30 @@ func (w *StreamWriter) Close() error {
 	return nil
 }
 
-// StreamReader reads a sealed Stream sequentially from a byte offset,
-// holding one block of the stream in memory at a time. Re-opening a reader
-// mid-stream re-reads the containing block, which is exactly the 1+p(b)
-// block-access pattern accounted for in Lemma 4.12.
-type StreamReader struct {
-	s      *Stream
-	cat    Category
+// BlockReader reads a sequence of blocks sequentially from a byte offset,
+// holding one block of it in memory at a time: a sealed Stream's blocks,
+// or a range of a data stack's. Re-opening a reader mid-sequence re-reads
+// the containing block, which is exactly the 1+p(b) block-access pattern
+// accounted for in Lemma 4.12.
+type BlockReader struct {
+	fetch  func(i int, dst []byte) error
+	frames *FramePool
 	budget *Budget
 	frame  Frame
 	buf    []byte
 	cur    int // index of the block currently in buf, -1 if none
 	pos    int64
-	size   int64 // the stream's size when the reader was opened
+	size   int64 // the sequence's length in bytes
 	closed bool
 }
 
-// NewReader opens the stream for reading starting at byte offset off,
-// charging reads to the stream's own category. One block of main memory is
-// granted from budget (nil to skip budgeting).
-func (s *Stream) NewReader(budget *Budget, off int64) (*StreamReader, error) {
-	return s.NewReaderCat(budget, off, s.cat)
-}
-
-// NewReaderCat is NewReader with reads charged to an explicit category.
-// NEXSORT writes sorted runs during the sorting phase (charged as subtree
-// sorting, Lemma 4.9) but reads them back during the output phase (charged
-// as run reads, Lemma 4.12), so the read category differs from the write
-// category on the same stream.
-func (s *Stream) NewReaderCat(budget *Budget, off int64, cat Category) (*StreamReader, error) {
-	s.mu.Lock()
-	sealed, size := s.sealed, s.size
-	s.mu.Unlock()
-	if !sealed {
-		return nil, fmt.Errorf("em: stream not sealed for reading")
-	}
+// NewBlockReader opens a reader over the first size bytes of a block
+// sequence, starting at byte offset off. fetch copies block i of the
+// sequence into dst, a frame from frames, and charges it as its source
+// does; the reader calls it whenever the read position enters a block
+// other than the one it holds. One block of main memory is granted from
+// budget (nil to skip budgeting) until Close.
+func NewBlockReader(frames *FramePool, budget *Budget, size, off int64, fetch func(i int, dst []byte) error) (*BlockReader, error) {
 	if off < 0 || off > size {
 		return nil, fmt.Errorf("em: read offset %d out of range [0,%d]", off, size)
 	}
@@ -200,19 +189,47 @@ func (s *Stream) NewReaderCat(budget *Budget, off int64, cat Category) (*StreamR
 			return nil, err
 		}
 	}
-	frame := s.dev.Frames().Acquire()
-	return &StreamReader{s: s, cat: cat, budget: budget, frame: frame, buf: frame.Bytes(), cur: -1, pos: off, size: size}, nil
+	frame := frames.Acquire()
+	return &BlockReader{fetch: fetch, frames: frames, budget: budget, frame: frame, buf: frame.Bytes(), cur: -1, pos: off, size: size}, nil
+}
+
+// NewReader opens the stream for reading starting at byte offset off,
+// charging reads to the stream's own category. One block of main memory is
+// granted from budget (nil to skip budgeting).
+func (s *Stream) NewReader(budget *Budget, off int64) (*BlockReader, error) {
+	return s.NewReaderCat(budget, off, s.cat)
+}
+
+// NewReaderCat is NewReader with reads charged to an explicit category.
+// NEXSORT writes sorted runs during the sorting phase (charged as subtree
+// sorting, Lemma 4.9) but reads them back during the output phase (charged
+// as run reads, Lemma 4.12), so the read category differs from the write
+// category on the same stream.
+func (s *Stream) NewReaderCat(budget *Budget, off int64, cat Category) (*BlockReader, error) {
+	s.mu.Lock()
+	sealed, size := s.sealed, s.size
+	s.mu.Unlock()
+	if !sealed {
+		return nil, fmt.Errorf("em: stream not sealed for reading")
+	}
+	return NewBlockReader(s.dev.Frames(), budget, size, off, func(i int, dst []byte) error {
+		id, err := s.blockID(i)
+		if err != nil {
+			return err
+		}
+		return s.dev.ReadBlock(cat, id, dst)
+	})
 }
 
 // Offset returns the byte offset of the next read.
-func (r *StreamReader) Offset() int64 { return r.pos }
+func (r *BlockReader) Offset() int64 { return r.pos }
 
 // Window returns the unread bytes of the block holding the read position,
 // entering (and charging) that block first if it is not resident
-// (xmltok.WindowReader). It returns io.EOF at the end of the stream.
-func (r *StreamReader) Window() ([]byte, error) {
+// (xmltok.WindowReader). It returns io.EOF at the end of the sequence.
+func (r *BlockReader) Window() ([]byte, error) {
 	if r.closed {
-		return nil, fmt.Errorf("em: read from closed StreamReader")
+		return nil, fmt.Errorf("em: read from closed BlockReader")
 	}
 	if r.pos >= r.size {
 		return nil, io.EOF
@@ -220,18 +237,19 @@ func (r *StreamReader) Window() ([]byte, error) {
 	bs := int64(len(r.buf))
 	blk := int(r.pos / bs)
 	if blk != r.cur {
-		if err := r.enterBlock(blk); err != nil {
+		if err := r.fetch(blk, r.buf); err != nil {
 			return nil, err
 		}
+		r.cur = blk
 	}
 	return r.buf[r.pos%bs : min(bs, r.size-int64(blk)*bs)], nil
 }
 
 // Advance consumes the first n bytes of the window.
-func (r *StreamReader) Advance(n int) { r.pos += int64(n) }
+func (r *BlockReader) Advance(n int) { r.pos += int64(n) }
 
-// Read implements io.Reader, returning io.EOF at the end of the stream.
-func (r *StreamReader) Read(p []byte) (int, error) {
+// Read implements io.Reader, returning io.EOF at the end of the sequence.
+func (r *BlockReader) Read(p []byte) (int, error) {
 	w, err := r.Window()
 	if err != nil {
 		return 0, err
@@ -241,21 +259,8 @@ func (r *StreamReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// enterBlock reads blk into the buffer and makes it the resident block.
-func (r *StreamReader) enterBlock(blk int) error {
-	id, err := r.s.blockID(blk)
-	if err != nil {
-		return err
-	}
-	if err := r.s.dev.ReadBlock(r.cat, id, r.buf); err != nil {
-		return err
-	}
-	r.cur = blk
-	return nil
-}
-
 // ReadByte implements io.ByteReader.
-func (r *StreamReader) ReadByte() (byte, error) {
+func (r *BlockReader) ReadByte() (byte, error) {
 	w, err := r.Window()
 	if err != nil {
 		return 0, err
@@ -265,12 +270,12 @@ func (r *StreamReader) ReadByte() (byte, error) {
 }
 
 // Close recycles the buffer frame and releases its grant.
-func (r *StreamReader) Close() error {
+func (r *BlockReader) Close() error {
 	if r.closed {
 		return nil
 	}
 	r.closed = true
-	r.s.dev.Frames().Release(r.frame)
+	r.frames.Release(r.frame)
 	r.buf = nil
 	if r.budget != nil {
 		r.budget.Release(1)

@@ -674,7 +674,7 @@ func (w *RunWriter) Close() error { return w.w.Close() }
 // buffers in turn, so a record stays valid until the call after next: the
 // merge reads each record's LCP against the one before it.
 type runReader struct {
-	src       *em.StreamReader
+	src       *em.BlockReader
 	size      int64 // the run's length in bytes
 	buf, prev []byte
 }

@@ -172,9 +172,6 @@ func SortXML(env *em.Env, c *keys.Criterion, in io.Reader, out io.Writer, opts X
 	}
 	cr.Finish()
 	report.InputBytes = cr.BytesRead()
-	if report.Elements == 0 {
-		return nil, fmt.Errorf("extsort: input document has no root element")
-	}
 
 	sort := sorter.SortStream
 	if opts.PaperLayout {

@@ -87,11 +87,11 @@ func Documents(left, right io.Reader, c *keys.Criterion, out io.Writer, opts Opt
 	m := &merger{w: w, opts: opts, rep: rep}
 	ltok, err := ls.peek()
 	if err != nil {
-		return nil, fmt.Errorf("merge: left document: %w", eofIsEmpty(err))
+		return nil, fmt.Errorf("merge: left document: %w", err)
 	}
 	rtok, err := rs.peek()
 	if err != nil {
-		return nil, fmt.Errorf("merge: right document: %w", eofIsEmpty(err))
+		return nil, fmt.Errorf("merge: right document: %w", err)
 	}
 	if ltok.Kind != xmltok.KindStart || rtok.Kind != xmltok.KindStart ||
 		ltok.Name != rtok.Name || ltok.Key != rtok.Key {
@@ -108,13 +108,6 @@ func Documents(left, right io.Reader, c *keys.Criterion, out io.Writer, opts Opt
 		return nil, err
 	}
 	return rep, nil
-}
-
-func eofIsEmpty(err error) error {
-	if err == io.EOF {
-		return fmt.Errorf("document is empty")
-	}
-	return err
 }
 
 // tokStream is a token stream with one-token lookahead: either a live

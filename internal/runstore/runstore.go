@@ -50,15 +50,6 @@ func (s *Store) TotalBlocks() int {
 	return total
 }
 
-// Size returns the byte size of run id.
-func (s *Store) Size(id RunID) (int64, error) {
-	run, err := s.run(id)
-	if err != nil {
-		return 0, err
-	}
-	return run.Size(), nil
-}
-
 func (s *Store) run(id RunID) (*em.Stream, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -131,7 +122,7 @@ func (w *Writer) Close() error { return w.w.Close() }
 // Reader streams tokens out of a run as views, holding one token decoder
 // for the whole run.
 type Reader struct {
-	sr  *em.StreamReader
+	sr  *em.BlockReader
 	dec xmltok.Decoder
 }
 

@@ -2,9 +2,9 @@ package xmltok
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
-	"slices"
 )
 
 // Binary token codec.
@@ -62,65 +62,27 @@ func AppendToken(dst []byte, t Token) []byte {
 	return dst
 }
 
-// EncodedSize returns the number of bytes AppendToken would add for t.
-func EncodedSize(t Token) int {
-	n := 1
-	switch t.Kind {
-	case KindStart:
-		n += stringSize(t.Name) + uvarintSize(uint64(len(t.Attrs)))
-		for _, a := range t.Attrs {
-			n += stringSize(a.Name) + stringSize(a.Value)
-		}
-	case KindEnd:
-		n += stringSize(t.Name)
-	case KindText:
-		n += stringSize(t.Text)
-	case KindRunPtr:
-		n += uvarintSize(uint64(t.Run)) + stringSize(t.Name)
-	}
-	if t.HasKey {
-		n += stringSize(t.Key)
-	}
-	return n
-}
-
-// Decoder decodes binary tokens, reusing one scratch buffer across calls so
-// the only per-token allocations are the strings that escape into the Token
-// itself; tag and attribute names are interned. A Decoder is cheap (lazily
-// grown scratch) but not safe for concurrent use; long-lived readers keep
-// one per stream.
+// Decoder decodes binary tokens. It holds the view ReadEncoded returns, a
+// buffer in which a token that runs past its reader's window is
+// assembled, and a cache that interns tag and attribute names. A Decoder
+// is cheap but not safe for concurrent use; long-lived readers keep one
+// per stream, so that its buffer and its names serve every token.
 type Decoder struct {
-	scratch []byte
-	names   interner
-	view    Encoded // the view ReadEncoded returns
-	enc     []byte  // a straddling token, re-encoded for the view
+	names interner
+	view  Encoded // the view ReadEncoded returns
+	buf   []byte  // a token that runs past its reader's window, assembled
 }
 
-// ReadToken decodes one token from r. It returns io.EOF cleanly when the
-// stream is exhausted at a token boundary, and io.ErrUnexpectedEOF if the
-// stream ends mid-token. The one-shot helper for callers without a Decoder
-// is the package-level ReadToken.
-//
-// When r is a WindowReader and the whole token lies in its window, the
-// token is decoded from the window in place and r is advanced past it in
-// one step, so r's offset is exact after every token. A token that
-// straddles the window's end, or a corrupt one, is read byte by byte.
+// ReadToken decodes one token from r: ReadEncoded's view, decoded. It
+// returns io.EOF cleanly when the stream is exhausted at a token boundary,
+// and io.ErrUnexpectedEOF if the stream ends mid-token. The one-shot
+// helper for callers without a Decoder is the package-level ReadToken.
 func (d *Decoder) ReadToken(r io.ByteReader) (Token, error) {
-	if w, ok := r.(WindowReader); ok {
-		buf, err := w.Window()
-		if len(buf) == 0 {
-			if err == nil {
-				err = io.ErrNoProgress
-			}
-			return Token{}, err
-		}
-		var e Encoded
-		if n, ok := e.Scan(buf); ok {
-			w.Advance(n)
-			return d.Decode(&e), nil
-		}
+	e, err := d.ReadEncoded(r)
+	if err != nil {
+		return Token{}, err
 	}
-	return d.readToken(r)
+	return d.Decode(e), nil
 }
 
 // DecodeToken decodes buf, which must hold exactly one encoded token, in
@@ -138,13 +100,149 @@ func (d *Decoder) DecodeToken(buf []byte) (Token, error) {
 	return d.Decode(&e), nil
 }
 
-// cursor reads the fields of an encoded token from a byte slice. bad is
-// set, and stays set, once a field runs past the slice's end or a string
-// is longer than limit.
+// ReadEncoded returns a view of the next token of r, io.EOF at a clean end
+// of the stream and io.ErrUnexpectedEOF inside a token; an error of r's
+// own passes through unchanged. The view is valid until the next call.
+//
+// r is read a window at a time (WindowReader); any other io.ByteReader is
+// read as one-byte windows. A token that lies in the window is scanned
+// there. A token that runs past it is assembled in the decoder's buffer
+// from the windows that follow and scanned there by the same scan, which,
+// while the buffer ends too soon, reports the least length the token
+// needs. Each pass takes bytes toward that length, but no more than the
+// buffer already holds, so a corrupt count is found after a few bytes
+// rather than after all it claims, and a token of many fields is scanned
+// a few times rather than once per field. r is advanced past exactly a
+// decoded token's bytes, and the buffer holds only bytes that have
+// arrived. When the input ends inside a token, the bytes that arrived are
+// scanned once more, so every reader gives the same bytes the same
+// verdict.
+func (d *Decoder) ReadEncoded(r io.ByteReader) (*Encoded, error) {
+	w, ok := r.(WindowReader)
+	if !ok {
+		w = &byteWindow{r: r}
+	}
+	win, err := w.Window()
+	if len(win) == 0 {
+		if err == nil {
+			err = io.ErrNoProgress
+		}
+		return nil, err
+	}
+	n, err := d.view.scan(win, maxStringLen)
+	switch err {
+	case nil:
+		w.Advance(n)
+		return &d.view, nil
+	case errShort:
+	default:
+		return nil, tokenError(err, win[0])
+	}
+	buf := append(d.buf[:0], win...)
+	w.Advance(len(win))
+	var rerr error // why r ended inside the token
+	for err == errShort && rerr == nil {
+		for want := min(n, 2*len(buf)); len(buf) < want; {
+			win, werr := w.Window()
+			if len(win) == 0 {
+				rerr = midToken(werr)
+				break
+			}
+			k := min(want-len(buf), len(win))
+			buf = append(buf, win[:k]...)
+			w.Advance(k)
+		}
+		// Once r has ended this scan is the last: a field after the one
+		// that ran short can be corrupt before the length asked for.
+		n, err = d.view.scan(buf, maxStringLen)
+	}
+	d.buf = buf
+	switch err {
+	case nil:
+		return &d.view, nil
+	case errShort:
+		return nil, rerr
+	}
+	return nil, tokenError(err, buf[0])
+}
+
+// ReadToken decodes one token from r with a throwaway Decoder. Streaming
+// callers should hold a Decoder and call its ReadToken to reuse its buffer
+// and its names across tokens.
+func ReadToken(r io.ByteReader) (Token, error) {
+	var d Decoder
+	return d.ReadToken(r)
+}
+
+// byteWindow serves an io.ByteReader as one-byte windows.
+type byteWindow struct {
+	r    io.ByteReader
+	b    [1]byte
+	held bool // b holds a byte read but not yet advanced past
+}
+
+func (w *byteWindow) Window() ([]byte, error) {
+	if !w.held {
+		b, err := w.r.ReadByte()
+		if err != nil {
+			return nil, err
+		}
+		w.b[0], w.held = b, true
+	}
+	return w.b[:], nil
+}
+
+func (w *byteWindow) Advance(n int) {
+	if n > 0 {
+		w.held = false
+	}
+}
+
+// errShort is scan's verdict on a buffer that ends before its token does.
+// It never leaves the package: a token cut short by the end of its input
+// is io.ErrUnexpectedEOF.
+var errShort = errors.New("xmltok: token runs past the buffer")
+
+// errCorrupt is the verdict on a token that no bytes after it could make
+// whole: a varint that overflows, or an attribute count or a string
+// length over the codec's limit.
+var errCorrupt = errors.New("xmltok: corrupt token")
+
+// errUnknownKind is the verdict on a kind byte that names no kind.
+var errUnknownKind = errors.New("xmltok: unknown token kind")
+
+// tokenError is the error for scan's verdict err on a token whose kind
+// byte is kb.
+func tokenError(err error, kb byte) error {
+	if err == errUnknownKind {
+		return fmt.Errorf("xmltok: unknown token kind byte 0x%02x", kb)
+	}
+	return err
+}
+
+// midToken is the error for a reader that ended inside a token with err:
+// its end is io.ErrUnexpectedEOF, and its own error passes through.
+func midToken(err error) error {
+	switch err {
+	case io.EOF:
+		return io.ErrUnexpectedEOF
+	case nil:
+		return io.ErrNoProgress
+	}
+	return err
+}
+
+// cursor reads the fields of an encoded token from a byte slice. Once a
+// field fails, err is set and i lies past the slice's end, so no later
+// field is read: errShort when the field runs past the slice's end,
+// errCorrupt when a varint overflows or a count or length is over limit.
+// After errShort, i is the least length the token needs: the end of the
+// field that ran short, when its length is known, or one byte past the
+// slice, plus a byte for each later field that is read.
 type cursor struct {
 	b     []byte
 	i     int
-	bad   bool
+	err   error
 	limit uint64
 }
 
@@ -154,9 +252,16 @@ func (c *cursor) uvarint() uint64 {
 		c.i++
 		return uint64(c.b[c.i-1])
 	}
+	if c.err != nil {
+		c.i++
+		return 0
+	}
 	v, n := binary.Uvarint(c.b[c.i:])
 	if n <= 0 {
-		c.bad = true
+		c.err, c.i = errShort, len(c.b)+1
+		if n < 0 {
+			c.err = errCorrupt
+		}
 		return 0
 	}
 	c.i += n
@@ -166,98 +271,25 @@ func (c *cursor) uvarint() uint64 {
 // span returns the position of the next length-prefixed string.
 func (c *cursor) span() span {
 	n := c.uvarint()
-	if c.bad || n > uint64(len(c.b)-c.i) || n > c.limit {
-		c.bad = true
-		return span{c.i, c.i}
+	if c.err == nil && n <= c.limit && n <= uint64(len(c.b)-c.i) {
+		s := span{c.i, c.i + int(n)}
+		c.i += int(n)
+		return s
 	}
-	s := span{c.i, c.i + int(n)}
-	c.i += int(n)
-	return s
+	switch {
+	case c.err != nil:
+	case n > c.limit:
+		c.err, c.i = errCorrupt, len(c.b)+1
+	default:
+		c.err, c.i = errShort, c.i+int(n)
+	}
+	return span{}
 }
 
 // bytes returns the next length-prefixed string, aliasing the slice.
 func (c *cursor) bytes() []byte {
 	s := c.span()
 	return c.b[s.off:s.end]
-}
-
-// readToken is ReadToken's streaming path.
-func (d *Decoder) readToken(r io.ByteReader) (Token, error) {
-	kb, err := r.ReadByte()
-	if err != nil {
-		if err == io.EOF {
-			return Token{}, io.EOF
-		}
-		return Token{}, err
-	}
-	t := Token{Kind: Kind(kb & kindMask)}
-	switch t.Kind {
-	case KindStart:
-		if t.Name, err = d.readString(r); err != nil {
-			return Token{}, mid(err)
-		}
-		n, err := binary.ReadUvarint(r)
-		if err != nil {
-			return Token{}, mid(err)
-		}
-		if n > maxStringLen {
-			return Token{}, fmt.Errorf("xmltok: corrupt stream: %d attributes", n)
-		}
-		// The attributes grow as they arrive: the count is not checked
-		// against the bytes present, so it must not size a buffer.
-		for i := uint64(0); i < n; i++ {
-			var a Attr
-			if a.Name, err = d.readString(r); err != nil {
-				return Token{}, mid(err)
-			}
-			if a.Value, err = d.readString(r); err != nil {
-				return Token{}, mid(err)
-			}
-			t.Attrs = append(t.Attrs, a)
-		}
-	case KindEnd:
-		if t.Name, err = d.readString(r); err != nil {
-			return Token{}, mid(err)
-		}
-	case KindText:
-		if t.Text, err = d.readString(r); err != nil {
-			return Token{}, mid(err)
-		}
-	case KindRunPtr:
-		run, err := binary.ReadUvarint(r)
-		if err != nil {
-			return Token{}, mid(err)
-		}
-		t.Run = int64(run)
-		if t.Name, err = d.readString(r); err != nil {
-			return Token{}, mid(err)
-		}
-	default:
-		return Token{}, fmt.Errorf("xmltok: unknown token kind byte 0x%02x", kb)
-	}
-	if kb&flagHasKey != 0 {
-		t.HasKey = true
-		if t.Key, err = d.readString(r); err != nil {
-			return Token{}, mid(err)
-		}
-	}
-	return t, nil
-}
-
-// ReadToken decodes one token from r with a throwaway Decoder. Streaming
-// callers should hold a Decoder and call its ReadToken to reuse the scratch
-// buffer across tokens.
-func ReadToken(r io.ByteReader) (Token, error) {
-	var d Decoder
-	return d.ReadToken(r)
-}
-
-// mid converts an EOF inside a token into io.ErrUnexpectedEOF.
-func mid(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
 }
 
 // appendString appends s as a length-prefixed string.
@@ -269,8 +301,6 @@ func appendString[S string | []byte](dst []byte, s S) []byte {
 	}
 	return append(dst, s...)
 }
-
-func stringSize(s string) int { return uvarintSize(uint64(len(s))) + len(s) }
 
 func uvarintSize(v uint64) int {
 	n := 1
@@ -286,54 +316,6 @@ func uvarintSize(v uint64) int {
 // attribute value and text to it (ErrTooLong), so every token it writes
 // decodes.
 const maxStringLen = 1 << 26 // 64 MiB
-
-// readString decodes one length-prefixed string into the decoder's scratch
-// buffer (reused across calls); only the final string conversion
-// allocates. The length is not checked against the bytes present, so the
-// scratch grows as they arrive — at most doubling, from stringChunk — and
-// a corrupt length fails at the end of the stream having allocated in
-// proportion to what was there. Readers that implement io.Reader are
-// filled a chunk at a time instead of a byte at a time.
-func (d *Decoder) readString(r io.ByteReader) (string, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return "", err
-	}
-	if n == 0 {
-		return "", nil
-	}
-	if n > maxStringLen {
-		return "", fmt.Errorf("xmltok: corrupt stream: string length %d", n)
-	}
-	buf := d.scratch[:0]
-	rr, isReader := r.(io.Reader)
-	for uint64(len(buf)) < n {
-		if len(buf) == cap(buf) {
-			grow := min(n-uint64(len(buf)), uint64(max(len(buf), stringChunk)))
-			buf = slices.Grow(buf, int(grow))
-		}
-		chunk := buf[len(buf):min(uint64(cap(buf)), n)]
-		if isReader {
-			if _, err := io.ReadFull(rr, chunk); err != nil {
-				return "", err
-			}
-		} else {
-			for i := range chunk {
-				b, err := r.ReadByte()
-				if err != nil {
-					return "", err
-				}
-				chunk[i] = b
-			}
-		}
-		buf = buf[:len(buf)+len(chunk)]
-	}
-	d.scratch = buf[:0]
-	return string(buf), nil
-}
-
-// stringChunk is the first size readString's scratch grows to.
-const stringChunk = 512
 
 // interner hands out one string per distinct tag or attribute name, since
 // names repeat throughout a document. It is a direct-mapped cache: a slot

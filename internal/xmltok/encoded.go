@@ -2,7 +2,6 @@ package xmltok
 
 import (
 	"encoding/binary"
-	"io"
 )
 
 // Encoded is a view of one binary token in place: its bytes, and where its
@@ -31,19 +30,25 @@ type span struct{ off, end int }
 
 // Scan records the token at the front of buf as the view and returns its
 // encoded length. ok is false when buf does not hold the whole token or the
-// token is corrupt: an unknown kind, a length past the token's end, or an
-// attribute count or string length over the decoder's limit —
-// exactly the tokens the decoder rejects given the same bytes. Scan
+// token is corrupt: an unknown kind, a varint that overflows, or an
+// attribute count or string length over the decoder's limit. The decoder
+// reads every token through this scan, so it rejects exactly these. Scan
 // allocates nothing.
 func (e *Encoded) Scan(buf []byte) (n int, ok bool) {
-	return e.scan(buf, maxStringLen)
+	n, err := e.scan(buf, maxStringLen)
+	return n, err == nil
 }
 
-// scan is Scan with the length limit as a parameter: the writer scans
-// tokens it has just encoded from a Token, whose strings nothing bounds.
-func (e *Encoded) scan(buf []byte, limit uint64) (n int, ok bool) {
+// scan is Scan with the length limit as a parameter — the writer scans
+// tokens it has just encoded from a Token, whose strings nothing bounds —
+// and a verdict in place of ok. It is nil when buf begins with the whole
+// token, and n is its length. It is errShort when buf ends before the
+// token does, and n is the least length the token needs (see cursor): the
+// scan stops at the first field that runs short, and neither reads nor
+// judges a later field. Otherwise it is errUnknownKind or errCorrupt.
+func (e *Encoded) scan(buf []byte, limit uint64) (n int, err error) {
 	if len(buf) == 0 {
-		return 0, false
+		return 1, errShort
 	}
 	c := cursor{b: buf, i: 1, limit: limit}
 	e.kind = Kind(buf[0] & kindMask)
@@ -54,11 +59,16 @@ func (e *Encoded) scan(buf []byte, limit uint64) (n int, ok bool) {
 	case KindStart:
 		e.str = c.span()
 		na := c.uvarint()
-		if c.bad || na > limit {
-			return 0, false
+		if c.err == nil && na > limit {
+			return 0, errCorrupt
 		}
 		e.attrs.off = c.i
-		for i := uint64(0); i < na && !c.bad; i++ {
+		for i := uint64(0); i < na; i++ {
+			if c.err != nil {
+				// Each pair left takes at least its two length bytes.
+				c.i += int(2 * (na - i))
+				break
+			}
 			c.span()
 			c.span()
 		}
@@ -72,18 +82,18 @@ func (e *Encoded) scan(buf []byte, limit uint64) (n int, ok bool) {
 		e.run = int64(c.uvarint())
 		e.str = c.span()
 	default:
-		return 0, false
+		return 0, errUnknownKind
 	}
 	e.fields = c.i
 	e.key = span{c.i, c.i}
 	if e.flags&flagHasKey != 0 {
 		e.key = c.span()
 	}
-	if c.bad {
-		return 0, false
+	if c.err != nil {
+		return c.i, c.err
 	}
 	e.b = buf[:c.i]
-	return c.i, true
+	return c.i, nil
 }
 
 // set makes e the view of the key-less token in b, whose fields the parser
@@ -224,20 +234,18 @@ func (e *Encoded) AppendAttr(dst, name, value []byte) []byte {
 
 // AppendRenamed appends the token with its name replaced by name and, for a
 // start tag, each attribute's name a replaced by attrName(a), which may
-// fail. Attribute values, the run ID and the key are copied as they are; a
-// text token is copied whole.
+// fail. Attribute values and the key are copied as they are, and a run
+// pointer's run ID is written as AppendToken writes it; a text token is
+// copied whole.
 func (e *Encoded) AppendRenamed(dst, name []byte, attrName func([]byte) ([]byte, error)) ([]byte, error) {
 	if e.kind == KindText {
 		return append(dst, e.b...), nil
 	}
-	// The name's length prefix starts after the kind byte and, in a run
-	// pointer, the run ID.
-	pre := 1
+	dst = append(dst, e.b[0])
 	if e.kind == KindRunPtr {
-		_, n := binary.Uvarint(e.b[1:])
-		pre += n
+		dst = binary.AppendUvarint(dst, uint64(e.run))
 	}
-	dst = appendString(append(dst, e.b[:pre]...), name)
+	dst = appendString(dst, name)
 	if e.kind == KindStart {
 		dst = append(dst, e.b[e.str.end:e.attrs.off]...)
 		c := e.attrCursor()
@@ -284,37 +292,4 @@ func (d *Decoder) Decode(e *Encoded) Token {
 		t.Key = string(e.Key())
 	}
 	return t
-}
-
-// ReadEncoded returns a view of the next token of r, io.EOF at a clean end
-// of the stream and io.ErrUnexpectedEOF inside a token. The view is valid
-// until the next call.
-//
-// When r is a WindowReader and the whole token lies in its window, the
-// token is scanned there and r is advanced past it in one step. A token
-// that straddles the window's end, a corrupt one, or one from any other
-// reader goes through ReadToken's streaming path: it reports the same
-// errors, and the view is the token re-encoded, which for a token
-// AppendToken wrote is the same bytes.
-func (d *Decoder) ReadEncoded(r io.ByteReader) (*Encoded, error) {
-	if w, ok := r.(WindowReader); ok {
-		buf, err := w.Window()
-		if len(buf) == 0 {
-			if err == nil {
-				err = io.ErrNoProgress
-			}
-			return nil, err
-		}
-		if n, ok := d.view.Scan(buf); ok {
-			w.Advance(n)
-			return &d.view, nil
-		}
-	}
-	t, err := d.readToken(r)
-	if err != nil {
-		return nil, err
-	}
-	d.enc = AppendToken(d.enc[:0], t)
-	d.view.Scan(d.enc)
-	return &d.view, nil
 }

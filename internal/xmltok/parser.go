@@ -24,7 +24,10 @@ func DefaultParserOptions() ParserOptions {
 }
 
 // Parser is a streaming, event-based XML reader. Create one with NewParser
-// and call NextEncoded (or Next) until it returns io.EOF.
+// and call NextEncoded (or Next) until it returns io.EOF, which it does
+// only after the root element has closed: input that ends before a root
+// element begins is malformed ("no root element"), so no caller needs a
+// check of its own for an empty document.
 //
 // The parser writes each token's binary encoding — the bytes AppendToken
 // writes for it — straight from its source's window (see WindowReader)
@@ -138,11 +141,8 @@ func (p *Parser) commit() {
 func (p *Parser) NextEncoded() (*Encoded, error) {
 	if end := p.pendingEnd; end > 0 {
 		p.pendingEnd = 0
-		b := p.enc[end:]
-		n, k := binary.Uvarint(b[1:])
-		name := span{1 + k, 1 + k + int(n)}
-		p.view.set(b, KindEnd, name, span{}, 0)
-		p.closeElement(b[name.off:name.end])
+		p.view.scan(p.enc[end:], maxStringLen)
+		p.closeElement(p.view.Name())
 	} else {
 		p.enc = p.enc[:0]
 		if err := p.next(); err != nil {
@@ -174,7 +174,10 @@ func (p *Parser) next() error {
 	for {
 		b, err := p.readByte()
 		if err == io.EOF {
-			if p.started && !p.done {
+			if !p.started {
+				return malformed("no root element")
+			}
+			if !p.done {
 				return malformed("unexpected end of input with %d open elements", p.depth)
 			}
 			return io.EOF

@@ -7,10 +7,12 @@ import (
 
 // WindowReader is a byte source that serves its input a resident block at
 // a time, so that the tokenizer and the binary decoder can scan inside the
-// block instead of copying bytes out one call at a time. Every block reader
-// that feeds a token stream implements it: the input scan's
-// em.CountingReader, em.StreamReader under sorted runs and the data
-// stack's xstack.RangeReader.
+// block instead of copying bytes out one call at a time. Both block
+// readers that feed a token stream implement it: the input scan's
+// em.CountingReader, and em.BlockReader, which reads sorted runs and the
+// data stack's ranges. The parser reads any other io.Reader through a
+// bufio.Reader's buffer, and the binary decoder any other io.ByteReader as
+// one-byte windows.
 //
 // Window returns the unconsumed bytes of the resident block, refilling the
 // block first if none are left. It returns a non-empty slice and a nil

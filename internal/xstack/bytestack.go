@@ -2,7 +2,6 @@ package xstack
 
 import (
 	"fmt"
-	"io"
 
 	"nexsort/internal/em"
 )
@@ -77,28 +76,11 @@ func (s *ByteStack) Truncate(n int64) error {
 }
 
 // ReadRange returns a reader over bytes [off, Size()). Resident blocks are
-// served from memory for free; evicted blocks cost one charged read each.
-// The stack must not be mutated while the reader is in use. The reader
-// borrows one block of main memory from budget until Close.
-func (s *ByteStack) ReadRange(budget *em.Budget, off int64) (*RangeReader, error) {
-	if off < 0 || off > s.size {
-		return nil, fmt.Errorf("xstack: read range start %d outside [0,%d]", off, s.size)
-	}
-	if budget != nil {
-		if err := budget.Grant(1); err != nil {
-			return nil, err
-		}
-	}
-	frame := s.p.frames.Acquire()
-	return &RangeReader{
-		s:      s,
-		budget: budget,
-		frame:  frame,
-		buf:    frame.Bytes(),
-		cur:    -1,
-		pos:    off,
-		end:    s.size,
-	}, nil
+// copied from the window for free; evicted blocks cost one charged read
+// each. The stack must not be mutated while the reader is in use. The
+// reader borrows one block of main memory from budget until Close.
+func (s *ByteStack) ReadRange(budget *em.Budget, off int64) (*em.BlockReader, error) {
+	return em.NewBlockReader(s.p.frames, budget, s.size, off, s.p.readInto)
 }
 
 // SetResident resizes the resident window (see pager.setResident): the
@@ -115,82 +97,3 @@ func (s *ByteStack) Held() int { return len(s.p.bufs) }
 
 // Close releases the resident-window grant. The stack is unusable after.
 func (s *ByteStack) Close() { s.p.close() }
-
-// RangeReader streams a suffix of a ByteStack. It implements io.Reader,
-// io.ByteReader and xmltok.WindowReader.
-type RangeReader struct {
-	s      *ByteStack
-	budget *em.Budget
-	frame  em.Frame
-	buf    []byte
-	cur    int // stack block index currently in buf; -1 if none
-	pos    int64
-	end    int64
-	closed bool
-}
-
-// Window returns the unread bytes of the stack block holding the read
-// position, paging that block in first if it is not the one in the buffer.
-// It returns io.EOF at the end of the range.
-func (r *RangeReader) Window() ([]byte, error) {
-	if r.closed {
-		return nil, fmt.Errorf("xstack: read from closed RangeReader")
-	}
-	if r.pos >= r.end {
-		return nil, io.EOF
-	}
-	bs := int64(len(r.buf))
-	b := int(r.pos / bs)
-	if b != r.cur {
-		if err := r.s.p.readInto(b, r.buf); err != nil {
-			return nil, err
-		}
-		r.cur = b
-	}
-	return r.buf[r.pos%bs : min64(bs, r.end-int64(b)*bs)], nil
-}
-
-// Advance consumes the first n bytes of the window.
-func (r *RangeReader) Advance(n int) { r.pos += int64(n) }
-
-// Read implements io.Reader.
-func (r *RangeReader) Read(p []byte) (int, error) {
-	w, err := r.Window()
-	if err != nil {
-		return 0, err
-	}
-	n := copy(p, w)
-	r.pos += int64(n)
-	return n, nil
-}
-
-// ReadByte implements io.ByteReader.
-func (r *RangeReader) ReadByte() (byte, error) {
-	w, err := r.Window()
-	if err != nil {
-		return 0, err
-	}
-	r.pos++
-	return w[0], nil
-}
-
-// Close recycles the reader's buffer frame and releases its grant.
-func (r *RangeReader) Close() error {
-	if r.closed {
-		return nil
-	}
-	r.closed = true
-	r.s.p.frames.Release(r.frame)
-	r.buf = nil
-	if r.budget != nil {
-		r.budget.Release(1)
-	}
-	return nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}

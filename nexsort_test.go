@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"nexsort/internal/em"
+	"nexsort/internal/stats"
 	"nexsort/internal/xmltok"
 )
 
@@ -459,6 +460,54 @@ func TestContentAfterRootAgrees(t *testing.T) {
 			if out.String() != firstOut || res.Elements != first.Elements || res.InputBytes != first.InputBytes {
 				t.Errorf("%s, %v: output %q, %d elements, %d input bytes; NEXSORT gave %q, %d, %d",
 					tc.name, algo, out.String(), res.Elements, res.InputBytes, firstOut, first.Elements, first.InputBytes)
+			}
+		}
+	}
+}
+
+// TestNoRootElementFails: a document without a root element — empty,
+// whitespace only, a comment or an XML declaration only — fails with the
+// parser's error in every entry point that reads one: each sort
+// algorithm, Check, Merge on either side, and stats.Scan.
+func TestNoRootElementFails(t *testing.T) {
+	cfg := Config{BlockSize: 256, MemoryBytes: 256 * 20, InMemory: true}
+	crit := ByAttrOrTag("key")
+	const valid = `<r><a key="1"/></r>`
+	entries := map[string]func(doc string) error{
+		"Check": func(doc string) error {
+			_, err := Check(strings.NewReader(doc), crit, 0)
+			return err
+		},
+		"Merge, left": func(doc string) error {
+			_, err := Merge(strings.NewReader(doc), strings.NewReader(valid), crit, io.Discard, MergeOptions{})
+			return err
+		},
+		"Merge, right": func(doc string) error {
+			_, err := Merge(strings.NewReader(valid), strings.NewReader(doc), crit, io.Discard, MergeOptions{})
+			return err
+		},
+		"stats.Scan": func(doc string) error {
+			_, err := stats.Scan(strings.NewReader(doc))
+			return err
+		},
+	}
+	for _, algo := range []Algorithm{NEXSORT, MergeSort, InMemory} {
+		entries["Sort, "+algo.String()] = func(doc string) error {
+			_, err := Sort(strings.NewReader(doc), io.Discard, cfg, Options{Criterion: crit, Algorithm: algo})
+			return err
+		}
+	}
+	docs := map[string]string{
+		"empty":           "",
+		"whitespace":      " \n\t\r\n",
+		"comment":         "<!-- no root -->\n",
+		"XML declaration": `<?xml version="1.0" encoding="UTF-8"?>`,
+	}
+	for name, doc := range docs {
+		for entry, call := range entries {
+			err := call(doc)
+			if !errors.Is(err, xmltok.ErrMalformed) || !strings.Contains(err.Error(), "no root element") {
+				t.Errorf("%s, %s: %v, want the parser's \"no root element\"", name, entry, err)
 			}
 		}
 	}
